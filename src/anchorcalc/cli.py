@@ -21,18 +21,9 @@ from . import field_models as fm
 from . import forms as fo
 from . import numeric, ode
 from .conventions import CONVENTION_SHEET
+from .linop import LinDiffOp
 from .modelfile import ModelFile, ModelFileError, parse_model
 from .report import ERROR, FAIL, PASS, SKIP, CheckRecord, ModelReport
-
-ODE_CHECKS = (
-    "anchor",
-    "characteristic",
-    "noether_map",
-    "proper_symmetry",
-    "schouten_square",
-    "symmetry",
-    "twist_invariance",
-)
 
 
 def _residual_text(residual) -> str | None:
@@ -40,6 +31,10 @@ def _residual_text(residual) -> str | None:
         return None
     if isinstance(residual, ex.Expr):
         return ex.to_text(residual)
+    if isinstance(residual, fo.Form):
+        return fm._form_text(residual)
+    if isinstance(residual, LinDiffOp):
+        return residual.describe()
     if isinstance(residual, dict):
         inside = "; ".join(f"{k}: {ex.to_text(v)}" for k, v in sorted(residual.items()))
         return inside or None
@@ -51,6 +46,91 @@ def _residual_text(residual) -> str | None:
     return str(residual)
 
 
+def _verdict(ok, residual):
+    """(ok, detail) of a check that returns (flag, residual): the residual
+    is reported on FAIL only."""
+    return ok, None if ok else _residual_text(residual)
+
+
+def _run(report: ModelReport, checks) -> ModelReport:
+    """Run (name, thunk) checks in order and add one timed record each.  A
+    thunk returns (ok, detail), with ok None for a skipped check; an
+    ExprError becomes an ERROR record, and FAIL never aborts the run."""
+    for name, thunk in checks:
+        start = time.perf_counter()
+        try:
+            ok, detail = thunk()
+            status = SKIP if ok is None else PASS if ok else FAIL
+            record = CheckRecord(name, status, detail)
+        except ex.ExprError as exc:
+            record = CheckRecord(name, ERROR, residual=str(exc))
+        record.ms = (time.perf_counter() - start) * 1000.0
+        report.add(record)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# ODE model-file checks
+
+
+def _schouten_square(model: ModelFile):
+    square = ode.schouten_square(model.alpha)
+    inside = "; ".join(
+        f"S{i + 1}{j + 1}{k + 1}: {ex.to_text(v)}"
+        for (i, j, k), v in sorted(square.upper.items())
+    )
+    return square.is_zero(), inside or None
+
+
+# name -> (model-file sections it needs, check); a check with a section
+# missing is skipped.
+ODE_CHECKS = {
+    "anchor": (("anchor",), lambda m: _verdict(*ode.check_anchor(m.system, m.alpha))),
+    "characteristic": (
+        ("characteristic",),
+        lambda m: _verdict(*ode.check_characteristic(m.system, m.f)),
+    ),
+    "noether_map": (
+        ("anchor", "characteristic"),
+        lambda m: _verdict(*ode.check_symmetry(m.system, ode.anchor_apply(m.alpha, m.f))),
+    ),
+    "proper_symmetry": (
+        ("anchor", "characteristic"),
+        lambda m: _verdict(
+            *ode.proper_symmetry_conditions(m.system, m.alpha, ode.differential(m.f, m.system.n))
+        ),
+    ),
+    "schouten_square": (("anchor",), _schouten_square),
+    "symmetry": (("symmetry",), lambda m: _verdict(*ode.check_symmetry(m.system, m.w))),
+    "twist_invariance": (
+        ("anchor", "characteristic", "hamiltonian"),
+        lambda m: _verdict(*ode.twist_invariance_check(m.system, m.alpha, m.f, m.hamiltonian)),
+    ),
+}
+
+# section name -> ModelFile attribute
+_SECTION_FIELDS = {
+    "anchor": "alpha",
+    "characteristic": "f",
+    "symmetry": "w",
+    "hamiltonian": "hamiltonian",
+}
+
+
+def _skip_text(sections) -> str:
+    names = [f"[{s}]" for s in sections]
+    if len(names) == 1:
+        return f"no {names[0]} section"
+    return f"needs {', '.join(names[:-1])} and {names[-1]}"
+
+
+def _ode_check(model: ModelFile, name: str):
+    sections, check = ODE_CHECKS[name]
+    if any(getattr(model, _SECTION_FIELDS[s]) is None for s in sections):
+        return None, _skip_text(sections)
+    return check(model)
+
+
 def run_checks(model: ModelFile, selection=None) -> ModelReport:
     """Run the named checks (default: all known) against an ODE model file;
     FAIL never aborts the run."""
@@ -59,65 +139,8 @@ def run_checks(model: ModelFile, selection=None) -> ModelReport:
     unknown = [name for name in selection if name not in ODE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    report = ModelReport(model=model.name)
-    sys_ = model.system
-    for name in selection:
-        start = time.perf_counter()
-        try:
-            record = _run_one(name, model, sys_)
-        except ex.ExprError as exc:
-            record = CheckRecord(name, ERROR, residual=str(exc))
-        record.ms = (time.perf_counter() - start) * 1000.0
-        report.add(record)
-    return report
-
-
-def _run_one(name: str, model: ModelFile, sys_: ode.OdeSystem) -> CheckRecord:
-    alpha, f, w, ham = model.alpha, model.f, model.w, model.hamiltonian
-    if name == "characteristic":
-        if f is None:
-            return CheckRecord(name, SKIP, "no [characteristic] section")
-        ok, residual = ode.check_characteristic(sys_, f)
-        return CheckRecord(name, PASS if ok else FAIL, _residual_text(residual if not ok else None))
-    if name == "symmetry":
-        if w is None:
-            return CheckRecord(name, SKIP, "no [symmetry] section")
-        ok, residual = ode.check_symmetry(sys_, w)
-        return CheckRecord(name, PASS if ok else FAIL, _residual_text(residual if not ok else None))
-    if name == "anchor":
-        if alpha is None:
-            return CheckRecord(name, SKIP, "no [anchor] section")
-        ok, residual = ode.check_anchor(sys_, alpha)
-        return CheckRecord(name, PASS if ok else FAIL, _residual_text(residual if not ok else None))
-    if name == "schouten_square":
-        if alpha is None:
-            return CheckRecord(name, SKIP, "no [anchor] section")
-        square = ode.schouten_square(alpha)
-        if square.is_zero():
-            return CheckRecord(name, PASS)
-        inside = "; ".join(
-            f"S{i + 1}{j + 1}{k + 1}: {ex.to_text(v)}"
-            for (i, j, k), v in sorted(square.upper.items())
-        )
-        return CheckRecord(name, FAIL, inside)
-    if name == "noether_map":
-        if alpha is None or f is None:
-            return CheckRecord(name, SKIP, "needs [anchor] and [characteristic]")
-        image = ode.anchor_apply(alpha, f)
-        ok, residual = ode.check_symmetry(sys_, image)
-        return CheckRecord(name, PASS if ok else FAIL, _residual_text(residual if not ok else None))
-    if name == "proper_symmetry":
-        if alpha is None or f is None:
-            return CheckRecord(name, SKIP, "needs [anchor] and [characteristic]")
-        psi = ode.differential(f, sys_.n)
-        ok, residual = ode.proper_symmetry_conditions(sys_, alpha, psi)
-        return CheckRecord(name, PASS if ok else FAIL, _residual_text(residual if not ok else None))
-    if name == "twist_invariance":
-        if alpha is None or f is None or ham is None:
-            return CheckRecord(name, SKIP, "needs [anchor], [characteristic] and [hamiltonian]")
-        ok, detail = ode.twist_invariance_check(sys_, alpha, f, ham)
-        return CheckRecord(name, PASS if ok else FAIL, None if ok else detail)
-    raise ValueError(f"unknown check {name}")
+    checks = [(name, lambda name=name: _ode_check(model, name)) for name in selection]
+    return _run(ModelReport(model=model.name), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +177,14 @@ def catalog_report(args) -> ModelReport:
     raise ValueError(f"unknown catalog model {args.model!r}")
 
 
-def _timed(report, name, fn):
-    start = time.perf_counter()
-    try:
-        record = fn()
-        if record is None:
-            record = CheckRecord(name, PASS)
-    except ex.ExprError as exc:
-        record = CheckRecord(name, ERROR, residual=str(exc))
-    record.ms = (time.perf_counter() - start) * 1000.0
-    report.add(record)
+def _passes_unless_raised(fn):
+    """Thunk for a check that raises on failure."""
+
+    def thunk():
+        fn()
+        return True, None
+
+    return thunk
 
 
 def _pform_report(args) -> ModelReport:
@@ -174,55 +195,26 @@ def _pform_report(args) -> ModelReport:
     report = ModelReport(model=f"pform(n={args.n},p={args.p},a={args.a},b={args.b},{sig})")
     xis = [(args.xi, _parse_xi(space, args.xi))] if args.xi else _default_xis(space)
 
-    def noether():
-        ok = model.noether_identity_check()
-        return CheckRecord("noether_identity", PASS if ok else FAIL)
-
-    _timed(report, "noether_identity", noether)
-
-    for name, xi in xis:
-        def current(xi=xi, name=name):
-            _, ok, residual = model.killing_current(xi)
-            return CheckRecord(
-                f"current_certificate[{name}]",
-                PASS if ok else FAIL,
-                None if ok else fm._form_text(residual),
-            )
-
-        _timed(report, f"current_certificate[{name}]", current)
-
-        def proper(xi=xi, name=name):
-            ok, residual = model.proper_symmetry(xi)
-            return CheckRecord(
-                f"proper_symmetry[{name}]",
-                PASS if ok else FAIL,
-                None if ok else fm._form_text(residual),
-            )
-
-        _timed(report, f"proper_symmetry[{name}]", proper)
-
-    def emt():
-        model.energy_momentum()
-        return CheckRecord("energy_momentum", PASS)
-
-    _timed(report, "energy_momentum", emt)
-
-    def anchor():
-        ok, residual = model.anchor_verify()
-        return CheckRecord(
-            "anchor_identity", PASS if ok else FAIL, None if ok else residual.describe()
-        )
-
-    _timed(report, "anchor_identity", anchor)
-
     def trivial():
-        witness = model.triviality_witness()
-        if witness is None:
-            return CheckRecord("triviality_witness", PASS, "does not fire (a != b)")
-        return CheckRecord("triviality_witness", PASS, f"fires: G = {args.a} * Id")
+        if model.triviality_witness() is None:
+            return True, "does not fire (a != b)"
+        return True, f"fires: G = {args.a} * Id"
 
-    _timed(report, "triviality_witness", trivial)
-    return report
+    checks = [("noether_identity", lambda: (model.noether_identity_check(), None))]
+    for name, xi in xis:
+        checks += [
+            (
+                f"current_certificate[{name}]",
+                lambda xi=xi: _verdict(*model.killing_current(xi)[1:]),
+            ),
+            (f"proper_symmetry[{name}]", lambda xi=xi: _verdict(*model.proper_symmetry(xi))),
+        ]
+    checks += [
+        ("energy_momentum", _passes_unless_raised(model.energy_momentum)),
+        ("anchor_identity", lambda: _verdict(*model.anchor_verify())),
+        ("triviality_witness", trivial),
+    ]
+    return _run(report, checks)
 
 
 def _selfdual_report(args) -> ModelReport:
@@ -234,27 +226,15 @@ def _selfdual_report(args) -> ModelReport:
         if args.xi
         else _default_xis(space) + [("dil", fo.dilation(space))]
     )
-    _timed(
-        report,
-        "noether_identity",
-        lambda: CheckRecord(
-            "noether_identity", PASS if model.noether_identity_check() else FAIL
-        ),
-    )
-    for name, xi in xis:
-        def verify(xi=xi, name=name):
-            ok, payload = model.verify(xi)
-            detail = None if ok else str(payload)
-            return CheckRecord(f"certificates[{name}]", PASS if ok else FAIL, detail)
 
-        _timed(report, f"certificates[{name}]", verify)
+    def certificates(xi):
+        ok, payload = model.verify(xi)
+        return ok, None if ok else str(payload)
 
-    def emt():
-        model.energy_momentum()
-        return CheckRecord("energy_momentum", PASS)
-
-    _timed(report, "energy_momentum", emt)
-    return report
+    checks = [("noether_identity", lambda: (model.noether_identity_check(), None))]
+    checks += [(f"certificates[{name}]", lambda xi=xi: certificates(xi)) for name, xi in xis]
+    checks.append(("energy_momentum", _passes_unless_raised(model.energy_momentum)))
+    return _run(report, checks)
 
 
 def _chiral_report(args) -> ModelReport:
@@ -267,30 +247,26 @@ def _chiral_report(args) -> ModelReport:
     epsilon = [Fraction(part) for part in args.epsilon.split(",")]
     report = ModelReport(model=f"chiral(N={algebra.n},algebra={args.algebra},g={args.g})")
 
-    def verify():
+    def internal():
         ok, payload = model.verify(epsilon)
         names = {
             "current_residual": payload["current_residual"] != "0",
             "transform_residual": any(r != "0" for r in payload["transform_residual"]),
             "symmetry_residual": any(r != "0" for r in payload["symmetry_residual"]),
         }
-        detail = "; ".join(k for k, bad in names.items() if bad) or None
-        return CheckRecord("internal_certificates", PASS if ok else FAIL, detail)
+        return ok, "; ".join(k for k, bad in names.items() if bad) or None
 
-    _timed(report, "internal_certificates", verify)
-
-    xi_items = (
+    xis = (
         [(args.xi, _parse_xi(space, args.xi))]
         if args.xi
         else _default_xis(space) + [("dil", fo.dilation(space))]
     )
-    for name, xi in xi_items:
-        def spacetime(xi=xi, name=name):
-            ok, _ = model.spacetime_verify(xi)
-            return CheckRecord(f"spacetime_certificates[{name}]", PASS if ok else FAIL)
-
-        _timed(report, f"spacetime_certificates[{name}]", spacetime)
-    return report
+    checks = [("internal_certificates", internal)]
+    checks += [
+        (f"spacetime_certificates[{name}]", lambda xi=xi: (model.spacetime_verify(xi)[0], None))
+        for name, xi in xis
+    ]
+    return _run(report, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +416,9 @@ def main(argv=None) -> int:
         return 2
     except ex.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 2
+    except ex.ExprError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
         sys.stdout.write(report.to_json(include_timings=args.timings))

@@ -9,6 +9,7 @@ Hodge convention; see conventions.CONVENTION_SHEET.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -21,6 +22,39 @@ from .linop import LinDiffOp, ShellRules, linearize
 
 class FieldModelError(ex.ExprError):
     pass
+
+
+# Field models memoise their derived artifacts in the instance dict.  Each
+# value is a pure function of the constructor arguments (and of xi), so a
+# racing first call only recomputes the same value.
+
+
+def _memoised(method):
+    """Compute a model artifact once per instance."""
+    slot = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def memoised(self):
+        if slot not in self.__dict__:
+            self.__dict__[slot] = method(self)
+        return self.__dict__[slot]
+
+    return memoised
+
+
+def _memoised_per_vector(method):
+    """Compute an artifact once per instance and vector field xi, keyed by
+    the canonical components of xi."""
+    slot = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def memoised(self, xi: SpacetimeVector):
+        cache = self.__dict__.setdefault(slot, {})
+        if xi.components not in cache:
+            cache[xi.components] = method(self, xi)
+        return cache[xi.components]
+
+    return memoised
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +184,13 @@ class PFormModel:
         return self.space.metric_sign
 
     # equations ----------------------------------------------------------
+    @_memoised
     def residuals(self):
-        return fo.exterior_d(self.F), fo.exterior_d(fo.hodge(self.F))
+        return fo.exterior_d(self.F), fo.exterior_d(self._star_F())
+
+    @_memoised
+    def _star_F(self) -> Form:
+        return fo.hodge(self.F)
 
     def residual_components(self):
         t1, t2 = self.residuals()
@@ -161,10 +200,12 @@ class PFormModel:
         t1, t2 = self.residuals()
         return _d_or_zero(t1).is_zero() and _d_or_zero(t2).is_zero()
 
+    @_memoised
     def shell(self) -> ShellRules:
         return ShellRules(self.residual_components(), self.space.coords)
 
     # characteristics and currents ----------------------------------------
+    @_memoised_per_vector
     def _check_vector(self, xi: SpacetimeVector) -> str:
         verdict = fo.conformal_killing_check(xi, self.space)
         if verdict == "killing":
@@ -176,22 +217,24 @@ class PFormModel:
             f"critical dimension n = 2p"
         )
 
+    @_memoised_per_vector
     def killing_characteristic(self, xi: SpacetimeVector):
         self._check_vector(xi)
         n, p = self.space.n, self.p
-        starF = fo.hodge(self.F)
+        starF = self._star_F()
         sign1 = self.sigma * (-1) ** ((n - p) * (p - 1))
         sign2 = self.sigma * (-1) ** (p - 1)
         psi1 = fo.hodge(fo.interior(xi, starF)).scale(sign1)
         psi2 = fo.hodge(fo.interior(xi, self.F)).scale(sign2)
         return psi1, psi2
 
+    @_memoised_per_vector
     def killing_current(self, xi: SpacetimeVector):
         """Current j and the exact certificate
         (Psi1, T1) + (Psi2, T2) - dj = 0, returned as (j, ok, residual)."""
         self._check_vector(xi)
         p = self.p
-        starF = fo.hodge(self.F)
+        starF = self._star_F()
         j = (
             fo.wedge(fo.interior(xi, self.F), starF)
             + fo.wedge(self.F, fo.interior(xi, starF)).scale((-1) ** (p - 1))
@@ -235,17 +278,24 @@ class PFormModel:
         return matrix
 
     # anchor ---------------------------------------------------------------
+    @_memoised
+    def _weights(self):
+        """Pairing weights on the p-form fields and on the two residual slots."""
+        space, p = self.space, self.p
+        w_out = metric_weights(space, p + 1) + metric_weights(space, space.n - p + 1)
+        return metric_weights(space, p), w_out
+
+    @_memoised
     def anchor_ops(self):
         """(V, V*) as component operators; V is the pairing adjoint of V*."""
         space, p = self.space, self.p
         d_p = d_operator(space, p)
         d_dual = d_operator(space, space.n - p).compose(hodge_operator(space, p))
         vstar = _vstack(d_p.scale(self.a), d_dual.scale(self.b))
-        w_in = metric_weights(space, p)
-        w_out = metric_weights(space, p + 1) + metric_weights(space, space.n - p + 1)
-        v = pairing_adjoint(vstar, w_in, w_out)
+        v = pairing_adjoint(vstar, *self._weights())
         return v, vstar
 
+    @_memoised
     def linearization(self) -> LinDiffOp:
         return linearize(self.residual_components(), self.fields)
 
@@ -254,11 +304,7 @@ class PFormModel:
         operators), reported as (ok, residual operator)."""
         v, vstar = self.anchor_ops()
         j_op = self.linearization()
-        w_in = metric_weights(self.space, self.p)
-        w_out = metric_weights(self.space, self.p + 1) + metric_weights(
-            self.space, self.space.n - self.p + 1
-        )
-        j_star = pairing_adjoint(j_op, w_in, w_out)
+        j_star = pairing_adjoint(j_op, *self._weights())
         lhs = j_op.compose(v)
         rhs = vstar.compose(j_star)
         residual = lhs - rhs
@@ -320,15 +366,18 @@ class SelfDualModel:
             for idx in grade_basis(space, self.mid)
         ]
 
+    @_memoised
     def residual(self) -> Form:
         return fo.exterior_d(self.H)
 
+    @_memoised
     def shell(self) -> ShellRules:
         return ShellRules(form_to_vector(self.residual()), self.space.coords)
 
     def noether_identity_check(self) -> bool:
         return _d_or_zero(self.residual()).is_zero()
 
+    @_memoised
     def anchor_ops(self):
         """V = (self-dual projection) o pairing-adjoint of P -> dP on middle
         components; isotropy of the dual pairing makes the projection exact."""
@@ -344,6 +393,7 @@ class SelfDualModel:
     def characteristic(self, xi: SpacetimeVector) -> Form:
         return fo.hodge(fo.interior(xi, self.H)).scale(-1)
 
+    @_memoised_per_vector
     def current(self, xi: SpacetimeVector) -> Form:
         return fo.wedge(fo.interior(xi, self.H), self.H).scale(ex.rational(1, 2))
 
@@ -359,16 +409,14 @@ class SelfDualModel:
         psi = self.characteristic(xi)
         t = self.residual()
         j = self.current(xi)
-        isotropy = fo.wedge(self.H, fo.lie_derivative(xi, self.H))
+        lie_H = fo.lie_derivative(xi, self.H)
+        isotropy = fo.wedge(self.H, lie_H)
         current_residual = fo.pairing_density(psi, t) - fo.exterior_d(j)
         v, _ = self.anchor_ops()
         delta = vector_to_form(
             self.space, self.mid, v.apply(form_to_vector(psi))
         )
-        shell = self.shell()
-        transform_residual = (delta - fo.lie_derivative(xi, self.H)).map_coefficients(
-            shell.reduce
-        )
+        transform_residual = (delta - lie_H).map_coefficients(self.shell().reduce)
         payload = {
             "isotropy_identity": _form_text(isotropy),
             "current_residual": _form_text(current_residual),
@@ -467,22 +515,12 @@ def su2() -> LieAlgebra:
     the identity normalization."""
     eps = {}
     for a, b, c in itertools.permutations(range(3)):
-        eps[(a, b, c)] = Fraction(_sign_of_permutation((a, b, c)))
+        eps[(a, b, c)] = Fraction(fo._merge_sign((a, b, c), ())[0])
     return LieAlgebra(3, eps)
 
 
 def abelian(n: int) -> LieAlgebra:
     return LieAlgebra(n, {})
-
-
-def _sign_of_permutation(seq) -> int:
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
 
 
 ALGEBRAS = {"su2": su2, "abelian3": lambda: abelian(3), "abelian1": lambda: abelian(1)}
@@ -507,9 +545,11 @@ class ChiralModel:
         self.mid_dim = len(grade_basis(space, 1))
         self.out_dim = len(grade_basis(space, 2))
 
+    @_memoised
     def residuals(self):
-        return [fo.exterior_d(h) for h in self.H]
+        return tuple(fo.exterior_d(h) for h in self.H)
 
+    @_memoised
     def shell(self) -> ShellRules:
         eqs = []
         for t in self.residuals():
@@ -529,6 +569,7 @@ class ChiralModel:
             out.append(acc)
         return out
 
+    @_memoised
     def anchor_ops(self):
         """Stacked (V, V*); the g-term enters V* as a field-dependent
         zero-order operator and V by the weighted adjoint plus self-dual

@@ -16,6 +16,7 @@ import itertools
 from fractions import Fraction
 
 from . import expr as ex
+from . import forms as fo
 from .conventions import HOMOMORPHISM_SIGN, TWIST_SIGN
 from .expr import (
     Expr,
@@ -170,25 +171,14 @@ class Trivector:
         self.upper = table
 
     def entry(self, i, j, k) -> Expr:
-        if len({i, j, k}) < 3:
+        sign, order = fo._merge_sign((i, j, k), ())
+        if sign is None:
             return ex.ZERO
-        order = sorted((i, j, k))
-        sign = _permutation_sign((i, j, k))
-        base = self.upper.get(tuple(order), ex.ZERO)
+        base = self.upper.get(order, ex.ZERO)
         return canonicalize(base if sign > 0 else -base)
 
     def is_zero(self) -> bool:
         return not self.upper
-
-
-def _permutation_sign(seq) -> int:
-    sign = 1
-    items = list(seq)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +427,7 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
             raise ex.EvaluationError(
                 f"singular sample point, pick another one: {exc}"
             ) from exc
-    return _rational_rank(rows)
+    return len(_row_reduce(rows, n)[1])
 
 
 def _point_assignment(point, n):
@@ -452,27 +442,43 @@ def _point_assignment(point, n):
     return table
 
 
-def _rational_rank(rows) -> int:
-    matrix = [list(r) for r in rows]
-    if not matrix:
-        return 0
-    cols = len(matrix[0])
-    rank = 0
+def _row_reduce(rows, cols):
+    """Gauss-Jordan elimination of an exact rational matrix with the given
+    number of columns.  Returns (reduced rows, pivot columns): the first
+    len(pivots) rows are the nonzero rows of the reduced row echelon form,
+    each with a unit entry in its pivot column; the rest are zero."""
+    m = [list(r) for r in rows]
+    pivots = []
     for c in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][c] != 0), None
-        )
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if pivot is None:
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = Fraction(1) / matrix[rank][c]
-        matrix[rank] = [v * inv for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][c]:
-                factor = matrix[r][c]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return rank
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][c]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                factor = m[r][c]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _nullspace(matrix, cols):
+    """Kernel basis of an exact rational matrix: one vector per free column."""
+    m, pivots = _row_reduce(matrix, cols)
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -m[pr][fc]
+        kernel.append(vec)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -530,48 +536,16 @@ def _monomials(n: int, max_degree: int):
     return out
 
 
-def _nullspace(matrix, cols):
-    """Kernel basis of an exact rational matrix."""
-    m = [row[:] for row in matrix]
-    pivots = {}
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots[c] = rank
-        rank += 1
-    free = [c for c in range(cols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -m[pr][fc]
-        kernel.append(vec)
-    return kernel
-
-
 def _echelon_solutions(kernel, basis):
     """Echelon-reduce kernel vectors over descending graded-lex monomial
     order and strip the constant solution."""
-    if not kernel:
-        return []
     order = list(range(len(basis) - 1, -1, -1))  # basis is ascending
     rows = [[vec[c] for c in order] for vec in kernel]
-    rows = _rref(rows)
+    reduced, pivots = _row_reduce(rows, len(basis))
     const_col = len(basis) - 1  # constant monomial sits last in `order`
     solutions = []
-    for row in rows:
-        lead = next((c for c, v in enumerate(row) if v != 0), None)
-        if lead is None or lead == const_col:
+    for row, lead in zip(reduced, pivots):
+        if lead == const_col:
             continue
         f = ex.ZERO
         for c, v in enumerate(row):
@@ -579,22 +553,3 @@ def _echelon_solutions(kernel, basis):
                 f = f + ex.rational(v) * basis[order[c]]
         solutions.append(canonicalize(f))
     return solutions
-
-
-def _rref(rows):
-    m = [r[:] for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return [row for row in m if any(v != 0 for v in row)]

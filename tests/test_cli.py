@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import anchorcalc as ac
-from anchorcalc import cli, numeric, ode
+from anchorcalc import cli, field_models, forms, linop, numeric, ode
 from anchorcalc.modelfile import (
     ModelFileError,
     format_model,
@@ -174,6 +175,69 @@ def test_cli_catalog_selfdual_json():
 def test_cli_catalog_chiral():
     code, out = run_cli("catalog", "chiral", "--g", "1", "--epsilon", "1,0,0", "--xi", "t0")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "selfdual", "--n", "3"), ("catalog", "pform", "--n", "2", "--p", "5")],
+)
+def test_cli_catalog_construction_error_exits_2(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _counting(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "argv, adjoints",
+    [
+        # one V in anchor_ops, one J* in anchor_verify
+        (("catalog", "pform", "--n", "4", "--p", "2"), 2),
+        (("catalog", "selfdual", "--n", "2"), 1),
+    ],
+)
+def test_catalog_builds_model_artifacts_once(monkeypatch, argv, adjoints):
+    counts = collections.Counter()
+    monkeypatch.setattr(
+        linop.ShellRules, "__init__", _counting(counts, "shell", linop.ShellRules.__init__)
+    )
+    monkeypatch.setattr(
+        linop.LinDiffOp,
+        "formal_adjoint",
+        _counting(counts, "adjoint", linop.LinDiffOp.formal_adjoint),
+    )
+    # Every current j(xi) is built with a wedge; energy-momentum only reads
+    # the translation currents, which the report has verified before it.
+    in_emt = []
+    wedge = forms.wedge
+
+    def counted_wedge(a, b):
+        if in_emt:
+            counts["wedge in energy_momentum"] += 1
+        return wedge(a, b)
+
+    monkeypatch.setattr(forms, "wedge", counted_wedge)
+    for model in (field_models.PFormModel, field_models.SelfDualModel):
+
+        def emt(self, original=model.energy_momentum):
+            in_emt.append(True)
+            try:
+                return original(self)
+            finally:
+                in_emt.pop()
+
+        monkeypatch.setattr(model, "energy_momentum", emt)
+    code, _ = run_cli(*argv)
+    assert code == 0
+    assert counts == {"shell": 1, "adjoint": adjoints}
 
 
 def test_cli_search():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
@@ -363,6 +365,34 @@ def test_rank_singular_sample_asks_for_resample():
     alpha = ode.Bivector(2, {(0, 1): x1 ** -1})
     with pytest.raises(ode.ex.EvaluationError, match="resample|another"):
         ode.transitivity_rank(alpha, [0, 0, 1], 0)
+
+
+# --- exact elimination ------------------------------------------------------
+
+# Mostly zero and small entries, so that rank-deficient matrices are common.
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=5),
+        st.just(cols),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices)
+def test_row_reduce_rank_kernel_and_idempotence(case):
+    rows, cols = case
+    reduced, pivots = ode._row_reduce(rows, cols)
+    kernel = ode._nullspace(rows, cols)
+    assert len(pivots) + len(kernel) == cols
+    for vec in kernel:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+    assert ode._row_reduce(reduced, cols) == (reduced, pivots)
 
 
 # --- characteristic search --------------------------------------------------
