@@ -12,6 +12,7 @@ Exit codes: 0 all PASS/SKIP, 1 some FAIL, 2 ERROR or usage problem.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -328,6 +329,26 @@ def search_output(args):
 # entry point
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorcalc",
@@ -362,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="numeric invariant-drift oracle")
     p_oracle.add_argument("model_file")
-    p_oracle.add_argument("--t-end", type=float, default=numeric.DEFAULT_T_END)
-    p_oracle.add_argument("--step", type=float, default=numeric.DEFAULT_STEP)
+    p_oracle.add_argument("--t-end", type=_positive_float, default=numeric.DEFAULT_T_END)
+    p_oracle.add_argument("--step", type=_positive_float, default=numeric.DEFAULT_STEP)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--points", type=int, default=numeric.DEFAULT_POINTS)
+    p_oracle.add_argument("--points", type=_positive_int, default=numeric.DEFAULT_POINTS)
     p_oracle.add_argument("--tolerance", type=float, default=numeric.DRIFT_TOLERANCE)
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.add_argument("--timings", action="store_true")

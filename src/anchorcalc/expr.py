@@ -1,17 +1,26 @@
 """Exact symbolic kernel over jet variables.
 
-Expressions are immutable trees built from rational constants, symbols
-(independent variables, jet variables, parameters) and the four elementary
-kernels sin/cos/exp/log, closed under sums, products and integer powers.
-The canonical form is the fully expanded sum of Laurent monomials in the
-symbol/function atoms, with rational coefficients, ordered graded-
-lexicographically.  Structural equality of canonical forms is mathematical
-equality within this class; sin/cos/exp/log applications are opaque atoms
-(no trigonometric rewriting), so identities that mix them are decided by
-the randomized evaluation oracle instead.
+An expression is an immutable sparse polynomial: a dict from monomials to
+nonzero exact coefficients.  The atoms are independent variables, jet
+variables, parameters and applications sin/cos/exp/log(arg) of the four
+elementary kernels.  A monomial is a tuple of (atom, exponent) pairs sorted
+by atom, with nonzero integer exponents (Laurent monomials).  Coefficients
+are ints until a division makes them Fractions.
+
+Every operation, the arithmetic operators included, expands eagerly, so
+every value is in canonical form and equality of values is mathematical
+equality within this class.  Function applications are opaque atoms (no
+trigonometric rewriting), so identities that mix them are decided by the
+randomized evaluation oracle instead.
+
+An atom is a tuple that is its own sort key, built from names and numbers
+only: hashing and ordering run in C, and the printed order, graded-
+lexicographic with the largest monomial first, is the same in every
+process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
+ResourceLimitError when an intermediate polynomial holds more monomials.
 
 Everything here is a pure function over immutable values and is safe for
-concurrent use; the per-node canonical-form cache is a write-once slot
+concurrent use; the cached hash of an expression is a write-once slot
 whose value is deterministic, so a racing recomputation is harmless.
 """
 
@@ -20,6 +29,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import mpmath
 
@@ -51,10 +61,10 @@ def node_limit() -> int:
         return _DEFAULT_NODE_LIMIT
 
 
-def _check_size(n: int) -> None:
-    if n > node_limit():
+def _check_size(n: int, limit: int) -> None:
+    if n > limit:
         raise ResourceLimitError(
-            f"expression exceeds node limit ({n} > {node_limit()}); "
+            f"expression exceeds node limit ({n} monomials > {limit}); "
             "set ANCHORCALC_NODE_LIMIT to raise the cap"
         )
 
@@ -63,15 +73,18 @@ def _check_size(n: int) -> None:
 # multi-indices
 
 
-class MultiIndex:
-    """Derivative counts per independent variable, stored sparse."""
+class MultiIndex(tuple):
+    """Derivative counts per independent variable, stored sparse.
 
-    __slots__ = ("_items",)
+    The value is the tuple (order, ((name, count), ...)) with the names
+    sorted, which is also its sort key.
+    """
 
-    def __init__(self, items=()):
+    __slots__ = ()
+
+    def __new__(cls, items=()):
         if isinstance(items, MultiIndex):
-            self._items = items._items
-            return
+            return items
         if isinstance(items, dict):
             items = items.items()
         cleaned = {}
@@ -81,246 +94,224 @@ class MultiIndex:
                 raise ValueError("derivative counts must be non-negative")
             if count:
                 cleaned[name] = cleaned.get(name, 0) + count
-        self._items = tuple(sorted(cleaned.items()))
+        return _index(cleaned)
 
-    @property
-    def items(self):
-        return self._items
+    items = property(itemgetter(1))
 
     def order(self) -> int:
-        return sum(c for _, c in self._items)
+        return self[0]
 
     def get(self, name: str) -> int:
-        for n, c in self._items:
+        for n, c in self[1]:
             if n == name:
                 return c
         return 0
 
     def step(self, name: str) -> "MultiIndex":
-        d = dict(self._items)
+        d = dict(self[1])
         d[name] = d.get(name, 0) + 1
-        return MultiIndex(d)
+        return _index(d)
 
     def unstep(self, name: str) -> "MultiIndex":
-        d = dict(self._items)
+        d = dict(self[1])
         if d.get(name, 0) <= 0:
             raise ValueError(f"cannot lower derivative count for {name}")
         d[name] -= 1
         return MultiIndex(d)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        d = dict(self._items)
-        for n, c in other._items:
+        d = dict(self[1])
+        for n, c in other[1]:
             d[n] = d.get(n, 0) + c
-        return MultiIndex(d)
+        return _index(d)
 
     def names(self):
-        return tuple(n for n, _ in self._items)
+        return tuple(n for n, _ in self[1])
 
     def suffix(self) -> str:
-        return "".join(n * c for n, c in self._items)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self._items == other._items
-
-    def __hash__(self):
-        return hash(("midx", self._items))
+        return "".join(n * c for n, c in self[1])
 
     def __repr__(self):
-        return f"MultiIndex({dict(self._items)!r})"
+        return f"MultiIndex({dict(self[1])!r})"
 
     def sort_key(self):
-        return (self.order(), self._items)
+        return self
+
+
+def _index(counts) -> MultiIndex:
+    """The multi-index of a dict of positive counts."""
+    return tuple.__new__(MultiIndex, (sum(counts.values()), tuple(sorted(counts.items()))))
 
 
 EMPTY_INDEX = MultiIndex()
 
 
 # ---------------------------------------------------------------------------
-# atoms
+# atoms: tuples whose first entry ranks the kind (jet < indep < param < fun)
 
 
-class IndepVar:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def sort_key(self):
-        return (1, self.name)
-
-    def display(self) -> str:
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, IndepVar) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("indep", self.name))
-
-    def __repr__(self):
-        return f"IndepVar({self.name!r})"
-
-
-class JetVar:
+class JetVar(tuple):
     """Jet coordinate of a field component; order 0 is the field itself."""
 
-    __slots__ = ("field", "index")
+    __slots__ = ()
 
-    def __init__(self, field: str, index=EMPTY_INDEX):
-        self.field = field
-        self.index = MultiIndex(index)
+    def __new__(cls, field: str, index=EMPTY_INDEX):
+        return tuple.__new__(cls, (0, field, MultiIndex(index)))
 
-    def sort_key(self):
-        return (0, self.field, self.index.sort_key())
-
-    def display(self) -> str:
-        if self.index.order() == 0:
-            return self.field
-        return f"{self.field}_{self.index.suffix()}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JetVar)
-            and self.field == other.field
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return hash(("jet", self.field, self.index))
-
-    def __repr__(self):
-        return f"JetVar({self.field!r}, {dict(self.index.items)!r})"
-
-
-class Param:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def sort_key(self):
-        return (2, self.name)
+    field = property(itemgetter(1))
+    index = property(itemgetter(2))
 
     def display(self) -> str:
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, Param) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("param", self.name))
+        if not self[2][0]:
+            return self[1]
+        return f"{self[1]}_{self[2].suffix()}"
 
     def __repr__(self):
-        return f"Param({self.name!r})"
+        return f"JetVar({self[1]!r}, {dict(self[2][1])!r})"
 
 
-class FunAtom:
+class _NamedAtom(tuple):
+    __slots__ = ()
+    _RANK = None
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (cls._RANK, name))
+
+    name = property(itemgetter(1))
+
+    def display(self) -> str:
+        return self[1]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self[1]!r})"
+
+
+class IndepVar(_NamedAtom):
+    __slots__ = ()
+    _RANK = 1
+
+
+class Param(_NamedAtom):
+    __slots__ = ()
+    _RANK = 2
+
+
+class FunAtom(tuple):
     """An application sin/cos/exp/log(arg) treated as an opaque atom.
 
-    The argument is kept in canonical form so that structurally equal
-    applications compare and hash equal.
+    The tuple is (3, fn, key, arg), where the key is the structure of the
+    printed argument: it orders function atoms, and equal applications
+    compare and hash equal.
     """
 
-    __slots__ = ("fn", "arg")
+    __slots__ = ()
 
-    def __init__(self, fn: str, arg: "Expr"):
-        self.fn = fn
-        self.arg = arg
+    def __new__(cls, fn: str, arg: "Expr"):
+        return tuple.__new__(cls, (3, fn, _poly_key(arg._poly), arg))
 
-    def sort_key(self):
-        return (3, self.fn, _tree_key(self.arg))
+    fn = property(itemgetter(1))
+    arg = property(itemgetter(3))
 
     def display(self) -> str:
-        return f"{self.fn}({to_text(self.arg)})"
-
-    def __eq__(self, other):
-        return isinstance(other, FunAtom) and self.fn == other.fn and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("fun", self.fn, self.arg))
+        return f"{self[1]}({to_text(self[3])})"
 
     def __repr__(self):
-        return f"FunAtom({self.fn!r}, {self.arg!r})"
+        return f"FunAtom({self[1]!r}, {self[3]!r})"
 
 
-def _atom_key(atom):
-    return atom.sort_key()
+def _term_order(term):
+    # graded-lexicographic: total degree first, then the atom/exponent pairs
+    mono = term[0]
+    return (sum(e for _, e in mono), mono)
 
 
-def _monomial_key(mono):
-    # graded-lexicographic: total degree first, then the exponent vector
-    return (sum(e for _, e in mono), tuple((_atom_key(a), e) for a, e in mono))
+def _sorted_terms(p):
+    return sorted(p.items(), key=_term_order, reverse=True)
+
+
+def _poly_key(p):
+    """Structural key of the printed form of p (names and numbers only)."""
+    keys = [_term_key(m, c) for m, c in _sorted_terms(p)] or [("r", 0)]
+    return keys[0] if len(keys) == 1 else ("+",) + tuple(keys)
+
+
+def _term_key(mono, coeff):
+    factors = tuple(_factor_key(a) if e == 1 else ("^", _factor_key(a), e) for a, e in mono)
+    if not factors:
+        return ("r", coeff)
+    if coeff != 1:
+        return ("*", ("r", coeff)) + factors
+    return factors[0] if len(factors) == 1 else ("*",) + factors
+
+
+def _factor_key(atom):
+    return ("f", atom[1], atom[2]) if isinstance(atom, FunAtom) else ("s", atom)
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# expressions
 
 
 class Expr:
-    """Immutable expression tree node."""
+    """An immutable expanded polynomial in the atoms.
+
+    ``poly()`` is the read-only dict monomial -> nonzero coefficient.  Every
+    constant value is an instance of the subclass Rat.
+    """
 
     __slots__ = ("_poly", "_hash")
 
-    def _as_poly(self):
-        raise NotImplementedError
-
     def poly(self):
-        p = getattr(self, "_poly", None)
-        if p is None:
-            p = self._as_poly()
-            object.__setattr__(self, "_poly", p)
-        return p
+        return self._poly
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        return Add((self, _coerce(other)))
+        acc = dict(self._poly)
+        _padd_into(acc, _coerce(other)._poly, node_limit())
+        return _expr(acc)
 
-    def __radd__(self, other):
-        return Add((_coerce(other), self))
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return Add((self, Mul((Rat(-1), _coerce(other)))))
+        acc = dict(self._poly)
+        _padd_into(acc, _pscale(_coerce(other)._poly, -1), node_limit())
+        return _expr(acc)
 
     def __rsub__(self, other):
-        return Add((_coerce(other), Mul((Rat(-1), self))))
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        return Mul((self, _coerce(other)))
+        return _expr(_pmul(self._poly, _coerce(other)._poly, node_limit()))
 
-    def __rmul__(self, other):
-        return Mul((_coerce(other), self))
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return Mul((self, Pow(_coerce(other), -1)))
+        return _expr(_pmul(self._poly, _pinv(_coerce(other)._poly), node_limit()))
 
     def __rtruediv__(self, other):
-        return Mul((_coerce(other), Pow(self, -1)))
+        return _coerce(other) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             raise UnsupportedInputError("only integer powers are supported")
-        return Pow(self, exponent)
+        return _expr(_ppow(self._poly, exponent, node_limit()))
 
     def __neg__(self):
-        return Mul((Rat(-1), self))
+        return _expr(_pscale(self._poly, -1))
 
     def __pos__(self):
         return self
 
     # -- comparisons ----------------------------------------------------
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return _tree_key(self) == _tree_key(other)
+        return self is other or self._poly == other._poly
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
+        h = self._hash
         if h is None:
-            h = hash(_tree_key(self))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(frozenset(self._poly.items()))
         return h
 
     def equals(self, other) -> bool:
@@ -332,131 +323,91 @@ class Expr:
 
 
 class Rat(Expr):
-    __slots__ = ("value",)
+    """A constant expression; build one with rational()."""
 
-    def __init__(self, value, den=None):
-        v = Fraction(value, den) if den is not None else Fraction(value)
-        object.__setattr__(self, "value", v)
+    __slots__ = ()
 
-    def _as_poly(self):
-        if self.value == 0:
-            return {}
-        return {(): self.value}
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self._poly.get((), 0))
 
 
-class Sym(Expr):
-    __slots__ = ("atom",)
-
-    def __init__(self, atom):
-        object.__setattr__(self, "atom", atom)
-
-    def _as_poly(self):
-        return {((self.atom, 1),): Fraction(1)}
+def _expr(p) -> Expr:
+    e = object.__new__(Rat if not p or (len(p) == 1 and () in p) else Expr)
+    e._poly = p
+    e._hash = None
+    return e
 
 
-class Add(Expr):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def _as_poly(self):
-        acc = {}
-        for t in self.terms:
-            _padd_into(acc, t.poly())
-        return {m: c for m, c in acc.items() if c}
-
-
-class Mul(Expr):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def _as_poly(self):
-        acc = {(): Fraction(1)}
-        for f in self.factors:
-            acc = _pmul(acc, f.poly())
-        return acc
-
-
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        if not isinstance(exponent, int):
-            raise UnsupportedInputError("only integer powers are supported")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def _as_poly(self):
-        return _ppow(self.base.poly(), self.exponent)
-
-
-class Fun(Expr):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn, arg):
-        if fn not in FUNCTIONS:
-            raise UnsupportedInputError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-
-    def _as_poly(self):
-        arg = canonicalize(self.arg)
-        if isinstance(arg, Rat) and arg.value == 0:
-            # exact values at zero argument
-            if self.fn == "sin":
-                return {}
-            if self.fn == "cos" or self.fn == "exp":
-                return {(): Fraction(1)}
-            raise UnsupportedInputError("log(0) is undefined")
-        if self.fn == "log" and isinstance(arg, Rat) and arg.value == 1:
-            return {}
-        return {((FunAtom(self.fn, arg), 1),): Fraction(1)}
+def _num(c):
+    """An exact rational as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Rat(Fraction(x))
+        return _expr({(): _num(x)} if x else {})
     raise TypeError(f"cannot interpret {x!r} as an expression")
 
 
-def _tree_key(e: Expr):
-    if isinstance(e, Rat):
-        return ("r", e.value)
-    if isinstance(e, Sym):
-        return ("s", e.atom.sort_key())
-    if isinstance(e, Add):
-        return ("+",) + tuple(_tree_key(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return ("*",) + tuple(_tree_key(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return ("^", _tree_key(e.base), e.exponent)
-    if isinstance(e, Fun):
-        return ("f", e.fn, _tree_key(e.arg))
-    raise TypeError(f"not an expression node: {e!r}")
+def _atom(x):
+    """The atom of a one-atom expression such as indep("t"); other values
+    are returned unchanged."""
+    if isinstance(x, Expr) and len(x._poly) == 1:
+        ((mono, coeff),) = x._poly.items()
+        if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
+            return mono[0][0]
+    return x
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer (dict monomial -> Fraction, monomial = sorted atom powers)
+# polynomial layer (dict monomial -> coefficient); `limit` is the node limit
+# read once by the public operation that called in
 
 
-def _padd_into(acc, p):
+def _mono_mul(m1, m2):
+    """Product of two monomials: a merge of two atom-sorted tuples."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, ea = m1[i]
+        b, eb = m2[j]
+        if a == b:
+            if ea + eb:
+                out.append((a, ea + eb))
+            i += 1
+            j += 1
+        elif a < b:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
+
+
+def _padd_into(acc, p, limit):
     for m, c in p.items():
         nc = acc.get(m, 0) + c
         if nc:
             acc[m] = nc
         else:
-            acc.pop(m, None)
-    _check_size(len(acc))
+            del acc[m]
+    _check_size(len(acc), limit)
 
 
-def _pmul(p, q):
-    if not p or not q:
-        return {}
+def _pmul(p, q, limit):
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1 and () in q:
+        return _pscale(p, q[()])
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -465,20 +416,9 @@ def _pmul(p, q):
             if nc:
                 out[m] = nc
             else:
-                out.pop(m, None)
-        _check_size(len(out))
+                del out[m]
+        _check_size(len(out), limit)
     return out
-
-
-def _mono_mul(m1, m2):
-    d = dict(m1)
-    for a, e in m2:
-        ne = d.get(a, 0) + e
-        if ne:
-            d[a] = ne
-        else:
-            d.pop(a, None)
-    return tuple(sorted(d.items(), key=lambda ae: _atom_key(ae[0])))
 
 
 def _pinv(p):
@@ -486,66 +426,51 @@ def _pinv(p):
         raise UnsupportedInputError(
             "division is only supported by nonzero constants and single monomials"
         )
-    (mono, coeff), = p.items()
-    return {tuple((a, -e) for a, e in mono): Fraction(1) / coeff}
+    ((mono, coeff),) = p.items()
+    return {tuple((a, -e) for a, e in mono): _num(1 / Fraction(coeff))}
 
 
-def _ppow(p, n: int):
-    if n == 0:
-        return {(): Fraction(1)}
+def _ppow(p, n: int, limit):
     if n < 0:
-        return _ppow(_pinv(p), -n)
-    result = {(): Fraction(1)}
+        p, n = _pinv(p), -n
+    if n == 0:
+        return {(): 1}
+    if len(p) == 1:
+        ((mono, coeff),) = p.items()
+        return {tuple((a, e * n) for a, e in mono): coeff**n}
+    result = {(): 1}
     base = p
     while n:
         if n & 1:
-            result = _pmul(result, base)
+            result = _pmul(result, base, limit)
         n >>= 1
         if n:
-            base = _pmul(base, base)
+            base = _pmul(base, base, limit)
     return result
 
 
-def _pscale(p, c: Fraction):
+def _pscale(p, c):
     if not c:
         return {}
     return {m: v * c for m, v in p.items()}
 
 
-def _from_poly(p) -> Expr:
-    """Rebuild the canonical tree from a polynomial, largest monomial first."""
-    if not p:
-        return Rat(0)
-    terms = []
-    for mono, coeff in sorted(p.items(), key=lambda mc: _monomial_key(mc[0]), reverse=True):
-        factors = []
-        for atom, e in mono:
-            base = _atom_expr(atom)
-            factors.append(base if e == 1 else Pow(base, e))
-        if not factors:
-            terms.append(Rat(coeff))
-        elif coeff == 1 and len(factors) == 1:
-            terms.append(factors[0])
-        elif coeff == 1:
-            terms.append(Mul(tuple(factors)))
-        else:
-            terms.append(Mul(tuple([Rat(coeff)] + factors)))
-    if len(terms) == 1:
-        tree = terms[0]
-    else:
-        tree = Add(tuple(terms))
-    object.__setattr__(tree, "_poly", dict(p))
-    return tree
-
-
-def _atom_expr(atom) -> Expr:
-    if isinstance(atom, FunAtom):
-        return Fun(atom.fn, atom.arg)
-    return Sym(atom)
-
-
 # ---------------------------------------------------------------------------
 # public constructors
+
+
+def Sym(atom) -> Expr:
+    """The expression of a single atom."""
+    return _expr({((atom, 1),): 1})
+
+
+def Add(terms) -> Expr:
+    """The sum of the given terms."""
+    acc = {}
+    limit = node_limit()
+    for t in terms:
+        _padd_into(acc, _coerce(t)._poly, limit)
+    return _expr(acc)
 
 
 def indep(name: str) -> Expr:
@@ -561,27 +486,50 @@ def param(name: str) -> Expr:
 
 
 def rational(p, q=1) -> Expr:
-    return Rat(Fraction(p, q))
+    if q == 1 and isinstance(p, int):
+        return _coerce(p)
+    return _coerce(Fraction(p, q))
+
+
+def fun(fn: str, arg) -> Expr:
+    """The application fn(arg) for fn in FUNCTIONS."""
+    if fn not in FUNCTIONS:
+        raise UnsupportedInputError(f"unknown function {fn!r}")
+    return _expr(_fun_poly(fn, _coerce(arg)))
+
+
+def _fun_poly(fn, arg):
+    p = arg._poly
+    if not p:
+        # exact values at zero argument
+        if fn == "sin":
+            return {}
+        if fn == "cos" or fn == "exp":
+            return {(): 1}
+        raise UnsupportedInputError("log(0) is undefined")
+    if fn == "log" and p == {(): 1}:
+        return {}
+    return {((FunAtom(fn, arg), 1),): 1}
 
 
 def sin(e) -> Expr:
-    return Fun("sin", _coerce(e))
+    return fun("sin", e)
 
 
 def cos(e) -> Expr:
-    return Fun("cos", _coerce(e))
+    return fun("cos", e)
 
 
 def exp(e) -> Expr:
-    return Fun("exp", _coerce(e))
+    return fun("exp", e)
 
 
 def log(e) -> Expr:
-    return Fun("log", _coerce(e))
+    return fun("log", e)
 
 
-ZERO = Rat(0)
-ONE = Rat(1)
+ZERO = _expr({})
+ONE = _expr({(): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +537,25 @@ ONE = Rat(1)
 
 
 def canonicalize(e: Expr) -> Expr:
-    """Return the canonical expanded form; idempotent by construction."""
-    try:
-        return _from_poly(_coerce(e).poly())
-    except RecursionError:
-        raise ResourceLimitError("expression tree is too deep") from None
+    """Return the canonical expanded form, which every value already is."""
+    return _coerce(e)
 
 
 def is_identically_zero(e: Expr) -> bool:
-    return not _coerce(e).poly()
+    return not _coerce(e)._poly
+
+
+def terms(e: Expr):
+    """The (monomial, coefficient) pairs of e, largest first in graded-
+    lexicographic order."""
+    return _sorted_terms(_coerce(e)._poly)
 
 
 def atoms(e: Expr, nested: bool = True):
     """All atoms of the canonical form; with nested=True descends into
     function-application arguments as well."""
     out = set()
-    _collect_atoms(_coerce(e).poly(), out, nested)
+    _collect_atoms(_coerce(e)._poly, out, nested)
     return out
 
 
@@ -613,14 +564,14 @@ def _collect_atoms(p, out, nested):
         for a, _ in mono:
             out.add(a)
             if nested and isinstance(a, FunAtom):
-                _collect_atoms(a.arg.poly(), out, nested)
+                _collect_atoms(a[3]._poly, out, nested)
 
 
 def jet_atoms(e: Expr, field=None):
     return {
         a
         for a in atoms(e)
-        if isinstance(a, JetVar) and (field is None or a.field == field)
+        if isinstance(a, JetVar) and (field is None or a[1] == field)
     }
 
 
@@ -633,102 +584,111 @@ def max_jet_order(e: Expr, field=None) -> int:
 # differentiation
 
 
-def _atom_total_derivative(atom, d: str):
-    if isinstance(atom, IndepVar):
-        return {(): Fraction(1)} if atom.name == d else {}
-    if isinstance(atom, Param):
-        return {}
-    if isinstance(atom, JetVar):
-        return {((JetVar(atom.field, atom.index.step(d)), 1),): Fraction(1)}
-    if isinstance(atom, FunAtom):
-        inner = total_derivative(atom.arg, d).poly()
-        if not inner:
-            return {}
-        return _pmul(_fun_derivative(atom), inner)
-    raise TypeError(f"unknown atom {atom!r}")
-
-
-def _fun_derivative(atom: FunAtom):
-    arg = atom.arg
-    if atom.fn == "sin":
-        return Fun("cos", arg).poly()
-    if atom.fn == "cos":
-        return _pscale(Fun("sin", arg).poly(), Fraction(-1))
-    if atom.fn == "exp":
-        return {((atom, 1),): Fraction(1)}
-    if atom.fn == "log":
-        return _pinv(arg.poly())
-    raise TypeError(atom.fn)
-
-
-def _atom_partial(atom, sym):
-    if atom == sym:
-        return {(): Fraction(1)}
-    if isinstance(atom, FunAtom):
-        inner = diff(atom.arg, sym).poly()
-        if not inner:
-            return {}
-        return _pmul(_fun_derivative(atom), inner)
-    return {}
-
-
-def _derive_poly(p, atom_rule):
-    """Product rule over monomials with the given atom derivative."""
+def _derive_poly(p, atom_rule, limit):
+    """Product rule over monomials; atom_rule(atom) is the derivative of
+    one atom as a polynomial, computed once per atom and call."""
     acc = {}
+    rules = {}
     for mono, coeff in p.items():
-        for a, e in mono:
-            da = atom_rule(a)
+        for k, (a, e) in enumerate(mono):
+            da = rules.get(a)
+            if da is None:
+                da = rules[a] = atom_rule(a)
             if not da:
                 continue
-            rest = dict(mono)
             if e == 1:
-                rest.pop(a)
+                rest = mono[:k] + mono[k + 1 :]
             else:
-                rest[a] = e - 1
-            rest_mono = tuple(sorted(rest.items(), key=lambda ae: _atom_key(ae[0])))
-            term = _pscale(_pmul({rest_mono: Fraction(1)}, da), coeff * e)
-            _padd_into(acc, term)
+                rest = mono[:k] + ((a, e - 1),) + mono[k + 1 :]
+            c = coeff * e
+            for m2, c2 in da.items():
+                m = _mono_mul(rest, m2)
+                nc = acc.get(m, 0) + c * c2
+                if nc:
+                    acc[m] = nc
+                else:
+                    del acc[m]
+        _check_size(len(acc), limit)
     return acc
+
+
+def _chain(atom: FunAtom, inner, limit):
+    """d fn(arg) = fn'(arg) * d arg, with d arg given as `inner`."""
+    if not inner:
+        return {}
+    fn, arg = atom[1], atom[3]
+    if fn == "sin":
+        outer = _fun_poly("cos", arg)
+    elif fn == "cos":
+        outer = _pscale(_fun_poly("sin", arg), -1)
+    elif fn == "exp":
+        outer = {((atom, 1),): 1}
+    else:
+        outer = _pinv(arg._poly)
+    return _pmul(outer, inner, limit)
+
+
+def _total_derivative_poly(p, d: str, limit):
+    def rule(a):
+        if isinstance(a, JetVar):
+            return {((JetVar(a[1], a[2].step(d)), 1),): 1}
+        if isinstance(a, IndepVar):
+            return {(): 1} if a[1] == d else {}
+        if isinstance(a, FunAtom):
+            return _chain(a, _total_derivative_poly(a[3]._poly, d, limit), limit)
+        return {}
+
+    return _derive_poly(p, rule, limit)
+
+
+def _partial_poly(p, sym, limit):
+    def rule(a):
+        if a == sym:
+            return {(): 1}
+        if isinstance(a, FunAtom):
+            return _chain(a, _partial_poly(a[3]._poly, sym, limit), limit)
+        return {}
+
+    return _derive_poly(p, rule, limit)
+
+
+def _iterated_poly(p, index: MultiIndex, limit):
+    for name, count in index.items:
+        for _ in range(count):
+            p = _total_derivative_poly(p, name, limit)
+    return p
 
 
 def total_derivative(e: Expr, d) -> Expr:
     """Total derivative D_d: raises jet orders in direction d by the chain
     rule, differentiates the independent variable d to 1, parameters to 0."""
+    d = _atom(d)
     name = d.name if isinstance(d, IndepVar) else d if isinstance(d, str) else None
-    if name is None and isinstance(d, Sym) and isinstance(d.atom, IndepVar):
-        name = d.atom.name
     if name is None:
         raise TypeError("direction must be an independent variable or its name")
-    return _from_poly(_derive_poly(_coerce(e).poly(), lambda a: _atom_total_derivative(a, name)))
+    return _expr(_total_derivative_poly(_coerce(e)._poly, name, node_limit()))
 
 
 def diff(e: Expr, sym) -> Expr:
     """Partial derivative with respect to one symbol atom (chain rule is
     applied through function applications)."""
-    if isinstance(sym, Sym):
-        sym = sym.atom
-    return _from_poly(_derive_poly(_coerce(e).poly(), lambda a: _atom_partial(a, sym)))
+    return _expr(_partial_poly(_coerce(e)._poly, _atom(sym), node_limit()))
 
 
 def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
-    out = e
-    for name, count in index.items:
-        for _ in range(count):
-            out = total_derivative(out, name)
-    return out
+    return _expr(_iterated_poly(_coerce(e)._poly, index, node_limit()))
 
 
 def euler_derivative(density: Expr, field: str) -> Expr:
     """Variational derivative with respect to one field:
     sum over jet orders of (-1)^|a| D^a (d density / d u_a)."""
     density = _coerce(density)
+    limit = node_limit()
     out = {}
     for a in jet_atoms(density, field):
-        partial = diff(density, a)
-        term = iterated_total_derivative(partial, a.index)
-        sign = Fraction(-1) ** a.index.order()
-        _padd_into(out, _pscale(term.poly(), sign))
-    return _from_poly(out)
+        term = _iterated_poly(_partial_poly(density._poly, a, limit), a.index, limit)
+        _padd_into(out, _pscale(term, (-1) ** a.index.order()), limit)
+    return _expr(out)
 
 
 # ---------------------------------------------------------------------------
@@ -737,28 +697,37 @@ def euler_derivative(density: Expr, field: str) -> Expr:
 
 def substitute(e: Expr, mapping) -> Expr:
     """Substitute atoms by expressions (single simultaneous pass)."""
-    table = {}
-    for k, v in mapping.items():
-        if isinstance(k, Sym):
-            k = k.atom
-        table[k] = _coerce(v).poly()
-    return _from_poly(_subst_poly(_coerce(e).poly(), table))
+    table = {_atom(k): _coerce(v)._poly for k, v in mapping.items()}
+    return _expr(_subst_poly(_coerce(e)._poly, table, node_limit()))
 
 
-def _subst_poly(p, table):
+def _subst_poly(p, table, limit):
     acc = {}
+    replaced = {}  # atom -> new polynomial, or None when it stays
+    powers = {}  # (atom, exponent) -> power of its replacement
     for mono, coeff in p.items():
-        term = {(): coeff}
-        for a, e in mono:
-            if isinstance(a, FunAtom):
-                new_arg = _from_poly(_subst_poly(a.arg.poly(), table))
-                rep = Fun(a.fn, new_arg).poly()
-            else:
-                rep = table.get(a)
-                if rep is None:
-                    rep = {((a, 1),): Fraction(1)}
-            term = _pmul(term, _ppow(rep, e))
-        _padd_into(acc, term)
+        kept = []
+        factors = []
+        for pair in mono:
+            a, e = pair
+            if a not in replaced:
+                if isinstance(a, FunAtom):
+                    arg = _subst_poly(a[3]._poly, table, limit)
+                    rep = None if arg == a[3]._poly else _fun_poly(a[1], _expr(arg))
+                else:
+                    rep = table.get(a)
+                replaced[a] = rep
+            rep = replaced[a]
+            if rep is None:
+                kept.append(pair)
+                continue
+            if pair not in powers:
+                powers[pair] = _ppow(rep, e, limit)
+            factors.append(powers[pair])
+        term = {tuple(kept): coeff}
+        for f in factors:
+            term = _pmul(term, f, limit)
+        _padd_into(acc, term, limit)
     return acc
 
 
@@ -775,7 +744,7 @@ def divergence_split(density: Expr, d=None):
     may depend on the independent variable only).  Violations raise
     UnsupportedInputError; the answer, when produced, is verified.
     """
-    density = canonicalize(density)
+    density = _coerce(density)
     name = _divergence_direction(density, d)
     fields = sorted({a.field for a in jet_atoms(density)})
     for a in atoms(density):
@@ -784,7 +753,7 @@ def divergence_split(density: Expr, d=None):
                 "density is not polynomial in the jet variables "
                 f"(found {a.display()})"
             )
-    for mono in density.poly():
+    for mono in density._poly:
         for a, e in mono:
             if isinstance(a, JetVar) and e < 0:
                 raise UnsupportedInputError(
@@ -794,6 +763,7 @@ def divergence_split(density: Expr, d=None):
         if not is_identically_zero(euler_derivative(density, f)):
             return None
 
+    limit = node_limit()
     # integration-by-parts collector: for every field u and order k >= 1,
     #   u^(k) dL/du^(k) = u E(L)-part + D_t [ sum_j (-1)^j u^(k-1-j) D^j dL/du^(k) ]
     collected = {}
@@ -801,12 +771,11 @@ def divergence_split(density: Expr, d=None):
         k = a.index.order()
         if k == 0:
             continue
-        partial = diff(density, a)
+        deriv = _partial_poly(density._poly, a, limit)
         for j in range(k):
-            lowered = JetVar(a.field, MultiIndex({name: k - 1 - j}))
-            deriv = iterated_total_derivative(partial, MultiIndex({name: j}))
-            term = _pmul(Sym(lowered).poly(), deriv.poly())
-            _padd_into(collected, _pscale(term, Fraction(-1) ** j))
+            lowered = ((JetVar(a.field, MultiIndex({name: k - 1 - j})), 1),)
+            _padd_into(collected, _pmul({lowered: (-1) ** j}, deriv, limit), limit)
+            deriv = _total_derivative_poly(deriv, name, limit)
 
     # scale integral over the field-rescaling ray: each monomial of total
     # jet degree m contributes with weight 1/m
@@ -815,19 +784,14 @@ def divergence_split(density: Expr, d=None):
         degree = sum(e for a, e in mono if isinstance(a, JetVar))
         if degree <= 0:
             raise UnsupportedInputError("homotopy collector lost field degree")
-        nc = ray.get(mono, 0) + coeff / degree
-        if nc:
-            ray[mono] = nc
-        else:
-            ray.pop(mono, None)
+        ray[mono] = _num(Fraction(coeff, degree))
 
     # pure (t, parameter) remainder integrates termwise
-    remainder = {m: c for m, c in density.poly().items()
+    remainder = {m: c for m, c in density._poly.items()
                  if not any(isinstance(a, JetVar) for a, _ in m)}
-    tail = _poly_antiderivative(remainder, name)
-    _padd_into(ray, tail)
+    _padd_into(ray, _poly_antiderivative(remainder, name, limit), limit)
 
-    j = _from_poly(ray)
+    j = _expr(ray)
     if not is_identically_zero(total_derivative(j, name) - density):
         raise UnsupportedInputError("homotopy inversion failed on this input")
     return j
@@ -835,11 +799,8 @@ def divergence_split(density: Expr, d=None):
 
 def _divergence_direction(density, d):
     if d is not None:
-        if isinstance(d, IndepVar):
-            return d.name
-        if isinstance(d, Sym) and isinstance(d.atom, IndepVar):
-            return d.atom.name
-        return str(d)
+        d = _atom(d)
+        return d.name if isinstance(d, IndepVar) else str(d)
     names = set()
     for a in atoms(density):
         if isinstance(a, IndepVar):
@@ -854,14 +815,20 @@ def _divergence_direction(density, d):
     return names.pop() if names else "t"
 
 
-def _poly_antiderivative(p, name):
+def antiderivative(e: Expr, name: str) -> Expr:
+    """Termwise antiderivative in the independent variable `name` of an
+    expression in independent variables and parameters (t^-1 gives log t)."""
+    return _expr(_poly_antiderivative(_coerce(e)._poly, name, node_limit()))
+
+
+def _poly_antiderivative(p, name, limit):
     out = {}
     t = IndepVar(name)
     for mono, coeff in p.items():
         k = 0
         rest = []
         for a, e in mono:
-            if isinstance(a, IndepVar) and a.name == name:
+            if a == t:
                 k = e
             elif isinstance(a, (IndepVar, Param)):
                 rest.append((a, e))
@@ -871,13 +838,11 @@ def _poly_antiderivative(p, name):
                     f"(term contains {a.display()})"
                 )
         if k == -1:
-            lifted = _pmul({tuple(sorted(rest, key=lambda ae: _atom_key(ae[0]))): coeff},
-                           Fun("log", Sym(t)).poly())
-            _padd_into(out, lifted)
+            lifted = _pmul({tuple(rest): coeff}, _fun_poly("log", Sym(t)), limit)
+            _padd_into(out, lifted, limit)
             continue
         rest.append((t, k + 1))
-        mono2 = tuple(sorted(rest, key=lambda ae: _atom_key(ae[0])))
-        _padd_into(out, {mono2: coeff / (k + 1)})
+        _padd_into(out, {tuple(sorted(rest)): _num(Fraction(coeff, k + 1))}, limit)
     return out
 
 
@@ -897,10 +862,7 @@ def rand_eval(e: Expr, seed: int) -> Fraction:
     256-bit binary arithmetic and converted back to exact rationals, so the
     result is deterministic for a fixed seed."""
     e = _coerce(e)
-    symbols = sorted(
-        (a for a in atoms(e) if not isinstance(a, FunAtom)),
-        key=_atom_key,
-    )
+    symbols = sorted(a for a in atoms(e) if not isinstance(a, FunAtom))
     last = None
     for attempt in range(_RESAMPLE_LIMIT):
         rng = random.Random(1000003 * (seed + 1) + attempt)
@@ -909,7 +871,7 @@ def rand_eval(e: Expr, seed: int) -> Fraction:
             for a in symbols
         }
         try:
-            return _eval_poly(e.poly(), assignment)
+            return _eval_poly(e._poly, assignment)
         except (_DomainViolation, ZeroDivisionError) as exc:
             last = exc
     raise EvaluationError(f"no valid sample after {_RESAMPLE_LIMIT} attempts: {last}")
@@ -934,7 +896,7 @@ def _eval_poly(p, assignment) -> Fraction:
 
 def _eval_atom(a, assignment) -> Fraction:
     if isinstance(a, FunAtom):
-        x = _eval_poly(a.arg.poly(), assignment)
+        x = _eval_poly(a[3]._poly, assignment)
         if a.fn == "log" and x <= 0:
             raise _DomainViolation("log of a non-positive sample")
         with mpmath.workprec(RAND_EVAL_PRECISION):
@@ -956,11 +918,7 @@ def _mpf_to_fraction(x) -> Fraction:
 def evaluate(e: Expr, assignment) -> Fraction:
     """Exact evaluation at a rational point (atom -> Fraction); elementary
     functions go through the 256-bit route of rand_eval."""
-    table = {}
-    for k, v in assignment.items():
-        if isinstance(k, Sym):
-            k = k.atom
-        table[k] = Fraction(v)
+    table = {_atom(k): Fraction(v) for k, v in assignment.items()}
     missing = [
         a for a in atoms(_coerce(e)) if not isinstance(a, FunAtom) and a not in table
     ]
@@ -968,7 +926,7 @@ def evaluate(e: Expr, assignment) -> Fraction:
         names = ", ".join(sorted(a.display() for a in missing))
         raise EvaluationError(f"no value supplied for: {names}")
     try:
-        return _eval_poly(_coerce(e).poly(), table)
+        return _eval_poly(_coerce(e)._poly, table)
     except (_DomainViolation, ZeroDivisionError) as exc:
         raise EvaluationError(str(exc)) from exc
 
@@ -990,60 +948,32 @@ def probably_zero(e: Expr, seeds: int = RAND_EVAL_SEEDS) -> bool:
 
 
 def to_text(e: Expr) -> str:
-    """Render in the input grammar; canonical forms render deterministically."""
-    return _render(e, 0)
-
-
-def _render(e: Expr, prec: int) -> str:
-    # precedence levels: 0 sum, 1 product, 2 unary, 3 power operand
-    if isinstance(e, Rat):
-        v = e.value
-        if v.denominator == 1:
-            s = str(v.numerator)
+    """Render in the input grammar, largest monomial first."""
+    parts = []
+    for mono, coeff in terms(e):
+        s = _term_text(mono, coeff)
+        if not parts:
+            parts.append(s)
+        elif s.startswith("-"):
+            parts.append(" - " + s[1:])
         else:
-            s = f"{v.numerator}/{v.denominator}"
-        if v < 0 and prec >= 1:
-            return f"({s})"
-        return s
-    if isinstance(e, Sym):
-        return e.atom.display()
-    if isinstance(e, Fun):
-        return f"{e.fn}({_render(e.arg, 0)})"
-    if isinstance(e, Pow):
-        base = _render(e.base, 3)
-        if not isinstance(e.base, (Sym, Fun, Rat)) or (
-            isinstance(e.base, Rat) and e.base.value < 0
-        ):
-            base = f"({_render(e.base, 0)})"
-        exp = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-        return f"{base}^{exp}"
-    if isinstance(e, Mul):
-        factors = list(e.factors)
-        sign = ""
-        if factors and isinstance(factors[0], Rat) and factors[0].value < 0:
-            sign = "-"
-            c = -factors[0].value
-            if c == 1 and len(factors) > 1:
-                factors = factors[1:]
-            else:
-                factors = [Rat(c)] + factors[1:]
-        rendered = "*".join(_render(f, 1) for f in factors)
-        out = sign + rendered
-        if prec >= 1 and sign:
-            return f"({out})"
-        return out
-    if isinstance(e, Add):
-        parts = []
-        for i, t in enumerate(e.terms):
-            s = _render(t, 0)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        out = "".join(parts)
-        if prec >= 1:
-            return f"({out})"
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+            parts.append(" + " + s)
+    return "".join(parts) or "0"
+
+
+def _term_text(mono, coeff) -> str:
+    factors = [
+        a.display() if e == 1 else f"{a.display()}^{e if e > 0 else f'({e})'}"
+        for a, e in mono
+    ]
+    if not factors:
+        return _rational_text(coeff)
+    if abs(coeff) != 1:
+        factors.insert(0, _rational_text(abs(coeff)))
+    return ("-" if coeff < 0 else "") + "*".join(factors)
+
+
+def _rational_text(v) -> str:
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"

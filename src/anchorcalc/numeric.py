@@ -33,27 +33,26 @@ def compile_scalar(e, n: int):
     for i in range(n):
         names[ex.JetVar(ode.field_name(i))] = f"x[{i}]"
 
-    def emit(poly) -> str:
-        if not poly:
-            return "0.0"
+    def emit(e) -> str:
         terms = []
-        for mono, coeff in sorted(poly.items(), key=lambda mc: ex._monomial_key(mc[0])):
+        # smallest monomial first: the order of the float sum fixes the drift bits
+        for mono, coeff in reversed(ex.terms(e)):
             factors = [repr(float(coeff))]
             for atom, power in mono:
                 factors.append(f"({emit_atom(atom)})**{power}")
             terms.append("*".join(factors))
-        return " + ".join(terms)
+        return " + ".join(terms) or "0.0"
 
     def emit_atom(atom) -> str:
         if isinstance(atom, ex.FunAtom):
-            return f"_f_{atom.fn}({emit(atom.arg.poly())})"
+            return f"_f_{atom.fn}({emit(atom.arg)})"
         if atom in names:
             return names[atom]
         raise ex.UnsupportedInputError(
             f"cannot evaluate {atom.display()} numerically in an ODE trajectory"
         )
 
-    source = f"lambda t, x: {emit(e.poly())}"
+    source = f"lambda t, x: {emit(e)}"
     env = {f"_f_{k}": v for k, v in _FUNCS.items()}
     return eval(source, env)  # noqa: S307 - source built from canonical forms
 
@@ -97,7 +96,13 @@ def integrate_drift(
     for point in random_initial_points(n, seed, points):
         x = [float(c) for c in point]
         t = 0.0
-        start = {name: fn(t, x) for name, fn in tracked_fns}
+        try:
+            start = {name: fn(t, x) for name, fn in tracked_fns}
+        except (OverflowError, ValueError, ZeroDivisionError):
+            # the tracked function is undefined at the start point
+            for record in records.values():
+                record.blowup = True
+            continue
         blowup = False
         for _ in range(steps):
             try:

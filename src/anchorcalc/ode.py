@@ -339,8 +339,7 @@ def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     bracket = poisson_bracket(alpha, f, h)
     if any(not is_identically_zero(_dx(bracket, i)) for i in range(sys.n)):
         return False, "{f, H} depends on x; the twist is not invariant under f"
-    g_poly = ex._poly_antiderivative(bracket.poly(), TIME)
-    g = ex._from_poly(g_poly)
+    g = ex.antiderivative(bracket, TIME)
     deformed = deform(sys, alpha, h)
     ok, residual = check_characteristic(deformed, canonicalize(f - g))
     if not ok:

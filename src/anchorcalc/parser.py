@@ -14,7 +14,8 @@ Identifiers are ``[a-zA-Z][a-zA-Z0-9]*``.  A jet variable is written as a
 field name followed by ``_`` and a string of independent-variable names,
 one per derivative (``x1_tt`` is the second t-derivative of field x1).
 Which identifiers denote independent variables, fields or parameters is
-supplied by a :class:`VarContext`.
+supplied by a :class:`VarContext`.  Input nested more than MAX_DEPTH
+levels deep (parentheses, calls, signs) is rejected with a ParseError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from __future__ import annotations
 import re
 
 from . import expr as ex
+
+# Nesting cap: each level costs a few interpreter frames, so this stays far
+# below Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ParseError(ex.ExprError):
@@ -107,6 +112,7 @@ class _Parser:
         self.context = context
         self.tokens = tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -121,6 +127,12 @@ class _Parser:
         if kind != "op" or val != value:
             raise ParseError(f"expected {value!r}", pos, self.text)
         return self.advance()
+
+    def descend(self):
+        """Enter one nesting level; the caller leaves it by decrementing."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression is nested more than {MAX_DEPTH} levels deep")
 
     def fail(self, message):
         _, _, pos = self.peek()
@@ -150,14 +162,18 @@ class _Parser:
                 return node
 
     def unary(self):
+        self.descend()  # every nested parenthesis, call and sign passes here
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return -self.unary()
-        if kind == "op" and val == "+":
+            node = -self.unary()
+        elif kind == "op" and val == "+":
             self.advance()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -168,19 +184,22 @@ class _Parser:
         return base
 
     def exponent(self):
+        self.descend()
         kind, val, pos = self.peek()
         if kind == "op" and val == "(":
             self.advance()
-            inner = self.exponent()
+            value = self.exponent()
             self.expect(")")
-            return inner
-        if kind == "op" and val == "-":
+        elif kind == "op" and val == "-":
             self.advance()
-            return -self.exponent()
-        if kind == "num":
+            value = -self.exponent()
+        elif kind == "num":
             self.advance()
-            return int(val)
-        raise ParseError("exponent must be an integer", pos, self.text)
+            value = int(val)
+        else:
+            raise ParseError("exponent must be an integer", pos, self.text)
+        self.depth -= 1
+        return value
 
     def atom(self):
         kind, val, pos = self.peek()
@@ -198,7 +217,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return ex.Fun(val, arg)
+                return ex.fun(val, arg)
             return self.identifier(val, pos)
         raise ParseError("expected a value", pos, self.text)
 

@@ -188,6 +188,15 @@ def test_cli_catalog_construction_error_exits_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_deep_nesting_exits_2(tmp_path, capsys):
+    model = tmp_path / "deep.ini"
+    model.write_text("[ode]\nn = 1\nv = [" + "(" * 5000 + "x1" + ")" * 5000 + "]\n")
+    code, out = run_cli("check", str(model))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested" in err
+
+
 def _counting(counts, key, fn):
     def wrapper(*args, **kwargs):
         counts[key] += 1
@@ -325,6 +334,36 @@ def test_oracle_blowup_flagged(tmp_path):
     assert code == 2
     doc = json.loads(out)
     assert "blow-up" in doc["checks"][0]["residual"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--step", "0"),
+        ("--step", "-1e-3"),
+        ("--step", "nan"),
+        ("--t-end", "0"),
+        ("--t-end", "inf"),
+        ("--t-end", "ten"),
+        ("--points", "0"),
+        ("--points", "2.5"),
+    ],
+)
+def test_oracle_rejects_bad_numbers(flag, value, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["oracle", str(OSCILLATOR), f"{flag}={value}"])
+    assert stop.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_oracle_domain_error_is_an_error_record(tmp_path):
+    # log(-x1^2) is undefined at every start point
+    model = tmp_path / "log.ini"
+    model.write_text("[ode]\nn = 1\nv = [x1]\n\n[characteristic]\nf = log(-x1^2)\n")
+    code, out = run_cli("oracle", str(model), "--t-end", "0.01", "--json")
+    assert code == 2
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "drift[f]" and check["status"] == "ERROR"
 
 
 def test_rk4_convergence_order():

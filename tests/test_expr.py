@@ -74,6 +74,20 @@ def test_node_limit(monkeypatch):
         ac.canonicalize(atoms**4)
 
 
+def test_node_limit_read_once_per_operation(monkeypatch):
+    reads = []
+    read = ex.node_limit
+    monkeypatch.setattr(ex, "node_limit", lambda: reads.append(1) or read())
+    counts = []
+    for n in (5, 10):
+        total = sum((ac.jet(f"u{i}") for i in range(n)), ac.ZERO)
+        reads.clear()
+        ac.canonicalize(total**4)
+        counts.append(len(reads))
+    # the power reads the limit once, whatever the size of the expansion
+    assert counts[0] == counts[1] <= 2
+
+
 def test_log_special_values():
     assert canon_zero(ac.log(ac.rational(1)))
     with pytest.raises(ex.UnsupportedInputError):
@@ -320,6 +334,18 @@ def test_derivative_product_rule(e1, e2):
     lhs = ac.total_derivative(e1 * e2, "t")
     rhs = ac.total_derivative(e1, "t") * e2 + e1 * ac.total_derivative(e2, "t")
     assert ac.is_identically_zero(lhs - rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_EXPRS, _EXPRS)
+def test_equality_is_mathematical(e1, e2):
+    # values compare and hash equal exactly when their difference is zero
+    rebuilt = (e1 + e2) * 3 / 3 - e2
+    expansion = (x1**2 + 2 * x1 * x2 + x2**2, (x1 + x2) ** 2)
+    for a, b in ((e1, e2), (e1, rebuilt), expansion):
+        assert (a == b) == ac.is_identically_zero(a - b)
+        assert a != b or hash(a) == hash(b)
+    assert e1 == rebuilt
 
 
 def test_multiindex_arithmetic():

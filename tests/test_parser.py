@@ -1,7 +1,7 @@
 import pytest
 
 import anchorcalc as ac
-from anchorcalc.parser import ParseError, VarContext, parse_expr
+from anchorcalc.parser import MAX_DEPTH, ParseError, VarContext, parse_expr
 
 CTX = VarContext(indep=("t",), fields=("x1", "x2"), params=("a", "b"))
 
@@ -68,6 +68,27 @@ def test_error_positions():
         parse_expr("(x1", CTX)
     with pytest.raises(ParseError):
         parse_expr("x1 x2", CTX)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 5000 + "x1" + ")" * 5000,
+        "-" * 5000 + "x1",
+        "sin(" * 5000 + "x1" + ")" * 5000,
+        "x1^" + "(" * 5000 + "2" + ")" * 5000,
+    ],
+    ids=["parentheses", "signs", "calls", "exponent"],
+)
+def test_nesting_depth_is_capped(text):
+    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels") as err:
+        parse_expr(text, CTX)
+    assert err.value.line == 1
+
+
+def test_nesting_below_the_cap_parses():
+    depth = MAX_DEPTH - 1
+    parses_to("(" * depth + "x1" + ")" * depth, ac.jet("x1"))
 
 
 def test_unknown_identifier():
