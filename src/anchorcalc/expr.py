@@ -43,7 +43,8 @@ class ExprError(Exception):
 
 
 class ResourceLimitError(ExprError):
-    """Expression grew past the configured node limit."""
+    """A computation would pass a resource budget: the node limit of an
+    expression, or the step budget of the numeric oracle."""
 
 
 class UnsupportedInputError(ExprError):

@@ -1,9 +1,10 @@
 import collections
 import io
 import json
+import signal
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,59 @@ def test_oracle_domain_error_is_an_error_record(tmp_path):
     assert code == 2
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "drift[f]" and check["status"] == "ERROR"
+
+
+@pytest.mark.parametrize("seed", ["1", "3"])
+def test_oracle_mid_trajectory_domain_error_is_an_error_record(tmp_path, seed):
+    # x1 starts positive and falls at unit speed: log(x1) leaves its domain before t = 20
+    model = tmp_path / "log.ini"
+    model.write_text("[ode]\nn = 1\nv = [1]\n\n[characteristic]\nf = log(x1)\n")
+    code, out = run_cli(
+        "oracle", str(model), "--t-end", "20", "--points", "1", "--seed", seed, "--json"
+    )
+    assert code == 2
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "drift[f]" and check["status"] == "ERROR"
+    assert float(check["residual"].split("=")[1].split()[0]) > 0  # drifted before it stopped
+
+
+class _Deadline(Exception):
+    pass
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise _Deadline in the main thread if the block runs longer."""
+
+    def stop(signum, frame):
+        raise _Deadline(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--step", "1e-300"], ["--t-end", "1e308", "--step", "1e-300"]]
+)
+def test_oracle_step_budget_exits_2_at_once(argv, capsys):
+    with _deadline(5):
+        code = cli.main(["oracle", str(OSCILLATOR), *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_oracle_step_budget_boundary(points):
+    model = parse_model(OSCILLATOR)
+    t_end = float(numeric.MAX_RK4_STEPS // points + 1)
+    with pytest.raises(ac.ResourceLimitError):
+        numeric.integrate_drift(model.system, [("f", model.f)], t_end=t_end, step=1.0, points=points)
 
 
 def test_rk4_convergence_order():
