@@ -339,14 +339,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--t-end", type=_positive_float, default=numeric.DEFAULT_T_END)
     p_oracle.add_argument("--step", type=_positive_float, default=numeric.DEFAULT_STEP)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--points", type=_positive_int, default=numeric.DEFAULT_POINTS)
+    p_oracle.add_argument("--points", type=_int_at_least(1), default=numeric.DEFAULT_POINTS)
     p_oracle.add_argument("--tolerance", type=float, default=numeric.DRIFT_TOLERANCE)
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.add_argument("--timings", action="store_true")
 
     p_search = sub.add_parser("search", help="polynomial characteristic search")
     p_search.add_argument("model_file")
-    p_search.add_argument("--degree", type=int, required=True)
+    p_search.add_argument("--degree", type=_int_at_least(0), required=True)
     p_search.add_argument("--json", action="store_true")
     return parser
 

@@ -44,7 +44,8 @@ class ExprError(Exception):
 
 class ResourceLimitError(ExprError):
     """A computation would pass a resource budget: the node limit of an
-    expression, or the step budget of the numeric oracle."""
+    expression, the step budget of the numeric oracle, or the column budget
+    of the characteristic search."""
 
 
 class UnsupportedInputError(ExprError):

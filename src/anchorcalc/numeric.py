@@ -71,7 +71,12 @@ def _emit(exprs, names, lines, tag):
         source = ""
         # smallest monomial first: the order of the float sum fixes the drift bits
         for mono, coeff in reversed(ex.terms(e)):
-            c = float(coeff)
+            try:
+                c = float(coeff)
+            except OverflowError:
+                raise ex.UnsupportedInputError(
+                    "a coefficient is too large for float arithmetic in an ODE trajectory"
+                ) from None
             negative = math.copysign(1.0, c) < 0
             factors = [factor(atom, power) for atom, power in mono]
             if abs(c) != 1.0 or not factors:

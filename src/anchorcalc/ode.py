@@ -13,6 +13,7 @@ linop.ShellRules).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import expr as ex
@@ -412,12 +413,8 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
     accumulated = list(fields)
     frontier = list(fields)
     for _ in range(depth):
-        new = []
-        for a in accumulated:
-            for b in frontier:
-                new.append(_lie_bracket(a, b))
-        frontier = new
-        accumulated.extend(new)
+        frontier = [_lie_bracket(a, b) for a in accumulated for b in frontier]
+        accumulated.extend(frontier)
     rows = []
     for vec in accumulated:
         try:
@@ -426,7 +423,7 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
             raise ex.EvaluationError(
                 f"singular sample point, pick another one: {exc}"
             ) from exc
-    return len(_row_reduce(rows, n)[1])
+    return len(_eliminate(dict(enumerate(r)) for r in rows))
 
 
 def _point_assignment(point, n):
@@ -441,43 +438,64 @@ def _point_assignment(point, n):
     return table
 
 
+def _eliminate(rows):
+    """Sparse fraction-free Gauss-Jordan elimination of rational rows given
+    as {column: value} dicts.  Returns {pivot column: row} of the reduced row
+    echelon form, each row with a unit at its pivot, its smallest column.
+    Rows are scaled to integers, every step is integer-preserving (Bareiss
+    1968) and divides out the content, and only the unit pivots divide."""
+    reduced = {}  # pivot column -> primitive integer row
+    for row in sorted(rows, key=len):  # sparsest first: it keeps the fill-in small
+        den = math.lcm(*(v.denominator for v in row.values()))
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        for c in [c for c in r if c in reduced]:
+            r = _cancel(r, c, reduced[c])
+        if r:
+            lead = min(r)
+            for pc, prow in reduced.items():
+                if lead in prow:
+                    reduced[pc] = _cancel(prow, lead, r)
+            reduced[lead] = r
+    normal = {pc: {c: Fraction(v, row[pc]) for c, v in row.items()} for pc, row in reduced.items()}
+    return dict(sorted(normal.items()))
+
+
+def _cancel(row, col, pivot_row):
+    """The primitive integer combination of row and pivot_row that is zero at col."""
+    g = math.gcd(row[col], pivot_row[col])
+    a, b = row[col] // g, pivot_row[col] // g
+    out = {c: b * row.get(c, 0) - a * pivot_row.get(c, 0) for c in row.keys() | pivot_row.keys()}
+    content = math.gcd(*out.values()) or 1
+    return {c: v // content for c, v in out.items() if v}
+
+
+def _kernel(reduced, cols):
+    """Kernel basis read off a reduced form: free column -> sparse vector
+    with a unit there and zeros at the other free columns."""
+    kernel = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in reduced}
+    for pc, row in reduced.items():
+        for c, v in row.items():
+            if c != pc:
+                kernel[c][pc] = -v
+    return kernel
+
+
+def _dense(vec, cols):
+    return [vec.get(c, Fraction(0)) for c in range(cols)]
+
+
 def _row_reduce(rows, cols):
-    """Gauss-Jordan elimination of an exact rational matrix with the given
-    number of columns.  Returns (reduced rows, pivot columns): the first
-    len(pivots) rows are the nonzero rows of the reduced row echelon form,
-    each with a unit entry in its pivot column; the rest are zero."""
-    m = [list(r) for r in rows]
-    pivots = []
-    for c in range(cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots.append(c)
-    return m, pivots
+    """Dense view of _eliminate: (reduced rows, pivot columns), the nonzero
+    rows of the reduced row echelon form first, then zero rows."""
+    reduced = _eliminate(dict(enumerate(r)) for r in rows)
+    m = [_dense(row, cols) for row in reduced.values()]
+    return m + [_dense({}, cols) for _ in range(len(rows) - len(m))], list(reduced)
 
 
 def _nullspace(matrix, cols):
     """Kernel basis of an exact rational matrix: one vector per free column."""
-    m, pivots = _row_reduce(matrix, cols)
-    pivot_set = set(pivots)
-    kernel = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -m[pr][fc]
-        kernel.append(vec)
-    return kernel
+    kernel = _kernel(_eliminate(dict(enumerate(r)) for r in matrix), cols)
+    return [_dense(v, cols) for v in kernel.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -485,70 +503,52 @@ def _nullspace(matrix, cols):
 
 
 MAX_SEARCH_DEGREE = 12
+# monomials in (t, x) up to the search degree, one unknown each; bounds the
+# search's time (n = 4 at degree 9, 2002 monomials, is the first refused)
+MAX_SEARCH_COLUMNS = 2000
 
 
 def search_characteristics(sys: OdeSystem, max_degree: int):
     """Basis of polynomial solutions of d_t f = v . grad f with total degree
     <= max_degree in (t, x), echelon-reduced in graded-lex order with unit
     leading coefficients; the constant solution is removed."""
-    if max_degree > MAX_SEARCH_DEGREE:
-        raise ValueError(
-            f"degree {max_degree} exceeds the search cap {MAX_SEARCH_DEGREE}"
+    if not 0 <= max_degree <= MAX_SEARCH_DEGREE:
+        raise ValueError(f"degree {max_degree} is outside the search range 0..{MAX_SEARCH_DEGREE}")
+    columns = math.comb(sys.n + 1 + max_degree, max_degree)
+    if columns > MAX_SEARCH_COLUMNS:
+        raise ex.ResourceLimitError(
+            f"the search would take {columns} monomials, "
+            f"more than the budget of {MAX_SEARCH_COLUMNS}"
         )
-    for c in sys.v:
-        for a in ex.atoms(c):
-            if isinstance(a, ex.FunAtom) or isinstance(a, ex.Param):
-                raise UnsupportedInputError(
-                    "characteristic search needs v polynomial in (t, x)"
-                )
+    if any(isinstance(a, (ex.FunAtom, ex.Param)) for c in sys.v for a in ex.atoms(c)):
+        raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
-    columns = []
-    row_index = {}
-    for mono in basis:
+    rows = {}  # residual monomial -> {basis column: coefficient}
+    for col, mono in enumerate(basis):
         residual = canonicalize(_dt(mono) - _along(sys.v, mono))
-        col = {}
         for m, coeff in residual.poly().items():
-            if m not in row_index:
-                row_index[m] = len(row_index)
-            col[row_index[m]] = coeff
-        columns.append(col)
-    matrix = [[Fraction(0)] * len(basis) for _ in range(len(row_index))]
-    for c, col in enumerate(columns):
-        for r, coeff in col.items():
-            matrix[r][c] = coeff
-    kernel = _nullspace(matrix, len(basis))
-    solutions = _echelon_solutions(kernel, basis)
-    return [CharacteristicFn(s) for s in solutions]
+            rows.setdefault(m, {})[col] = coeff
+    kernel = _kernel(_eliminate(rows.values()), len(basis))
+    return [CharacteristicFn(s) for s in _echelon_solutions(kernel, basis)]
 
 
 def _monomials(n: int, max_degree: int):
     """Monomials in (t, x1..xn) of total degree <= max_degree, constant first,
     then ascending graded-lex."""
     gens = [ex.indep(TIME)] + [ex.jet(field_name(i)) for i in range(n)]
-    out = []
-    for total in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(len(gens)), total):
-            m = ex.ONE
-            for g in combo:
-                m = m * gens[g]
-            out.append(canonicalize(m))
-    return out
+    return [
+        math.prod((gens[g] for g in combo), start=ex.ONE)
+        for total in range(max_degree + 1)
+        for combo in itertools.combinations_with_replacement(range(len(gens)), total)
+    ]
 
 
 def _echelon_solutions(kernel, basis):
-    """Echelon-reduce kernel vectors over descending graded-lex monomial
-    order and strip the constant solution."""
-    order = list(range(len(basis) - 1, -1, -1))  # basis is ascending
-    rows = [[vec[c] for c in order] for vec in kernel]
-    reduced, pivots = _row_reduce(rows, len(basis))
-    const_col = len(basis) - 1  # constant monomial sits last in `order`
-    solutions = []
-    for row, lead in zip(reduced, pivots):
-        if lead == const_col:
-            continue
-        f = ex.ZERO
-        for c, v in enumerate(row):
-            if v:
-                f = f + ex.rational(v) * basis[order[c]]
-        solutions.append(canonicalize(f))
-    return solutions
+    """Kernel vectors over the ascending basis as polynomials, without the
+    constant.  Each has a unit at its free column, its largest, and zeros at
+    the other free ones: the list is echelon-reduced in descending order."""
+    return [
+        ex.Add(ex.rational(v) * basis[c] for c, v in vec.items())
+        for fc, vec in sorted(kernel.items(), reverse=True)
+        if fc != 0  # the constant monomial sits first in the basis
+    ]

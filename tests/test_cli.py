@@ -1,6 +1,7 @@
 import collections
 import io
 import json
+import math
 import signal
 import subprocess
 import sys
@@ -418,6 +419,44 @@ def test_oracle_step_budget_boundary(points):
     t_end = float(numeric.MAX_RK4_STEPS // points + 1)
     with pytest.raises(ac.ResourceLimitError):
         numeric.integrate_drift(model.system, [("f", model.f)], t_end=t_end, step=1.0, points=points)
+
+
+def test_oracle_coefficient_past_float_range_is_an_error(tmp_path, capsys):
+    model = tmp_path / "huge.ini"
+    model.write_text("[ode]\nn = 1\nv = [10^400*x1]\n\n[characteristic]\nf = x1\n")
+    with _deadline(5):
+        code = cli.main(["oracle", str(model)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("degree", ["-3", "-1", "2.5", "two"])
+def test_search_rejects_bad_degree(degree, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["search", str(OSCILLATOR), f"--degree={degree}"])
+    assert stop.value.code == 2
+    assert "argument --degree" in capsys.readouterr().err
+
+
+def test_search_degree_zero_has_no_solutions():
+    code, out = run_cli("search", str(OSCILLATOR), "--degree", "0")
+    assert code == 0
+    assert "no polynomial characteristics up to degree 0" in out
+
+
+@pytest.mark.parametrize("n, degree", [(4, 9), (6, 12)])
+def test_search_column_budget_exits_2_at_once(tmp_path, capsys, n, degree):
+    # 2002 and 50388 monomials: just over the budget, and far over it
+    assert math.comb(n + 1 + degree, degree) > ode.MAX_SEARCH_COLUMNS
+    rotations = ", ".join(f"-x{i + 2}, x{i + 1}" for i in range(0, n, 2))
+    model = tmp_path / "rotations.ini"
+    model.write_text(f"[ode]\nn = {n}\nv = [{rotations}]\n")
+    with _deadline(5):
+        code = cli.main(["search", str(model), "--degree", str(degree)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and err.count("\n") == 1
 
 
 def test_rk4_convergence_order():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -455,3 +456,195 @@ def test_vertical_types_reject_jets():
         ode.VerticalVector([ac.jet("x1", {"t": 1})])
     with pytest.raises(ex.UnsupportedInputError):
         ode.OdeSystem([ac.jet("x1", {"t": 1})])
+
+
+# --- search budget ----------------------------------------------------------
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_build(n, max_degree):
+    raise _Built
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 6])
+def test_search_column_budget_boundary(monkeypatch, n):
+    # the budget is checked on the count alone, before any monomial is built
+    monkeypatch.setattr(ode, "_monomials", _refuse_build)
+    system = ode.free_system(n)
+    for degree in range(ode.MAX_SEARCH_DEGREE + 1):
+        if math.comb(n + 1 + degree, degree) > ode.MAX_SEARCH_COLUMNS:
+            with pytest.raises(ac.ResourceLimitError, match="monomials"):
+                ode.search_characteristics(system, degree)
+        else:
+            with pytest.raises(_Built):
+                ode.search_characteristics(system, degree)
+
+
+def test_search_budget_admits_every_degree_up_to_three_fields():
+    d = ode.MAX_SEARCH_DEGREE
+    assert math.comb(3 + 1 + d, d) <= ode.MAX_SEARCH_COLUMNS
+
+
+def test_search_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        ode.search_characteristics(OSC, -1)
+
+
+# --- reference: the dense Fraction Gauss-Jordan that _eliminate replaced ------
+
+
+def _reference_row_reduce(rows, cols):
+    """Gauss-Jordan elimination of an exact rational matrix with the given
+    number of columns.  Returns (reduced rows, pivot columns): the first
+    len(pivots) rows are the nonzero rows of the reduced row echelon form,
+    each with a unit entry in its pivot column; the rest are zero."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][c]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                factor = m[r][c]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _reference_nullspace(matrix, cols):
+    """Kernel basis of an exact rational matrix: one vector per free column."""
+    m, pivots = _reference_row_reduce(matrix, cols)
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -m[pr][fc]
+        kernel.append(vec)
+    return kernel
+
+
+def _reference_echelon_solutions(kernel, basis):
+    """Echelon-reduce kernel vectors over descending graded-lex monomial
+    order and strip the constant solution."""
+    order = list(range(len(basis) - 1, -1, -1))  # basis is ascending
+    rows = [[vec[c] for c in order] for vec in kernel]
+    reduced, pivots = _reference_row_reduce(rows, len(basis))
+    const_col = len(basis) - 1  # constant monomial sits last in `order`
+    solutions = []
+    for row, lead in zip(reduced, pivots):
+        if lead == const_col:
+            continue
+        f = ex.ZERO
+        for c, v in enumerate(row):
+            if v:
+                f = f + ex.rational(v) * basis[order[c]]
+        solutions.append(ex.canonicalize(f))
+    return solutions
+
+
+def _reference_search(sys_, max_degree):
+    basis = ode._monomials(sys_.n, max_degree)
+    columns = []
+    row_index = {}
+    for mono in basis:
+        residual = ex.canonicalize(ode._dt(mono) - ode._along(sys_.v, mono))
+        col = {}
+        for m, coeff in residual.poly().items():
+            if m not in row_index:
+                row_index[m] = len(row_index)
+            col[row_index[m]] = coeff
+        columns.append(col)
+    matrix = [[Fraction(0)] * len(basis) for _ in range(len(row_index))]
+    for c, col in enumerate(columns):
+        for r, coeff in col.items():
+            matrix[r][c] = coeff
+    kernel = _reference_nullspace(matrix, len(basis))
+    return _reference_echelon_solutions(kernel, basis)
+
+
+def _reference_rank(alpha, point, depth):
+    n = alpha.n
+    assignment = ode._point_assignment(point, n)
+    fields = [alpha.column(l) for l in range(n)]
+    accumulated = list(fields)
+    frontier = list(fields)
+    for _ in range(depth):
+        new = []
+        for a in accumulated:
+            for b in frontier:
+                new.append(ode._lie_bracket(a, b))
+        frontier = new
+        accumulated.extend(new)
+    rows = [[ex.evaluate(c, assignment) for c in vec] for vec in accumulated]
+    return len(_reference_row_reduce(rows, n)[1])
+
+
+# --- the sparse fraction-free routine against the reference -------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices)
+def test_row_reduce_and_nullspace_match_reference(case):
+    rows, cols = case
+    assert ode._row_reduce(rows, cols) == _reference_row_reduce(rows, cols)
+    assert ode._nullspace(rows, cols) == _reference_nullspace(rows, cols)
+
+
+# rational coefficients with denominators > 1, so rows need integer scaling
+_coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 5))
+
+
+@st.composite
+def _polynomials(draw, n, max_degree):
+    """Sums of up to three terms of degree <= max_degree in (x1..xn, t)."""
+    gens = [ac.jet(ode.field_name(i)) for i in range(n)] + [t]
+    f = ac.ZERO
+    for _ in range(draw(st.integers(0, 3))):
+        term = ac.rational(draw(_coefficients))
+        for g in draw(st.lists(st.integers(0, len(gens) - 1), max_size=max_degree)):
+            term = term * gens[g]
+        f = f + term
+    return f
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 3))
+    # a zero component leaves its coordinate conserved: nonempty answers
+    v = [draw(st.just(ac.ZERO) | _polynomials(n, 2)) for _ in range(n)]
+    return ode.OdeSystem(v), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_search_matches_dense_reference(case):
+    system, degree = case
+    sols = [ac.to_text(s.f) for s in ode.search_characteristics(system, degree)]
+    assert sols == [ac.to_text(f) for f in _reference_search(system, degree)]
+
+
+@st.composite
+def _bivectors_and_points(draw):
+    n = draw(st.integers(2, 4))
+    upper = {(i, j): draw(_polynomials(n, 2)) for i in range(n) for j in range(i + 1, n)}
+    point = draw(st.lists(st.just(Fraction(0)) | _coefficients, min_size=n + 1, max_size=n + 1))
+    return ode.Bivector(n, upper), point, draw(st.integers(0, 1 if n > 2 else 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bivectors_and_points())
+def test_transitivity_rank_matches_dense_reference(case):
+    alpha, point, depth = case
+    assert ode.transitivity_rank(alpha, point, depth) == _reference_rank(alpha, point, depth)
