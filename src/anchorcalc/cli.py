@@ -294,8 +294,15 @@ def oracle_report(args) -> ModelReport:
     for rec in records:
         drift_text = f"drift = {rec.drift:.6e}"
         if rec.blowup:
+            if rec.stop == numeric.TRACKED_DOMAIN:
+                cause = f"domain error in {rec.name} = {ex.to_text(model.f)}"
+            elif rec.stop == numeric.FIELD_DOMAIN:
+                v = ", ".join(ex.to_text(c) for c in model.system.v)
+                cause = f"domain error in v = [{v}]"
+            else:
+                cause = "trajectory blow-up"
             record = CheckRecord(
-                f"drift[{rec.name}]", ERROR, drift_text + " (trajectory blow-up, partial)"
+                f"drift[{rec.name}]", ERROR, f"{drift_text} ({cause}, partial)"
             )
         elif not symbolic_ok:
             record = CheckRecord(

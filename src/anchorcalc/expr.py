@@ -18,6 +18,9 @@ only: hashing and ordering run in C, and the printed order, graded-
 lexicographic with the largest monomial first, is the same in every
 process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
 ResourceLimitError when an intermediate polynomial holds more monomials.
+That holds for the operator compose and adjoint and the form wedge,
+interior product and d too: they read the limit once per call and run on
+the polynomial layer below, so a change takes effect at the next call.
 
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash of an expression is a write-once slot
@@ -113,13 +116,6 @@ class MultiIndex(tuple):
         d = dict(self[1])
         d[name] = d.get(name, 0) + 1
         return _index(d)
-
-    def unstep(self, name: str) -> "MultiIndex":
-        d = dict(self[1])
-        if d.get(name, 0) <= 0:
-            raise ValueError(f"cannot lower derivative count for {name}")
-        d[name] -= 1
-        return MultiIndex(d)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         d = dict(self[1])
@@ -316,10 +312,6 @@ class Expr:
             h = self._hash = hash(frozenset(self._poly.items()))
         return h
 
-    def equals(self, other) -> bool:
-        """Mathematical equality within the canonical class."""
-        return is_identically_zero(self - _coerce(other))
-
     def __repr__(self):
         return f"Expr[{to_text(self)}]"
 
@@ -403,6 +395,11 @@ def _padd_into(acc, p, limit):
         else:
             del acc[m]
     _check_size(len(acc), limit)
+
+
+def _padd_scaled(table, key, p, c, limit):
+    """table[key] += c * p, for a dict of polynomials keyed by output index."""
+    _padd_into(table.setdefault(key, {}), p if c == 1 else _pscale(p, c), limit)
 
 
 def _pmul(p, q, limit):

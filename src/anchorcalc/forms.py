@@ -8,11 +8,11 @@ epsilon_{0,...,n-1} = +1, coordinates are named x0..x{n-1}.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from fractions import Fraction
 
 from . import expr as ex
-from .expr import Expr, canonicalize, is_identically_zero
+from .expr import Expr, _padd_scaled, _pmul, _pscale, canonicalize, is_identically_zero
 
 
 class FormError(ex.ExprError):
@@ -57,8 +57,11 @@ def lorentzian(n: int) -> FlatSpace:
     return FlatSpace([-1] + [1] * (n - 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _merge_sign(i_tuple, j_tuple):
-    """Permutation sign that sorts the concatenation; None if indices repeat."""
+    """Permutation sign that sorts the concatenation; None if indices repeat.
+    Cached: the index tuples of a space are finite, and every result is an
+    immutable tuple."""
     seq = list(i_tuple) + list(j_tuple)
     if len(set(seq)) != len(seq):
         return None, ()
@@ -217,32 +220,29 @@ def wedge(a: Form, b: Form) -> Form:
     grade = a.grade + b.grade
     if grade > a.space.n:
         raise FormError(f"wedge grade {grade} exceeds dimension {a.space.n}")
+    limit = ex.node_limit()
     table = {}
     for i_idx, i_coeff in a.components.items():
         for j_idx, j_coeff in b.components.items():
             sign, idx = _merge_sign(i_idx, j_idx)
-            if sign is None:
-                continue
-            term = ex.rational(sign) * i_coeff * j_coeff
-            table[idx] = table[idx] + term if idx in table else term
-    return Form(a.space, grade, table)
+            if sign is not None:
+                term = _pmul(i_coeff._poly, j_coeff._poly, limit)
+                _padd_scaled(table, idx, term, sign, limit)
+    return Form(a.space, grade, {idx: ex._expr(p) for idx, p in table.items()})
 
 
 def exterior_d(a: Form) -> Form:
     if a.grade >= a.space.n:
         raise FormError(f"d of a grade-{a.grade} form exceeds dimension {a.space.n}")
+    limit = ex.node_limit()
     table = {}
     for idx, coeff in a.components.items():
         for mu in range(a.space.n):
-            if mu in idx:
-                continue
-            d_coeff = ex.total_derivative(coeff, a.space.coords[mu])
-            if is_identically_zero(d_coeff):
-                continue
-            sign, new_idx = _merge_sign((mu,), idx)
-            term = ex.rational(sign) * d_coeff
-            table[new_idx] = table[new_idx] + term if new_idx in table else term
-    return Form(a.space, a.grade + 1, table)
+            if mu not in idx:
+                d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu], limit)
+                sign, new_idx = _merge_sign((mu,), idx)
+                _padd_scaled(table, new_idx, d_coeff, sign, limit)
+    return Form(a.space, a.grade + 1, {idx: ex._expr(p) for idx, p in table.items()})
 
 
 def hodge(a: Form) -> Form:
@@ -254,10 +254,9 @@ def hodge(a: Form) -> Form:
     for idx, coeff in a.components.items():
         complement = tuple(sorted(full - set(idx)))
         sign, _ = _merge_sign(idx, complement)
-        raised = Fraction(1)
         for m in idx:
-            raised *= space.signature[m]
-        table[complement] = ex.rational(sign * raised) * coeff
+            sign *= space.signature[m]
+        table[complement] = ex._expr(_pscale(coeff._poly, sign))
     return Form(space, space.n - a.grade, table)
 
 
@@ -269,13 +268,14 @@ def double_hodge_sign(space: FlatSpace, grade: int) -> int:
 def interior(xi: SpacetimeVector, a: Form) -> Form:
     if a.grade == 0:
         raise FormError("interior product needs grade >= 1")
+    limit = ex.node_limit()
     table = {}
     for idx, coeff in a.components.items():
         for pos, mu in enumerate(idx):
-            term = ex.rational((-1) ** pos) * xi.components[mu] * coeff
-            new_idx = idx[:pos] + idx[pos + 1 :]
-            table[new_idx] = table[new_idx] + term if new_idx in table else term
-    return Form(a.space, a.grade - 1, table)
+            if xi.components[mu]._poly:
+                term = _pmul(xi.components[mu]._poly, coeff._poly, limit)
+                _padd_scaled(table, idx[:pos] + idx[pos + 1 :], term, (-1) ** pos, limit)
+    return Form(a.space, a.grade - 1, {idx: ex._expr(p) for idx, p in table.items()})
 
 
 def lie_derivative(xi: SpacetimeVector, a: Form) -> Form:

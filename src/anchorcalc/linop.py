@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 
 from . import expr as ex
 from .expr import (
@@ -18,7 +17,6 @@ from .expr import (
     JetVar,
     MultiIndex,
     EMPTY_INDEX,
-    UnsupportedInputError,
     canonicalize,
     is_identically_zero,
     to_text,
@@ -49,6 +47,17 @@ def _sub_indices(alpha: MultiIndex):
                 dict(list(r.items) + ([(name, count - k)] if count - k else []))
             )
             yield gamma, rem, c * c2
+
+
+def _leibniz(alpha: MultiIndex, b: Expr, limit):
+    """(alpha - gamma, multinomial, D^gamma b polynomial) for gamma <= alpha;
+    a constant b has no derivatives, so only gamma = 0 remains."""
+    if isinstance(b, ex.Rat):
+        return ((alpha, 1, b._poly),)
+    return (
+        (rem, binom, ex._iterated_poly(b._poly, gamma, limit))
+        for gamma, rem, binom in _sub_indices(alpha)
+    )
 
 
 def _lead_key(atom: JetVar):
@@ -88,10 +97,6 @@ class LinDiffOp:
         return LinDiffOp(n, n, {(i, i, EMPTY_INDEX): ex.ONE for i in range(n)})
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "LinDiffOp":
-        return LinDiffOp(rows, cols)
-
-    @staticmethod
     def total_derivative(name: str, n: int = 1) -> "LinDiffOp":
         alpha = MultiIndex({name: 1})
         return LinDiffOp(n, n, {(i, i, alpha): ex.ONE for i in range(n)})
@@ -128,14 +133,6 @@ class LinDiffOp:
             {k: coeff * v for k, v in self.entries.items()},
         )
 
-    def left_multiply(self, coeffs) -> "LinDiffOp":
-        """Multiply row i by the zero-order coefficient coeffs[i]."""
-        return LinDiffOp(
-            self.rows,
-            self.cols,
-            {(r, c, a): ex._coerce(coeffs[r]) * v for (r, c, a), v in self.entries.items()},
-        )
-
     def apply(self, vector):
         """Apply to a vector of expressions, canonicalized entrywise."""
         if len(vector) != self.cols:
@@ -151,42 +148,32 @@ class LinDiffOp:
         self.apply(other.apply(v))."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        limit = ex.node_limit()
+        by_row = {}
+        for (k, c, beta), b in other.entries.items():
+            by_row.setdefault(k, []).append((c, beta, b))
         entries = {}
         for (r, k, alpha), a in self.entries.items():
-            for (k2, c, beta), b in other.entries.items():
-                if k2 != k:
-                    continue
-                for gamma, remaining, binom in _sub_indices(alpha):
-                    coeff = a * ex.rational(binom) * ex.iterated_total_derivative(b, gamma)
-                    key = (r, c, remaining + beta)
-                    entries[key] = entries[key] + coeff if key in entries else coeff
-        return LinDiffOp(self.rows, other.cols, entries)
+            for c, beta, b in by_row.get(k, ()):
+                for remaining, binom, db in _leibniz(alpha, b, limit):
+                    product = ex._pmul(a._poly, db, limit)
+                    ex._padd_scaled(entries, (r, c, remaining + beta), product, binom, limit)
+        return LinDiffOp(self.rows, other.cols, {k: ex._expr(p) for k, p in entries.items()})
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
         Leibniz rule expanded so entries are again coeff * D^a sums."""
+        limit = ex.node_limit()
         entries = {}
         for (r, c, alpha), a in self.entries.items():
-            sign = ex.rational((-1) ** alpha.order())
-            for gamma, remaining, binom in _sub_indices(alpha):
-                coeff = sign * ex.rational(binom) * ex.iterated_total_derivative(a, gamma)
-                key = (c, r, remaining)
-                entries[key] = entries[key] + coeff if key in entries else coeff
-        return LinDiffOp(self.cols, self.rows, entries)
+            sign = (-1) ** alpha.order()
+            for remaining, binom, da in _leibniz(alpha, a, limit):
+                ex._padd_scaled(entries, (c, r, remaining), da, sign * binom, limit)
+        return LinDiffOp(self.cols, self.rows, {k: ex._expr(p) for k, p in entries.items()})
 
     # inspection ------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.entries
-
-    def order(self) -> int:
-        return max((a.order() for (_, _, a) in self.entries), default=0)
-
-    def entry(self, r: int, c: int):
-        """The (r, c) block as a list of (MultiIndex, Expr)."""
-        return sorted(
-            ((a, v) for (rr, cc, a), v in self.entries.items() if rr == r and cc == c),
-            key=lambda kv: kv[0].sort_key(),
-        )
 
     def map_coefficients(self, fn) -> "LinDiffOp":
         return LinDiffOp(

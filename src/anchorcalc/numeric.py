@@ -39,6 +39,10 @@ MAX_RK4_STEPS = 10**7
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 # what float arithmetic and the math functions raise outside their domain
 _ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+# why a trajectory stopped early (DriftRecord.stop): the state left the norm
+# ball or overflowed, or a tracked function or the vector field was
+# evaluated outside its domain
+BLOWUP, TRACKED_DOMAIN, FIELD_DOMAIN = "blow-up", "tracked", "field"
 
 
 def _emit(exprs, names, lines, tag):
@@ -120,6 +124,7 @@ class DriftRecord:
     name: str
     drift: float
     blowup: bool
+    stop: str | None = None
 
 
 def random_initial_points(n: int, seed: int, count: int = DEFAULT_POINTS):
@@ -135,13 +140,15 @@ def random_initial_points(n: int, seed: int, count: int = DEFAULT_POINTS):
 def _trajectory(system: ode.OdeSystem, fs):
     """Generate run(steps, step, x0..x{n-1}, m0..m{k-1}): RK4 on xdot = -v
     from the start point x, tracking the largest |f_j(t, x) - f_j(0, x0)|,
-    which starts from m_j.  It returns (blow-up, m0, .., m{k-1}); blow-up
-    is true when the state leaves the norm ball or any evaluation leaves
-    its domain, the start point included, and the m_j are then partial."""
+    which starts from m_j.  It returns (stop, m0, .., m{k-1}); stop is
+    None after every step, else BLOWUP, TRACKED_DOMAIN or FIELD_DOMAIN, and
+    the m_j are then partial.  A tracked function is evaluated only at the
+    start point and at states inside the norm ball, so an error there is
+    its own; an overflow while evaluating v counts as a blow-up."""
     n, k = system.n, len(fs)
     x = [f"x{i}" for i in range(n)]
     m = [f"m{j}" for j in range(k)]
-    start, body = [], []
+    start, stages, tracked = [], [], []
 
     def evaluate(exprs, t, point, tag, out, lines):
         values = _emit(exprs, _point(t, point), lines, tag)
@@ -149,40 +156,50 @@ def _trajectory(system: ode.OdeSystem, fs):
 
     evaluate(fs, "t", x, "_s", [f"f{j}_start" for j in range(k)], start)
     # stage s evaluates v at (t_s, x_s); x + h*(-v) is x - h*v exactly
-    body += ["th = t + h2", "tf = t + step"]
+    stages += ["th = t + h2", "tf = t + step"]
     vs, point = [], x
     for s, (t, h) in enumerate((("t", "h2"), ("th", "h2"), ("th", "step"), ("tf", None)), 1):
         v = [f"v{s}_{i}" for i in range(n)]
-        evaluate(system.v, t, point, f"_{s}_", v, body)
+        evaluate(system.v, t, point, f"_{s}_", v, stages)
         vs.append(v)
         if h is not None:
             point = [f"x{i}_{s + 1}" for i in range(n)]
-            body += [f"{p} = {xi} - {h}*{vi}" for p, xi, vi in zip(point, x, v)]
-    body += [
+            stages += [f"{p} = {xi} - {h}*{vi}" for p, xi, vi in zip(point, x, v)]
+    update = [
         f"{xi} = {xi} - h6*({a} + 2.0*{b} + 2.0*{c} + {d})"
         for xi, a, b, c, d in zip(x, *vs)
     ]
-    body.append("t += step")
+    update.append("t += step")
+    result = ", ".join(m)
     # also true for NaN
     inside = " and ".join(f"abs({xi}) <= {BLOWUP_NORM!r}" for xi in x) or "True"
-    body += [f"if not ({inside}):", f"    return (True, {', '.join(m)})"]
-    evaluate(fs, "t", x, "_e", [f"f{j}" for j in range(k)], body)
+    update += [f"if not ({inside}):", f"    return ({BLOWUP!r}, {result})"]
+    evaluate(fs, "t", x, "_e", [f"f{j}" for j in range(k)], tracked)
+    drifts = []
     for j in range(k):
-        body += [f"d = abs(f{j} - f{j}_start)", f"if d > m{j}:", f"    m{j} = d"]
-    result = ", ".join(m)
+        drifts += [f"d = abs(f{j} - f{j}_start)", f"if d > m{j}:", f"    m{j} = d"]
+
+    def guarded(lines, indent, handlers):
+        pad = " " * indent
+        out = [f"{pad}try:", *(f"{pad}    {line}" for line in lines)]
+        for error, stop in handlers:
+            out += [f"{pad}except {error}:", f"{pad}    return ({stop!r}, {result})"]
+        return out
+
+    tracked_error = [("_ERRORS", TRACKED_DOMAIN)]
     source = "\n".join(
         [
             f"def run(steps, step, {', '.join(x + m)}):",
             "    h2 = 0.5 * step",
             "    h6 = step / 6.0",
             "    t = 0.0",
-            "    try:",
-            *(f"        {line}" for line in start),
-            "        for _ in range(steps):",
-            *(f"            {line}" for line in body),
-            "    except _ERRORS:",
-            f"        return (True, {result})",
-            f"    return (False, {result})",
+            *guarded(start, 4, tracked_error),
+            "    for _ in range(steps):",
+            *guarded(stages, 8, [("OverflowError", BLOWUP), ("_ERRORS", FIELD_DOMAIN)]),
+            *(f"        {line}" for line in update),
+            *guarded(tracked, 8, tracked_error),
+            *(f"        {line}" for line in drifts),
+            f"    return (None, {result})",
             "",
         ]
     )
@@ -210,10 +227,11 @@ def integrate_drift(
     run = _trajectory(system, [f for _, f in tracked])
     records = [DriftRecord(name, 0.0, False) for name, _ in tracked]
     for point in random_initial_points(system.n, seed, points):
-        blowup, *drifts = run(
+        stop, *drifts = run(
             round(ratio), step, *map(float, point), *(r.drift for r in records)
         )
         for record, drift in zip(records, drifts):
             record.drift = drift
-            record.blowup = record.blowup or blowup
+            record.blowup = record.blowup or stop is not None
+            record.stop = record.stop or stop
     return records

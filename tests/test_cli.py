@@ -382,6 +382,29 @@ def test_oracle_mid_trajectory_domain_error_is_an_error_record(tmp_path, seed):
     assert float(check["residual"].split("=")[1].split()[0]) > 0  # drifted before it stopped
 
 
+@pytest.mark.parametrize(
+    "v, f, argv, drifted, cause",
+    [
+        # x1 falls at unit speed until log(x1) is undefined
+        ("1", "log(x1)", ["--t-end", "20", "--points", "1", "--seed", "1"], True, "f = log(x1)"),
+        # undefined at every start point
+        ("x1", "log(-x1^2)", ["--t-end", "0.01"], False, "f = log(-x1^2)"),
+        # the vector field itself leaves its domain
+        ("log(x1)", "x1", ["--t-end", "5", "--seed", "0"], True, "v = [log(x1)]"),
+    ],
+)
+def test_oracle_domain_error_names_the_expression(tmp_path, v, f, argv, drifted, cause):
+    model = tmp_path / "domain.ini"
+    model.write_text(f"[ode]\nn = 1\nv = [{v}]\n\n[characteristic]\nf = {f}\n")
+    code, out = run_cli("oracle", str(model), *argv, "--json")
+    assert code == 2
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "ERROR"
+    assert check["residual"].endswith(f" (domain error in {cause}, partial)")
+    assert "blow-up" not in check["residual"]
+    assert (float(check["residual"].split()[2]) > 0) == drifted
+
+
 class _Deadline(Exception):
     pass
 

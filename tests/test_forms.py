@@ -4,7 +4,9 @@ import random
 import pytest
 
 import anchorcalc as ac
+from anchorcalc import expr as ex
 from anchorcalc import forms as fo
+from anchorcalc import linop as lo
 
 E2, L2 = fo.euclidean(2), fo.lorentzian(2)
 E4, L4 = fo.euclidean(4), fo.lorentzian(4)
@@ -258,3 +260,60 @@ def test_form_validation():
         fo.Form(E2, 2, {(1, 0): ac.ONE})
     with pytest.raises(fo.FormError):
         fo.Form(E2, 1, {(5,): ac.ONE})
+
+
+# --- node limit in the form and operator layers ---------------------------------
+
+def _wide(name, k):
+    """k monomials: the jets of one field up to x0-order k - 1."""
+    return ex.Add(ac.jet(name, {"x0": i}) for i in range(k))
+
+
+def _operation(name, n, k):
+    """A call of the named public operation on R^n, on operands with n
+    components of k monomials each, built before the call."""
+    space = fo.euclidean(n)
+    u, w = _wide("u", k), _wide("w", k)
+    a = fo.Form(space, 1, {(m,): u for m in range(n)})
+    if name == "wedge":
+        b = fo.Form(space, 1, {(m,): w for m in range(n)})
+        return lambda: fo.wedge(a, b)
+    if name == "interior":
+        xi = fo.SpacetimeVector(space, [w] * n)
+        return lambda: fo.interior(xi, a)
+    if name == "exterior_d":
+        a = a.scale(w)
+        return lambda: fo.exterior_d(a)
+    A = lo.LinDiffOp.identity(n).scale(u)
+    B = lo.LinDiffOp(n, n, {(m, m, ex.MultiIndex({"x0": 1})): w for m in range(n)})
+    if name == "compose":
+        return lambda: A.compose(B)
+    AB = A.compose(B)
+    return lambda: AB.formal_adjoint()
+
+
+OPERATIONS = ("wedge", "interior", "exterior_d", "compose", "formal_adjoint")
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+def test_operation_honours_node_limit_set_at_runtime(monkeypatch, name):
+    call = _operation(name, 3, 6)
+    call()  # within the default limit
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "10")
+    with pytest.raises(ex.ResourceLimitError):
+        call()
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+def test_operation_reads_node_limit_once(monkeypatch, name):
+    reads = []
+    read = ex.node_limit
+    monkeypatch.setattr(ex, "node_limit", lambda: reads.append(1) or read())
+    counts = []
+    for n, k in ((2, 2), (4, 12)):
+        call = _operation(name, n, k)
+        reads.clear()
+        call()
+        counts.append(len(reads))
+    # the same reads whatever the number of components and terms
+    assert counts[0] == counts[1] <= 2

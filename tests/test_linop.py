@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
@@ -264,3 +267,101 @@ def test_anchor_definition_through_operators():
     rhs = W.formal_adjoint().compose(J.formal_adjoint())
     ok, _ = lo.op_equal_mod_shell(lhs, rhs, shell)
     assert not ok
+
+
+def test_describe():
+    assert lo.LinDiffOp(2, 2).describe() == "0"
+    assert Dt.compose(Id.scale(x1)).describe() == "[0,0] (x1_t) * 1; [0,0] (x1) * D_t"
+    V = lo.LinDiffOp(
+        2,
+        2,
+        {
+            (1, 0, ex.MultiIndex({"t": 2, "s": 1})): ac.rational(-1, 2) * x2,
+            (0, 1, ex.MultiIndex({"t": 1})): t,
+            (0, 1, ex.EMPTY_INDEX): ac.ONE,
+        },
+    )
+    # row, column, then derivative order
+    assert V.describe() == "[0,1] (1) * 1; [0,1] (t) * D_t; [1,0] (-1/2*x2) * D_sD_tD_t"
+
+
+# --- reference: all-pairs compose and full-Leibniz adjoint, operator arithmetic --
+
+
+def _reference_compose(self, other):
+    if self.cols != other.rows:
+        raise ValueError("inner dimensions do not match")
+    entries = {}
+    for (r, k, alpha), a in self.entries.items():
+        for (k2, c, beta), b in other.entries.items():
+            if k2 != k:
+                continue
+            for gamma, remaining, binom in lo._sub_indices(alpha):
+                coeff = a * ex.rational(binom) * ex.iterated_total_derivative(b, gamma)
+                key = (r, c, remaining + beta)
+                entries[key] = entries[key] + coeff if key in entries else coeff
+    return lo.LinDiffOp(self.rows, other.cols, entries)
+
+
+def _reference_adjoint(self):
+    entries = {}
+    for (r, c, alpha), a in self.entries.items():
+        sign = ex.rational((-1) ** alpha.order())
+        for gamma, remaining, binom in lo._sub_indices(alpha):
+            coeff = sign * ex.rational(binom) * ex.iterated_total_derivative(a, gamma)
+            key = (c, r, remaining)
+            entries[key] = entries[key] + coeff if key in entries else coeff
+    return lo.LinDiffOp(self.cols, self.rows, entries)
+
+
+# --- random small operators: constant and jet coefficients, orders <= 2 ----------
+
+_X0 = ac.indep("x0")
+_GENS = [_X0, ac.jet("u"), ac.jet("w"), ac.jet("u", {"x0": 1}), ac.jet("w", {"x1": 1})]
+_ORDERS = [{}, {"x0": 1}, {"x1": 1}, {"x0": 2}, {"x0": 1, "x1": 1}, {"x1": 2}]
+
+
+@st.composite
+def _coeffs(draw):
+    c = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+    e = ac.rational(c.numerator, c.denominator)
+    if draw(st.booleans()):  # about half of the coefficients are constants
+        for i in draw(st.lists(st.integers(0, len(_GENS) - 1), min_size=1, max_size=2)):
+            e = e * _GENS[i]
+        e = e + draw(st.integers(-2, 2))
+    return e
+
+
+@st.composite
+def _ops(draw, rows, cols):
+    entries = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (
+            draw(st.integers(0, rows - 1)),
+            draw(st.integers(0, cols - 1)),
+            ex.MultiIndex(draw(st.sampled_from(_ORDERS))),
+        )
+        entries[key] = draw(_coeffs())
+    return lo.LinDiffOp(rows, cols, entries)
+
+
+@st.composite
+def _op_chains(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    vector = [draw(_coeffs()) * draw(_coeffs()) for _ in range(m)]
+    return draw(_ops(n, k)), draw(_ops(k, m)), vector
+
+
+def _same_entries(a, b):
+    return (a.rows, a.cols) == (b.rows, b.cols) and a.entries == b.entries
+
+
+@settings(max_examples=120, deadline=None)
+@given(_op_chains())
+def test_compose_and_adjoint_match_reference(chain):
+    A, B, v = chain
+    AB = A.compose(B)
+    assert _same_entries(AB, _reference_compose(A, B))
+    assert _same_entries(A.formal_adjoint(), _reference_adjoint(A))
+    assert _same_entries(B.formal_adjoint(), _reference_adjoint(B))
+    assert AB.apply(v) == A.apply(B.apply(v))
