@@ -12,6 +12,7 @@ Exit codes: 0 all PASS/SKIP, 1 some FAIL, 2 ERROR or usage problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -190,7 +191,7 @@ def _passes_unless_raised(fn):
 
 def _pform_report(args) -> ModelReport:
     space = fo.euclidean(args.n) if args.euclidean else fo.lorentzian(args.n)
-    a, b = Fraction(args.a), Fraction(args.b)
+    a, b = _fraction(args.a, "--a"), _fraction(args.b, "--b")
     model = fm.PFormModel(space, args.p, a, b)
     sig = "euclidean" if args.euclidean else "lorentzian"
     report = ModelReport(model=f"pform(n={args.n},p={args.p},a={args.a},b={args.b},{sig})")
@@ -243,9 +244,9 @@ def _chiral_report(args) -> ModelReport:
     if args.algebra not in fm.ALGEBRAS:
         raise ValueError(f"unknown algebra {args.algebra!r} (have {sorted(fm.ALGEBRAS)})")
     algebra = fm.ALGEBRAS[args.algebra]()
-    g = Fraction(args.g)
+    g = _fraction(args.g, "--g")
     model = fm.ChiralModel(space, algebra, g)
-    epsilon = [Fraction(part) for part in args.epsilon.split(",")]
+    epsilon = [_fraction(part, "--epsilon") for part in args.epsilon.split(",")]
     report = ModelReport(model=f"chiral(N={algebra.n},algebra={args.algebra},g={args.g})")
 
     def internal():
@@ -336,14 +337,28 @@ def search_output(args):
 # entry point
 
 
-def _positive_float(text: str) -> float:
+def _fraction(text: str, option: str) -> Fraction:
+    """An exact rational option value such as 3 or -1/2; a bad one is a
+    ValueError, so it exits 2 with an error line."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} expects a rational number, got {text!r}") from None
+
+
+def _finite_float(positive: bool):
+    wording = "positive" if positive else "non-negative"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise argparse.ArgumentTypeError(f"expected a {wording} finite number, got {text!r}")
+        return value
+
+    return parse
 
 
 def _int_at_least(low: int):
@@ -359,6 +374,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache  # parse_args leaves the parser unchanged; one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorcalc",
@@ -393,11 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="numeric invariant-drift oracle")
     p_oracle.add_argument("model_file")
-    p_oracle.add_argument("--t-end", type=_positive_float, default=numeric.DEFAULT_T_END)
-    p_oracle.add_argument("--step", type=_positive_float, default=numeric.DEFAULT_STEP)
+    p_oracle.add_argument("--t-end", type=_finite_float(True), default=numeric.DEFAULT_T_END)
+    p_oracle.add_argument("--step", type=_finite_float(True), default=numeric.DEFAULT_STEP)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--points", type=_int_at_least(1), default=numeric.DEFAULT_POINTS)
-    p_oracle.add_argument("--tolerance", type=float, default=numeric.DRIFT_TOLERANCE)
+    p_oracle.add_argument("--tolerance", type=_finite_float(False), default=numeric.DRIFT_TOLERANCE)
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.add_argument("--timings", action="store_true")
 

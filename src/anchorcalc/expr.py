@@ -18,9 +18,10 @@ only: hashing and ordering run in C, and the printed order, graded-
 lexicographic with the largest monomial first, is the same in every
 process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
 ResourceLimitError when an intermediate polynomial holds more monomials.
-That holds for the operator compose and adjoint and the form wedge,
-interior product and d too: they read the limit once per call and run on
-the polynomial layer below, so a change takes effect at the next call.
+That holds for the operator compose and adjoint, the form wedge, interior
+product and d, and the ODE checks and characteristic search too: they read
+the limit once per call and run on the polynomial layer below, so a change
+takes effect at the next call.
 
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash of an expression is a write-once slot

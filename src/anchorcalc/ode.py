@@ -22,13 +22,13 @@ from .conventions import HOMOMORPHISM_SIGN, TWIST_SIGN
 from .expr import (
     Expr,
     JetVar,
-    MultiIndex,
     UnsupportedInputError,
     canonicalize,
     is_identically_zero,
 )
 
 TIME = "t"
+_T = ex.IndepVar(TIME)
 
 
 def field_name(i: int) -> str:
@@ -54,29 +54,10 @@ class OdeSystem:
         self.v = tuple(_check_zeroth_order(c, "v") for c in v)
         self.n = len(self.v)
 
-    @property
-    def fields(self):
-        return tuple(field_name(i) for i in range(self.n))
-
-    def equations(self):
-        """The components T^i = xdot^i + v^i as jet expressions."""
-        return [
-            canonicalize(ex.jet(field_name(i), {TIME: 1}) + self.v[i])
-            for i in range(self.n)
-        ]
-
-    def shell(self):
-        """Substitution rules xdot^i -> -v^i with on-demand prolongation."""
-        from .linop import ShellRules
-
-        return ShellRules(self.equations(), [TIME])
-
     def __eq__(self, other):
         if not isinstance(other, OdeSystem):
             return NotImplemented
-        return self.n == other.n and all(
-            is_identically_zero(a - b) for a, b in zip(self.v, other.v)
-        )
+        return self.v == other.v  # canonical forms: equal exactly when equal
 
     def __repr__(self):
         return f"OdeSystem(v=[{', '.join(ex.to_text(c) for c in self.v)}])"
@@ -183,43 +164,76 @@ class Trivector:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# helpers: each public operation below makes one _Partials and sums its
+# products on the polynomial layer
 
 
 def _x_atom(i: int) -> JetVar:
     return JetVar(field_name(i))
 
 
-def _dx(e: Expr, i: int) -> Expr:
-    return ex.diff(e, _x_atom(i))
+class _Partials:
+    """The node limit, read once per call, and the partial derivatives of
+    the call's operands: d(e, i) is d e / d x_i and d(e, None) is d e / d t,
+    computed once and shared, so callers copy before adding to them."""
+
+    def __init__(self):
+        self.limit = ex.node_limit()
+        self._table = {}
+
+    def d(self, e: Expr, i):
+        p = self._table.get((e, i))
+        if p is None:
+            atom = _T if i is None else _x_atom(i)
+            p = self._table[(e, i)] = ex._partial_poly(e._poly, atom, self.limit)
+        return p
+
+    def addmul(self, acc, p, q, sign=1):
+        """acc += sign * p * q, for polynomials."""
+        if p and q:
+            prod = ex._pmul(p, q, self.limit)
+            ex._padd_into(acc, prod if sign == 1 else ex._pscale(prod, sign), self.limit)
 
 
-def _dt(e: Expr) -> Expr:
-    return ex.diff(e, ex.IndepVar(TIME))
+def _characteristic(tab, sys, f):
+    """(flag, residual d_t f - v . grad f)."""
+    acc = dict(tab.d(f, None))
+    for i, vi in enumerate(sys.v):
+        tab.addmul(acc, vi._poly, tab.d(f, i), -1)
+    return not acc, ex._expr(acc)
 
 
-def _grad(e: Expr, n: int):
-    return [_dx(e, i) for i in range(n)]
+def _lie_bracket(tab, a, b, out=None):
+    """[a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical fields, added to
+    the polynomials `out` (zero by default)."""
+    out = out or [{} for _ in a]
+    for i, acc in enumerate(out):
+        for k in range(len(a)):
+            tab.addmul(acc, a[k]._poly, tab.d(b[i], k))
+            tab.addmul(acc, b[k]._poly, tab.d(a[i], k), -1)
+    return [ex._expr(acc) for acc in out]
 
 
-def _along(v, e: Expr) -> Expr:
-    """Directional derivative v . grad e."""
-    out = ex.ZERO
-    for i, vi in enumerate(v):
-        out = out + vi * _dx(e, i)
-    return canonicalize(out)
+def _anchor_apply(tab, a, f, sign=1, out=None):
+    """w^i = alpha^{ij} d_j f for a = alpha.matrix(), times sign and added
+    to the polynomials `out` (zero by default)."""
+    out = out or [{} for _ in a]
+    for row, acc in zip(a, out):
+        for j, aij in enumerate(row):
+            tab.addmul(acc, aij._poly, tab.d(f, j), sign)
+    return [ex._expr(acc) for acc in out]
 
 
-def _lie_bracket(a, b):
-    """[a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical fields."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        term = ex.ZERO
-        for k in range(n):
-            term = term + a[k] * _dx(b[i], k) - b[k] * _dx(a[i], k)
-        out.append(canonicalize(term))
-    return out
+def _poisson_bracket(tab, a, f, g):
+    """{f, g} = d_i f (alpha^{ij} d_j g)."""
+    acc = {}
+    for i, wi in enumerate(_anchor_apply(tab, a, g)):
+        tab.addmul(acc, tab.d(f, i), wi._poly)
+    return ex._expr(acc)
+
+
+def _deform(tab, sys, a, h):
+    return OdeSystem(_anchor_apply(tab, a, h, TWIST_SIGN, [dict(vi._poly) for vi in sys.v]))
 
 
 def _coerce_char(f):
@@ -244,9 +258,7 @@ def _coerce_form(psi):
 
 def check_characteristic(sys: OdeSystem, f):
     """d_t f = v . grad f; returns (flag, residual)."""
-    f = _coerce_char(f)
-    residual = canonicalize(_dt(f) - _along(sys.v, f))
-    return is_identically_zero(residual), residual
+    return _characteristic(_Partials(), sys, _coerce_char(f))
 
 
 def check_symmetry(sys: OdeSystem, w):
@@ -254,8 +266,9 @@ def check_symmetry(sys: OdeSystem, w):
     w = _coerce_vec(w)
     if len(w) != sys.n:
         raise ValueError("dimension mismatch")
-    bracket = _lie_bracket(sys.v, w)
-    residual = [canonicalize(_dt(w[i]) - bracket[i]) for i in range(sys.n)]
+    tab = _Partials()
+    # d_t w - [v, w] = d_t w + [w, v]
+    residual = _lie_bracket(tab, w, sys.v, [dict(tab.d(wi, None)) for wi in w])
     return all(is_identically_zero(r) for r in residual), residual
 
 
@@ -263,89 +276,70 @@ def check_anchor(sys: OdeSystem, alpha: Bivector):
     """d_t alpha = L_v alpha componentwise on i < j; returns (flag, residuals)."""
     if alpha.n != sys.n:
         raise ValueError("dimension mismatch")
+    tab, a, v = _Partials(), alpha.matrix(), sys.v
     residual = {}
-    for i in range(sys.n):
-        for j in range(i + 1, sys.n):
-            lie = _along(sys.v, alpha.entry(i, j))
-            for k in range(sys.n):
-                lie = lie - alpha.entry(k, j) * _dx(sys.v[i], k)
-                lie = lie - alpha.entry(i, k) * _dx(sys.v[j], k)
-            r = canonicalize(_dt(alpha.entry(i, j)) - lie)
-            if not is_identically_zero(r):
-                residual[(i, j)] = r
+    for i, j in itertools.combinations(range(sys.n), 2):
+        # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j
+        acc = dict(tab.d(a[i][j], None))
+        for k in range(sys.n):
+            tab.addmul(acc, v[k]._poly, tab.d(a[i][j], k), -1)
+            tab.addmul(acc, a[k][j]._poly, tab.d(v[i], k))
+            tab.addmul(acc, a[i][k]._poly, tab.d(v[j], k))
+        if acc:
+            residual[(i, j)] = ex._expr(acc)
     return not residual, residual
 
 
 def anchor_apply(alpha: Bivector, f) -> VerticalVector:
     """w^i = alpha^{ij} d_j f: the proper symmetry generated by f."""
-    f = _coerce_char(f)
-    w = []
-    for i in range(alpha.n):
-        term = ex.ZERO
-        for j in range(alpha.n):
-            term = term + alpha.entry(i, j) * _dx(f, j)
-        w.append(canonicalize(term))
-    return VerticalVector(w)
+    return VerticalVector(_anchor_apply(_Partials(), alpha.matrix(), _coerce_char(f)))
 
 
 def schouten_square(alpha: Bivector) -> Trivector:
     """Jacobiator S^{ijk} = sum_cyc alpha^{im} d_m alpha^{jk}; zero exactly
     when the bracket is integrable."""
     n = alpha.n
+    tab, a = _Partials(), alpha.matrix()
     upper = {}
     for i, j, k in itertools.combinations(range(n), 3):
-        total = ex.ZERO
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        acc = {}
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
             for m in range(n):
-                total = total + alpha.entry(a, m) * _dx(alpha.entry(b, c), m)
-        upper[(i, j, k)] = canonicalize(total)
+                tab.addmul(acc, a[p][m]._poly, tab.d(a[q][r], m))
+        upper[(i, j, k)] = ex._expr(acc)
     return Trivector(n, upper)
 
 
 def poisson_bracket(alpha: Bivector, f, g) -> Expr:
     """{f, g} = alpha^{ij} d_i f d_j g."""
-    f = _coerce_char(f)
-    g = _coerce_char(g)
-    out = ex.ZERO
-    for i in range(alpha.n):
-        for j in range(alpha.n):
-            out = out + alpha.entry(i, j) * _dx(f, i) * _dx(g, j)
-    return canonicalize(out)
+    f, g = _coerce_char(f), _coerce_char(g)
+    return _poisson_bracket(_Partials(), alpha.matrix(), f, g)
 
 
 def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     """Proper deformation by the twist of H: v'^i = v^i - alpha^{ij} d_j H
     (sign frozen by calibration; the free system deforms to
     xdot^i = {x^i, H})."""
-    h = _coerce_char(hamiltonian)
-    w = anchor_apply(alpha, h).w
-    return OdeSystem(
-        [canonicalize(sys.v[i] + TWIST_SIGN * w[i]) for i in range(sys.n)]
-    )
-
-
-def hamiltonian_system(alpha: Bivector, hamiltonian) -> OdeSystem:
-    """The system xdot^i = {x^i, H} written in normal form."""
-    return deform(free_system(alpha.n), alpha, hamiltonian)
+    return _deform(_Partials(), sys, alpha.matrix(), _coerce_char(hamiltonian))
 
 
 def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     """When {f, H} is a function of t alone with polynomial antiderivative g,
     f - g must be conserved by the deformed system.  Returns (flag, detail)."""
-    f = _coerce_char(f)
-    h = _coerce_char(hamiltonian)
-    ok, _ = check_characteristic(sys, f)
-    if not ok:
+    f, h = _coerce_char(f), _coerce_char(hamiltonian)
+    tab, a = _Partials(), alpha.matrix()
+    if not _characteristic(tab, sys, f)[0]:
         return False, "f is not a characteristic of the original system"
-    bracket = poisson_bracket(alpha, f, h)
-    if any(not is_identically_zero(_dx(bracket, i)) for i in range(sys.n)):
+    bracket = _poisson_bracket(tab, a, f, h)
+    if any(tab.d(bracket, i) for i in range(sys.n)):
         return False, "{f, H} depends on x; the twist is not invariant under f"
-    g = ex.antiderivative(bracket, TIME)
-    deformed = deform(sys, alpha, h)
-    ok, residual = check_characteristic(deformed, canonicalize(f - g))
+    g = ex._poly_antiderivative(bracket._poly, TIME, tab.limit)
+    conserved = dict(f._poly)
+    ex._padd_into(conserved, ex._pscale(g, -1), tab.limit)
+    ok, residual = _characteristic(tab, _deform(tab, sys, a, h), ex._expr(conserved))
     if not ok:
         return False, f"conservation failed with residual {ex.to_text(residual)}"
-    return True, ex.to_text(g)
+    return True, ex.to_text(ex._expr(g))
 
 
 def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
@@ -361,42 +355,42 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
     n = sys.n
+    tab, a = _Partials(), alpha.matrix()
     residuals = {}
-    psi_v = ex.ZERO
+    psi_v = {}
     for k in range(n):
-        psi_v = psi_v + psi[k] * sys.v[k]
+        tab.addmul(psi_v, psi[k]._poly, sys.v[k]._poly)
+    psi_v = ex._expr(psi_v)
     for l in range(n):
         for k in range(n):
-            term = ex.ZERO
+            acc = {}
             for i in range(n):
-                term = term + alpha.entry(i, l) * (_dx(psi[k], i) - _dx(psi[i], k))
-            term = canonicalize(term)
-            if not is_identically_zero(term):
-                residuals[f"closure[l={l + 1},k={k + 1}]"] = term
-        term = ex.ZERO
+                tab.addmul(acc, a[i][l]._poly, tab.d(psi[k], i))
+                tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], k), -1)
+            if acc:
+                residuals[f"closure[l={l + 1},k={k + 1}]"] = ex._expr(acc)
+        acc = {}
         for i in range(n):
-            term = term + alpha.entry(i, l) * (_dx(psi_v, i) - _dt(psi[i]))
-        term = canonicalize(term)
-        if not is_identically_zero(term):
-            residuals[f"transport[l={l + 1}]"] = term
+            tab.addmul(acc, a[i][l]._poly, tab.d(psi_v, i))
+            tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], None), -1)
+        if acc:
+            residuals[f"transport[l={l + 1}]"] = ex._expr(acc)
     return not residuals, residuals
 
 
 def differential(f, n: int) -> VerticalForm:
     """The vertical differential d~f as a covector of x-partials."""
-    f = _coerce_char(f)
-    return VerticalForm(_grad(f, n))
+    f, tab = _coerce_char(f), _Partials()
+    return VerticalForm([ex._expr(tab.d(f, i)) for i in range(n)])
 
 
 def commutator_matches_bracket(alpha: Bivector, f, g):
     """Residual of [V(f), V(g)] - sigma V({f, g}) with the frozen sign."""
-    wf = anchor_apply(alpha, f).w
-    wg = anchor_apply(alpha, g).w
-    lhs = _lie_bracket(wf, wg)
-    rhs = anchor_apply(alpha, poisson_bracket(alpha, f, g)).w
-    residual = [
-        canonicalize(lhs[i] - HOMOMORPHISM_SIGN * rhs[i]) for i in range(alpha.n)
-    ]
+    f, g = _coerce_char(f), _coerce_char(g)
+    tab, a = _Partials(), alpha.matrix()
+    rhs = _anchor_apply(tab, a, _poisson_bracket(tab, a, f, g))
+    out = [ex._pscale(r._poly, -HOMOMORPHISM_SIGN) for r in rhs]
+    residual = _lie_bracket(tab, _anchor_apply(tab, a, f), _anchor_apply(tab, a, g), out)
     return all(is_identically_zero(r) for r in residual), residual
 
 
@@ -412,8 +406,9 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
     fields = [alpha.column(l) for l in range(n)]
     accumulated = list(fields)
     frontier = list(fields)
+    tab = _Partials()
     for _ in range(depth):
-        frontier = [_lie_bracket(a, b) for a in accumulated for b in frontier]
+        frontier = [_lie_bracket(tab, a, b) for a in accumulated for b in frontier]
         accumulated.extend(frontier)
     rows = []
     for vec in accumulated:
@@ -523,21 +518,25 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     if any(isinstance(a, (ex.FunAtom, ex.Param)) for c in sys.v for a in ex.atoms(c)):
         raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
+    tab = _Partials()  # for its limit and sums: each derivative is taken once
     rows = {}  # residual monomial -> {basis column: coefficient}
     for col, mono in enumerate(basis):
-        residual = canonicalize(_dt(mono) - _along(sys.v, mono))
-        for m, coeff in residual.poly().items():
+        # d_t mono - v . grad mono
+        residual = ex._partial_poly({mono: 1}, _T, tab.limit)
+        for i, vi in enumerate(sys.v):
+            tab.addmul(residual, vi._poly, ex._partial_poly({mono: 1}, _x_atom(i), tab.limit), -1)
+        for m, coeff in residual.items():
             rows.setdefault(m, {})[col] = coeff
     kernel = _kernel(_eliminate(rows.values()), len(basis))
     return [CharacteristicFn(s) for s in _echelon_solutions(kernel, basis)]
 
 
 def _monomials(n: int, max_degree: int):
-    """Monomials in (t, x1..xn) of total degree <= max_degree, constant first,
-    then ascending graded-lex."""
-    gens = [ex.indep(TIME)] + [ex.jet(field_name(i)) for i in range(n)]
+    """Monomials in (t, x1..xn) of total degree <= max_degree, as monomials
+    of the polynomial layer: constant first, then ascending graded-lex."""
+    gens = [_T] + [_x_atom(i) for i in range(n)]
     return [
-        math.prod((gens[g] for g in combo), start=ex.ONE)
+        tuple(sorted((gens[g], combo.count(g)) for g in set(combo)))
         for total in range(max_degree + 1)
         for combo in itertools.combinations_with_replacement(range(len(gens)), total)
     ]
@@ -548,7 +547,7 @@ def _echelon_solutions(kernel, basis):
     constant.  Each has a unit at its free column, its largest, and zeros at
     the other free ones: the list is echelon-reduced in descending order."""
     return [
-        ex.Add(ex.rational(v) * basis[c] for c, v in vec.items())
+        ex._expr({basis[c]: ex._num(v) for c, v in vec.items()})
         for fc, vec in sorted(kernel.items(), reverse=True)
         if fc != 0  # the constant monomial sits first in the basis
     ]

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import anchorcalc as ac
-from anchorcalc import cli, field_models as fm, forms as fo, numeric, ode
+from anchorcalc import cli, expr as ex, field_models as fm, forms as fo, numeric, ode
 from anchorcalc.modelfile import parse_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,7 +95,8 @@ def test_criterion_3_twist_reproduction():
         expected = ode.OdeSystem(
             [
                 ac.canonicalize(-sum(
-                    (alpha.entry(i, j) * ode._dx(h, j) for j in range(2)), ac.ZERO
+                    (alpha.entry(i, j) * ex.diff(h, ac.jet(ode.field_name(j))) for j in range(2)),
+                    ac.ZERO,
                 ))
                 for i in range(2)
             ]

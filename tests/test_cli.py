@@ -5,7 +5,7 @@ import math
 import signal
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -190,6 +190,41 @@ def test_cli_catalog_construction_error_exits_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pform", "--a", "1/0"),
+        ("pform", "--b", "1/0"),
+        ("chiral", "--g", "1/0"),
+        ("chiral", "--epsilon", "1,1/0"),
+    ],
+)
+def test_cli_catalog_zero_denominator_exits_2(argv, capsys):
+    code, out = run_cli("catalog", *argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[1]} ") and err.count("\n") == 1
+
+
+def test_cli_main_calls_share_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run_cli("check", str(OSCILLATOR), "--json")
+    assert code == 0 and json.loads(out)["checks"]
+    code, out = run_cli("check", str(OSCILLATOR))
+    assert code == 0 and not out.startswith("{") and "PASS" in out
+    # a usage error goes to the stderr of its own call
+    with redirect_stderr(io.StringIO()) as earlier:
+        with pytest.raises(SystemExit):
+            cli.main(["oracle", str(OSCILLATOR), "--step=0"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["oracle", str(OSCILLATOR), "--points=0"])
+    assert stop.value.code == 2
+    assert "argument --step" in earlier.getvalue()
+    err = capsys.readouterr().err
+    assert "argument --points" in err and "argument --step" not in err
+
+
 def test_cli_deep_nesting_exits_2(tmp_path, capsys):
     model = tmp_path / "deep.ini"
     model.write_text("[ode]\nn = 1\nv = [" + "(" * 5000 + "x1" + ")" * 5000 + "]\n")
@@ -349,6 +384,9 @@ def test_oracle_blowup_flagged(tmp_path):
         ("--t-end", "ten"),
         ("--points", "0"),
         ("--points", "2.5"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "inf"),
     ],
 )
 def test_oracle_rejects_bad_numbers(flag, value, capsys):

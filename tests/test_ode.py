@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import anchorcalc as ac
 from anchorcalc import expr as ex
 from anchorcalc import ode
+from anchorcalc.expr import canonicalize, is_identically_zero
 
 t = ac.indep("t")
 x1, x2, x3 = ac.jet("x1"), ac.jet("x2"), ac.jet("x3")
@@ -291,7 +292,7 @@ def test_homomorphism_sign_is_tight():
     # flipping the frozen sign must break the identity on so(3) coordinates
     wf = ode.anchor_apply(SO3, x1).w
     wg = ode.anchor_apply(SO3, x2).w
-    lhs = ode._lie_bracket(wf, wg)
+    lhs = _lie_bracket(wf, wg)
     rhs = ode.anchor_apply(SO3, ode.poisson_bracket(SO3, x1, x2)).w
     flipped = [ac.canonicalize(l + ode.HOMOMORPHISM_SIGN * r) for l, r in zip(lhs, rhs)]
     assert any(not ac.is_identically_zero(r) for r in flipped)
@@ -554,12 +555,186 @@ def _reference_echelon_solutions(kernel, basis):
     return solutions
 
 
+# --- reference: the Expr-operator checks that the polynomial layer replaced ---
+#
+# The earlier implementation, kept unchanged apart from names: every sum is
+# an Expr operator and every partial derivative a fresh ex.diff call.
+
+
+def _x_atom(i):
+    return ex.JetVar(ode.field_name(i))
+
+
+def _dx(e, i):
+    return ex.diff(e, _x_atom(i))
+
+
+def _dt(e):
+    return ex.diff(e, ex.IndepVar(ode.TIME))
+
+
+def _along(v, e):
+    """Directional derivative v . grad e."""
+    out = ex.ZERO
+    for i, vi in enumerate(v):
+        out = out + vi * _dx(e, i)
+    return canonicalize(out)
+
+
+def _lie_bracket(a, b):
+    """[a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical fields."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        term = ex.ZERO
+        for k in range(n):
+            term = term + a[k] * _dx(b[i], k) - b[k] * _dx(a[i], k)
+        out.append(canonicalize(term))
+    return out
+
+
+def _reference_check_characteristic(sys, f):
+    f = ode._coerce_char(f)
+    residual = canonicalize(_dt(f) - _along(sys.v, f))
+    return is_identically_zero(residual), residual
+
+
+def _reference_check_symmetry(sys, w):
+    w = ode._coerce_vec(w)
+    bracket = _lie_bracket(sys.v, w)
+    residual = [canonicalize(_dt(w[i]) - bracket[i]) for i in range(sys.n)]
+    return all(is_identically_zero(r) for r in residual), residual
+
+
+def _reference_check_anchor(sys, alpha):
+    residual = {}
+    for i in range(sys.n):
+        for j in range(i + 1, sys.n):
+            lie = _along(sys.v, alpha.entry(i, j))
+            for k in range(sys.n):
+                lie = lie - alpha.entry(k, j) * _dx(sys.v[i], k)
+                lie = lie - alpha.entry(i, k) * _dx(sys.v[j], k)
+            r = canonicalize(_dt(alpha.entry(i, j)) - lie)
+            if not is_identically_zero(r):
+                residual[(i, j)] = r
+    return not residual, residual
+
+
+def _reference_anchor_apply(alpha, f):
+    f = ode._coerce_char(f)
+    w = []
+    for i in range(alpha.n):
+        term = ex.ZERO
+        for j in range(alpha.n):
+            term = term + alpha.entry(i, j) * _dx(f, j)
+        w.append(canonicalize(term))
+    return ode.VerticalVector(w)
+
+
+def _reference_schouten_square(alpha):
+    n = alpha.n
+    upper = {}
+    for i, j, k in itertools.combinations(range(n), 3):
+        total = ex.ZERO
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m in range(n):
+                total = total + alpha.entry(a, m) * _dx(alpha.entry(b, c), m)
+        upper[(i, j, k)] = canonicalize(total)
+    return ode.Trivector(n, upper)
+
+
+def _reference_poisson_bracket(alpha, f, g):
+    f = ode._coerce_char(f)
+    g = ode._coerce_char(g)
+    out = ex.ZERO
+    for i in range(alpha.n):
+        for j in range(alpha.n):
+            out = out + alpha.entry(i, j) * _dx(f, i) * _dx(g, j)
+    return canonicalize(out)
+
+
+def _reference_deform(sys, alpha, hamiltonian):
+    h = ode._coerce_char(hamiltonian)
+    w = _reference_anchor_apply(alpha, h).w
+    return ode.OdeSystem(
+        [canonicalize(sys.v[i] + ode.TWIST_SIGN * w[i]) for i in range(sys.n)]
+    )
+
+
+def _reference_twist_invariance_check(sys, alpha, f, hamiltonian):
+    f = ode._coerce_char(f)
+    h = ode._coerce_char(hamiltonian)
+    ok, _ = _reference_check_characteristic(sys, f)
+    if not ok:
+        return False, "f is not a characteristic of the original system"
+    bracket = _reference_poisson_bracket(alpha, f, h)
+    if any(not is_identically_zero(_dx(bracket, i)) for i in range(sys.n)):
+        return False, "{f, H} depends on x; the twist is not invariant under f"
+    g = ex.antiderivative(bracket, ode.TIME)
+    deformed = _reference_deform(sys, alpha, h)
+    ok, residual = _reference_check_characteristic(deformed, canonicalize(f - g))
+    if not ok:
+        return False, f"conservation failed with residual {ex.to_text(residual)}"
+    return True, ex.to_text(g)
+
+
+def _reference_proper_symmetry_conditions(sys, alpha, psi):
+    psi = ode._coerce_form(psi)
+    n = sys.n
+    residuals = {}
+    psi_v = ex.ZERO
+    for k in range(n):
+        psi_v = psi_v + psi[k] * sys.v[k]
+    for l in range(n):
+        for k in range(n):
+            term = ex.ZERO
+            for i in range(n):
+                term = term + alpha.entry(i, l) * (_dx(psi[k], i) - _dx(psi[i], k))
+            term = canonicalize(term)
+            if not is_identically_zero(term):
+                residuals[f"closure[l={l + 1},k={k + 1}]"] = term
+        term = ex.ZERO
+        for i in range(n):
+            term = term + alpha.entry(i, l) * (_dx(psi_v, i) - _dt(psi[i]))
+        term = canonicalize(term)
+        if not is_identically_zero(term):
+            residuals[f"transport[l={l + 1}]"] = term
+    return not residuals, residuals
+
+
+def _reference_differential(f, n):
+    f = ode._coerce_char(f)
+    return ode.VerticalForm([_dx(f, i) for i in range(n)])
+
+
+def _reference_commutator_matches_bracket(alpha, f, g):
+    wf = _reference_anchor_apply(alpha, f).w
+    wg = _reference_anchor_apply(alpha, g).w
+    lhs = _lie_bracket(wf, wg)
+    rhs = _reference_anchor_apply(alpha, _reference_poisson_bracket(alpha, f, g)).w
+    residual = [
+        canonicalize(lhs[i] - ode.HOMOMORPHISM_SIGN * rhs[i]) for i in range(alpha.n)
+    ]
+    return all(is_identically_zero(r) for r in residual), residual
+
+
+def _reference_monomials(n: int, max_degree: int):
+    """Monomials in (t, x1..xn) of total degree <= max_degree, constant first,
+    then ascending graded-lex."""
+    gens = [ex.indep(ode.TIME)] + [ex.jet(ode.field_name(i)) for i in range(n)]
+    return [
+        math.prod((gens[g] for g in combo), start=ex.ONE)
+        for total in range(max_degree + 1)
+        for combo in itertools.combinations_with_replacement(range(len(gens)), total)
+    ]
+
+
 def _reference_search(sys_, max_degree):
-    basis = ode._monomials(sys_.n, max_degree)
+    basis = _reference_monomials(sys_.n, max_degree)
     columns = []
     row_index = {}
     for mono in basis:
-        residual = ex.canonicalize(ode._dt(mono) - ode._along(sys_.v, mono))
+        residual = ex.canonicalize(_dt(mono) - _along(sys_.v, mono))
         col = {}
         for m, coeff in residual.poly().items():
             if m not in row_index:
@@ -584,7 +759,7 @@ def _reference_rank(alpha, point, depth):
         new = []
         for a in accumulated:
             for b in frontier:
-                new.append(ode._lie_bracket(a, b))
+                new.append(_lie_bracket(a, b))
         frontier = new
         accumulated.extend(new)
     rows = [[ex.evaluate(c, assignment) for c in vec] for vec in accumulated]
@@ -648,3 +823,133 @@ def _bivectors_and_points(draw):
 def test_transitivity_rank_matches_dense_reference(case):
     alpha, point, depth = case
     assert ode.transitivity_rank(alpha, point, depth) == _reference_rank(alpha, point, depth)
+
+
+# --- the polynomial-layer checks against the Expr-operator reference ----------
+
+
+def _texts(residual):
+    if isinstance(residual, dict):
+        return {k: ac.to_text(v) for k, v in residual.items()}
+    if isinstance(residual, (list, tuple)):
+        return [ac.to_text(v) for v in residual]
+    return ac.to_text(residual)
+
+
+@st.composite
+def _check_inputs(draw):
+    """A system with n <= 3, a random antisymmetric anchor and random
+    functions, all with rational coefficients and terms in t."""
+    n = draw(st.integers(1, 3))
+    free = draw(st.booleans())  # f without t is then a characteristic
+    v = [ac.ZERO if free else draw(_polynomials(n, 2)) for _ in range(n)]
+    alpha = ode.Bivector(
+        n, {(i, j): draw(_polynomials(n, 2)) for i in range(n) for j in range(i + 1, n)}
+    )
+    f = draw(_polynomials(n, 2))
+    if free:
+        f = ac.substitute(f, {t: ac.ZERO})
+    g, h = draw(_polynomials(n, 2)), draw(_polynomials(n, 2))
+    w = [draw(_polynomials(n, 2)) for _ in range(n)]
+    psi = [draw(_polynomials(n, 2)) for _ in range(n)]
+    return ode.OdeSystem(v), alpha, f, g, h, w, psi
+
+
+def _same(result, reference):
+    """The same flag and residual texts, for (flag, residual) pairs."""
+    return result[0] == reference[0] and _texts(result[1]) == _texts(reference[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_check_inputs())
+def test_checks_match_expr_operator_reference(case):
+    system, alpha, f, g, h, w, psi = case
+    psi_f = ode.differential(f, system.n)
+    image = ode.anchor_apply(alpha, f).w
+    assert _texts(psi_f.psi) == _texts(_reference_differential(f, system.n).psi)
+    assert _texts(image) == _texts(_reference_anchor_apply(alpha, f).w)
+    assert _same(ode.check_characteristic(system, f), _reference_check_characteristic(system, f))
+    for vec in (w, image):
+        assert _same(ode.check_symmetry(system, vec), _reference_check_symmetry(system, vec))
+    assert _same(ode.check_anchor(system, alpha), _reference_check_anchor(system, alpha))
+    for form in (psi, psi_f):
+        assert _same(
+            ode.proper_symmetry_conditions(system, alpha, form),
+            _reference_proper_symmetry_conditions(system, alpha, form),
+        )
+    assert _same(
+        ode.commutator_matches_bracket(alpha, f, g),
+        _reference_commutator_matches_bracket(alpha, f, g),
+    )
+    assert _texts(ode.schouten_square(alpha).upper) == _texts(
+        _reference_schouten_square(alpha).upper
+    )
+    assert _texts(ode.poisson_bracket(alpha, f, g)) == _texts(
+        _reference_poisson_bracket(alpha, f, g)
+    )
+    assert _texts(ode.deform(system, alpha, h).v) == _texts(_reference_deform(system, alpha, h).v)
+    for hamiltonian in (h, g, f):
+        assert ode.twist_invariance_check(
+            system, alpha, f, hamiltonian
+        ) == _reference_twist_invariance_check(system, alpha, f, hamiltonian)
+
+
+# --- one node-limit read per check ---------------------------------------------
+
+
+def _dense_poly(n, k):
+    """k distinct terms in powers of x1..xn and t."""
+    gens = [ac.jet(ode.field_name(i)) for i in range(n)] + [t]
+    terms = (ac.rational(c + 1) * gens[c % len(gens)] ** (1 + c // len(gens)) for c in range(k))
+    return ac.canonicalize(sum(terms, ac.ZERO))
+
+
+def _ode_operation(name, n, k):
+    """A thunk for one public check on operands built here, with n fields
+    and k terms per component."""
+    if name == "schouten_square":
+        n += 1  # the square is empty below three fields
+    system = ode.OdeSystem([_dense_poly(n, k) for _ in range(n)])
+    alpha = ode.Bivector(n, {(i, j): _dense_poly(n, k) for i in range(n) for j in range(i + 1, n)})
+    f, h = _dense_poly(n, k), _dense_poly(n, k + 1)
+    psi = [_dense_poly(n, k) for _ in range(n)]
+    return {
+        "check_anchor": lambda: ode.check_anchor(system, alpha),
+        "proper_symmetry_conditions": lambda: ode.proper_symmetry_conditions(system, alpha, psi),
+        "schouten_square": lambda: ode.schouten_square(alpha),
+        "twist_invariance_check": lambda: ode.twist_invariance_check(system, alpha, f, h),
+        "search_characteristics": lambda: ode.search_characteristics(system, 2),
+    }[name]
+
+
+ODE_OPERATIONS = [
+    "check_anchor",
+    "proper_symmetry_conditions",
+    "schouten_square",
+    "twist_invariance_check",
+    "search_characteristics",
+]
+
+
+@pytest.mark.parametrize("name", ODE_OPERATIONS)
+def test_check_honours_node_limit_set_at_runtime(monkeypatch, name):
+    call = _ode_operation(name, 3, 6)
+    call()  # within the default limit
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "10")
+    with pytest.raises(ex.ResourceLimitError):
+        call()
+
+
+@pytest.mark.parametrize("name", ODE_OPERATIONS)
+def test_check_reads_node_limit_once(monkeypatch, name):
+    reads = []
+    read = ex.node_limit
+    monkeypatch.setattr(ex, "node_limit", lambda: reads.append(1) or read())
+    counts = []
+    for n, k in ((2, 2), (3, 6)):
+        call = _ode_operation(name, n, k)
+        reads.clear()
+        call()
+        counts.append(len(reads))
+    # the same reads whatever the number of fields and terms
+    assert counts[0] == counts[1] <= 2
