@@ -34,7 +34,7 @@ def _residual_text(residual) -> str | None:
     if isinstance(residual, ex.Expr):
         return ex.to_text(residual)
     if isinstance(residual, fo.Form):
-        return fm._form_text(residual)
+        return fo.form_text(residual)
     if isinstance(residual, LinDiffOp):
         return residual.describe()
     if isinstance(residual, dict):

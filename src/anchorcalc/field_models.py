@@ -4,18 +4,22 @@ Each model packages its equations of motion, anchor operators (built from
 the pairing adjoint of the declared V*), characteristics of space-time or
 internal symmetries, conserved currents with exact jet-level certificates,
 and energy-momentum extraction.  All sign choices flow from the frozen
-Hodge convention; see conventions.CONVENTION_SHEET.
+Hodge convention; see conventions.CONVENTION_SHEET.  The component operators
+(d, *, the self-dual projector and the chiral wedge with H) are universal
+linearizations of the forms operations applied to symbolic forms, so the
+signs of d, * and the wedge live in forms alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from . import expr as ex
 from . import forms as fo
-from .expr import Expr, canonicalize, is_identically_zero
+from .expr import is_identically_zero
 from .forms import FlatSpace, Form, SpacetimeVector
 from .linop import LinDiffOp, ShellRules, linearize
 
@@ -77,48 +81,51 @@ def vector_to_form(space: FlatSpace, grade: int, vec) -> Form:
     return Form(space, grade, dict(zip(basis, vec)))
 
 
+def _field_names(space: FlatSpace, name: str, k: int):
+    """Names of the component fields of fo.field_form(space, name, k)."""
+    return [name + "".join(str(m) for m in idx) for idx in grade_basis(space, k)]
+
+
+# Field-name prefix of the symbolic forms that operators are read off; the
+# models' own fields (F.., H.., H1..) never start with an underscore.
+_PROBE = "_u"
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_operator(signature, k: int, op) -> LinDiffOp:
+    """Component matrix of a linear form operation on k-forms: the universal
+    linearization of op applied to a symbolic k-form, so the signs are the
+    ones forms applies.  Keyed by the signature tuple, as FlatSpace hashes
+    by identity; the entries are rational constants and no caller mutates
+    an operator."""
+    space = FlatSpace(signature)
+    u = fo.field_form(space, _PROBE, k)
+    return linearize(form_to_vector(op(u)), _field_names(space, _PROBE, k))
+
+
 def d_operator(space: FlatSpace, k: int) -> LinDiffOp:
-    """Exterior derivative as a matrix operator on components."""
-    dom = grade_basis(space, k)
-    cod = grade_basis(space, k + 1)
-    cod_pos = {idx: r for r, idx in enumerate(cod)}
-    entries = {}
-    for c, idx in enumerate(dom):
-        for mu in range(space.n):
-            if mu in idx:
-                continue
-            sign, new_idx = fo._merge_sign((mu,), idx)
-            key = (cod_pos[new_idx], c, ex.MultiIndex({space.coords[mu]: 1}))
-            coeff = ex.rational(sign)
-            entries[key] = entries[key] + coeff if key in entries else coeff
-    return LinDiffOp(len(cod), len(dom), entries)
+    """Exterior derivative as a matrix operator on k-form components (k < n)."""
+    return _linear_operator(space.signature, k, fo.exterior_d)
 
 
 def hodge_operator(space: FlatSpace, k: int) -> LinDiffOp:
-    dom = grade_basis(space, k)
-    cod = grade_basis(space, space.n - k)
-    cod_pos = {idx: r for r, idx in enumerate(cod)}
-    entries = {}
-    full = set(range(space.n))
-    for c, idx in enumerate(dom):
-        complement = tuple(sorted(full - set(idx)))
-        sign, _ = fo._merge_sign(idx, complement)
-        raised = 1
-        for m in idx:
-            raised *= space.signature[m]
-        entries[(cod_pos[complement], c, ex.EMPTY_INDEX)] = ex.rational(sign * raised)
-    return LinDiffOp(len(cod), len(dom), entries)
+    """Hodge star as a matrix operator on k-form components."""
+    return _linear_operator(space.signature, k, fo.hodge)
+
+
+def _selfdual_part(form: Form) -> Form:
+    # a module-level function, so it is a stable _linear_operator cache key
+    return fo.selfdual_project(form)[0]
+
+
+def _selfdual_operator(space: FlatSpace) -> LinDiffOp:
+    """The projector (Id + *)/2 on middle-form components."""
+    return _linear_operator(space.signature, space.n // 2, _selfdual_part)
 
 
 def metric_weights(space: FlatSpace, k: int):
     """Diagonal weights of the inner product (A, B) = sum_I w_I A_I B_I."""
-    out = []
-    for idx in grade_basis(space, k):
-        w = 1
-        for m in idx:
-            w *= space.signature[m]
-        out.append(w)
-    return out
+    return [math.prod(space.signature[m] for m in idx) for idx in grade_basis(space, k)]
 
 
 def _diag(values) -> LinDiffOp:
@@ -170,14 +177,11 @@ class PFormModel:
             raise FieldModelError(f"need 1 <= p <= n-1, got p={p}, n={space.n}")
         self.space = space
         self.p = p
-        self.a = canonicalize(ex._coerce(a))
-        self.b = canonicalize(ex._coerce(b))
+        self.a = ex._coerce(a)
+        self.b = ex._coerce(b)
         self.field_name = field_name
         self.F = fo.field_form(space, field_name, p)
-        self.fields = [
-            field_name + "".join(str(m) for m in idx)
-            for idx in grade_basis(space, p)
-        ]
+        self.fields = _field_names(space, field_name, p)
 
     @property
     def sigma(self) -> int:
@@ -251,31 +255,16 @@ class PFormModel:
     def energy_momentum(self):
         """T_{mu nu} read from *j for the n translations; asserts symmetry
         and (in the critical dimension) tracelessness."""
-        n = self.space.n
-        matrix = []
-        for mu in range(n):
+        currents = []
+        for mu in range(self.space.n):
             j, ok, residual = self.killing_current(fo.translation(self.space, mu))
             if not ok:
                 raise FieldModelError(
                     f"current certificate failed for translation {mu}: {residual!r}"
                 )
-            sj = fo.hodge(j)
-            matrix.append([sj.component((nu,)) for nu in range(n)])
-        for mu in range(n):
-            for nu in range(mu + 1, n):
-                gap = canonicalize(matrix[mu][nu] - matrix[nu][mu])
-                if not is_identically_zero(gap):
-                    raise FieldModelError(
-                        f"energy-momentum not symmetric at ({mu},{nu}): "
-                        f"{ex.to_text(gap)}"
-                    )
-        if n == 2 * self.p:
-            trace = ex.ZERO
-            for mu in range(n):
-                trace = trace + ex.rational(self.space.signature[mu]) * matrix[mu][mu]
-            if not is_identically_zero(canonicalize(trace)):
-                raise FieldModelError("energy-momentum trace does not vanish")
-        return matrix
+            currents.append(j)
+        traceless = self.space.n == 2 * self.p
+        return _energy_momentum(self.space, currents, traceless, "energy-momentum")
 
     # anchor ---------------------------------------------------------------
     @_memoised
@@ -361,10 +350,7 @@ class SelfDualModel:
         raw = fo.field_form(space, field_name, space.n // 2)
         self.H, _ = fo.selfdual_project(raw)
         self.mid = space.n // 2
-        self.fields = [
-            field_name + "".join(str(m) for m in idx)
-            for idx in grade_basis(space, self.mid)
-        ]
+        self.fields = _field_names(space, field_name, self.mid)
 
     @_memoised
     def residual(self) -> Form:
@@ -386,9 +372,7 @@ class SelfDualModel:
         w_mid = metric_weights(space, self.mid)
         w_out = metric_weights(space, self.mid + 1)
         adjoint = pairing_adjoint(d_mid, w_mid, w_out)
-        star = hodge_operator(space, self.mid)
-        plus = (LinDiffOp.identity(star.rows) + star).scale(ex.rational(1, 2))
-        return plus.compose(adjoint), d_mid
+        return _selfdual_operator(space).compose(adjoint), d_mid
 
     def characteristic(self, xi: SpacetimeVector) -> Form:
         return fo.hodge(fo.interior(xi, self.H)).scale(-1)
@@ -418,9 +402,9 @@ class SelfDualModel:
         )
         transform_residual = (delta - lie_H).map_coefficients(self.shell().reduce)
         payload = {
-            "isotropy_identity": _form_text(isotropy),
-            "current_residual": _form_text(current_residual),
-            "transform_residual": _form_text(transform_residual),
+            "isotropy_identity": fo.form_text(isotropy),
+            "current_residual": fo.form_text(current_residual),
+            "transform_residual": fo.form_text(transform_residual),
         }
         ok = (
             isotropy.is_zero()
@@ -430,32 +414,31 @@ class SelfDualModel:
         return ok, payload
 
     def energy_momentum(self):
-        n = self.space.n
-        matrix = []
-        for mu in range(n):
-            sj = fo.hodge(self.current(fo.translation(self.space, mu)))
-            matrix.append([sj.component((nu,)) for nu in range(n)])
-        for mu in range(n):
-            for nu in range(mu + 1, n):
-                gap = canonicalize(matrix[mu][nu] - matrix[nu][mu])
-                if not is_identically_zero(gap):
-                    raise FieldModelError("self-dual energy-momentum not symmetric")
-        trace = ex.ZERO
-        for mu in range(n):
-            trace = trace + ex.rational(self.space.signature[mu]) * matrix[mu][mu]
-        if not is_identically_zero(canonicalize(trace)):
-            raise FieldModelError("self-dual energy-momentum trace does not vanish")
-        return matrix
+        currents = [
+            self.current(fo.translation(self.space, mu)) for mu in range(self.space.n)
+        ]
+        return _energy_momentum(self.space, currents, True, "self-dual energy-momentum")
 
 
-def _form_text(form: Form) -> str:
-    if form.is_zero():
-        return "0"
-    parts = []
-    for idx, coeff in sorted(form.components.items()):
-        basis = "^".join(f"dx{m}" for m in idx) or "1"
-        parts.append(f"({ex.to_text(coeff)}) {basis}")
-    return " + ".join(parts)
+def _energy_momentum(space: FlatSpace, currents, traceless: bool, what: str):
+    """T_{mu nu} read from *j = T_{mu nu} dx^nu for the n translation
+    currents; asserts symmetry and, when traceless, a vanishing trace."""
+    n = space.n
+    matrix = [[sj.component((nu,)) for nu in range(n)] for sj in map(fo.hodge, currents)]
+    for mu, nu in itertools.combinations(range(n), 2):
+        gap = matrix[mu][nu] - matrix[nu][mu]
+        if not is_identically_zero(gap):
+            raise FieldModelError(f"{what} not symmetric at ({mu},{nu}): {ex.to_text(gap)}")
+    if traceless:
+        trace = sum(
+            (ex.rational(s) * matrix[mu][mu] for mu, s in enumerate(space.signature)), ex.ZERO
+        )
+        if not is_identically_zero(trace):
+            raise FieldModelError(f"{what} trace does not vanish")
+    return matrix
+
+
+_form_text = fo.form_text  # the older name, still used by the tests
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +467,15 @@ class LieAlgebra:
         return self.f.get((a, b, c), Fraction(0))
 
     def _validate(self):
-        n = self.n
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.structure(a, b, c) != -self.structure(b, a, c):
-                        raise FieldModelError("structure constants are not antisymmetric")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        total = Fraction(0)
-                        for e in range(n):
-                            total += self.structure(a, b, e) * self.structure(e, c, d)
-                            total += self.structure(b, c, e) * self.structure(e, a, d)
-                            total += self.structure(c, a, e) * self.structure(e, b, d)
-                        if total:
-                            raise FieldModelError("Jacobi identity fails")
+        f, n = self.structure, range(self.n)
+        if any(f(a, b, c) != -f(b, a, c) for a, b, c in itertools.product(n, repeat=3)):
+            raise FieldModelError("structure constants are not antisymmetric")
+        for a, b, c, d in itertools.product(n, repeat=4):
+            if sum(
+                f(a, b, e) * f(e, c, d) + f(b, c, e) * f(e, a, d) + f(c, a, e) * f(e, b, d)
+                for e in n
+            ):
+                raise FieldModelError("Jacobi identity fails")
 
     def scaled(self, factor: Fraction) -> "LieAlgebra":
         return LieAlgebra(
@@ -536,7 +511,7 @@ class ChiralModel:
         self.space = space
         self.algebra = algebra
         self.N = algebra.n
-        self.g = canonicalize(ex._coerce(g))
+        self.g = ex._coerce(g)
         self.prefix = prefix
         self.components = [
             SelfDualModel(space, f"{prefix}{a + 1}") for a in range(self.N)
@@ -574,54 +549,23 @@ class ChiralModel:
         """Stacked (V, V*); the g-term enters V* as a field-dependent
         zero-order operator and V by the weighted adjoint plus self-dual
         projection."""
-        space = self.space
-        d_mid = d_operator(space, 1)
-        base = _block(d_mid, self.N)
-        # the zero-order wedge-with-H operator: P_a -> g f^{ab}_c P_a ^ H_b
-        basis1 = grade_basis(space, 1)
-        basis2 = grade_basis(space, 2)
-        entries = {}
-        for c_alg in range(self.N):
-            for a_alg in range(self.N):
-                for b_alg in range(self.N):
-                    f_abc = self.algebra.structure(a_alg, b_alg, c_alg)
-                    if not f_abc:
-                        continue
-                    # wedge of the unit 1-form basis with H_{b_alg}
-                    for col, i_idx in enumerate(basis1):
-                        for j_idx, h_coeff in self.H[b_alg].components.items():
-                            sign, merged = fo._merge_sign(i_idx, j_idx)
-                            if sign is None:
-                                continue
-                            row = basis2.index(merged)
-                            key = (
-                                c_alg * self.out_dim + row,
-                                a_alg * self.mid_dim + col,
-                                ex.EMPTY_INDEX,
-                            )
-                            term = ex.rational(f_abc * sign) * self.g * h_coeff
-                            entries[key] = (
-                                entries[key] + term if key in entries else term
-                            )
-        wedge_op = LinDiffOp(self.out_dim * self.N, self.mid_dim * self.N, entries)
-        vstar = base + wedge_op
-        w_in = metric_weights(space, 1) * self.N
-        w_out = metric_weights(space, 2) * self.N
-        kappa_in = []
-        kappa_out = []
-        for a_alg in range(self.N):
-            kappa_in.extend([self.algebra.kappa[a_alg]] * self.mid_dim)
-            kappa_out.extend([self.algebra.kappa[a_alg]] * self.out_dim)
-        w_in = [w * k for w, k in zip(w_in, kappa_in)]
-        w_out = [w * k for w, k in zip(w_out, kappa_out)]
+        space, kappa = self.space, self.algebra.kappa
+        # the zero-order term P_a -> g f^{ab}_c P_a ^ H_b, read off the bracket
+        probes = [f"{_PROBE}{a}_" for a in range(self.N)]
+        bracket = self.bracket_form([fo.field_form(space, u, 1) for u in probes], self.H)
+        wedge_op = linearize(
+            [c for form in bracket for c in form_to_vector(form)],
+            [field for u in probes for field in _field_names(space, u, 1)],
+        )
+        vstar = _block(d_operator(space, 1), self.N) + wedge_op.scale(self.g)
+        w_in = [w * kappa[a] for a in range(self.N) for w in metric_weights(space, 1)]
+        w_out = [w * kappa[a] for a in range(self.N) for w in metric_weights(space, 2)]
         adjoint = pairing_adjoint(vstar, w_in, w_out)
-        star = hodge_operator(space, 1)
-        plus = (LinDiffOp.identity(star.rows) + star).scale(ex.rational(1, 2))
-        return _block(plus, self.N).compose(adjoint), vstar
+        return _block(_selfdual_operator(space), self.N).compose(adjoint), vstar
 
     def internal_characteristic(self, epsilon):
         """Psi_a = -*epsilon_a for a constant algebra element."""
-        eps = [canonicalize(ex._coerce(c)) for c in epsilon]
+        eps = [ex._coerce(c) for c in epsilon]
         if len(eps) != self.N:
             raise FieldModelError("epsilon has the wrong number of components")
         for c in eps:
@@ -648,10 +592,7 @@ class ChiralModel:
 
         # (ii) V(Psi) = -g [eps, H] exactly
         v, _ = self.anchor_ops()
-        stacked = []
-        for a in range(self.N):
-            stacked.extend(form_to_vector(psi[a]))
-        delta_vec = v.apply(stacked)
+        delta_vec = v.apply([c for form in psi for c in form_to_vector(form)])
         delta = [
             vector_to_form(
                 self.space, 1, delta_vec[a * self.mid_dim : (a + 1) * self.mid_dim]
@@ -661,10 +602,10 @@ class ChiralModel:
         eps_forms = [fo.scalar(self.space, c) for c in eps]
         target = self.bracket_form(eps_forms, self.H)
         shell = self.shell()
-        transform_residual = []
-        for a in range(self.N):
-            r = delta[a] + target[a].scale(self.g)
-            transform_residual.append(r.map_coefficients(shell.reduce))
+        transform_residual = [
+            (delta[a] + target[a].scale(self.g)).map_coefficients(shell.reduce)
+            for a in range(self.N)
+        ]
 
         # (iii) the transformation is a symmetry: d(delta H_a) = 0 on shell
         symmetry_residual = [
@@ -683,9 +624,9 @@ class ChiralModel:
             bracket_ok = False
 
         payload = {
-            "current_residual": _form_text(current_residual),
-            "transform_residual": [_form_text(r) for r in transform_residual],
-            "symmetry_residual": [_form_text(r) for r in symmetry_residual],
+            "current_residual": fo.form_text(current_residual),
+            "transform_residual": [fo.form_text(r) for r in transform_residual],
+            "symmetry_residual": [fo.form_text(r) for r in symmetry_residual],
             "bracket_jacobi": bracket_ok,
         }
         ok = (
@@ -699,13 +640,8 @@ class ChiralModel:
     def spacetime_verify(self, xi: SpacetimeVector):
         """Space-time certificates per multiplet component (the conformal
         symmetries keep the abelian form)."""
-        payloads = []
-        ok = True
-        for component in self.components:
-            c_ok, payload = component.verify(xi)
-            ok = ok and c_ok
-            payloads.append(payload)
-        return ok, payloads
+        results = [component.verify(xi) for component in self.components]
+        return all(ok for ok, _ in results), [payload for _, payload in results]
 
     def abelian_block(self, a: int) -> LinDiffOp:
         """The (a, a) block of V at g = 0 for degeneration comparisons.

@@ -12,7 +12,7 @@ import functools
 import itertools
 
 from . import expr as ex
-from .expr import Expr, _padd_scaled, _pmul, _pscale, canonicalize, is_identically_zero
+from .expr import Expr, _padd_scaled, _pmul, _pscale, is_identically_zero
 
 
 class FormError(ex.ExprError):
@@ -90,7 +90,7 @@ class Form:
                 raise FormError(f"index {idx} must be strictly increasing")
             if any(not 0 <= m < space.n for m in idx):
                 raise FormError(f"index {idx} out of range")
-            coeff = canonicalize(ex._coerce(coeff))
+            coeff = ex._coerce(coeff)
             if not is_identically_zero(coeff):
                 table[idx] = coeff
         self.components = table
@@ -102,7 +102,7 @@ class Form:
         if sign is None:
             return ex.ZERO
         base = self.components.get(sorted_idx, ex.ZERO)
-        return base if sign == 1 else canonicalize(-base)
+        return base if sign == 1 else -base
 
     def is_zero(self) -> bool:
         return not self.components
@@ -144,18 +144,22 @@ class Form:
         return (self - other).is_zero()
 
     def __repr__(self):
-        if self.is_zero():
-            return f"Form({self.grade}-form, 0)"
-        parts = []
-        for idx, coeff in sorted(self.components.items()):
-            basis = "^".join(f"dx{m}" for m in idx) or "1"
-            parts.append(f"({ex.to_text(coeff)}) {basis}")
-        return f"Form({self.grade}-form, " + " + ".join(parts) + ")"
+        return f"Form({self.grade}-form, {form_text(self)})"
+
+
+def form_text(form: Form) -> str:
+    """Readable rendering for reports: '(coeff) dx0^dx1' terms in index
+    order joined by ' + ', or '0'."""
+    parts = []
+    for idx, coeff in sorted(form.components.items()):
+        basis = "^".join(f"dx{m}" for m in idx) or "1"
+        parts.append(f"({ex.to_text(coeff)}) {basis}")
+    return " + ".join(parts) or "0"
 
 
 class SpacetimeVector:
     def __init__(self, space: FlatSpace, components):
-        components = [canonicalize(ex._coerce(c)) for c in components]
+        components = [ex._coerce(c) for c in components]
         if len(components) != space.n:
             raise FormError("vector has wrong number of components")
         self.space = space
@@ -322,18 +326,12 @@ def conformal_killing_check(xi: SpacetimeVector, space: FlatSpace) -> str:
     """Classify a vector field: 'killing', 'conformal' or 'neither' from the
     flat-metric deformation d_mu xi_nu + d_nu xi_mu."""
     n = space.n
-    lowered = [
-        canonicalize(ex.rational(space.signature[m]) * xi.components[m])
-        for m in range(n)
-    ]
-    deformation = {}
-    for mu in range(n):
-        for nu in range(mu, n):
-            k = canonicalize(
-                ex.total_derivative(lowered[nu], space.coords[mu])
-                + ex.total_derivative(lowered[mu], space.coords[nu])
-            )
-            deformation[(mu, nu)] = k
+    lowered = [ex.rational(space.signature[m]) * xi.components[m] for m in range(n)]
+    deformation = {
+        (mu, nu): ex.total_derivative(lowered[nu], space.coords[mu])
+        + ex.total_derivative(lowered[mu], space.coords[nu])
+        for mu, nu in itertools.combinations_with_replacement(range(n), 2)
+    }
     if all(is_identically_zero(k) for k in deformation.values()):
         return "killing"
     divergence = ex.ZERO

@@ -17,7 +17,6 @@ from .expr import (
     JetVar,
     MultiIndex,
     EMPTY_INDEX,
-    canonicalize,
     is_identically_zero,
     to_text,
 )
@@ -77,14 +76,14 @@ class LinDiffOp:
         for key, coeff in (entries or {}).items():
             r, c, alpha = key
             alpha = _as_index(alpha)
-            coeff = canonicalize(ex._coerce(coeff))
+            coeff = ex._coerce(coeff)
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry outside the matrix shape")
             if is_identically_zero(coeff):
                 continue
             k = (r, c, alpha)
             if k in table:
-                coeff = canonicalize(table[k] + coeff)
+                coeff = table[k] + coeff
                 if is_identically_zero(coeff):
                     del table[k]
                     continue
@@ -134,14 +133,14 @@ class LinDiffOp:
         )
 
     def apply(self, vector):
-        """Apply to a vector of expressions, canonicalized entrywise."""
+        """Apply to a vector of expressions."""
         if len(vector) != self.cols:
             raise ValueError(f"expected {self.cols} components, got {len(vector)}")
         vector = [ex._coerce(v) for v in vector]
         out = [ex.ZERO for _ in range(self.rows)]
         for (r, c, alpha), coeff in self.entries.items():
             out[r] = out[r] + coeff * ex.iterated_total_derivative(vector[c], alpha)
-        return [canonicalize(v) for v in out]
+        return out
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Leibniz-expanded composition: (self.compose(other)).apply(v) ==
@@ -239,7 +238,7 @@ class ShellRules:
     """
 
     def __init__(self, equations, directions, max_order=None):
-        self.equations = [canonicalize(ex._coerce(e)) for e in equations]
+        self.equations = [ex._coerce(e) for e in equations]
         self.directions = tuple(directions)
         self.auto = max_order is None
         self._lock = threading.Lock()
@@ -255,7 +254,7 @@ class ShellRules:
 
     def _build(self, order):
         eqs = list(self.equations)
-        seen = {canonicalize(e) for e in eqs}
+        seen = set(eqs)
         frontier = list(self.equations)
         while frontier:
             new = []
@@ -289,7 +288,7 @@ class ShellRules:
 
     def reduce(self, e: Expr) -> Expr:
         """Exhaustively substitute leading jets; idempotent."""
-        e = canonicalize(ex._coerce(e))
+        e = ex._coerce(e)
         needed = ex.max_jet_order(e)
         rules = self.rules_up_to(needed)
         while True:
@@ -310,7 +309,7 @@ def _eliminate(equations):
     """Triangularize linear-in-their-lead equations into rewrite rules."""
     rules = {}
     for eq in equations:
-        eq = _reduce_full(canonicalize(eq), rules)
+        eq = _reduce_full(eq, rules)
         if is_identically_zero(eq):
             continue
         jets = ex.jet_atoms(eq)
@@ -318,15 +317,15 @@ def _eliminate(equations):
             raise ShellError(f"inconsistent shell relation: {to_text(eq)} = 0")
         lead = max(jets, key=_lead_key)
         coeff = ex.diff(eq, lead)
-        if ex.jet_atoms(coeff) or not isinstance(canonicalize(coeff), ex.Rat):
+        if ex.jet_atoms(coeff) or not isinstance(coeff, ex.Rat):
             raise ShellError(
                 f"cannot solve relation for {lead.display()}: "
                 "leading coefficient is not constant"
             )
-        rest = canonicalize(eq - coeff * ex.Sym(lead))
+        rest = eq - coeff * ex.Sym(lead)
         if lead in ex.jet_atoms(rest):
             raise ShellError(f"relation is nonlinear in {lead.display()}")
-        rules[lead] = canonicalize(rest * ex.rational(-1) / coeff)
+        rules[lead] = rest * ex.rational(-1) / coeff
     # normalize right-hand sides against the full rule set
     stable = False
     while not stable:

@@ -170,24 +170,24 @@ def _parse(text, ctx, where):
 def format_model(model: ModelFile) -> str:
     """Canonical rendering; parse(format(m)) reproduces m."""
     out = ["[ode]", f"n = {model.n}"]
-    vs = ", ".join(ex.to_text(ex.canonicalize(c)) for c in model.system.v)
+    vs = ", ".join(ex.to_text(c) for c in model.system.v)
     out.append(f"v = [{vs}]")
     if model.alpha is not None and not model.alpha.is_zero():
         out.append("")
         out.append("[anchor]")
         for (i, j), value in sorted(model.alpha.upper.items()):
-            out.append(f"alpha_{i + 1}_{j + 1} = {ex.to_text(ex.canonicalize(value))}")
+            out.append(f"alpha_{i + 1}_{j + 1} = {ex.to_text(value)}")
     if model.f is not None:
         out.append("")
         out.append("[characteristic]")
-        out.append(f"f = {ex.to_text(ex.canonicalize(model.f))}")
+        out.append(f"f = {ex.to_text(model.f)}")
     if model.w is not None:
         out.append("")
         out.append("[symmetry]")
-        ws = ", ".join(ex.to_text(ex.canonicalize(c)) for c in model.w)
+        ws = ", ".join(ex.to_text(c) for c in model.w)
         out.append(f"w = [{ws}]")
     if model.hamiltonian is not None:
         out.append("")
         out.append("[hamiltonian]")
-        out.append(f"H = {ex.to_text(ex.canonicalize(model.hamiltonian))}")
+        out.append(f"H = {ex.to_text(model.hamiltonian)}")
     return "\n".join(out) + "\n"

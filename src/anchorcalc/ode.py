@@ -23,7 +23,6 @@ from .expr import (
     Expr,
     JetVar,
     UnsupportedInputError,
-    canonicalize,
     is_identically_zero,
 )
 
@@ -36,7 +35,7 @@ def field_name(i: int) -> str:
 
 
 def _check_zeroth_order(e: Expr, what: str) -> Expr:
-    e = canonicalize(ex._coerce(e))
+    e = ex._coerce(e)
     bad = [a for a in ex.jet_atoms(e) if a.index.order() > 0]
     if bad:
         names = ", ".join(sorted(a.display() for a in bad))
@@ -106,7 +105,7 @@ class Bivector:
             return ex.ZERO
         if i < j:
             return self.upper.get((i, j), ex.ZERO)
-        return canonicalize(-self.upper.get((j, i), ex.ZERO))
+        return -self.upper.get((j, i), ex.ZERO)
 
     def matrix(self):
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
@@ -147,7 +146,7 @@ class Trivector:
         for (i, j, k), value in (upper or {}).items():
             if not (0 <= i < j < k < n):
                 raise ValueError("trivector entries must have i < j < k")
-            value = canonicalize(ex._coerce(value))
+            value = ex._coerce(value)
             if not is_identically_zero(value):
                 table[(i, j, k)] = value
         self.upper = table
@@ -157,7 +156,7 @@ class Trivector:
         if sign is None:
             return ex.ZERO
         base = self.upper.get(order, ex.ZERO)
-        return canonicalize(base if sign > 0 else -base)
+        return base if sign > 0 else -base
 
     def is_zero(self) -> bool:
         return not self.upper
@@ -236,6 +235,13 @@ def _deform(tab, sys, a, h):
     return OdeSystem(_anchor_apply(tab, a, h, TWIST_SIGN, [dict(vi._poly) for vi in sys.v]))
 
 
+def _matrix(sys: OdeSystem, alpha: Bivector):
+    """alpha.matrix(), after checking that alpha lives on the system's x."""
+    if alpha.n != sys.n:
+        raise ValueError("dimension mismatch")
+    return alpha.matrix()
+
+
 def _coerce_char(f):
     return f.f if isinstance(f, CharacteristicFn) else _check_zeroth_order(f, "a characteristic")
 
@@ -274,9 +280,7 @@ def check_symmetry(sys: OdeSystem, w):
 
 def check_anchor(sys: OdeSystem, alpha: Bivector):
     """d_t alpha = L_v alpha componentwise on i < j; returns (flag, residuals)."""
-    if alpha.n != sys.n:
-        raise ValueError("dimension mismatch")
-    tab, a, v = _Partials(), alpha.matrix(), sys.v
+    tab, a, v = _Partials(), _matrix(sys, alpha), sys.v
     residual = {}
     for i, j in itertools.combinations(range(sys.n), 2):
         # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j
@@ -320,14 +324,14 @@ def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     """Proper deformation by the twist of H: v'^i = v^i - alpha^{ij} d_j H
     (sign frozen by calibration; the free system deforms to
     xdot^i = {x^i, H})."""
-    return _deform(_Partials(), sys, alpha.matrix(), _coerce_char(hamiltonian))
+    return _deform(_Partials(), sys, _matrix(sys, alpha), _coerce_char(hamiltonian))
 
 
 def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     """When {f, H} is a function of t alone with polynomial antiderivative g,
     f - g must be conserved by the deformed system.  Returns (flag, detail)."""
     f, h = _coerce_char(f), _coerce_char(hamiltonian)
-    tab, a = _Partials(), alpha.matrix()
+    tab, a = _Partials(), _matrix(sys, alpha)
     if not _characteristic(tab, sys, f)[0]:
         return False, "f is not a characteristic of the original system"
     bracket = _poisson_bracket(tab, a, f, h)
@@ -355,7 +359,7 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
     n = sys.n
-    tab, a = _Partials(), alpha.matrix()
+    tab, a = _Partials(), _matrix(sys, alpha)
     residuals = {}
     psi_v = {}
     for k in range(n):

@@ -3,11 +3,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
 from anchorcalc import field_models as fm
 from anchorcalc import forms as fo
+from anchorcalc.linop import LinDiffOp
 
 L2, L4 = fo.lorentzian(2), fo.lorentzian(4)
 E2, E4 = fo.euclidean(2), fo.euclidean(4)
@@ -394,6 +397,120 @@ def test_chiral_n1_abelian_matches_selfdual():
 def test_chiral_wrong_space():
     with pytest.raises(fm.FieldModelError):
         fm.ChiralModel(L4, fm.su2(), 1)
+
+
+# --- component operators against loop-built references ------------------------
+#
+# The operators are linearizations of the forms operations.  These references
+# build the same matrices from their own permutation-sign loops, so a sign
+# changed in forms.exterior_d, forms.hodge or forms.wedge shows up here.
+
+
+def _reference_d_operator(space, k):
+    dom = fm.grade_basis(space, k)
+    cod = fm.grade_basis(space, k + 1)
+    cod_pos = {idx: r for r, idx in enumerate(cod)}
+    entries = {}
+    for c, idx in enumerate(dom):
+        for mu in range(space.n):
+            if mu in idx:
+                continue
+            sign, new_idx = fo._merge_sign((mu,), idx)
+            key = (cod_pos[new_idx], c, ex.MultiIndex({space.coords[mu]: 1}))
+            coeff = ex.rational(sign)
+            entries[key] = entries[key] + coeff if key in entries else coeff
+    return LinDiffOp(len(cod), len(dom), entries)
+
+
+def _reference_hodge_operator(space, k):
+    dom = fm.grade_basis(space, k)
+    cod = fm.grade_basis(space, space.n - k)
+    cod_pos = {idx: r for r, idx in enumerate(cod)}
+    entries = {}
+    full = set(range(space.n))
+    for c, idx in enumerate(dom):
+        complement = tuple(sorted(full - set(idx)))
+        sign, _ = fo._merge_sign(idx, complement)
+        raised = 1
+        for m in idx:
+            raised *= space.signature[m]
+        entries[(cod_pos[complement], c, ex.EMPTY_INDEX)] = ex.rational(sign * raised)
+    return LinDiffOp(len(cod), len(dom), entries)
+
+
+def _reference_selfdual_projector(space):
+    star = _reference_hodge_operator(space, space.n // 2)
+    return (LinDiffOp.identity(star.rows) + star).scale(ex.rational(1, 2))
+
+
+def _reference_chiral_wedge(model):
+    """The zero-order operator P_a -> g f^{ab}_c P_a ^ H_b."""
+    basis1 = fm.grade_basis(model.space, 1)
+    basis2 = fm.grade_basis(model.space, 2)
+    entries = {}
+    for c_alg in range(model.N):
+        for a_alg in range(model.N):
+            for b_alg in range(model.N):
+                f_abc = model.algebra.structure(a_alg, b_alg, c_alg)
+                if not f_abc:
+                    continue
+                # wedge of the unit 1-form basis with H_{b_alg}
+                for col, i_idx in enumerate(basis1):
+                    for j_idx, h_coeff in model.H[b_alg].components.items():
+                        sign, merged = fo._merge_sign(i_idx, j_idx)
+                        if sign is None:
+                            continue
+                        row = basis2.index(merged)
+                        key = (
+                            c_alg * model.out_dim + row,
+                            a_alg * model.mid_dim + col,
+                            ex.EMPTY_INDEX,
+                        )
+                        term = ex.rational(f_abc * sign) * model.g * h_coeff
+                        entries[key] = entries[key] + term if key in entries else term
+    return LinDiffOp(model.out_dim * model.N, model.mid_dim * model.N, entries)
+
+
+def _assert_same_operator(op, ref):
+    assert (op.rows, op.cols) == (ref.rows, ref.cols)
+    assert op == ref
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_component_operators_match_reference(n):
+    for space in (fo.euclidean(n), fo.lorentzian(n)):
+        for k in range(n + 1):
+            _assert_same_operator(fm.hodge_operator(space, k), _reference_hodge_operator(space, k))
+            if k < n:
+                _assert_same_operator(fm.d_operator(space, k), _reference_d_operator(space, k))
+    if n % 4 == 2:
+        space = fo.lorentzian(n)
+        mid = n // 2
+        adjoint = fm.pairing_adjoint(
+            _reference_d_operator(space, mid),
+            fm.metric_weights(space, mid),
+            fm.metric_weights(space, mid + 1),
+        )
+        v, _ = fm.SelfDualModel(space).anchor_ops()
+        _assert_same_operator(v, _reference_selfdual_projector(space).compose(adjoint))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(fm.ALGEBRAS)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+def test_chiral_anchor_matches_reference(name, g):
+    model = fm.ChiralModel(L2, fm.ALGEBRAS[name](), g)
+    v, vstar = model.anchor_ops()
+    ref_vstar = fm._block(_reference_d_operator(L2, 1), model.N) + _reference_chiral_wedge(model)
+    _assert_same_operator(vstar, ref_vstar)
+    kappa = model.algebra.kappa
+    w_in = [w * kappa[a] for a in range(model.N) for w in fm.metric_weights(L2, 1)]
+    w_out = [w * kappa[a] for a in range(model.N) for w in fm.metric_weights(L2, 2)]
+    adjoint = fm.pairing_adjoint(ref_vstar, w_in, w_out)
+    ref_v = fm._block(_reference_selfdual_projector(L2), model.N).compose(adjoint)
+    _assert_same_operator(v, ref_v)
 
 
 # --- optional slow-suite configuration: n = 6, p = 3 ----------------------------

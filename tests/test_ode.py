@@ -338,6 +338,29 @@ def test_twist_invariance_not_applicable():
     assert not ok and "depends on x" in detail
 
 
+# A bivector on another dimension than the system is refused, as check_anchor
+# refuses it: larger ones were silently truncated, smaller ones hit IndexError.
+_MISMATCHED = [(ode.free_system(2), SO3), (ode.free_system(3), CANON)]
+
+
+@pytest.mark.parametrize("sys, alpha", _MISMATCHED)
+def test_deform_rejects_bivector_of_other_dimension(sys, alpha):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ode.deform(sys, alpha, x3)
+
+
+@pytest.mark.parametrize("sys, alpha", _MISMATCHED)
+def test_twist_invariance_rejects_bivector_of_other_dimension(sys, alpha):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ode.twist_invariance_check(sys, alpha, x1, x2)
+
+
+@pytest.mark.parametrize("sys, alpha", _MISMATCHED)
+def test_proper_symmetry_rejects_bivector_of_other_dimension(sys, alpha):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ode.proper_symmetry_conditions(sys, alpha, [1] * sys.n)
+
+
 # --- transitivity rank ------------------------------------------------------
 
 
