@@ -1,11 +1,16 @@
 """Exact symbolic kernel over jet variables.
 
-An expression is an immutable sparse polynomial: a dict from monomials to
-nonzero exact coefficients.  The atoms are independent variables, jet
-variables, parameters and applications sin/cos/exp/log(arg) of the four
-elementary kernels.  A monomial is a tuple of (atom, exponent) pairs sorted
-by atom, with nonzero integer exponents (Laurent monomials).  Coefficients
-are ints until a division makes them Fractions.
+An expression is an immutable sparse polynomial with rational coefficients,
+held as integer numerators over one common denominator: the pair
+(numerators, denominator) of a dict from monomials to nonzero ints and a
+positive int.  Every value is in normal form: the gcd of the numerators and
+the denominator is 1, so the denominator is 1 exactly when every coefficient
+is an integer, and zero is ({}, 1).  Equality and hashing are structural.
+``poly()`` and ``terms()`` give the rational view, monomial -> int or
+Fraction.  The atoms are independent variables, jet variables, parameters
+and applications sin/cos/exp/log(arg) of the four elementary kernels.  A
+monomial is a tuple of (atom, exponent) pairs sorted by atom, with nonzero
+integer exponents (Laurent monomials).
 
 Every operation, the arithmetic operators included, expands eagerly, so
 every value is in canonical form and equality of values is mathematical
@@ -17,11 +22,13 @@ An atom is a tuple that is its own sort key, built from names and numbers
 only: hashing and ordering run in C, and the printed order, graded-
 lexicographic with the largest monomial first, is the same in every
 process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
-ResourceLimitError when an intermediate polynomial holds more monomials.
-That holds for the operator compose and adjoint, the form wedge, interior
-product and d, and the ODE checks and characteristic search too: they read
-the limit once per call and run on the polynomial layer below, so a change
-takes effect at the next call.
+ResourceLimitError when an intermediate polynomial holds more monomials, or
+when a multiplication would form more term products (len(p) * len(q)) than
+the limit; a product is refused before its loop runs, so the cap bounds
+time as well as size.  That holds for the operator and form layers and the
+ODE checks and characteristic search too: they read the limit once per call
+and run on the polynomial layer below, so a change takes effect at the next
+call.
 
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash of an expression is a write-once slot
@@ -30,6 +37,7 @@ whose value is deterministic, so a racing recomputation is harmless.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -206,7 +214,7 @@ class FunAtom(tuple):
     __slots__ = ()
 
     def __new__(cls, fn: str, arg: "Expr"):
-        return tuple.__new__(cls, (3, fn, _poly_key(arg._poly), arg))
+        return tuple.__new__(cls, (3, fn, _poly_key(arg.poly()), arg))
 
     fn = property(itemgetter(1))
     arg = property(itemgetter(3))
@@ -254,27 +262,27 @@ def _factor_key(atom):
 class Expr:
     """An immutable expanded polynomial in the atoms.
 
-    ``poly()`` is the read-only dict monomial -> nonzero coefficient.  Every
-    constant value is an instance of the subclass Rat.
+    ``poly()`` is the rational view, a dict monomial -> nonzero int or
+    Fraction, to be read only.  Every constant value is an instance of the
+    subclass Rat.
     """
 
     __slots__ = ("_poly", "_hash")
 
     def poly(self):
-        return self._poly
+        c, d = self._poly
+        if d == 1:
+            return c
+        return {m: v // d if v % d == 0 else Fraction(v, d) for m, v in c.items()}
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        acc = dict(self._poly)
-        _padd_into(acc, _coerce(other)._poly, node_limit())
-        return _expr(acc)
+        return _expr(_psum(self._poly, _coerce(other)._poly, node_limit()))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        acc = dict(self._poly)
-        _padd_into(acc, _pscale(_coerce(other)._poly, -1), node_limit())
-        return _expr(acc)
+        return _expr(_psum(self._poly, _coerce(other)._poly, node_limit(), -1))
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -310,7 +318,8 @@ class Expr:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(frozenset(self._poly.items()))
+            c, d = self._poly
+            h = self._hash = hash((frozenset(c.items()), d))
         return h
 
     def __repr__(self):
@@ -324,42 +333,69 @@ class Rat(Expr):
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self._poly.get((), 0))
+        c, d = self._poly
+        return Fraction(c.get((), 0), d)
 
 
 def _expr(p) -> Expr:
-    e = object.__new__(Rat if not p or (len(p) == 1 and () in p) else Expr)
+    """The value of a polynomial pair in normal form."""
+    c = p[0]
+    e = object.__new__(Rat if not c or (len(c) == 1 and () in c) else Expr)
     e._poly = p
     e._hash = None
     return e
 
 
-def _num(c):
-    """An exact rational as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
+def _expr_sum(acc) -> Expr:
+    """The value of a sum accumulated by _padd_into."""
+    return _expr(_normal(*acc))
 
 
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return _expr({(): _num(x)} if x else {})
+        return _expr(({(): x.numerator}, x.denominator) if x else ({}, 1))
     raise TypeError(f"cannot interpret {x!r} as an expression")
 
 
 def _atom(x):
     """The atom of a one-atom expression such as indep("t"); other values
     are returned unchanged."""
-    if isinstance(x, Expr) and len(x._poly) == 1:
-        ((mono, coeff),) = x._poly.items()
+    if isinstance(x, Expr) and len(x._poly[0]) == 1 and x._poly[1] == 1:
+        ((mono, coeff),) = x._poly[0].items()
         if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
             return mono[0][0]
     return x
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer (dict monomial -> coefficient); `limit` is the node limit
-# read once by the public operation that called in
+# polynomial layer.  A polynomial is a pair (numerators, denominator) in the
+# normal form of _normal, and is never mutated.  A sum is accumulated in a
+# list [numerators, denominator] by _padd_into and normalised once, at the
+# end.  `limit` is the node limit read once by the public operation that
+# called in.
+
+
+def _normal(c, d):
+    """The pair of c / d with the gcd of the numerators and d divided out."""
+    if d != 1:
+        g = math.gcd(d, *c.values())
+        if g != 1:
+            c = {m: v // g for m, v in c.items()}
+            d //= g
+    return c, d
+
+
+def _acc(p=({}, 1)):
+    """A fresh accumulator that starts at the polynomial p (zero by default)."""
+    return [dict(p[0]), p[1]]
+
+
+def _from_rationals(view):
+    """The normal-form pair of a dict monomial -> nonzero int or Fraction."""
+    d = math.lcm(*(v.denominator for v in view.values()))
+    return _normal({m: v.numerator * (d // v.denominator) for m, v in view.items()}, d)
 
 
 def _mono_mul(m1, m2):
@@ -388,57 +424,90 @@ def _mono_mul(m1, m2):
     return tuple(out) + m1[i:] + m2[j:]
 
 
-def _padd_into(acc, p, limit):
-    for m, c in p.items():
-        nc = acc.get(m, 0) + c
-        if nc:
-            acc[m] = nc
+def _padd_into(acc, p, limit, k=1):
+    """acc += k * p for an accumulator acc and an int k.  The accumulator
+    moves to the lcm of the two denominators only when they differ."""
+    c, d = p
+    out, den = acc
+    if d != den:
+        lcm = math.lcm(den, d)
+        if lcm != den:
+            f = lcm // den
+            for m in out:
+                out[m] *= f
+            acc[1] = lcm
+        k *= lcm // d
+    get = out.get
+    for m, v in c.items():
+        nv = get(m, 0) + k * v
+        if nv:
+            out[m] = nv
         else:
-            del acc[m]
-    _check_size(len(acc), limit)
+            del out[m]
+    _check_size(len(out), limit)
 
 
-def _padd_scaled(table, key, p, c, limit):
-    """table[key] += c * p, for a dict of polynomials keyed by output index."""
-    _padd_into(table.setdefault(key, {}), p if c == 1 else _pscale(p, c), limit)
+def _padd_scaled(table, key, p, k, limit):
+    """table[key] += k * p, for a dict of accumulators keyed by output index."""
+    acc = table.get(key)
+    if acc is None:
+        acc = table[key] = _acc()
+    _padd_into(acc, p, limit, k)
+
+
+def _psum(p, q, limit, k=1):
+    """p + k * q."""
+    acc = _acc(p)
+    _padd_into(acc, q, limit, k)
+    return _normal(*acc)
 
 
 def _pmul(p, q, limit):
-    if len(p) < len(q):
+    """p * q.  Refused before any work when the term products would exceed
+    the limit, which also bounds the monomials of the result."""
+    if len(p[0]) < len(q[0]):
         p, q = q, p
-    if len(q) == 1 and () in q:
-        return _pscale(p, q[()])
+    (pc, pd), (qc, qd) = p, q
+    if len(pc) * len(qc) > limit:
+        raise ResourceLimitError(
+            f"product exceeds node limit ({len(pc)} x {len(qc)} term products > {limit}); "
+            "set ANCHORCALC_NODE_LIMIT to raise the cap"
+        )
+    if len(qc) == 1 and () in qc:
+        return _pscale(p, qc[()], qd)
     out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
+    get = out.get
+    for m1, c1 in pc.items():
+        for m2, c2 in qc.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, 0) + c1 * c2
+            nc = get(m, 0) + c1 * c2
             if nc:
                 out[m] = nc
             else:
                 del out[m]
-        _check_size(len(out), limit)
-    return out
+    return _normal(out, pd * qd)
 
 
 def _pinv(p):
-    if len(p) != 1:
+    c, d = p
+    if len(c) != 1:
         raise UnsupportedInputError(
             "division is only supported by nonzero constants and single monomials"
         )
-    ((mono, coeff),) = p.items()
-    return {tuple((a, -e) for a, e in mono): _num(1 / Fraction(coeff))}
+    ((mono, coeff),) = c.items()
+    return {tuple((a, -e) for a, e in mono): d if coeff > 0 else -d}, abs(coeff)
 
 
 def _ppow(p, n: int, limit):
     if n < 0:
         p, n = _pinv(p), -n
     if n == 0:
-        return {(): 1}
-    if len(p) == 1:
-        ((mono, coeff),) = p.items()
-        return {tuple((a, e * n) for a, e in mono): coeff**n}
-    result = {(): 1}
+        return {(): 1}, 1
+    c, d = p
+    if len(c) == 1:
+        ((mono, coeff),) = c.items()
+        return {tuple((a, e * n) for a, e in mono): coeff**n}, d**n
+    result = ({(): 1}, 1)
     base = p
     while n:
         if n & 1:
@@ -449,10 +518,21 @@ def _ppow(p, n: int, limit):
     return result
 
 
-def _pscale(p, c):
-    if not c:
-        return {}
-    return {m: v * c for m, v in p.items()}
+def _pscale(p, num, den=1):
+    """p * num / den for ints num and den > 0."""
+    if not num:
+        return {}, 1
+    c, d = p
+    if den == 1:
+        # the numerators of p are coprime to d, so only num can share a factor
+        g = math.gcd(num, d)
+        if g != 1:
+            num //= g
+            d //= g
+        if num == 1:
+            return c, d
+        return {m: v * num for m, v in c.items()}, d
+    return _normal({m: v * num for m, v in c.items()}, d * den)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +541,16 @@ def _pscale(p, c):
 
 def Sym(atom) -> Expr:
     """The expression of a single atom."""
-    return _expr({((atom, 1),): 1})
+    return _expr(({((atom, 1),): 1}, 1))
 
 
 def Add(terms) -> Expr:
     """The sum of the given terms."""
-    acc = {}
+    acc = _acc()
     limit = node_limit()
     for t in terms:
         _padd_into(acc, _coerce(t)._poly, limit)
-    return _expr(acc)
+    return _expr_sum(acc)
 
 
 def indep(name: str) -> Expr:
@@ -500,16 +580,16 @@ def fun(fn: str, arg) -> Expr:
 
 def _fun_poly(fn, arg):
     p = arg._poly
-    if not p:
+    if not p[0]:
         # exact values at zero argument
         if fn == "sin":
-            return {}
+            return {}, 1
         if fn == "cos" or fn == "exp":
-            return {(): 1}
+            return {(): 1}, 1
         raise UnsupportedInputError("log(0) is undefined")
-    if fn == "log" and p == {(): 1}:
-        return {}
-    return {((FunAtom(fn, arg), 1),): 1}
+    if fn == "log" and p == ({(): 1}, 1):
+        return {}, 1
+    return {((FunAtom(fn, arg), 1),): 1}, 1
 
 
 def sin(e) -> Expr:
@@ -528,8 +608,8 @@ def log(e) -> Expr:
     return fun("log", e)
 
 
-ZERO = _expr({})
-ONE = _expr({(): 1})
+ZERO = _expr(({}, 1))
+ONE = _expr(({(): 1}, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +622,13 @@ def canonicalize(e: Expr) -> Expr:
 
 
 def is_identically_zero(e: Expr) -> bool:
-    return not _coerce(e)._poly
+    return not _coerce(e)._poly[0]
 
 
 def terms(e: Expr):
     """The (monomial, coefficient) pairs of e, largest first in graded-
     lexicographic order."""
-    return _sorted_terms(_coerce(e)._poly)
+    return _sorted_terms(_coerce(e).poly())
 
 
 def atoms(e: Expr, nested: bool = True):
@@ -560,7 +640,7 @@ def atoms(e: Expr, nested: bool = True):
 
 
 def _collect_atoms(p, out, nested):
-    for mono in p:
+    for mono in p[0]:
         for a, _ in mono:
             out.add(a)
             if nested and isinstance(a, FunAtom):
@@ -587,42 +667,50 @@ def max_jet_order(e: Expr, field=None) -> int:
 def _derive_poly(p, atom_rule, limit):
     """Product rule over monomials; atom_rule(atom) is the derivative of
     one atom as a polynomial, computed once per atom and call."""
+    c, d = p
     acc = {}
+    den = 1  # lcm of the denominators of the atom derivatives met so far
     rules = {}
-    for mono, coeff in p.items():
+    for mono, coeff in c.items():
         for k, (a, e) in enumerate(mono):
             da = rules.get(a)
             if da is None:
                 da = rules[a] = atom_rule(a)
-            if not da:
+            dc, dd = da
+            if not dc:
                 continue
+            if den % dd:
+                f = dd // math.gcd(den, dd)
+                for m in acc:
+                    acc[m] *= f
+                den *= f
             if e == 1:
                 rest = mono[:k] + mono[k + 1 :]
             else:
                 rest = mono[:k] + ((a, e - 1),) + mono[k + 1 :]
-            c = coeff * e
-            for m2, c2 in da.items():
+            scale = coeff * e * (den // dd)
+            for m2, c2 in dc.items():
                 m = _mono_mul(rest, m2)
-                nc = acc.get(m, 0) + c * c2
+                nc = acc.get(m, 0) + scale * c2
                 if nc:
                     acc[m] = nc
                 else:
                     del acc[m]
         _check_size(len(acc), limit)
-    return acc
+    return _normal(acc, d * den)
 
 
 def _chain(atom: FunAtom, inner, limit):
     """d fn(arg) = fn'(arg) * d arg, with d arg given as `inner`."""
-    if not inner:
-        return {}
+    if not inner[0]:
+        return {}, 1
     fn, arg = atom[1], atom[3]
     if fn == "sin":
         outer = _fun_poly("cos", arg)
     elif fn == "cos":
         outer = _pscale(_fun_poly("sin", arg), -1)
     elif fn == "exp":
-        outer = {((atom, 1),): 1}
+        outer = {((atom, 1),): 1}, 1
     else:
         outer = _pinv(arg._poly)
     return _pmul(outer, inner, limit)
@@ -631,12 +719,12 @@ def _chain(atom: FunAtom, inner, limit):
 def _total_derivative_poly(p, d: str, limit):
     def rule(a):
         if isinstance(a, JetVar):
-            return {((JetVar(a[1], a[2].step(d)), 1),): 1}
+            return {((JetVar(a[1], a[2].step(d)), 1),): 1}, 1
         if isinstance(a, IndepVar):
-            return {(): 1} if a[1] == d else {}
+            return ({(): 1} if a[1] == d else {}), 1
         if isinstance(a, FunAtom):
             return _chain(a, _total_derivative_poly(a[3]._poly, d, limit), limit)
-        return {}
+        return {}, 1
 
     return _derive_poly(p, rule, limit)
 
@@ -644,10 +732,10 @@ def _total_derivative_poly(p, d: str, limit):
 def _partial_poly(p, sym, limit):
     def rule(a):
         if a == sym:
-            return {(): 1}
+            return {(): 1}, 1
         if isinstance(a, FunAtom):
             return _chain(a, _partial_poly(a[3]._poly, sym, limit), limit)
-        return {}
+        return {}, 1
 
     return _derive_poly(p, rule, limit)
 
@@ -684,11 +772,11 @@ def euler_derivative(density: Expr, field: str) -> Expr:
     sum over jet orders of (-1)^|a| D^a (d density / d u_a)."""
     density = _coerce(density)
     limit = node_limit()
-    out = {}
+    out = _acc()
     for a in jet_atoms(density, field):
         term = _iterated_poly(_partial_poly(density._poly, a, limit), a.index, limit)
-        _padd_into(out, _pscale(term, (-1) ** a.index.order()), limit)
-    return _expr(out)
+        _padd_into(out, term, limit, (-1) ** a.index.order())
+    return _expr_sum(out)
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +790,11 @@ def substitute(e: Expr, mapping) -> Expr:
 
 
 def _subst_poly(p, table, limit):
-    acc = {}
+    c, d = p
+    acc = _acc()
     replaced = {}  # atom -> new polynomial, or None when it stays
     powers = {}  # (atom, exponent) -> power of its replacement
-    for mono, coeff in p.items():
+    for mono, coeff in c.items():
         kept = []
         factors = []
         for pair in mono:
@@ -724,11 +813,11 @@ def _subst_poly(p, table, limit):
             if pair not in powers:
                 powers[pair] = _ppow(rep, e, limit)
             factors.append(powers[pair])
-        term = {tuple(kept): coeff}
+        term = {tuple(kept): coeff}, 1
         for f in factors:
             term = _pmul(term, f, limit)
         _padd_into(acc, term, limit)
-    return acc
+    return _normal(acc[0], acc[1] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +842,7 @@ def divergence_split(density: Expr, d=None):
                 "density is not polynomial in the jet variables "
                 f"(found {a.display()})"
             )
-    for mono in density._poly:
+    for mono in density._poly[0]:
         for a, e in mono:
             if isinstance(a, JetVar) and e < 0:
                 raise UnsupportedInputError(
@@ -766,7 +855,7 @@ def divergence_split(density: Expr, d=None):
     limit = node_limit()
     # integration-by-parts collector: for every field u and order k >= 1,
     #   u^(k) dL/du^(k) = u E(L)-part + D_t [ sum_j (-1)^j u^(k-1-j) D^j dL/du^(k) ]
-    collected = {}
+    collected = _acc()
     for a in jet_atoms(density):
         k = a.index.order()
         if k == 0:
@@ -774,24 +863,27 @@ def divergence_split(density: Expr, d=None):
         deriv = _partial_poly(density._poly, a, limit)
         for j in range(k):
             lowered = ((JetVar(a.field, MultiIndex({name: k - 1 - j})), 1),)
-            _padd_into(collected, _pmul({lowered: (-1) ** j}, deriv, limit), limit)
+            _padd_into(collected, _pmul(({lowered: 1}, 1), deriv, limit), limit, (-1) ** j)
             deriv = _total_derivative_poly(deriv, name, limit)
 
     # scale integral over the field-rescaling ray: each monomial of total
     # jet degree m contributes with weight 1/m
-    ray = {}
-    for mono, coeff in collected.items():
+    degrees = {}
+    for mono in collected[0]:
         degree = sum(e for a, e in mono if isinstance(a, JetVar))
         if degree <= 0:
             raise UnsupportedInputError("homotopy collector lost field degree")
-        ray[mono] = _num(Fraction(coeff, degree))
+        degrees[mono] = degree
+    lcm = math.lcm(*degrees.values())
+    ray = [{m: v * (lcm // degrees[m]) for m, v in collected[0].items()}, collected[1] * lcm]
 
     # pure (t, parameter) remainder integrates termwise
-    remainder = {m: c for m, c in density._poly.items()
-                 if not any(isinstance(a, JetVar) for a, _ in m)}
+    c, d = density._poly
+    remainder = _normal({m: v for m, v in c.items()
+                         if not any(isinstance(a, JetVar) for a, _ in m)}, d)
     _padd_into(ray, _poly_antiderivative(remainder, name, limit), limit)
 
-    j = _expr(ray)
+    j = _expr_sum(ray)
     if not is_identically_zero(total_derivative(j, name) - density):
         raise UnsupportedInputError("homotopy inversion failed on this input")
     return j
@@ -822,9 +914,10 @@ def antiderivative(e: Expr, name: str) -> Expr:
 
 
 def _poly_antiderivative(p, name, limit):
-    out = {}
+    c, d = p
+    out = _acc()
     t = IndepVar(name)
-    for mono, coeff in p.items():
+    for mono, coeff in c.items():
         k = 0
         rest = []
         for a, e in mono:
@@ -838,12 +931,13 @@ def _poly_antiderivative(p, name, limit):
                     f"(term contains {a.display()})"
                 )
         if k == -1:
-            lifted = _pmul({tuple(rest): coeff}, _fun_poly("log", Sym(t)), limit)
+            lifted = _pmul(({tuple(rest): coeff}, 1), _fun_poly("log", Sym(t)), limit)
             _padd_into(out, lifted, limit)
             continue
         rest.append((t, k + 1))
-        _padd_into(out, {tuple(sorted(rest)): _num(Fraction(coeff, k + 1))}, limit)
-    return out
+        sign = 1 if k + 1 > 0 else -1
+        _padd_into(out, _normal({tuple(sorted(rest)): sign * coeff}, sign * (k + 1)), limit)
+    return _normal(out[0], out[1] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +976,9 @@ class _DomainViolation(Exception):
 
 
 def _eval_poly(p, assignment) -> Fraction:
+    c, d = p
     total = Fraction(0)
-    for mono, coeff in p.items():
+    for mono, coeff in c.items():
         value = coeff
         for a, e in mono:
             base = _eval_atom(a, assignment)
@@ -891,7 +986,7 @@ def _eval_poly(p, assignment) -> Fraction:
                 raise _DomainViolation("negative power at zero sample")
             value *= base**e
         total += value
-    return total
+    return total / d
 
 
 def _eval_atom(a, assignment) -> Fraction:

@@ -12,7 +12,7 @@ import functools
 import itertools
 
 from . import expr as ex
-from .expr import Expr, _padd_scaled, _pmul, _pscale, is_identically_zero
+from .expr import Expr, is_identically_zero
 
 
 class FormError(ex.ExprError):
@@ -109,20 +109,24 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._compatible(other)
+        limit = ex.node_limit()
         table = dict(self.components)
         for idx, coeff in other.components.items():
-            table[idx] = table[idx] + coeff if idx in table else coeff
+            if idx in table:
+                coeff = ex._expr(ex._psum(table[idx]._poly, coeff._poly, limit))
+            table[idx] = coeff
         return Form(self.space, self.grade, table)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "Form":
-        factor = ex._coerce(factor)
+        factor = ex._coerce(factor)._poly
+        limit = ex.node_limit()
         return Form(
             self.space,
             self.grade,
-            {idx: factor * coeff for idx, coeff in self.components.items()},
+            {idx: ex._expr(ex._pmul(factor, c._poly, limit)) for idx, c in self.components.items()},
         )
 
     def map_coefficients(self, fn) -> "Form":
@@ -230,9 +234,9 @@ def wedge(a: Form, b: Form) -> Form:
         for j_idx, j_coeff in b.components.items():
             sign, idx = _merge_sign(i_idx, j_idx)
             if sign is not None:
-                term = _pmul(i_coeff._poly, j_coeff._poly, limit)
-                _padd_scaled(table, idx, term, sign, limit)
-    return Form(a.space, grade, {idx: ex._expr(p) for idx, p in table.items()})
+                term = ex._pmul(i_coeff._poly, j_coeff._poly, limit)
+                ex._padd_scaled(table, idx, term, sign, limit)
+    return Form(a.space, grade, {idx: ex._expr_sum(p) for idx, p in table.items()})
 
 
 def exterior_d(a: Form) -> Form:
@@ -245,8 +249,8 @@ def exterior_d(a: Form) -> Form:
             if mu not in idx:
                 d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu], limit)
                 sign, new_idx = _merge_sign((mu,), idx)
-                _padd_scaled(table, new_idx, d_coeff, sign, limit)
-    return Form(a.space, a.grade + 1, {idx: ex._expr(p) for idx, p in table.items()})
+                ex._padd_scaled(table, new_idx, d_coeff, sign, limit)
+    return Form(a.space, a.grade + 1, {idx: ex._expr_sum(p) for idx, p in table.items()})
 
 
 def hodge(a: Form) -> Form:
@@ -260,7 +264,7 @@ def hodge(a: Form) -> Form:
         sign, _ = _merge_sign(idx, complement)
         for m in idx:
             sign *= space.signature[m]
-        table[complement] = ex._expr(_pscale(coeff._poly, sign))
+        table[complement] = ex._expr(ex._pscale(coeff._poly, sign))
     return Form(space, space.n - a.grade, table)
 
 
@@ -276,10 +280,10 @@ def interior(xi: SpacetimeVector, a: Form) -> Form:
     table = {}
     for idx, coeff in a.components.items():
         for pos, mu in enumerate(idx):
-            if xi.components[mu]._poly:
-                term = _pmul(xi.components[mu]._poly, coeff._poly, limit)
-                _padd_scaled(table, idx[:pos] + idx[pos + 1 :], term, (-1) ** pos, limit)
-    return Form(a.space, a.grade - 1, {idx: ex._expr(p) for idx, p in table.items()})
+            if xi.components[mu]._poly[0]:
+                term = ex._pmul(xi.components[mu]._poly, coeff._poly, limit)
+                ex._padd_scaled(table, idx[:pos] + idx[pos + 1 :], term, (-1) ** pos, limit)
+    return Form(a.space, a.grade - 1, {idx: ex._expr_sum(p) for idx, p in table.items()})
 
 
 def lie_derivative(xi: SpacetimeVector, a: Form) -> Form:
@@ -326,21 +330,26 @@ def conformal_killing_check(xi: SpacetimeVector, space: FlatSpace) -> str:
     """Classify a vector field: 'killing', 'conformal' or 'neither' from the
     flat-metric deformation d_mu xi_nu + d_nu xi_mu."""
     n = space.n
-    lowered = [ex.rational(space.signature[m]) * xi.components[m] for m in range(n)]
-    deformation = {
-        (mu, nu): ex.total_derivative(lowered[nu], space.coords[mu])
-        + ex.total_derivative(lowered[mu], space.coords[nu])
+    limit = ex.node_limit()
+    sig = space.signature
+    partials = {  # d_mu xi^nu
+        (mu, nu): ex._total_derivative_poly(xi.components[nu]._poly, space.coords[mu], limit)
+        for mu in range(n)
+        for nu in range(n)
+    }
+    deformation = {  # indices lowered by eta
+        (mu, nu): ex._psum(ex._pscale(partials[mu, nu], sig[nu]), partials[nu, mu], limit, sig[mu])
         for mu, nu in itertools.combinations_with_replacement(range(n), 2)
     }
-    if all(is_identically_zero(k) for k in deformation.values()):
+    if not any(k[0] for k in deformation.values()):
         return "killing"
-    divergence = ex.ZERO
+    divergence = ex._acc()
     for mu in range(n):
-        divergence = divergence + ex.total_derivative(xi.components[mu], space.coords[mu])
+        ex._padd_into(divergence, partials[(mu, mu)], limit)
+    divergence = ex._normal(*divergence)
     for (mu, nu), k in deformation.items():
-        target = ex.ZERO
         if mu == nu:
-            target = ex.rational(2 * space.signature[mu], n) * divergence
-        if not is_identically_zero(k - target):
+            k = ex._psum(k, ex._pscale(divergence, 2 * sig[mu], n), limit, -1)
+        if k[0]:
             return "neither"
     return "conformal"

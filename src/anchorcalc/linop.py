@@ -116,31 +116,37 @@ class LinDiffOp:
     def __add__(self, other: "LinDiffOp") -> "LinDiffOp":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        limit = ex.node_limit()
         merged = dict(self.entries)
         for k, v in other.entries.items():
-            merged[k] = merged[k] + v if k in merged else v
+            if k in merged:
+                v = ex._expr(ex._psum(merged[k]._poly, v._poly, limit))
+            merged[k] = v
         return LinDiffOp(self.rows, self.cols, merged)
 
     def __sub__(self, other: "LinDiffOp") -> "LinDiffOp":
         return self + other.scale(-1)
 
     def scale(self, coeff) -> "LinDiffOp":
-        coeff = ex._coerce(coeff)
+        coeff = ex._coerce(coeff)._poly
+        limit = ex.node_limit()
         return LinDiffOp(
             self.rows,
             self.cols,
-            {k: coeff * v for k, v in self.entries.items()},
+            {k: ex._expr(ex._pmul(coeff, v._poly, limit)) for k, v in self.entries.items()},
         )
 
     def apply(self, vector):
         """Apply to a vector of expressions."""
         if len(vector) != self.cols:
             raise ValueError(f"expected {self.cols} components, got {len(vector)}")
-        vector = [ex._coerce(v) for v in vector]
-        out = [ex.ZERO for _ in range(self.rows)]
+        vector = [ex._coerce(v)._poly for v in vector]
+        limit = ex.node_limit()
+        out = [ex._acc() for _ in range(self.rows)]
         for (r, c, alpha), coeff in self.entries.items():
-            out[r] = out[r] + coeff * ex.iterated_total_derivative(vector[c], alpha)
-        return out
+            d = ex._iterated_poly(vector[c], alpha, limit)
+            ex._padd_into(out[r], ex._pmul(coeff._poly, d, limit), limit)
+        return [ex._expr_sum(acc) for acc in out]
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Leibniz-expanded composition: (self.compose(other)).apply(v) ==
@@ -157,7 +163,7 @@ class LinDiffOp:
                 for remaining, binom, db in _leibniz(alpha, b, limit):
                     product = ex._pmul(a._poly, db, limit)
                     ex._padd_scaled(entries, (r, c, remaining + beta), product, binom, limit)
-        return LinDiffOp(self.rows, other.cols, {k: ex._expr(p) for k, p in entries.items()})
+        return LinDiffOp(self.rows, other.cols, {k: ex._expr_sum(p) for k, p in entries.items()})
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
@@ -168,7 +174,7 @@ class LinDiffOp:
             sign = (-1) ** alpha.order()
             for remaining, binom, da in _leibniz(alpha, a, limit):
                 ex._padd_scaled(entries, (c, r, remaining), da, sign * binom, limit)
-        return LinDiffOp(self.cols, self.rows, {k: ex._expr(p) for k, p in entries.items()})
+        return LinDiffOp(self.cols, self.rows, {k: ex._expr_sum(p) for k, p in entries.items()})
 
     # inspection ------------------------------------------------------------
     def is_zero(self) -> bool:

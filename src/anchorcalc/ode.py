@@ -188,51 +188,50 @@ class _Partials:
         return p
 
     def addmul(self, acc, p, q, sign=1):
-        """acc += sign * p * q, for polynomials."""
-        if p and q:
-            prod = ex._pmul(p, q, self.limit)
-            ex._padd_into(acc, prod if sign == 1 else ex._pscale(prod, sign), self.limit)
+        """acc += sign * p * q, for polynomials p, q and an accumulator."""
+        if p[0] and q[0]:
+            ex._padd_into(acc, ex._pmul(p, q, self.limit), self.limit, sign)
 
 
 def _characteristic(tab, sys, f):
     """(flag, residual d_t f - v . grad f)."""
-    acc = dict(tab.d(f, None))
+    acc = ex._acc(tab.d(f, None))
     for i, vi in enumerate(sys.v):
         tab.addmul(acc, vi._poly, tab.d(f, i), -1)
-    return not acc, ex._expr(acc)
+    return not acc[0], ex._expr_sum(acc)
 
 
 def _lie_bracket(tab, a, b, out=None):
     """[a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical fields, added to
-    the polynomials `out` (zero by default)."""
-    out = out or [{} for _ in a]
+    the accumulators `out` (zero by default)."""
+    out = out or [ex._acc() for _ in a]
     for i, acc in enumerate(out):
         for k in range(len(a)):
             tab.addmul(acc, a[k]._poly, tab.d(b[i], k))
             tab.addmul(acc, b[k]._poly, tab.d(a[i], k), -1)
-    return [ex._expr(acc) for acc in out]
+    return [ex._expr_sum(acc) for acc in out]
 
 
 def _anchor_apply(tab, a, f, sign=1, out=None):
     """w^i = alpha^{ij} d_j f for a = alpha.matrix(), times sign and added
-    to the polynomials `out` (zero by default)."""
-    out = out or [{} for _ in a]
+    to the accumulators `out` (zero by default)."""
+    out = out or [ex._acc() for _ in a]
     for row, acc in zip(a, out):
         for j, aij in enumerate(row):
             tab.addmul(acc, aij._poly, tab.d(f, j), sign)
-    return [ex._expr(acc) for acc in out]
+    return [ex._expr_sum(acc) for acc in out]
 
 
 def _poisson_bracket(tab, a, f, g):
     """{f, g} = d_i f (alpha^{ij} d_j g)."""
-    acc = {}
+    acc = ex._acc()
     for i, wi in enumerate(_anchor_apply(tab, a, g)):
         tab.addmul(acc, tab.d(f, i), wi._poly)
-    return ex._expr(acc)
+    return ex._expr_sum(acc)
 
 
 def _deform(tab, sys, a, h):
-    return OdeSystem(_anchor_apply(tab, a, h, TWIST_SIGN, [dict(vi._poly) for vi in sys.v]))
+    return OdeSystem(_anchor_apply(tab, a, h, TWIST_SIGN, [ex._acc(vi._poly) for vi in sys.v]))
 
 
 def _matrix(sys: OdeSystem, alpha: Bivector):
@@ -274,7 +273,7 @@ def check_symmetry(sys: OdeSystem, w):
         raise ValueError("dimension mismatch")
     tab = _Partials()
     # d_t w - [v, w] = d_t w + [w, v]
-    residual = _lie_bracket(tab, w, sys.v, [dict(tab.d(wi, None)) for wi in w])
+    residual = _lie_bracket(tab, w, sys.v, [ex._acc(tab.d(wi, None)) for wi in w])
     return all(is_identically_zero(r) for r in residual), residual
 
 
@@ -284,13 +283,13 @@ def check_anchor(sys: OdeSystem, alpha: Bivector):
     residual = {}
     for i, j in itertools.combinations(range(sys.n), 2):
         # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j
-        acc = dict(tab.d(a[i][j], None))
+        acc = ex._acc(tab.d(a[i][j], None))
         for k in range(sys.n):
             tab.addmul(acc, v[k]._poly, tab.d(a[i][j], k), -1)
             tab.addmul(acc, a[k][j]._poly, tab.d(v[i], k))
             tab.addmul(acc, a[i][k]._poly, tab.d(v[j], k))
-        if acc:
-            residual[(i, j)] = ex._expr(acc)
+        if acc[0]:
+            residual[(i, j)] = ex._expr_sum(acc)
     return not residual, residual
 
 
@@ -306,11 +305,11 @@ def schouten_square(alpha: Bivector) -> Trivector:
     tab, a = _Partials(), alpha.matrix()
     upper = {}
     for i, j, k in itertools.combinations(range(n), 3):
-        acc = {}
+        acc = ex._acc()
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
             for m in range(n):
                 tab.addmul(acc, a[p][m]._poly, tab.d(a[q][r], m))
-        upper[(i, j, k)] = ex._expr(acc)
+        upper[(i, j, k)] = ex._expr_sum(acc)
     return Trivector(n, upper)
 
 
@@ -335,12 +334,11 @@ def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     if not _characteristic(tab, sys, f)[0]:
         return False, "f is not a characteristic of the original system"
     bracket = _poisson_bracket(tab, a, f, h)
-    if any(tab.d(bracket, i) for i in range(sys.n)):
+    if any(tab.d(bracket, i)[0] for i in range(sys.n)):
         return False, "{f, H} depends on x; the twist is not invariant under f"
     g = ex._poly_antiderivative(bracket._poly, TIME, tab.limit)
-    conserved = dict(f._poly)
-    ex._padd_into(conserved, ex._pscale(g, -1), tab.limit)
-    ok, residual = _characteristic(tab, _deform(tab, sys, a, h), ex._expr(conserved))
+    conserved = ex._expr(ex._psum(f._poly, g, tab.limit, -1))
+    ok, residual = _characteristic(tab, _deform(tab, sys, a, h), conserved)
     if not ok:
         return False, f"conservation failed with residual {ex.to_text(residual)}"
     return True, ex.to_text(ex._expr(g))
@@ -361,24 +359,24 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     n = sys.n
     tab, a = _Partials(), _matrix(sys, alpha)
     residuals = {}
-    psi_v = {}
+    psi_v = ex._acc()
     for k in range(n):
         tab.addmul(psi_v, psi[k]._poly, sys.v[k]._poly)
-    psi_v = ex._expr(psi_v)
+    psi_v = ex._expr_sum(psi_v)
     for l in range(n):
         for k in range(n):
-            acc = {}
+            acc = ex._acc()
             for i in range(n):
                 tab.addmul(acc, a[i][l]._poly, tab.d(psi[k], i))
                 tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], k), -1)
-            if acc:
-                residuals[f"closure[l={l + 1},k={k + 1}]"] = ex._expr(acc)
-        acc = {}
+            if acc[0]:
+                residuals[f"closure[l={l + 1},k={k + 1}]"] = ex._expr_sum(acc)
+        acc = ex._acc()
         for i in range(n):
             tab.addmul(acc, a[i][l]._poly, tab.d(psi_v, i))
             tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], None), -1)
-        if acc:
-            residuals[f"transport[l={l + 1}]"] = ex._expr(acc)
+        if acc[0]:
+            residuals[f"transport[l={l + 1}]"] = ex._expr_sum(acc)
     return not residuals, residuals
 
 
@@ -393,7 +391,7 @@ def commutator_matches_bracket(alpha: Bivector, f, g):
     f, g = _coerce_char(f), _coerce_char(g)
     tab, a = _Partials(), alpha.matrix()
     rhs = _anchor_apply(tab, a, _poisson_bracket(tab, a, f, g))
-    out = [ex._pscale(r._poly, -HOMOMORPHISM_SIGN) for r in rhs]
+    out = [ex._acc(ex._pscale(r._poly, -HOMOMORPHISM_SIGN)) for r in rhs]
     residual = _lie_bracket(tab, _anchor_apply(tab, a, f), _anchor_apply(tab, a, g), out)
     return all(is_identically_zero(r) for r in residual), residual
 
@@ -523,13 +521,17 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
         raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
     tab = _Partials()  # for its limit and sums: each derivative is taken once
-    rows = {}  # residual monomial -> {basis column: coefficient}
+    # every residual times the common denominator of v: the rows are then
+    # integral, and scaling every equation by one constant keeps the kernel
+    den = math.lcm(*(vi._poly[1] for vi in sys.v))
+    v = [ex._pscale(vi._poly, den) for vi in sys.v]
+    rows = {}  # residual monomial -> {basis column: integer coefficient}
     for col, mono in enumerate(basis):
-        # d_t mono - v . grad mono
-        residual = ex._partial_poly({mono: 1}, _T, tab.limit)
-        for i, vi in enumerate(sys.v):
-            tab.addmul(residual, vi._poly, ex._partial_poly({mono: 1}, _x_atom(i), tab.limit), -1)
-        for m, coeff in residual.items():
+        # den * (d_t mono - v . grad mono)
+        residual = ex._acc(ex._partial_poly(({mono: den}, 1), _T, tab.limit))
+        for i, vi in enumerate(v):
+            tab.addmul(residual, vi, ex._partial_poly(({mono: 1}, 1), _x_atom(i), tab.limit), -1)
+        for m, coeff in residual[0].items():
             rows.setdefault(m, {})[col] = coeff
     kernel = _kernel(_eliminate(rows.values()), len(basis))
     return [CharacteristicFn(s) for s in _echelon_solutions(kernel, basis)]
@@ -551,7 +553,7 @@ def _echelon_solutions(kernel, basis):
     constant.  Each has a unit at its free column, its largest, and zeros at
     the other free ones: the list is echelon-reduced in descending order."""
     return [
-        ex._expr({basis[c]: ex._num(v) for c, v in vec.items()})
+        ex._expr(ex._from_rationals({basis[c]: v for c, v in vec.items()}))
         for fc, vec in sorted(kernel.items(), reverse=True)
         if fc != 0  # the constant monomial sits first in the basis
     ]

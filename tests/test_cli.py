@@ -234,6 +234,18 @@ def test_cli_deep_nesting_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nested" in err
 
 
+def test_cli_nested_power_exits_2(tmp_path, capsys):
+    # the expansion has 31,465 monomials, under the cap, but its last product
+    # would take 7315 x 715 term products, over it: refused before its loop
+    model = tmp_path / "nested.ini"
+    model.write_text("[ode]\nn = 3\nv = [(((x1 + x2 + x3 + t + 1)^3)^3)^3, x1, x2]\n")
+    code, out = run_cli("check", str(model))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "7315 x 715 term products" in err
+
+
 def _counting(counts, key, fn):
     def wrapper(*args, **kwargs):
         counts[key] += 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -365,3 +366,265 @@ def test_to_text_round_trip_via_parser():
     )
     back = ac.parse_expr(ac.to_text(e), ctx)
     assert ac.canonicalize(back) == e
+
+
+# --- size cap on products ------------------------------------------------------
+
+
+def test_product_refused_before_any_term_product(monkeypatch):
+    calls = []
+    mono_mul = ex._mono_mul
+    monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    five = ex.Add(ac.jet(f"u{i}") for i in range(5))
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "24")
+    # 5 x 5 = 25 term products: refused, although the square has 15 monomials
+    for attempt in (lambda: five * five, lambda: five**2, lambda: five**3):
+        with pytest.raises(ex.ResourceLimitError, match="term products"):
+            attempt()
+    assert calls == []
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "25")
+    assert len((five * five).poly()) == 15
+    assert len(calls) == 25
+
+
+# --- fraction-free kernel against a Fraction reference ----------------------------
+#
+# The reference holds a polynomial as a dict monomial -> nonzero Fraction, with
+# the kernel's monomials (atom-sorted (atom, exponent) tuples), and computes
+# every operation term by term.
+
+a_par = ac.param("a")
+_ARG = x1 + t / 2  # the argument of the one function atom
+_SIN = ac.sin(_ARG)
+
+
+def _atom_of(e):
+    (atom,) = ex.atoms(e, nested=False)
+    return atom
+
+
+_REF_ARG = {((ex.JetVar("x1"), 1),): Fraction(1), ((ex.IndepVar("t"), 1),): Fraction(1, 2)}
+
+
+def _rmono(exponents):
+    return tuple(sorted((a, e) for a, e in exponents.items() if e))
+
+
+def _rmono_mul(m1, m2):
+    exponents = dict(m1)
+    for a, e in m2:
+        exponents[a] = exponents.get(a, 0) + e
+    return _rmono(exponents)
+
+
+def _raccum(out, mono, c):
+    v = out.get(mono, 0) + c
+    if v:
+        out[mono] = v
+    else:
+        out.pop(mono, None)
+
+
+def _radd(p, q, k=1):
+    out = dict(p)
+    for m, c in q.items():
+        _raccum(out, m, k * c)
+    return out
+
+
+def _rmul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            _raccum(out, _rmono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def _rinv(p):
+    ((mono, c),) = p.items()
+    return {tuple((a, -e) for a, e in mono): 1 / c}
+
+
+def _rpow(p, n):
+    if n < 0:
+        p, n = _rinv(p), -n
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _rmul(out, p)
+    return out
+
+
+def _rderive(p, rule):
+    out = {}
+    for mono, c in p.items():
+        for a, e in mono:
+            rest = dict(mono)
+            rest[a] = e - 1
+            for m2, c2 in rule(a).items():
+                _raccum(out, _rmono_mul(_rmono(rest), m2), c * e * c2)
+    return out
+
+
+def _rchain(atom, inner):
+    outer = {
+        "sin": {((ex.FunAtom("cos", atom.arg), 1),): Fraction(1)},
+        "cos": {((ex.FunAtom("sin", atom.arg), 1),): Fraction(-1)},
+    }[atom.fn]
+    return _rmul(outer, inner)
+
+
+def _rtotal(p, d):
+    def rule(a):
+        if isinstance(a, ex.JetVar):
+            return {((ex.JetVar(a.field, a.index.step(d)), 1),): Fraction(1)}
+        if isinstance(a, ex.FunAtom):
+            return _rchain(a, _rtotal(_REF_ARG, d))
+        return {(): Fraction(1)} if a == ex.IndepVar(d) else {}
+
+    return _rderive(p, rule)
+
+
+def _rdiff(p, sym):
+    def rule(a):
+        if a == sym:
+            return {(): Fraction(1)}
+        if isinstance(a, ex.FunAtom):
+            return _rchain(a, _rdiff(_REF_ARG, sym))
+        return {}
+
+    return _rderive(p, rule)
+
+
+def _rsubst(p, table):
+    out = {}
+    for mono, c in p.items():
+        term = {(): c}
+        for a, e in mono:
+            term = _rmul(term, _rpow(table[a], e) if a in table else {((a, e),): Fraction(1)})
+        for m, v in term.items():
+            _raccum(out, m, v)
+    return out
+
+
+def _rantiderivative(p, name):
+    t_atom, log_t = ex.IndepVar(name), _atom_of(ac.log(ac.indep(name)))
+    out = {}
+    for mono, c in p.items():
+        k = dict(mono).get(t_atom, 0)
+        if k == -1:
+            _raccum(out, _rmono_mul(_rmono_mul(mono, ((t_atom, 1),)), ((log_t, 1),)), c)
+        else:
+            _raccum(out, _rmono_mul(mono, ((t_atom, 1),)), c / (k + 1))
+    return out
+
+
+def _rtext(p):
+    """The input-grammar rendering, largest monomial first."""
+    out = ""
+    for mono, c in sorted(p.items(), key=lambda mc: (sum(e for _, e in mc[0]), mc[0]), reverse=True):
+        factors = [
+            a.display() if e == 1 else f"{a.display()}^{e if e > 0 else f'({e})'}"
+            for a, e in mono
+        ]
+        size = abs(c)
+        if size != 1 or not factors:
+            factors.insert(0, str(size))  # str(Fraction) is "n" or "n/d"
+        sign = "-" if c < 0 else "+"
+        out += (sign if not out and sign == "-" else f" {sign} " if out else "") + "*".join(factors)
+    return out or "0"
+
+
+def _check(e, ref):
+    """e is the reference value, in the kernel's normal form."""
+    assert e.poly() == ref
+    assert ac.to_text(e) == _rtext(ref)
+    c, d = e._poly
+    assert d > 0 and math.gcd(d, *c.values()) == 1
+    assert all(type(v) is int for v in c.values())
+    assert isinstance(e, ex.Rat) == all(m == () for m in ref)
+
+
+def _pair(e):
+    return e, {((_atom_of(e), 1),): Fraction(1)}
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_CONSTANTS = _RATIONALS.map(lambda q: (ac.rational(q), {(): q} if q else {}))
+_NONZERO = _RATIONALS.filter(bool).map(lambda q: (ac.rational(q), {(): q}))
+_UNITS = st.one_of(_NONZERO, st.sampled_from([t, x1t]).map(_pair))  # divisors
+_RLEAVES = st.one_of(
+    _CONSTANTS,
+    st.sampled_from([t, x1, x2, x1t, a_par, _SIN]).map(_pair),
+    st.tuples(_UNITS, st.integers(-2, -1)).map(lambda p: (p[0][0] ** p[1], _rpow(p[0][1], p[1]))),
+)
+
+
+def _combiner(units):
+    return lambda children: st.one_of(
+        st.tuples(children, children).map(lambda p: (p[0][0] + p[1][0], _radd(p[0][1], p[1][1]))),
+        st.tuples(children, children).map(
+            lambda p: (p[0][0] - p[1][0], _radd(p[0][1], p[1][1], -1))
+        ),
+        st.tuples(children, children).map(lambda p: (p[0][0] * p[1][0], _rmul(p[0][1], p[1][1]))),
+        st.tuples(children, units).map(
+            lambda p: (p[0][0] / p[1][0], _rmul(p[0][1], _rinv(p[1][1])))
+        ),
+        st.tuples(children, st.integers(0, 2)).map(lambda p: (p[0][0] ** p[1], _rpow(p[0][1], p[1]))),
+    )
+
+
+_REF_PAIRS = st.recursive(_RLEAVES, _combiner(_UNITS), max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_REF_PAIRS)
+def test_kernel_arithmetic_matches_fraction_reference(pair):
+    _check(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_REF_PAIRS, st.sampled_from([t, x1, x1t, x2, _SIN]))
+def test_kernel_derivatives_match_fraction_reference(pair, sym):
+    e, ref = pair
+    _check(ac.total_derivative(e, "t"), _rtotal(ref, "t"))
+    _check(ex.diff(e, sym), _rdiff(ref, _atom_of(sym)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_REF_PAIRS, _REF_PAIRS, _REF_PAIRS)
+def test_kernel_substitution_matches_fraction_reference(pair, q1, q2):
+    # x2 and a carry no negative exponents and do not occur in the function argument
+    (e, ref), (f1, r1), (f2, r2) = pair, q1, q2
+    table = {_atom_of(x2): r1, _atom_of(a_par): r2}
+    _check(ac.substitute(e, {x2: f1, a_par: f2}), _rsubst(ref, table))
+
+
+_T_LEAVES = st.one_of(
+    _CONSTANTS,
+    st.sampled_from([t, a_par]).map(_pair),
+    st.integers(-3, -1).map(lambda n: (t**n, _rpow(_pair(t)[1], n))),
+)
+_T_UNITS = st.one_of(_NONZERO, st.just(t).map(_pair))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.recursive(_T_LEAVES, _combiner(_T_UNITS), max_leaves=6))
+def test_kernel_antiderivative_matches_fraction_reference(pair):
+    e, ref = pair
+    _check(ex.antiderivative(e, "t"), _rantiderivative(ref, "t"))
+
+
+def test_values_reached_by_different_routes_are_equal():
+    for lhs, rhs in (
+        ((x1 / 2) * 2, x1),
+        (x1 / 4 + x1 / 4, x1 / 2),
+        (ac.rational(3, 4) * x1 - x1 / 4, x1 / 2),
+        ((x1 / 2 + x2 / 2) * 2 - x2, x1),
+        (ac.total_derivative(x1**2 / 2, "t"), x1 * x1t),
+        (x1 / 3 - x1 / 3, ac.ZERO),
+    ):
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert lhs._poly == rhs._poly
+    zero = x1 / 3 - x1 / 3
+    assert isinstance(zero, ex.Rat) and zero._poly == ({}, 1)
+    assert isinstance((x1 / 2) / x1, ex.Rat) and ((x1 / 2) / x1).value == Fraction(1, 2)

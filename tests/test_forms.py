@@ -275,24 +275,49 @@ def _operation(name, n, k):
     space = fo.euclidean(n)
     u, w = _wide("u", k), _wide("w", k)
     a = fo.Form(space, 1, {(m,): u for m in range(n)})
+    b = fo.Form(space, 1, {(m,): w for m in range(n)})
+    xi = fo.SpacetimeVector(space, [w] * n)
     if name == "wedge":
-        b = fo.Form(space, 1, {(m,): w for m in range(n)})
         return lambda: fo.wedge(a, b)
     if name == "interior":
-        xi = fo.SpacetimeVector(space, [w] * n)
         return lambda: fo.interior(xi, a)
     if name == "exterior_d":
         a = a.scale(w)
         return lambda: fo.exterior_d(a)
+    if name == "Form.scale":
+        return lambda: a.scale(w)
+    if name == "Form.__add__":
+        return lambda: a + b
+    if name == "conformal_killing_check":
+        return lambda: fo.conformal_killing_check(xi, space)
     A = lo.LinDiffOp.identity(n).scale(u)
     B = lo.LinDiffOp(n, n, {(m, m, ex.MultiIndex({"x0": 1})): w for m in range(n)})
     if name == "compose":
         return lambda: A.compose(B)
+    if name == "LinDiffOp.scale":
+        return lambda: A.scale(w)
+    if name == "LinDiffOp.__add__":
+        C = lo.LinDiffOp.identity(n).scale(w)
+        return lambda: A + C
+    if name == "LinDiffOp.apply":
+        return lambda: B.apply([u] * n)
     AB = A.compose(B)
     return lambda: AB.formal_adjoint()
 
 
-OPERATIONS = ("wedge", "interior", "exterior_d", "compose", "formal_adjoint")
+OPERATIONS = (
+    "wedge",
+    "interior",
+    "exterior_d",
+    "compose",
+    "formal_adjoint",
+    "Form.scale",
+    "Form.__add__",
+    "conformal_killing_check",
+    "LinDiffOp.scale",
+    "LinDiffOp.__add__",
+    "LinDiffOp.apply",
+)
 
 
 @pytest.mark.parametrize("name", OPERATIONS)
