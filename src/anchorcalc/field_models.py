@@ -128,17 +128,16 @@ def metric_weights(space: FlatSpace, k: int):
     return [math.prod(space.signature[m] for m in idx) for idx in grade_basis(space, k)]
 
 
-def _diag(values) -> LinDiffOp:
-    n = len(values)
-    return LinDiffOp(
-        n, n, {(i, i, ex.EMPTY_INDEX): ex.rational(v) for i, v in enumerate(values)}
-    )
-
-
 def pairing_adjoint(op: LinDiffOp, weights_in, weights_out) -> LinDiffOp:
     """Adjoint with respect to weighted pairings on domain and codomain:
-    (op P, W)_out = (adj W, P)_in up to a total divergence."""
-    return _diag(weights_in).compose(op.formal_adjoint()).compose(_diag(weights_out))
+    (op P, W)_out = (adj W, P)_in up to a total divergence.  The weights
+    are constants, so entry (r, c, alpha) of the formal adjoint is scaled
+    by weights_in[r] * weights_out[c]."""
+    entries = {}
+    for (r, c, alpha), coeff in op.formal_adjoint().entries.items():
+        w = Fraction(weights_in[r] * weights_out[c])
+        entries[(r, c, alpha)] = ex._expr(ex._pscale(coeff._poly, w.numerator, w.denominator))
+    return LinDiffOp(op.cols, op.rows, entries)
 
 
 def _vstack(top: LinDiffOp, bottom: LinDiffOp) -> LinDiffOp:

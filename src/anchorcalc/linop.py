@@ -9,7 +9,6 @@ parts and discards boundary terms.
 from __future__ import annotations
 
 import math
-import threading
 
 from . import expr as ex
 from .expr import (
@@ -235,84 +234,48 @@ def linearize(components, fields) -> LinDiffOp:
 
 
 class ShellRules:
-    """Substitution rules lead-jet -> expression, closed under prolongation.
+    """Substitution rules lead-jet -> expression for a shell of equations.
 
-    Base equations must be solvable for their graded-lexicographically
-    greatest jet atom with a constant coefficient; prolongations are formed
-    with total derivatives and re-eliminated, so the rule set is confluent
-    on the covered order range.
+    The rules for jet order k eliminate the equations together with all
+    their total derivatives of order <= k, so a jet of order <= k that the
+    shell fixes is rewritten whatever the orders of the individual equations
+    (the order-k prolongation).  Each relation must be solvable for its
+    greatest jet atom (highest order, then field, then index) with a
+    constant coefficient.  The rules of each order are built on first use
+    and cached; a racing first build recomputes the same rules.
     """
 
-    def __init__(self, equations, directions, max_order=None):
+    def __init__(self, equations, directions):
         self.equations = [ex._coerce(e) for e in equations]
         self.directions = tuple(directions)
-        self.auto = max_order is None
-        self._lock = threading.Lock()
-        base = _eliminate(self.equations)
-        self._base_leads = tuple(base)
-        self._cache = {self._base_order(): base}
-        if max_order is not None:
-            self._cache[max_order] = self._build(max_order)
-        self.max_order = max_order
-
-    def _base_order(self):
-        return max((a.index.order() for a in self._base_leads), default=0)
-
-    def _build(self, order):
-        eqs = list(self.equations)
-        seen = set(eqs)
-        frontier = list(self.equations)
-        while frontier:
-            new = []
-            for eq in frontier:
-                for d in self.directions:
-                    de = ex.total_derivative(eq, d)
-                    if ex.max_jet_order(de) <= order and de not in seen:
-                        seen.add(de)
-                        new.append(de)
-            frontier = new
-            eqs.extend(new)
-        return _eliminate(eqs)
+        self._cache = {}
+        # build the equations' own order now, so a bad shell fails here
+        self.rules_up_to(max(map(ex.max_jet_order, self.equations), default=0))
 
     def rules_up_to(self, order: int):
-        if not self.auto:
-            order = self.max_order
-        with self._lock:
-            if order not in self._cache:
-                self._cache[order] = self._build(order)
-            return self._cache[order]
-
-    def covers(self, atom: JetVar) -> bool:
-        """Whether the atom is constrained by some base rule (possibly after
-        prolongation)."""
-        for lead in self._base_leads:
-            if lead.field != atom.field:
-                continue
-            if all(atom.index.get(n) >= c for n, c in lead.index.items):
-                return True
-        return False
+        rules = self._cache.get(order)
+        if rules is None:
+            eqs = list(self.equations)
+            seen = set(eqs)
+            # breadth first as eqs grows; D_d raises the jet order by one
+            for eq in eqs:
+                if ex.max_jet_order(eq) < order:
+                    for de in (ex.total_derivative(eq, d) for d in self.directions):
+                        if de not in seen:
+                            seen.add(de)
+                            eqs.append(de)
+            rules = self._cache[order] = _eliminate(eqs)
+        return rules
 
     def reduce(self, e: Expr) -> Expr:
         """Exhaustively substitute leading jets; idempotent."""
         e = ex._coerce(e)
-        needed = ex.max_jet_order(e)
-        rules = self.rules_up_to(needed)
-        while True:
-            hit = {a: rules[a] for a in ex.jet_atoms(e) if a in rules}
-            if not hit:
-                break
-            e = ex.substitute(e, hit)
-        if not self.auto:
-            for a in ex.jet_atoms(e):
-                if self.covers(a):
-                    raise ShellError(
-                        f"shell rules not prolonged far enough to cover {a.display()}"
-                    )
-        return e
+        return _reduce_full(e, self.rules_up_to(ex.max_jet_order(e)))
 
 
 def _eliminate(equations):
-    """Triangularize linear-in-their-lead equations into rewrite rules."""
+    """Triangularize linear-in-their-lead equations into rewrite rules whose
+    right-hand sides contain no lead."""
     rules = {}
     for eq in equations:
         eq = _reduce_full(eq, rules)
@@ -332,19 +295,14 @@ def _eliminate(equations):
         if lead in ex.jet_atoms(rest):
             raise ShellError(f"relation is nonlinear in {lead.display()}")
         rules[lead] = rest * ex.rational(-1) / coeff
-    # normalize right-hand sides against the full rule set
-    stable = False
-    while not stable:
-        stable = True
-        for lead, rhs in list(rules.items()):
-            hit = {a: rules[a] for a in ex.jet_atoms(rhs) if a in rules}
-            if hit:
-                rules[lead] = ex.substitute(rhs, hit)
-                stable = False
+    # later rules rewrite earlier right-hand sides; atoms only ever decrease
+    for lead, rhs in rules.items():
+        rules[lead] = _reduce_full(rhs, rules)
     return rules
 
 
 def _reduce_full(e, rules):
+    """Substitute the rules into e until no lead is left."""
     while True:
         hit = {a: rules[a] for a in ex.jet_atoms(e) if a in rules}
         if not hit:

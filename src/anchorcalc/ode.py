@@ -477,24 +477,6 @@ def _kernel(reduced, cols):
     return kernel
 
 
-def _dense(vec, cols):
-    return [vec.get(c, Fraction(0)) for c in range(cols)]
-
-
-def _row_reduce(rows, cols):
-    """Dense view of _eliminate: (reduced rows, pivot columns), the nonzero
-    rows of the reduced row echelon form first, then zero rows."""
-    reduced = _eliminate(dict(enumerate(r)) for r in rows)
-    m = [_dense(row, cols) for row in reduced.values()]
-    return m + [_dense({}, cols) for _ in range(len(rows) - len(m))], list(reduced)
-
-
-def _nullspace(matrix, cols):
-    """Kernel basis of an exact rational matrix: one vector per free column."""
-    kernel = _kernel(_eliminate(dict(enumerate(r)) for r in matrix), cols)
-    return [_dense(v, cols) for v in kernel.values()]
-
-
 # ---------------------------------------------------------------------------
 # polynomial characteristic search
 

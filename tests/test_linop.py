@@ -209,7 +209,7 @@ def oscillator_shell():
 
 
 def test_reduce_first_order():
-    shell = lo.ShellRules([x1t + ac.param("v1")], ["t"], max_order=1)
+    shell = lo.ShellRules([x1t + ac.param("v1")], ["t"])
     assert shell.reduce(x1t) == ac.canonicalize(-ac.param("v1"))
 
 
@@ -232,10 +232,53 @@ def test_reduce_idempotent():
     assert shell.reduce(once) == once
 
 
-def test_insufficient_prolongation_error():
-    shell = lo.ShellRules([x1t - x2, x2t + x1], ["t"], max_order=1)
-    with pytest.raises(lo.ShellError, match="x1_tt"):
-        shell.reduce(ac.jet("x1", {"t": 2}))
+def test_reduce_mixed_order_prolongs_lower_equations():
+    # x1_tt is fixed by the derivative of the first-order equation, even
+    # though the highest equation order is 2
+    shell = lo.ShellRules([x1t - x2, ac.jet("x2", {"t": 2}) + x1], ["t"])
+    assert shell.reduce(ac.jet("x1", {"t": 2})) == ac.canonicalize(x2t)
+    assert shell.reduce(ac.jet("x1", {"t": 3})) == ac.canonicalize(-x1)
+
+
+def _tjet(field, k):
+    return ac.jet(field, {"t": k} if k else ex.EMPTY_INDEX)
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _linear_systems(draw):
+    """One equation per field, solved for x_i^(q_i) with q_i in {1, 2}; the
+    rest combines strictly lower-order jets with powers of t."""
+    fields = [f"x{i + 1}" for i in range(draw(st.integers(2, 3)))]
+    orders = [draw(st.sampled_from([1, 2])) for _ in fields]
+    equations = []
+    for field, q in zip(fields, orders):
+        lead = draw(_fractions.filter(bool))
+        e = lead * _tjet(field, q)
+        for other in fields:
+            for k in range(q):
+                c = draw(_fractions)
+                if c:
+                    e = e + c * t ** draw(st.integers(0, 2)) * _tjet(other, k)
+        equations.append(e)
+    return fields, orders, equations
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_systems())
+def test_reduce_kills_prolonged_equations_and_is_idempotent(system):
+    fields, orders, equations = system
+    shell = lo.ShellRules(equations, ["t"])
+    top = max(orders) + 1
+    for q, e in zip(orders, equations):
+        for _ in range(q, top + 1):  # D_t^j e for every order up to top
+            assert ac.is_identically_zero(shell.reduce(e))
+            e = ac.total_derivative(e, "t")
+    probe = sum(_tjet(f, k) * _tjet(fields[0], top - k) for f in fields for k in range(top + 1))
+    once = shell.reduce(probe)
+    assert shell.reduce(once) == once
 
 
 def test_op_equal_mod_shell_exact_and_weak():

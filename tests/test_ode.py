@@ -411,13 +411,13 @@ _matrices = st.integers(1, 5).flatmap(
 @given(_matrices)
 def test_row_reduce_rank_kernel_and_idempotence(case):
     rows, cols = case
-    reduced, pivots = ode._row_reduce(rows, cols)
-    kernel = ode._nullspace(rows, cols)
+    reduced, pivots = _row_reduce(rows, cols)
+    kernel = _nullspace(rows, cols)
     assert len(pivots) + len(kernel) == cols
     for vec in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
-    assert ode._row_reduce(reduced, cols) == (reduced, pivots)
+    assert _row_reduce(reduced, cols) == (reduced, pivots)
 
 
 # --- characteristic search --------------------------------------------------
@@ -515,6 +515,27 @@ def test_search_budget_admits_every_degree_up_to_three_fields():
 def test_search_rejects_negative_degree():
     with pytest.raises(ValueError):
         ode.search_characteristics(OSC, -1)
+
+
+# --- dense view of the sparse ode._eliminate, for comparison with the reference -
+
+
+def _dense(vec, cols):
+    return [vec.get(c, Fraction(0)) for c in range(cols)]
+
+
+def _row_reduce(rows, cols):
+    """(reduced rows, pivot columns) from ode._eliminate: the nonzero rows of
+    the reduced row echelon form first, then zero rows."""
+    reduced = ode._eliminate(dict(enumerate(r)) for r in rows)
+    m = [_dense(row, cols) for row in reduced.values()]
+    return m + [_dense({}, cols) for _ in range(len(rows) - len(m))], list(reduced)
+
+
+def _nullspace(matrix, cols):
+    """Kernel basis from ode._eliminate: one vector per free column."""
+    kernel = ode._kernel(ode._eliminate(dict(enumerate(r)) for r in matrix), cols)
+    return [_dense(v, cols) for v in kernel.values()]
 
 
 # --- reference: the dense Fraction Gauss-Jordan that _eliminate replaced ------
@@ -796,8 +817,8 @@ def _reference_rank(alpha, point, depth):
 @given(_matrices)
 def test_row_reduce_and_nullspace_match_reference(case):
     rows, cols = case
-    assert ode._row_reduce(rows, cols) == _reference_row_reduce(rows, cols)
-    assert ode._nullspace(rows, cols) == _reference_nullspace(rows, cols)
+    assert _row_reduce(rows, cols) == _reference_row_reduce(rows, cols)
+    assert _nullspace(rows, cols) == _reference_nullspace(rows, cols)
 
 
 # rational coefficients with denominators > 1, so rows need integer scaling
