@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("catalog", help="verify a built-in field model")
     p_cat.add_argument("model", choices=("pform", "selfdual", "chiral"))
-    p_cat.add_argument("--n", type=int, default=4)
+    p_cat.add_argument("--n", type=_int_at_least(1), default=4)
     p_cat.add_argument("--p", type=int, default=2)
     p_cat.add_argument("--a", default="1")
     p_cat.add_argument("--b", default="0")
@@ -466,6 +466,10 @@ def main(argv=None) -> int:
         return 2
     except ex.ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # last resort: the size caps should refuse such inputs before this
+        print("resource limit: out of memory", file=sys.stderr)
         return 2
     if args.json:
         sys.stdout.write(report.to_json(include_timings=args.timings))

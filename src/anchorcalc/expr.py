@@ -37,6 +37,7 @@ whose value is deterministic, so a racing recomputation is harmless.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -127,6 +128,10 @@ class MultiIndex(tuple):
         return _index(d)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
+        if not other[0]:
+            return self
+        if not self[0]:
+            return other
         d = dict(self[1])
         for n, c in other[1]:
             d[n] = d.get(n, 0) + c
@@ -473,8 +478,13 @@ def _pmul(p, q, limit):
             f"product exceeds node limit ({len(pc)} x {len(qc)} term products > {limit}); "
             "set ANCHORCALC_NODE_LIMIT to raise the cap"
         )
-    if len(qc) == 1 and () in qc:
-        return _pscale(p, qc[()], qd)
+    if len(qc) == 1:
+        ((m2, c2),) = qc.items()
+        if not m2:
+            return _pscale(p, c2, qd)
+        # a monomial factor (one term by one term in most catalog products):
+        # Laurent monomials form a group, so the products stay distinct
+        return _normal({_mono_mul(m1, m2): c1 * c2 for m1, c1 in pc.items()}, pd * qd)
     out = {}
     get = out.get
     for m1, c1 in pc.items():
@@ -666,7 +676,9 @@ def max_jet_order(e: Expr, field=None) -> int:
 
 def _derive_poly(p, atom_rule, limit):
     """Product rule over monomials; atom_rule(atom) is the derivative of
-    one atom as a polynomial, computed once per atom and call."""
+    one atom as a polynomial, looked up once per atom and call.  An atom
+    seldom repeats inside one call, so the jet step of a total derivative
+    is memoised across calls as well, in _jet_step."""
     c, d = p
     acc = {}
     den = 1  # lcm of the denominators of the atom derivatives met so far
@@ -716,10 +728,17 @@ def _chain(atom: FunAtom, inner, limit):
     return _pmul(outer, inner, limit)
 
 
+@functools.lru_cache(maxsize=4096)
+def _jet_step(atom: JetVar, d: str):
+    """D_d of a jet variable: the polynomial of the jet one order higher in
+    direction d.  Bounded and shared by every call; no caller mutates it."""
+    return {((JetVar(atom[1], atom[2].step(d)), 1),): 1}, 1
+
+
 def _total_derivative_poly(p, d: str, limit):
     def rule(a):
         if isinstance(a, JetVar):
-            return {((JetVar(a[1], a[2].step(d)), 1),): 1}, 1
+            return _jet_step(a, d)
         if isinstance(a, IndepVar):
             return ({(): 1} if a[1] == d else {}), 1
         if isinstance(a, FunAtom):

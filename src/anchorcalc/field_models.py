@@ -437,9 +437,6 @@ def _energy_momentum(space: FlatSpace, currents, traceless: bool, what: str):
     return matrix
 
 
-_form_text = fo.form_text  # the older name, still used by the tests
-
-
 # ---------------------------------------------------------------------------
 # Lie algebras and the chiral model
 
@@ -447,7 +444,8 @@ _form_text = fo.form_text  # the older name, still used by the tests
 class LieAlgebra:
     """Structure constants f^{ab}_c with [t^a, t^b] = f^{ab}_c t^c and a
     diagonal Killing metric; antisymmetry and the Jacobi identity are
-    validated exactly at construction."""
+    validated exactly at construction, by loops over the nonzero structure
+    constants only (entries with an index outside 0..n-1 are never read)."""
 
     def __init__(self, n: int, f, kappa=None):
         self.n = n
@@ -466,14 +464,22 @@ class LieAlgebra:
         return self.f.get((a, b, c), Fraction(0))
 
     def _validate(self):
-        f, n = self.structure, range(self.n)
-        if any(f(a, b, c) != -f(b, a, c) for a, b, c in itertools.product(n, repeat=3)):
+        indices = range(self.n)
+        f = {key: v for key, v in self.f.items() if all(i in indices for i in key)}
+        if any(f.get((b, a, c), 0) != -v for (a, b, c), v in f.items()):
             raise FieldModelError("structure constants are not antisymmetric")
-        for a, b, c, d in itertools.product(n, repeat=4):
-            if sum(
-                f(a, b, e) * f(e, c, d) + f(b, c, e) * f(e, a, d) + f(c, a, e) * f(e, b, d)
-                for e in n
-            ):
+        # J(a,b,c,d) = T(a,b,c,d) + T(b,c,a,d) + T(c,a,b,d) with
+        # T(a,b,c,d) = sum_e f(a,b,e) f(e,c,d).  J is invariant under the
+        # cyclic shifts of (a,b,c), so it can be nonzero only at a key of T.
+        by_first = {}
+        for (e, c, d), v in f.items():
+            by_first.setdefault(e, []).append((c, d, v))
+        t = {}
+        for (a, b, e), v in f.items():
+            for c, d, w in by_first.get(e, ()):
+                t[a, b, c, d] = t.get((a, b, c, d), 0) + v * w
+        for a, b, c, d in t:
+            if t[a, b, c, d] + t.get((b, c, a, d), 0) + t.get((c, a, b, d), 0):
                 raise FieldModelError("Jacobi identity fails")
 
     def scaled(self, factor: Fraction) -> "LieAlgebra":

@@ -22,6 +22,8 @@ class FormError(ex.ExprError):
 class FlatSpace:
     def __init__(self, signature):
         signature = tuple(int(s) for s in signature)
+        if not signature:
+            raise ValueError("a space needs dimension n >= 1")
         if any(s not in (-1, 1) for s in signature):
             raise ValueError("signature entries must be +1 or -1")
         self.signature = signature
@@ -54,7 +56,7 @@ def euclidean(n: int) -> FlatSpace:
 
 
 def lorentzian(n: int) -> FlatSpace:
-    return FlatSpace([-1] + [1] * (n - 1))
+    return FlatSpace([-1 if mu == 0 else 1 for mu in range(n)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,6 +73,16 @@ def _merge_sign(i_tuple, j_tuple):
             if seq[a] > seq[b]:
                 sign = -sign
     return sign, tuple(sorted(seq))
+
+
+@functools.lru_cache(maxsize=None)
+def _complements(n, i_tuple, grade):
+    """(sign, merged index, J) for every index J of the given grade that is
+    disjoint from i_tuple, with (sign, merged) = _merge_sign(i_tuple, J)."""
+    rest = [m for m in range(n) if m not in i_tuple]
+    return tuple(
+        _merge_sign(i_tuple, j) + (j,) for j in itertools.combinations(rest, grade)
+    )
 
 
 class Form:
@@ -94,6 +106,15 @@ class Form:
             if not is_identically_zero(coeff):
                 table[idx] = coeff
         self.components = table
+
+    @classmethod
+    def _of_sums(cls, space, grade, table):
+        """The form of accumulated sums keyed by valid indices, as the
+        operations below build them: no re-validation, zero sums dropped."""
+        form = object.__new__(cls)
+        form.space, form.grade = space, grade
+        form.components = {idx: ex._expr_sum(acc) for idx, acc in table.items() if acc[0]}
+        return form
 
     def component(self, idx) -> Expr:
         """Coefficient for an arbitrary index tuple, with antisymmetry."""
@@ -231,12 +252,12 @@ def wedge(a: Form, b: Form) -> Form:
     limit = ex.node_limit()
     table = {}
     for i_idx, i_coeff in a.components.items():
-        for j_idx, j_coeff in b.components.items():
-            sign, idx = _merge_sign(i_idx, j_idx)
-            if sign is not None:
+        for sign, idx, j_idx in _complements(a.space.n, i_idx, b.grade):
+            j_coeff = b.components.get(j_idx)
+            if j_coeff is not None:
                 term = ex._pmul(i_coeff._poly, j_coeff._poly, limit)
                 ex._padd_scaled(table, idx, term, sign, limit)
-    return Form(a.space, grade, {idx: ex._expr_sum(p) for idx, p in table.items()})
+    return Form._of_sums(a.space, grade, table)
 
 
 def exterior_d(a: Form) -> Form:
@@ -250,7 +271,7 @@ def exterior_d(a: Form) -> Form:
                 d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu], limit)
                 sign, new_idx = _merge_sign((mu,), idx)
                 ex._padd_scaled(table, new_idx, d_coeff, sign, limit)
-    return Form(a.space, a.grade + 1, {idx: ex._expr_sum(p) for idx, p in table.items()})
+    return Form._of_sums(a.space, a.grade + 1, table)
 
 
 def hodge(a: Form) -> Form:
@@ -283,7 +304,7 @@ def interior(xi: SpacetimeVector, a: Form) -> Form:
             if xi.components[mu]._poly[0]:
                 term = ex._pmul(xi.components[mu]._poly, coeff._poly, limit)
                 ex._padd_scaled(table, idx[:pos] + idx[pos + 1 :], term, (-1) ** pos, limit)
-    return Form(a.space, a.grade - 1, {idx: ex._expr_sum(p) for idx, p in table.items()})
+    return Form._of_sums(a.space, a.grade - 1, table)
 
 
 def lie_derivative(xi: SpacetimeVector, a: Form) -> Form:

@@ -89,6 +89,16 @@ class LinDiffOp:
             table[k] = coeff
         self.entries = table
 
+    @classmethod
+    def _of_sums(cls, rows, cols, table):
+        """The operator of accumulated sums keyed by valid entries, as
+        compose and formal_adjoint build them: no re-validation, zero sums
+        dropped."""
+        op = object.__new__(cls)
+        op.rows, op.cols = rows, cols
+        op.entries = {k: ex._expr_sum(acc) for k, acc in table.items() if acc[0]}
+        return op
+
     # construction helpers -------------------------------------------------
     @staticmethod
     def identity(n: int) -> "LinDiffOp":
@@ -162,7 +172,7 @@ class LinDiffOp:
                 for remaining, binom, db in _leibniz(alpha, b, limit):
                     product = ex._pmul(a._poly, db, limit)
                     ex._padd_scaled(entries, (r, c, remaining + beta), product, binom, limit)
-        return LinDiffOp(self.rows, other.cols, {k: ex._expr_sum(p) for k, p in entries.items()})
+        return LinDiffOp._of_sums(self.rows, other.cols, entries)
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
@@ -173,7 +183,7 @@ class LinDiffOp:
             sign = (-1) ** alpha.order()
             for remaining, binom, da in _leibniz(alpha, a, limit):
                 ex._padd_scaled(entries, (c, r, remaining), da, sign * binom, limit)
-        return LinDiffOp(self.cols, self.rows, {k: ex._expr_sum(p) for k, p in entries.items()})
+        return LinDiffOp._of_sums(self.cols, self.rows, entries)
 
     # inspection ------------------------------------------------------------
     def is_zero(self) -> bool:

@@ -131,12 +131,12 @@ def test_criterion_5_maxwell_model():
     assert len(vectors) == 10
     for name, xi in vectors:
         _, ok, residual = model.killing_current(xi)
-        assert ok, (name, fm._form_text(residual))
+        assert ok, (name, fo.form_text(residual))
     model.energy_momentum()  # raises on symmetry/trace failure
     ok, residual = model.anchor_verify()
     assert ok, residual.describe()
     ok, residual = model.proper_symmetry(fo.translation(space, 0))
-    assert ok, fm._form_text(residual)
+    assert ok, fo.form_text(residual)
     grid = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)]
     for a in grid:
         for b in grid:

@@ -190,6 +190,27 @@ def test_cli_catalog_construction_error_exits_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model", ["pform", "selfdual"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_cli_catalog_dimension_below_one_exits_2(model, value, capsys):
+    # n < 1 once built a 1-dimensional space and named p=1, n=1 in its error
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["catalog", model, "--n", value, "--p", "1"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --n: expected an integer >= 1, got '{value}'" in err
+
+
+def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "catalog_report", exhausted)
+    code, out = run_cli("catalog", "pform", "--json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -614,6 +614,65 @@ def test_kernel_antiderivative_matches_fraction_reference(pair):
     _check(ex.antiderivative(e, "t"), _rantiderivative(ref, "t"))
 
 
+# --- fast paths and the memoised jet step --------------------------------------
+
+
+def _general_pmul(p, q):
+    """The term-by-term loop of _pmul, without its monomial path."""
+    out = {}
+    for m1, c1 in p[0].items():
+        for m2, c2 in q[0].items():
+            m = ex._mono_mul(m1, m2)
+            v = out.get(m, 0) + c1 * c2
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return ex._normal(out, p[1] * q[1])
+
+
+_MONOMIALS = st.builds(
+    lambda q, exps: ac.rational(q) * t ** exps[0] * x1 ** exps[1] * x1t ** exps[2] * _SIN ** exps[3],
+    _RATIONALS.filter(bool),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MONOMIALS, st.one_of(_MONOMIALS, _REF_PAIRS.map(lambda pair: pair[0])))
+def test_monomial_product_path_matches_general_loop(m, other):
+    limit = ex.node_limit()
+    for p, q in ((m._poly, other._poly), (other._poly, m._poly)):
+        assert ex._pmul(p, q, limit) == _general_pmul(p, q)
+    # division by a monomial: every exponent cancels, down to the monomial ()
+    quotient = ex._pmul(m._poly, ex._pinv(m._poly), limit)
+    assert quotient == _general_pmul(m._poly, ex._pinv(m._poly)) == ({(): 1}, 1)
+
+
+def test_monomial_product_cancels_some_exponents():
+    limit = ex.node_limit()
+    p, q = (x1 * t**2 / 3)._poly, (x1 ** -1 * t * 6)._poly
+    assert ex._pmul(p, q, limit) == _general_pmul(p, q) == (t**3 * 2)._poly
+
+
+@settings(max_examples=30, deadline=None)
+@given(_REF_PAIRS)
+def test_total_derivatives_do_not_depend_on_the_jet_step_cache(pair):
+    e, ref = pair
+    warm = [ac.total_derivative(e, d) for d in ("t", "s")]
+    ex._jet_step.cache_clear()
+    cold = [ac.total_derivative(e, d) for d in ("t", "s")]
+    assert [w._poly for w in warm] == [c._poly for c in cold]
+    assert warm[0].poly() == _rtotal(ref, "t")
+    assert ex._jet_step.cache_info().maxsize is not None  # bounded
+
+
+def test_multiindex_sum_with_empty_side_is_the_other_operand():
+    a = ex.MultiIndex({"t": 2, "x": 1})
+    assert ex.EMPTY_INDEX + a is a and a + ex.EMPTY_INDEX is a
+    assert a + a == ex.MultiIndex({"t": 4, "x": 2})
+
+
 def test_values_reached_by_different_routes_are_equal():
     for lhs, rhs in (
         ((x1 / 2) * 2, x1),

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,7 +87,7 @@ def test_current_certificates_exact_n2_both_signatures():
         m = fm.PFormModel(space, 1, 1, 0)
         for name, xi in all_isometries(space) + [("dil", fo.dilation(space))]:
             j, ok, residual = m.killing_current(xi)
-            assert ok, (space.signature, name, fm._form_text(residual))
+            assert ok, (space.signature, name, fo.form_text(residual))
 
 
 def test_current_certificate_exact_off_shell_in_jets():
@@ -241,7 +243,7 @@ def test_proper_symmetry_pform():
     m = fm.PFormModel(L4, 2, 1, 0)
     for name, xi in all_isometries(L4):
         ok, residual = m.proper_symmetry(xi)
-        assert ok, (name, fm._form_text(residual))
+        assert ok, (name, fo.form_text(residual))
     # trivial anchor: transformation reduces to zero on shell
     m_triv = fm.PFormModel(L4, 2, 2, 2)
     ok, _ = m_triv.proper_symmetry(fo.translation(L4, 0))
@@ -326,6 +328,71 @@ def test_invalid_structure_constants():
 
 def test_scaled_algebra_keeps_jacobi():
     fm.su2().scaled(Fraction(-7, 3))
+
+
+def _dense_verdict(n, f):
+    """The dense O(n^5) loop over every index: the error message, or None."""
+    def s(a, b, c):
+        return f.get((a, b, c), Fraction(0))
+
+    r = range(n)
+    if any(s(a, b, c) != -s(b, a, c) for a, b, c in itertools.product(r, repeat=3)):
+        return "structure constants are not antisymmetric"
+    for a, b, c, d in itertools.product(r, repeat=4):
+        if sum(s(a, b, e) * s(e, c, d) + s(b, c, e) * s(e, a, d) + s(c, a, e) * s(e, b, d) for e in r):
+            return "Jacobi identity fails"
+    return None
+
+
+def _sparse_verdict(n, f):
+    try:
+        fm.LieAlgebra(n, f)
+    except fm.FieldModelError as exc:
+        return str(exc)
+    return None
+
+
+def _random_structure(rng):
+    """Sparse brackets on n <= 4 generators, antisymmetric unless broken on
+    purpose; now and then an entry with an index outside 0..n-1."""
+    n = rng.randint(1, 4)
+    f = {}
+    for _ in range(rng.randint(0, 5) if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        c = rng.randrange(n)
+        v = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2)))
+        f[(a, b, c)] = v
+        f[(b, a, c)] = -v
+    if rng.random() < 0.2:
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        f[(a, b, c)] = f.get((a, b, c), Fraction(1)) * 2
+    if rng.random() < 0.1:
+        f[(n, 0, 0)] = Fraction(1)
+    return n, f
+
+
+def test_sparse_lie_validation_matches_dense_reference():
+    rng = random.Random(20101)
+    kinds = collections.Counter()
+    for _ in range(400):
+        n, f = _random_structure(rng)
+        verdict = _dense_verdict(n, f)
+        assert _sparse_verdict(n, f) == verdict, (n, f)
+        kinds[verdict] += 1
+    # the inputs reach every verdict
+    assert set(kinds) == {None, "structure constants are not antisymmetric", "Jacobi identity fails"}
+    assert min(kinds.values()) >= 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(max_denominator=5), min_size=3, max_size=3))
+def test_lie_validation_accepts_the_class_a_family(lam):
+    # f^{ab}_c = lambda_c epsilon_{abc} satisfies Jacobi for every lambda
+    f = {
+        perm: lam[perm[2]] * fo._merge_sign(perm, ())[0]
+        for perm in itertools.permutations(range(3))
+    }
+    assert _sparse_verdict(3, f) is None and _dense_verdict(3, f) is None
 
 
 # --- chiral model ---------------------------------------------------------------

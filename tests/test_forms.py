@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
@@ -260,6 +262,55 @@ def test_form_validation():
         fo.Form(E2, 2, {(1, 0): ac.ONE})
     with pytest.raises(fo.FormError):
         fo.Form(E2, 1, {(5,): ac.ONE})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: fo.lorentzian(0), lambda: fo.lorentzian(-3), lambda: fo.euclidean(0), lambda: fo.FlatSpace([])],
+)
+def test_space_needs_dimension_one(build):
+    with pytest.raises(ValueError, match="dimension n >= 1"):
+        build()
+
+
+# --- wedge by complement against the pairwise loop -------------------------------
+
+
+def _pairwise_wedge(a, b):
+    """Every pair of components, signed by _merge_sign."""
+    out = {}
+    for i_idx, i_coeff in a.components.items():
+        for j_idx, j_coeff in b.components.items():
+            sign, idx = fo._merge_sign(i_idx, j_idx)
+            if sign is not None:
+                out[idx] = out.get(idx, ac.ZERO) + sign * i_coeff * j_coeff
+    return fo.Form(a.space, a.grade + b.grade, out)
+
+
+def _sparse_form(rng, space, grade):
+    """Random form on a random subset of the components, with coefficients
+    that cancel in some products."""
+    choices = (ac.ONE, ac.rational(-2, 3), space.coord_expr(0), ac.jet("u"), ac.jet("u") / 2)
+    comps = {}
+    for idx in itertools.combinations(range(space.n), grade):
+        if rng.random() < 0.6:
+            comps[idx] = rng.choice(choices) * rng.choice((1, -1, 3))
+    return fo.Form(space, grade, comps)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=4, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32))
+def test_wedge_matches_pairwise_reference(n, lorentz, seed):
+    space = fo.lorentzian(n) if lorentz else fo.euclidean(n)
+    rng = random.Random(seed)
+    for ga in range(n + 1):
+        for gb in range(n - ga + 1):
+            a, b = _sparse_form(rng, space, ga), _sparse_form(rng, space, gb)
+            result = fo.wedge(a, b)
+            assert result.components == _pairwise_wedge(a, b).components
+            # the trusted result is a valid form: the public constructor keeps it
+            assert fo.Form(space, result.grade, result.components).components == result.components
 
 
 # --- node limit in the form and operator layers ---------------------------------
