@@ -25,14 +25,15 @@ process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
 ResourceLimitError when an intermediate polynomial holds more monomials, or
 when a multiplication would form more term products (len(p) * len(q)) than
 the limit; a product is refused before its loop runs, so the cap bounds
-time as well as size.  That holds for the operator and form layers and the
-ODE checks and characteristic search too: they read the limit once per call
-and run on the polynomial layer below, so a change takes effect at the next
-call.
+time as well as size.  That holds for the parser, the operator and form
+layers and the ODE checks and characteristic search too: they read the
+limit once per call (once per parsed expression) and run on the polynomial
+layer below, so a change takes effect at the next call.
 
 Everything here is a pure function over immutable values and is safe for
-concurrent use; the cached hash of an expression is a write-once slot
-whose value is deterministic, so a racing recomputation is harmless.
+concurrent use; the cached hash and the memoised gradient of an expression
+are slots filled lazily with deterministic values, so a racing
+recomputation is harmless.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ class Expr:
     subclass Rat.
     """
 
-    __slots__ = ("_poly", "_hash")
+    __slots__ = ("_poly", "_hash", "_grad")
 
     def poly(self):
         c, d = self._poly
@@ -757,6 +758,52 @@ def _partial_poly(p, sym, limit):
         return {}, 1
 
     return _derive_poly(p, rule, limit)
+
+
+_ZERO_POLY = {}, 1
+
+
+def _gradient(e: Expr, atom, limit):
+    """d e / d atom as a polynomial, memoised on e in its _grad slot like
+    its hash, so every operation on the same value shares its partials.
+    The partial is shared: callers copy it before adding to it.  Each
+    lookup checks its size against `limit`, so a node limit lowered after
+    the partial was memoised still applies to it."""
+    try:
+        table, complete = e._grad
+    except AttributeError:  # the slot stays unset until the first lookup
+        table, complete = e._grad = _shift_gradient(e._poly)
+    p = table.get(atom)
+    if p is None:
+        if complete:
+            return _ZERO_POLY
+        p = table[atom] = _partial_poly(e._poly, atom, limit)
+    _check_size(len(p[0]), limit)
+    return p
+
+
+def _shift_gradient(p):
+    """(table, complete) of the gradient of p, table mapping atoms to
+    partials.  Without function atoms, the partial of a monomial in one of
+    its atoms is its exponent shift, and distinct monomials shift to
+    distinct monomials: one pass fills the whole table, with no products
+    and no sums, and an atom outside it has partial zero (complete).  A
+    function atom needs the chain rule: the table then starts empty and
+    _gradient fills it atom by atom."""
+    c, d = p
+    table = {}
+    for mono, coeff in c.items():
+        for k, (a, e) in enumerate(mono):
+            if type(a) is FunAtom:
+                return {}, False
+            out = table.get(a)
+            if out is None:
+                out = table[a] = {}
+            if e == 1:
+                out[mono[:k] + mono[k + 1 :]] = coeff
+            else:
+                out[mono[:k] + ((a, e - 1),) + mono[k + 1 :]] = coeff * e
+    return {a: _normal(out, d) for a, out in table.items()}, True
 
 
 def _iterated_poly(p, index: MultiIndex, limit):

@@ -443,14 +443,18 @@ def _energy_momentum(space: FlatSpace, currents, traceless: bool, what: str):
 
 class LieAlgebra:
     """Structure constants f^{ab}_c with [t^a, t^b] = f^{ab}_c t^c and a
-    diagonal Killing metric; antisymmetry and the Jacobi identity are
-    validated exactly at construction, by loops over the nonzero structure
-    constants only (entries with an index outside 0..n-1 are never read)."""
+    diagonal Killing metric; every index must lie in 0..n-1, and
+    antisymmetry and the Jacobi identity are validated exactly at
+    construction, by loops over the nonzero structure constants only."""
 
     def __init__(self, n: int, f, kappa=None):
         self.n = n
         table = {}
         for (a, b, c), value in f.items():
+            if not all(i in range(n) for i in (a, b, c)):
+                raise FieldModelError(
+                    f"structure constant f{(a, b, c)} has an index outside 0..{n - 1}"
+                )
             value = Fraction(value)
             if value:
                 table[(a, b, c)] = value
@@ -464,8 +468,7 @@ class LieAlgebra:
         return self.f.get((a, b, c), Fraction(0))
 
     def _validate(self):
-        indices = range(self.n)
-        f = {key: v for key, v in self.f.items() if all(i in indices for i in key)}
+        f = self.f
         if any(f.get((b, a, c), 0) != -v for (a, b, c), v in f.items()):
             raise FieldModelError("structure constants are not antisymmetric")
         # J(a,b,c,d) = T(a,b,c,d) + T(b,c,a,d) + T(c,a,b,d) with

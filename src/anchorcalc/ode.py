@@ -164,28 +164,26 @@ class Trivector:
 
 # ---------------------------------------------------------------------------
 # helpers: each public operation below makes one _Partials and sums its
-# products on the polynomial layer
+# products on the polynomial layer.  The partials are memoised on the
+# operands themselves (expr._gradient), so the checks of one model share them
 
 
-def _x_atom(i: int) -> JetVar:
-    return JetVar(field_name(i))
+def _x_atoms(n: int):
+    return [JetVar(field_name(i)) for i in range(n)]
 
 
 class _Partials:
     """The node limit, read once per call, and the partial derivatives of
-    the call's operands: d(e, i) is d e / d x_i and d(e, None) is d e / d t,
-    computed once and shared, so callers copy before adding to them."""
+    the call's operands in (t, x1..xn): d(e, i) is d e / d x_i and d(e, None)
+    is d e / d t, read off the gradient memoised on e, so callers copy
+    before adding to them."""
 
-    def __init__(self):
+    def __init__(self, n: int):
         self.limit = ex.node_limit()
-        self._table = {}
+        self._x = _x_atoms(n)
 
     def d(self, e: Expr, i):
-        p = self._table.get((e, i))
-        if p is None:
-            atom = _T if i is None else _x_atom(i)
-            p = self._table[(e, i)] = ex._partial_poly(e._poly, atom, self.limit)
-        return p
+        return ex._gradient(e, _T if i is None else self._x[i], self.limit)
 
     def addmul(self, acc, p, q, sign=1):
         """acc += sign * p * q, for polynomials p, q and an accumulator."""
@@ -263,7 +261,7 @@ def _coerce_form(psi):
 
 def check_characteristic(sys: OdeSystem, f):
     """d_t f = v . grad f; returns (flag, residual)."""
-    return _characteristic(_Partials(), sys, _coerce_char(f))
+    return _characteristic(_Partials(sys.n), sys, _coerce_char(f))
 
 
 def check_symmetry(sys: OdeSystem, w):
@@ -271,7 +269,7 @@ def check_symmetry(sys: OdeSystem, w):
     w = _coerce_vec(w)
     if len(w) != sys.n:
         raise ValueError("dimension mismatch")
-    tab = _Partials()
+    tab = _Partials(sys.n)
     # d_t w - [v, w] = d_t w + [w, v]
     residual = _lie_bracket(tab, w, sys.v, [ex._acc(tab.d(wi, None)) for wi in w])
     return all(is_identically_zero(r) for r in residual), residual
@@ -279,7 +277,7 @@ def check_symmetry(sys: OdeSystem, w):
 
 def check_anchor(sys: OdeSystem, alpha: Bivector):
     """d_t alpha = L_v alpha componentwise on i < j; returns (flag, residuals)."""
-    tab, a, v = _Partials(), _matrix(sys, alpha), sys.v
+    tab, a, v = _Partials(sys.n), _matrix(sys, alpha), sys.v
     residual = {}
     for i, j in itertools.combinations(range(sys.n), 2):
         # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j
@@ -295,14 +293,14 @@ def check_anchor(sys: OdeSystem, alpha: Bivector):
 
 def anchor_apply(alpha: Bivector, f) -> VerticalVector:
     """w^i = alpha^{ij} d_j f: the proper symmetry generated by f."""
-    return VerticalVector(_anchor_apply(_Partials(), alpha.matrix(), _coerce_char(f)))
+    return VerticalVector(_anchor_apply(_Partials(alpha.n), alpha.matrix(), _coerce_char(f)))
 
 
 def schouten_square(alpha: Bivector) -> Trivector:
     """Jacobiator S^{ijk} = sum_cyc alpha^{im} d_m alpha^{jk}; zero exactly
     when the bracket is integrable."""
     n = alpha.n
-    tab, a = _Partials(), alpha.matrix()
+    tab, a = _Partials(n), alpha.matrix()
     upper = {}
     for i, j, k in itertools.combinations(range(n), 3):
         acc = ex._acc()
@@ -316,21 +314,21 @@ def schouten_square(alpha: Bivector) -> Trivector:
 def poisson_bracket(alpha: Bivector, f, g) -> Expr:
     """{f, g} = alpha^{ij} d_i f d_j g."""
     f, g = _coerce_char(f), _coerce_char(g)
-    return _poisson_bracket(_Partials(), alpha.matrix(), f, g)
+    return _poisson_bracket(_Partials(alpha.n), alpha.matrix(), f, g)
 
 
 def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     """Proper deformation by the twist of H: v'^i = v^i - alpha^{ij} d_j H
     (sign frozen by calibration; the free system deforms to
     xdot^i = {x^i, H})."""
-    return _deform(_Partials(), sys, _matrix(sys, alpha), _coerce_char(hamiltonian))
+    return _deform(_Partials(sys.n), sys, _matrix(sys, alpha), _coerce_char(hamiltonian))
 
 
 def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     """When {f, H} is a function of t alone with polynomial antiderivative g,
     f - g must be conserved by the deformed system.  Returns (flag, detail)."""
     f, h = _coerce_char(f), _coerce_char(hamiltonian)
-    tab, a = _Partials(), _matrix(sys, alpha)
+    tab, a = _Partials(sys.n), _matrix(sys, alpha)
     if not _characteristic(tab, sys, f)[0]:
         return False, "f is not a characteristic of the original system"
     bracket = _poisson_bracket(tab, a, f, h)
@@ -357,7 +355,7 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
     n = sys.n
-    tab, a = _Partials(), _matrix(sys, alpha)
+    tab, a = _Partials(n), _matrix(sys, alpha)
     residuals = {}
     psi_v = ex._acc()
     for k in range(n):
@@ -382,14 +380,14 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
 
 def differential(f, n: int) -> VerticalForm:
     """The vertical differential d~f as a covector of x-partials."""
-    f, tab = _coerce_char(f), _Partials()
+    f, tab = _coerce_char(f), _Partials(n)
     return VerticalForm([ex._expr(tab.d(f, i)) for i in range(n)])
 
 
 def commutator_matches_bracket(alpha: Bivector, f, g):
     """Residual of [V(f), V(g)] - sigma V({f, g}) with the frozen sign."""
     f, g = _coerce_char(f), _coerce_char(g)
-    tab, a = _Partials(), alpha.matrix()
+    tab, a = _Partials(alpha.n), alpha.matrix()
     rhs = _anchor_apply(tab, a, _poisson_bracket(tab, a, f, g))
     out = [ex._acc(ex._pscale(r._poly, -HOMOMORPHISM_SIGN)) for r in rhs]
     residual = _lie_bracket(tab, _anchor_apply(tab, a, f), _anchor_apply(tab, a, g), out)
@@ -408,19 +406,22 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
     fields = [alpha.column(l) for l in range(n)]
     accumulated = list(fields)
     frontier = list(fields)
-    tab = _Partials()
+    tab = _Partials(n)
     for _ in range(depth):
         frontier = [_lie_bracket(tab, a, b) for a in accumulated for b in frontier]
         accumulated.extend(frontier)
     rows = []
     for vec in accumulated:
         try:
-            rows.append([ex.evaluate(c, assignment) for c in vec])
+            values = [ex.evaluate(c, assignment) for c in vec]
         except ex.EvaluationError as exc:
             raise ex.EvaluationError(
                 f"singular sample point, pick another one: {exc}"
             ) from exc
-    return len(_eliminate(dict(enumerate(r)) for r in rows))
+        # scaling a row by a nonzero constant keeps the rank
+        den = math.lcm(*(v.denominator for v in values))
+        rows.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(values) if v})
+    return len(_eliminate(rows))
 
 
 def _point_assignment(point, n):
@@ -430,21 +431,18 @@ def _point_assignment(point, n):
     if len(values) != n + 1:
         raise ValueError(f"expected {n + 1} rational values (t, x1..x{n})")
     table = {ex.IndepVar(TIME): values[0]}
-    for i in range(n):
-        table[_x_atom(i)] = values[i + 1]
+    table.update(zip(_x_atoms(n), values[1:]))
     return table
 
 
 def _eliminate(rows):
-    """Sparse fraction-free Gauss-Jordan elimination of rational rows given
-    as {column: value} dicts.  Returns {pivot column: row} of the reduced row
-    echelon form, each row with a unit at its pivot, its smallest column.
-    Rows are scaled to integers, every step is integer-preserving (Bareiss
-    1968) and divides out the content, and only the unit pivots divide."""
+    """Sparse fraction-free Gauss-Jordan elimination of integer rows given
+    as {column: nonzero int} dicts.  Returns {pivot column: row} of the
+    reduced row echelon form, each row with a unit at its pivot, its
+    smallest column.  Every step is integer-preserving (Bareiss 1968) and
+    divides out the content, and only the unit pivots divide."""
     reduced = {}  # pivot column -> primitive integer row
-    for row in sorted(rows, key=len):  # sparsest first: it keeps the fill-in small
-        den = math.lcm(*(v.denominator for v in row.values()))
-        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    for r in sorted(rows, key=len):  # sparsest first: it keeps the fill-in small
         for c in [c for c in r if c in reduced]:
             r = _cancel(r, c, reduced[c])
         if r:
@@ -502,17 +500,22 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     if any(isinstance(a, (ex.FunAtom, ex.Param)) for c in sys.v for a in ex.atoms(c)):
         raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
-    tab = _Partials()  # for its limit and sums: each derivative is taken once
+    tab = _Partials(sys.n)  # for its limit and sums
     # every residual times the common denominator of v: the rows are then
-    # integral, and scaling every equation by one constant keeps the kernel
+    # integral, and scaling every equation by one constant keeps the kernel.
+    # den * (d_t mono - v . grad mono) = -(w . grad mono) with w_t = -den
+    # and w_i = den * v_i, the gradient of a monomial being its exponent
+    # shifts: one term each, so every product takes the one-term path
     den = math.lcm(*(vi._poly[1] for vi in sys.v))
-    v = [ex._pscale(vi._poly, den) for vi in sys.v]
+    w = {_T: ({(): -den}, 1)}
+    w.update(zip(tab._x, (ex._pscale(vi._poly, den) for vi in sys.v)))
     rows = {}  # residual monomial -> {basis column: integer coefficient}
     for col, mono in enumerate(basis):
-        # den * (d_t mono - v . grad mono)
-        residual = ex._acc(ex._partial_poly(({mono: den}, 1), _T, tab.limit))
-        for i, vi in enumerate(v):
-            tab.addmul(residual, vi, ex._partial_poly(({mono: 1}, 1), _x_atom(i), tab.limit), -1)
+        grad = ex._shift_gradient(({mono: 1}, 1))[0]
+        residual = ex._acc()
+        for atom, wa in w.items():
+            if atom in grad:
+                tab.addmul(residual, wa, grad[atom], -1)
         for m, coeff in residual[0].items():
             rows.setdefault(m, {})[col] = coeff
     kernel = _kernel(_eliminate(rows.values()), len(basis))
@@ -522,7 +525,7 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
 def _monomials(n: int, max_degree: int):
     """Monomials in (t, x1..xn) of total degree <= max_degree, as monomials
     of the polynomial layer: constant first, then ascending graded-lex."""
-    gens = [_T] + [_x_atom(i) for i in range(n)]
+    gens = [_T] + _x_atoms(n)
     return [
         tuple(sorted((gens[g], combo.count(g)) for g in set(combo)))
         for total in range(max_degree + 1)

@@ -80,39 +80,49 @@ class VarContext:
         return counts
 
 
+# One token per match, its kind given by the group that matched; the leading
+# whitespace is a group of its own, so positions add up without a call per
+# token.  Every non-space character starts a match (the last group takes the
+# rest), so the matches tile the text up to its trailing whitespace.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[a-zA-Z][a-zA-Z0-9]*(?:_[a-zA-Z0-9]+)?)"
-    r"|(?P<op>[-+*/^()]))"
+    r"(\s*)(?:([0-9]+)|([a-zA-Z][a-zA-Z0-9]*(?:_[a-zA-Z0-9]+)?)|([-+*/^()])|(\S))"
 )
 
 
 def tokenize(text):
+    """(kind, value, position) triples, kind one of num, ident, op and a
+    final end."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[where]!r}", where, text)
-        if m.lastgroup is None:
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for space, num, ident, op, bad in _TOKEN.findall(text.rstrip()):
+        pos += len(space)
+        if num:
+            tokens.append(("num", num, pos))
+            pos += len(num)
+        elif ident:
+            tokens.append(("ident", ident, pos))
+            pos += len(ident)
+        elif op:
+            tokens.append(("op", op, pos))
+            pos += 1
+        else:
+            raise ParseError(f"unexpected character {bad!r}", pos, text)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Builds the normal-form polynomial pair of each rule on the
+    polynomial layer of expr, with the node limit read once per parse; only
+    a function argument is wrapped in an Expr, for its atom."""
+
     def __init__(self, text, context):
         self.text = text
         self.context = context
         self.tokens = tokenize(text)
         self.k = 0
         self.depth = 0
+        self.limit = ex.node_limit()
 
     def peek(self):
         return self.tokens[self.k]
@@ -140,47 +150,50 @@ class _Parser:
 
     # grammar rules ------------------------------------------------------
     def expr(self):
-        node = self.term()
+        p = self.term()
+        acc = None  # the sum of two or more terms, accumulated in place
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                node = node + rhs if val == "+" else node - rhs
+                q = self.term()
+                if acc is None:
+                    acc = ex._acc(p)
+                ex._padd_into(acc, q, self.limit, 1 if val == "+" else -1)
             else:
-                return node
+                return p if acc is None else ex._normal(*acc)
 
     def term(self):
-        node = self.unary()
+        p = self.unary()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.unary()
-                node = node * rhs if val == "*" else node / rhs
+                q = self.unary()
+                p = ex._pmul(p, q if val == "*" else ex._pinv(q), self.limit)
             else:
-                return node
+                return p
 
     def unary(self):
         self.descend()  # every nested parenthesis, call and sign passes here
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            node = -self.unary()
+            p = ex._pscale(self.unary(), -1)
         elif kind == "op" and val == "+":
             self.advance()
-            node = self.unary()
+            p = self.unary()
         else:
-            node = self.power()
+            p = self.power()
         self.depth -= 1
-        return node
+        return p
 
     def power(self):
         base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            return base ** self.exponent()
+            return ex._ppow(base, self.exponent(), self.limit)
         return base
 
     def exponent(self):
@@ -205,7 +218,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            return ex.rational(int(val))
+            value = int(val)
+            return ({(): value}, 1) if value else ({}, 1)
         if kind == "op" and val == "(":
             self.advance()
             inner = self.expr()
@@ -217,11 +231,12 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return ex.fun(val, arg)
-            return self.identifier(val, pos)
+                return ex._fun_poly(val, ex._expr(arg))
+            return {((self.identifier(val, pos), 1),): 1}, 1
         raise ParseError("expected a value", pos, self.text)
 
     def identifier(self, name, pos):
+        """The atom an identifier names."""
         if "_" in name:
             head, suffix = name.split("_", 1)
             if head not in self.context.fields:
@@ -233,11 +248,11 @@ class _Parser:
                     pos,
                     self.text,
                 )
-            return ex.jet(head, counts)
+            return ex.JetVar(head, counts)
         atom = self.context.lookup(name)
         if atom is None:
             raise ParseError(f"unknown identifier {name!r}", pos, self.text)
-        return ex.Sym(atom)
+        return atom
 
 
 def parse_expr(text, context) -> ex.Expr:
@@ -247,4 +262,4 @@ def parse_expr(text, context) -> ex.Expr:
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos, text)
-    return node
+    return ex._expr(node)

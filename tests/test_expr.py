@@ -687,3 +687,73 @@ def test_values_reached_by_different_routes_are_equal():
     zero = x1 / 3 - x1 / 3
     assert isinstance(zero, ex.Rat) and zero._poly == ({}, 1)
     assert isinstance((x1 / 2) / x1, ex.Rat) and ((x1 / 2) / x1).value == Fraction(1, 2)
+
+
+# --- the memoised gradient -----------------------------------------------------
+
+_GRAD_LEAVES = st.one_of(
+    _RATIONALS.map(ac.rational),
+    st.sampled_from([t, x1, x2, x1t, a_par, t**-1, x1**-2]),
+)
+
+
+def _apply(fn, e):
+    # log(0) is undefined
+    return e if ac.is_identically_zero(e) else fn(e)
+
+
+def _grad_exprs(functions):
+    def extend(children):
+        grown = [
+            st.tuples(children, children).map(lambda p: p[0] + p[1]),
+            st.tuples(children, children).map(lambda p: p[0] - p[1]),
+            st.tuples(children, children).map(lambda p: p[0] * p[1]),
+            st.tuples(children, st.integers(0, 3)).map(lambda p: p[0] ** p[1]),
+        ]
+        if functions:
+            fns = st.sampled_from([ac.sin, ac.exp, ac.log])
+            grown.append(st.tuples(fns, children).map(lambda p: _apply(*p)))
+        return st.one_of(grown)
+
+    return st.recursive(_GRAD_LEAVES, extend, max_leaves=8)
+
+
+def _partial_or_error(function):
+    try:
+        return function()
+    except ex.UnsupportedInputError as exc:  # d log(arg) needs a monomial arg
+        return str(exc)
+
+
+def _gradient_matches_diff(e):
+    limit = ex.node_limit()
+    probes = ex.atoms(e) | {_atom_of(x2), _atom_of(ac.param("b")), _atom_of(_SIN)}
+    for _ in range(2):  # computed, then read back from the memo
+        for atom in sorted(probes):
+            partial = _partial_or_error(lambda: ex._expr(ex._gradient(e, atom, limit)))
+            assert partial == _partial_or_error(lambda: ex.diff(e, atom))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grad_exprs(functions=False))
+def test_gradient_matches_diff_on_polynomials(e):
+    _gradient_matches_diff(e)
+    assert e._grad[1]  # filled in one pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grad_exprs(functions=True))
+def test_gradient_matches_diff_with_function_atoms(e):
+    _gradient_matches_diff(e)
+
+
+@pytest.mark.parametrize("factor", [ac.ONE, ac.sin(x1)], ids=["polynomial", "function atom"])
+def test_memoised_gradient_honours_a_lowered_node_limit(monkeypatch, factor):
+    e = sum((factor * x1**k * x2 for k in range(1, 8)), ac.ZERO)  # d/dx2 has 7 terms
+    atom = _atom_of(x2)
+    assert len(ex._gradient(e, atom, ex.node_limit())[0]) == 7  # memoised
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "6")
+    with pytest.raises(ex.ResourceLimitError, match=r"\(7 monomials > 6\)"):
+        ex._gradient(e, atom, ex.node_limit())
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "7")
+    assert len(ex._gradient(e, atom, ex.node_limit())[0]) == 7

@@ -326,12 +326,26 @@ def test_invalid_structure_constants():
         fm.LieAlgebra(3, bad)
 
 
+def test_structure_constant_index_out_of_range_is_refused():
+    # the bracket [t^0, t^1] = t^2 names a third generator of a 2-dimensional
+    # algebra; it must not validate as the abelian algebra
+    with pytest.raises(fm.FieldModelError, match=r"f\(0, 1, 2\) has an index outside 0\.\.1"):
+        fm.LieAlgebra(2, {(0, 1, 2): 1, (1, 0, 2): -1})
+    with pytest.raises(fm.FieldModelError, match="outside"):
+        fm.LieAlgebra(3, {(0, -1, 2): 0})
+
+
 def test_scaled_algebra_keeps_jacobi():
     fm.su2().scaled(Fraction(-7, 3))
 
 
 def _dense_verdict(n, f):
-    """The dense O(n^5) loop over every index: the error message, or None."""
+    """The dense O(n^5) loop over every index: the error message, or None.
+    An entry with an index outside 0..n-1 is refused before the loop."""
+    for key in f:
+        if not all(0 <= i < n for i in key):
+            return f"structure constant f{key} has an index outside 0..{n - 1}"
+
     def s(a, b, c):
         return f.get((a, b, c), Fraction(0))
 
@@ -378,9 +392,14 @@ def test_sparse_lie_validation_matches_dense_reference():
         n, f = _random_structure(rng)
         verdict = _dense_verdict(n, f)
         assert _sparse_verdict(n, f) == verdict, (n, f)
-        kinds[verdict] += 1
+        kinds["index out of range" if verdict and "outside" in verdict else verdict] += 1
     # the inputs reach every verdict
-    assert set(kinds) == {None, "structure constants are not antisymmetric", "Jacobi identity fails"}
+    assert set(kinds) == {
+        None,
+        "structure constants are not antisymmetric",
+        "Jacobi identity fails",
+        "index out of range",
+    }
     assert min(kinds.values()) >= 40
 
 

@@ -524,17 +524,27 @@ def _dense(vec, cols):
     return [vec.get(c, Fraction(0)) for c in range(cols)]
 
 
+def _integer_rows(rows):
+    """Each rational row times the lcm of its denominators, as the sparse
+    {column: nonzero int} rows that ode._eliminate takes."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        out.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(row) if v})
+    return out
+
+
 def _row_reduce(rows, cols):
     """(reduced rows, pivot columns) from ode._eliminate: the nonzero rows of
     the reduced row echelon form first, then zero rows."""
-    reduced = ode._eliminate(dict(enumerate(r)) for r in rows)
+    reduced = ode._eliminate(_integer_rows(rows))
     m = [_dense(row, cols) for row in reduced.values()]
     return m + [_dense({}, cols) for _ in range(len(rows) - len(m))], list(reduced)
 
 
 def _nullspace(matrix, cols):
     """Kernel basis from ode._eliminate: one vector per free column."""
-    kernel = ode._kernel(ode._eliminate(dict(enumerate(r)) for r in matrix), cols)
+    kernel = ode._kernel(ode._eliminate(_integer_rows(matrix)), cols)
     return [_dense(v, cols) for v in kernel.values()]
 
 
