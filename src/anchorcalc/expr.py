@@ -33,7 +33,9 @@ layer below, so a change takes effect at the next call.
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash and the memoised gradient of an expression
 are slots filled lazily with deterministic values, so a racing
-recomputation is harmless.
+recomputation is harmless.  That gradient is the one partial derivative:
+diff, the Euler operator, the homotopy, linearization, shell elimination
+and the ODE checks all read it.
 """
 
 from __future__ import annotations
@@ -71,10 +73,14 @@ class EvaluationError(ExprError):
 
 
 def node_limit() -> int:
-    try:
-        return int(os.environ.get("ANCHORCALC_NODE_LIMIT", _DEFAULT_NODE_LIMIT))
-    except ValueError:
+    """ANCHORCALC_NODE_LIMIT, the default when unset or empty; a value that
+    is not an integer >= 1 raises ValueError."""
+    text = os.environ.get("ANCHORCALC_NODE_LIMIT")
+    if not text:
         return _DEFAULT_NODE_LIMIT
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"ANCHORCALC_NODE_LIMIT must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _check_size(n: int, limit: int) -> None:
@@ -675,12 +681,11 @@ def max_jet_order(e: Expr, field=None) -> int:
 # differentiation
 
 
-def _derive_poly(p, atom_rule, limit):
-    """Product rule over monomials; atom_rule(atom) is the derivative of
-    one atom as a polynomial, looked up once per atom and call.  An atom
-    seldom repeats inside one call, so the jet step of a total derivative
-    is memoised across calls as well, in _jet_step."""
-    c, d = p
+def _total_derivative_poly(p, d: str, limit):
+    """D_d p by the product rule over monomials.  The derivative of each
+    atom is worked out once per call; an atom seldom repeats inside one
+    call, so the jet step is memoised across calls as well, in _jet_step."""
+    c, pd = p
     acc = {}
     den = 1  # lcm of the denominators of the atom derivatives met so far
     rules = {}
@@ -688,7 +693,15 @@ def _derive_poly(p, atom_rule, limit):
         for k, (a, e) in enumerate(mono):
             da = rules.get(a)
             if da is None:
-                da = rules[a] = atom_rule(a)
+                if isinstance(a, JetVar):
+                    da = _jet_step(a, d)
+                elif isinstance(a, FunAtom):
+                    da = _chain(a, _total_derivative_poly(a[3]._poly, d, limit), limit)
+                elif isinstance(a, IndepVar) and a[1] == d:
+                    da = {(): 1}, 1
+                else:
+                    da = _ZERO_POLY
+                rules[a] = da
             dc, dd = da
             if not dc:
                 continue
@@ -710,7 +723,7 @@ def _derive_poly(p, atom_rule, limit):
                 else:
                     del acc[m]
         _check_size(len(acc), limit)
-    return _normal(acc, d * den)
+    return _normal(acc, pd * den)
 
 
 def _chain(atom: FunAtom, inner, limit):
@@ -736,74 +749,55 @@ def _jet_step(atom: JetVar, d: str):
     return {((JetVar(atom[1], atom[2].step(d)), 1),): 1}, 1
 
 
-def _total_derivative_poly(p, d: str, limit):
-    def rule(a):
-        if isinstance(a, JetVar):
-            return _jet_step(a, d)
-        if isinstance(a, IndepVar):
-            return ({(): 1} if a[1] == d else {}), 1
-        if isinstance(a, FunAtom):
-            return _chain(a, _total_derivative_poly(a[3]._poly, d, limit), limit)
-        return {}, 1
-
-    return _derive_poly(p, rule, limit)
-
-
-def _partial_poly(p, sym, limit):
-    def rule(a):
-        if a == sym:
-            return {(): 1}, 1
-        if isinstance(a, FunAtom):
-            return _chain(a, _partial_poly(a[3]._poly, sym, limit), limit)
-        return {}, 1
-
-    return _derive_poly(p, rule, limit)
-
-
 _ZERO_POLY = {}, 1
 
 
 def _gradient(e: Expr, atom, limit):
-    """d e / d atom as a polynomial, memoised on e in its _grad slot like
-    its hash, so every operation on the same value shares its partials.
-    The partial is shared: callers copy it before adding to it.  Each
-    lookup checks its size against `limit`, so a node limit lowered after
-    the partial was memoised still applies to it."""
+    """d e / d atom as a polynomial: the kernel's one partial derivative.
+    The exponent shifts of e are memoised on e in its _grad slot like its
+    hash, so every operation on the same value shares them; a shared
+    partial is read only, and callers copy it before adding to it.  A
+    function atom of e adds the chain rule through its argument, whose
+    gradient is memoised in turn.  Each lookup checks its size against
+    `limit`, so a node limit lowered after the memo was filled still
+    applies."""
     try:
-        table, complete = e._grad
+        table, funs = e._grad
     except AttributeError:  # the slot stays unset until the first lookup
-        table, complete = e._grad = _shift_gradient(e._poly)
-    p = table.get(atom)
-    if p is None:
-        if complete:
-            return _ZERO_POLY
-        p = table[atom] = _partial_poly(e._poly, atom, limit)
+        table, funs = e._grad = _shift_gradient(e._poly)
+    p = table.get(atom, _ZERO_POLY)
+    if funs:
+        acc = _acc(p)
+        for f in funs:
+            inner = _chain(f, _gradient(f[3], atom, limit), limit)
+            _padd_into(acc, _pmul(table[f], inner, limit), limit)
+        p = _normal(*acc)
     _check_size(len(p[0]), limit)
     return p
 
 
 def _shift_gradient(p):
-    """(table, complete) of the gradient of p, table mapping atoms to
-    partials.  Without function atoms, the partial of a monomial in one of
-    its atoms is its exponent shift, and distinct monomials shift to
-    distinct monomials: one pass fills the whole table, with no products
-    and no sums, and an atom outside it has partial zero (complete).  A
-    function atom needs the chain rule: the table then starts empty and
-    _gradient fills it atom by atom."""
+    """(table, funs) of the gradient of p with every atom opaque: table
+    maps each atom to its partial, and funs lists the function atoms, which
+    need the chain rule.  The partial of a monomial in one of its atoms is
+    its exponent shift, and distinct monomials shift to distinct monomials:
+    one pass fills the whole table, with no products and no sums, and an
+    atom outside it has partial zero."""
     c, d = p
     table = {}
+    funs = []
     for mono, coeff in c.items():
         for k, (a, e) in enumerate(mono):
-            if type(a) is FunAtom:
-                return {}, False
             out = table.get(a)
             if out is None:
                 out = table[a] = {}
+                if type(a) is FunAtom:
+                    funs.append(a)
             if e == 1:
                 out[mono[:k] + mono[k + 1 :]] = coeff
             else:
                 out[mono[:k] + ((a, e - 1),) + mono[k + 1 :]] = coeff * e
-    return {a: _normal(out, d) for a, out in table.items()}, True
+    return {a: _normal(out, d) for a, out in table.items()}, funs
 
 
 def _iterated_poly(p, index: MultiIndex, limit):
@@ -824,9 +818,12 @@ def total_derivative(e: Expr, d) -> Expr:
 
 
 def diff(e: Expr, sym) -> Expr:
-    """Partial derivative with respect to one symbol atom (chain rule is
-    applied through function applications)."""
-    return _expr(_partial_poly(_coerce(e)._poly, _atom(sym), node_limit()))
+    """Partial derivative with respect to one atom or its one-atom
+    expression (chain rule is applied through function applications)."""
+    atom = _atom(sym)
+    if not isinstance(atom, (JetVar, _NamedAtom, FunAtom)):
+        raise TypeError(f"cannot differentiate with respect to {sym!r}: not an atom")
+    return _expr(_gradient(_coerce(e), atom, node_limit()))
 
 
 def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
@@ -840,7 +837,7 @@ def euler_derivative(density: Expr, field: str) -> Expr:
     limit = node_limit()
     out = _acc()
     for a in jet_atoms(density, field):
-        term = _iterated_poly(_partial_poly(density._poly, a, limit), a.index, limit)
+        term = _iterated_poly(_gradient(density, a, limit), a.index, limit)
         _padd_into(out, term, limit, (-1) ** a.index.order())
     return _expr_sum(out)
 
@@ -926,7 +923,7 @@ def divergence_split(density: Expr, d=None):
         k = a.index.order()
         if k == 0:
             continue
-        deriv = _partial_poly(density._poly, a, limit)
+        deriv = _gradient(density, a, limit)
         for j in range(k):
             lowered = ((JetVar(a.field, MultiIndex({name: k - 1 - j})), 1),)
             _padd_into(collected, _pmul(({lowered: 1}, 1), deriv, limit), limit, (-1) ** j)

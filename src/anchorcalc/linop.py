@@ -230,12 +230,9 @@ def linearize(components, fields) -> LinDiffOp:
     entries = {}
     for a, comp in enumerate(components):
         for atom in ex.jet_atoms(comp):
-            if atom.field not in fields:
-                continue
-            i = fields.index(atom.field)
-            coeff = ex.diff(comp, atom)
-            key = (a, i, atom.index)
-            entries[key] = entries[key] + coeff if key in entries else coeff
+            if atom.field in fields:
+                # (component, field, index) names one jet atom: keys never repeat
+                entries[(a, fields.index(atom.field), atom.index)] = ex.diff(comp, atom)
     return LinDiffOp(len(components), len(fields), entries)
 
 

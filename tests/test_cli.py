@@ -595,6 +595,52 @@ def test_euler_top_fixture_full_suite():
         assert ode.check_characteristic(model.system, f)[0]
 
 
+PENDULUM_CHECKS = (
+    "anchor", "characteristic", "noether_map", "proper_symmetry",
+    "schouten_square", "symmetry", "twist_invariance",
+)
+
+
+def test_pendulum_fixture_verdicts(tmp_path):
+    # function atoms in every section.  v = -alpha dH with alpha = 1 and
+    # H = x2^2/2 - cos(x1): v . grad f = 0, div v = 0 with alpha constant,
+    # w = alpha df = -v, psi = df is closed with psi . v = 0, and {f, H} = 0
+    pendulum = FIXTURES / "pendulum.ini"
+    code, out = run_cli("check", str(pendulum), "--json")
+    assert code == 0
+    assert {c["name"]: c["status"] for c in json.loads(out)["checks"]} == dict.fromkeys(
+        PENDULUM_CHECKS, "PASS"
+    )
+    # f = x2^2/2 + cos(x1) is no longer conserved: v . grad f = 2*x2*sin(x1)
+    mutant = tmp_path / "mutant.ini"
+    mutant.write_text(pendulum.read_text().replace("f = x2^2/2 - cos(x1)", "f = x2^2/2 + cos(x1)"))
+    code, out = run_cli("check", str(mutant), "--json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    failing = {"characteristic", "noether_map", "proper_symmetry", "twist_invariance"}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        name: "FAIL" if name in failing else "PASS" for name in PENDULUM_CHECKS
+    }
+    assert checks["characteristic"]["residual"] == "-2*x2*sin(x1)"
+
+
+@pytest.mark.parametrize("value", ["1e5", "abc", "0", "-5"])
+def test_malformed_node_limit_exits_2_without_a_report(monkeypatch, value):
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", value)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("check", str(OSCILLATOR), "--json")
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (
+        f"error: ANCHORCALC_NODE_LIMIT must be an integer >= 1, got {value!r}\n"
+    )
+
+
+def test_empty_node_limit_keeps_the_default(monkeypatch):
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "")
+    assert ac.expr.node_limit() == 10**6
+
+
 def test_oracle_time_dependent_characteristic(tmp_path):
     rotating = tmp_path / "rotating.ini"
     rotating.write_text(

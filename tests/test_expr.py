@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
+from anchorcalc import linop as lo
 
 t = ac.indep("t")
 x1 = ac.jet("x1")
@@ -725,26 +726,142 @@ def _partial_or_error(function):
         return str(exc)
 
 
-def _gradient_matches_diff(e):
+# Reference: the product-rule partial derivative that the memoised gradient
+# replaced, kept as it was written apart from the ex. prefixes.
+
+
+def _derive_poly(p, atom_rule, limit):
+    """Product rule over monomials; atom_rule(atom) is the derivative of
+    one atom as a polynomial, looked up once per atom and call.  An atom
+    seldom repeats inside one call, so the jet step of a total derivative
+    is memoised across calls as well, in _jet_step."""
+    c, d = p
+    acc = {}
+    den = 1  # lcm of the denominators of the atom derivatives met so far
+    rules = {}
+    for mono, coeff in c.items():
+        for k, (a, e) in enumerate(mono):
+            da = rules.get(a)
+            if da is None:
+                da = rules[a] = atom_rule(a)
+            dc, dd = da
+            if not dc:
+                continue
+            if den % dd:
+                f = dd // math.gcd(den, dd)
+                for m in acc:
+                    acc[m] *= f
+                den *= f
+            if e == 1:
+                rest = mono[:k] + mono[k + 1 :]
+            else:
+                rest = mono[:k] + ((a, e - 1),) + mono[k + 1 :]
+            scale = coeff * e * (den // dd)
+            for m2, c2 in dc.items():
+                m = ex._mono_mul(rest, m2)
+                nc = acc.get(m, 0) + scale * c2
+                if nc:
+                    acc[m] = nc
+                else:
+                    del acc[m]
+        ex._check_size(len(acc), limit)
+    return ex._normal(acc, d * den)
+
+
+def _chain(atom, inner, limit):
+    """d fn(arg) = fn'(arg) * d arg, with d arg given as `inner`."""
+    if not inner[0]:
+        return {}, 1
+    fn, arg = atom[1], atom[3]
+    if fn == "sin":
+        outer = ex._fun_poly("cos", arg)
+    elif fn == "cos":
+        outer = ex._pscale(ex._fun_poly("sin", arg), -1)
+    elif fn == "exp":
+        outer = {((atom, 1),): 1}, 1
+    else:
+        outer = ex._pinv(arg._poly)
+    return ex._pmul(outer, inner, limit)
+
+
+def _partial_poly(p, sym, limit):
+    def rule(a):
+        if a == sym:
+            return {(): 1}, 1
+        if isinstance(a, ex.FunAtom):
+            return _chain(a, _partial_poly(a[3]._poly, sym, limit), limit)
+        return {}, 1
+
+    return _derive_poly(p, rule, limit)
+
+
+def reference_diff(e, atom):
+    """d e / d atom by the reference product rule."""
+    return ex._expr(_partial_poly(ex._coerce(e)._poly, atom, ex.node_limit()))
+
+
+def _gradient_matches_reference(e):
     limit = ex.node_limit()
     probes = ex.atoms(e) | {_atom_of(x2), _atom_of(ac.param("b")), _atom_of(_SIN)}
     for _ in range(2):  # computed, then read back from the memo
         for atom in sorted(probes):
-            partial = _partial_or_error(lambda: ex._expr(ex._gradient(e, atom, limit)))
-            assert partial == _partial_or_error(lambda: ex.diff(e, atom))
+            expected = _partial_or_error(lambda: reference_diff(e, atom))
+            assert _partial_or_error(lambda: ex._expr(ex._gradient(e, atom, limit))) == expected
+            assert _partial_or_error(lambda: ex.diff(e, atom)) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(_grad_exprs(functions=False))
 def test_gradient_matches_diff_on_polynomials(e):
-    _gradient_matches_diff(e)
-    assert e._grad[1]  # filled in one pass
+    _gradient_matches_reference(e)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_grad_exprs(functions=True))
 def test_gradient_matches_diff_with_function_atoms(e):
-    _gradient_matches_diff(e)
+    _gradient_matches_reference(e)
+
+
+def test_nested_function_atoms_differentiate_by_the_chain_rule():
+    s = ac.sin(x1)
+    e = x1 * s + ac.exp(s) + ac.log(x1 * t) * s
+    for atom in (_atom_of(x1), _atom_of(t), _atom_of(s), _atom_of(ac.exp(s))):
+        assert ex.diff(e, atom) == reference_diff(e, atom)
+    assert ex.diff(e, x1) == s + x1 * ac.cos(x1) + ac.cos(x1) * (ac.exp(s) + ac.log(x1 * t)) + s / x1
+
+
+@pytest.mark.parametrize(
+    "sym", [x1 + x2, 2 * x1, "x1", ac.ONE, ac.sin(x1) + 1],
+    ids=["sum", "multiple", "name", "constant", "function plus one"],
+)
+def test_diff_refuses_what_is_not_an_atom(sym):
+    with pytest.raises(TypeError, match="not an atom"):
+        ex.diff(x1 * x2, sym)
+
+
+def _count_fills(monkeypatch):
+    fills = []
+    shift = ex._shift_gradient
+    monkeypatch.setattr(ex, "_shift_gradient", lambda p: fills.append(p) or shift(p))
+    return fills
+
+
+def test_one_gradient_fill_per_value(monkeypatch):
+    fills = _count_fills(monkeypatch)
+    e = x1**2 * x2 + t * x1t - ac.param("a") * x2
+    partials = [ex.diff(e, s) for s in (x1, x2, t, x1t, ac.param("a"), x1tt) * 2]
+    assert len(fills) == 1
+    assert partials[:6] == [2 * x1 * x2, x1**2 - ac.param("a"), x1t, t, -x2, ac.ZERO]
+    assert partials[6:] == partials[:6]
+
+
+def test_linearize_fills_one_gradient_per_component(monkeypatch):
+    fills = _count_fills(monkeypatch)
+    comps = [x1 * x1t + x2, x2t * x1 - x1tt, x1**3]
+    first = lo.linearize(comps, ["x1", "x2"])
+    second = lo.linearize(comps, ["x1", "x2"])
+    assert len(fills) == len(comps)
+    assert first == second
 
 
 @pytest.mark.parametrize("factor", [ac.ONE, ac.sin(x1)], ids=["polynomial", "function atom"])

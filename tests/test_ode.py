@@ -11,6 +11,7 @@ import anchorcalc as ac
 from anchorcalc import expr as ex
 from anchorcalc import ode
 from anchorcalc.expr import canonicalize, is_identically_zero
+from test_expr import reference_diff  # the product-rule partial derivative
 
 t = ac.indep("t")
 x1, x2, x3 = ac.jet("x1"), ac.jet("x2"), ac.jet("x3")
@@ -612,7 +613,8 @@ def _reference_echelon_solutions(kernel, basis):
 # --- reference: the Expr-operator checks that the polynomial layer replaced ---
 #
 # The earlier implementation, kept unchanged apart from names: every sum is
-# an Expr operator and every partial derivative a fresh ex.diff call.
+# an Expr operator and every partial derivative a fresh call of the
+# product-rule reference in test_expr.
 
 
 def _x_atom(i):
@@ -620,11 +622,11 @@ def _x_atom(i):
 
 
 def _dx(e, i):
-    return ex.diff(e, _x_atom(i))
+    return reference_diff(e, _x_atom(i))
 
 
 def _dt(e):
-    return ex.diff(e, ex.IndepVar(ode.TIME))
+    return reference_diff(e, ex.IndepVar(ode.TIME))
 
 
 def _along(v, e):
