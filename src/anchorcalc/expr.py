@@ -24,11 +24,12 @@ lexicographic with the largest monomial first, is the same in every
 process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
 ResourceLimitError when an intermediate polynomial holds more monomials, or
 when a multiplication would form more term products (len(p) * len(q)) than
-the limit; a product is refused before its loop runs, so the cap bounds
-time as well as size.  That holds for the parser, the operator and form
-layers and the ODE checks and characteristic search too: they read the
-limit once per call (once per parsed expression) and run on the polynomial
-layer below, so a change takes effect at the next call.
+the limit; a product is refused before its loop runs, whether it is formed
+or accumulated straight into a sum, so the cap bounds time as well as
+size.  That holds for the parser, the operator and form layers and the ODE
+checks and characteristic search too: they read the limit once per call
+(once per parsed expression) and run on the polynomial layer below, so a
+change takes effect at the next call.
 
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash and the memoised gradient of an expression
@@ -46,8 +47,6 @@ import os
 import random
 from fractions import Fraction
 from operator import itemgetter
-
-import mpmath
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 
@@ -381,12 +380,21 @@ def _atom(x):
     return x
 
 
+def _atom_key(x, action: str):
+    """The atom of x, an atom or its one-atom expression; anything else
+    raises TypeError, with `action` naming what the atom was wanted for."""
+    atom = _atom(x)
+    if not isinstance(atom, (JetVar, _NamedAtom, FunAtom)):
+        raise TypeError(f"cannot {action} {x!r}: not an atom")
+    return atom
+
+
 # ---------------------------------------------------------------------------
 # polynomial layer.  A polynomial is a pair (numerators, denominator) in the
 # normal form of _normal, and is never mutated.  A sum is accumulated in a
-# list [numerators, denominator] by _padd_into and normalised once, at the
-# end.  `limit` is the node limit read once by the public operation that
-# called in.
+# list [numerators, denominator] by _padd_into and _paddmul_into and
+# normalised once, at the end.  `limit` is the node limit read once by the
+# public operation that called in.
 
 
 def _normal(c, d):
@@ -459,19 +467,65 @@ def _padd_into(acc, p, limit, k=1):
     _check_size(len(out), limit)
 
 
-def _padd_scaled(table, key, p, k, limit):
-    """table[key] += k * p, for a dict of accumulators keyed by output index."""
-    acc = table.get(key)
-    if acc is None:
-        acc = table[key] = _acc()
-    _padd_into(acc, p, limit, k)
-
-
 def _psum(p, q, limit, k=1):
     """p + k * q."""
     acc = _acc(p)
     _padd_into(acc, q, limit, k)
     return _normal(*acc)
+
+
+def _refuse_product(n1: int, n2: int, limit: int):
+    raise ResourceLimitError(
+        f"product exceeds node limit ({n1} x {n2} term products > {limit}); "
+        "set ANCHORCALC_NODE_LIMIT to raise the cap"
+    )
+
+
+def _paddmul_into(acc, p, q, limit, k=1):
+    """acc += k * p * q for an accumulator acc and an int k, without forming
+    the product: each term product goes straight into the sum.  The product
+    is refused as in _pmul, and the accumulator's size is checked after."""
+    (pc, pd), (qc, qd) = p, q
+    if len(pc) < len(qc):
+        pc, pd, qc, qd = qc, qd, pc, pd
+    n1, n2 = len(pc), len(qc)
+    if not n2:  # a zero factor
+        return
+    if n1 * n2 > limit:
+        _refuse_product(n1, n2, limit)
+    out, den = acc
+    d = pd * qd
+    if d != den:
+        lcm = math.lcm(den, d)
+        if lcm != den:
+            f = lcm // den
+            for m in out:
+                out[m] *= f
+            acc[1] = lcm
+        k *= lcm // d
+    get = out.get
+    mono_mul = _mono_mul
+    if n2 == 1:
+        ((m2, c2),) = qc.items()
+        k *= c2
+        for m1, c1 in pc.items():
+            m = mono_mul(m1, m2) if m2 else m1
+            nv = get(m, 0) + k * c1
+            if nv:
+                out[m] = nv
+            else:
+                del out[m]
+    else:
+        for m1, c1 in pc.items():
+            kc = k * c1
+            for m2, c2 in qc.items():
+                m = mono_mul(m1, m2)
+                nv = get(m, 0) + kc * c2
+                if nv:
+                    out[m] = nv
+                else:
+                    del out[m]
+    _check_size(len(out), limit)
 
 
 def _pmul(p, q, limit):
@@ -481,28 +535,17 @@ def _pmul(p, q, limit):
         p, q = q, p
     (pc, pd), (qc, qd) = p, q
     if len(pc) * len(qc) > limit:
-        raise ResourceLimitError(
-            f"product exceeds node limit ({len(pc)} x {len(qc)} term products > {limit}); "
-            "set ANCHORCALC_NODE_LIMIT to raise the cap"
-        )
-    if len(qc) == 1:
-        ((m2, c2),) = qc.items()
-        if not m2:
-            return _pscale(p, c2, qd)
-        # a monomial factor (one term by one term in most catalog products):
-        # Laurent monomials form a group, so the products stay distinct
-        return _normal({_mono_mul(m1, m2): c1 * c2 for m1, c1 in pc.items()}, pd * qd)
-    out = {}
-    get = out.get
-    for m1, c1 in pc.items():
-        for m2, c2 in qc.items():
-            m = _mono_mul(m1, m2)
-            nc = get(m, 0) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
-    return _normal(out, pd * qd)
+        _refuse_product(len(pc), len(qc), limit)
+    if len(qc) != 1:  # the general loop, or a zero factor
+        acc = _acc()
+        _paddmul_into(acc, p, q, limit)
+        return _normal(*acc)
+    ((m2, c2),) = qc.items()
+    if not m2:
+        return _pscale(p, c2, qd)
+    # a monomial factor (one term by one term in most catalog products):
+    # Laurent monomials form a group, so the products stay distinct
+    return _normal({_mono_mul(m1, m2): c1 * c2 for m1, c1 in pc.items()}, pd * qd)
 
 
 def _pinv(p):
@@ -750,6 +793,7 @@ def _jet_step(atom: JetVar, d: str):
 
 
 _ZERO_POLY = {}, 1
+_ONE_POLY = {(): 1}, 1
 
 
 def _gradient(e: Expr, atom, limit):
@@ -769,8 +813,7 @@ def _gradient(e: Expr, atom, limit):
     if funs:
         acc = _acc(p)
         for f in funs:
-            inner = _chain(f, _gradient(f[3], atom, limit), limit)
-            _padd_into(acc, _pmul(table[f], inner, limit), limit)
+            _paddmul_into(acc, table[f], _chain(f, _gradient(f[3], atom, limit), limit), limit)
         p = _normal(*acc)
     _check_size(len(p[0]), limit)
     return p
@@ -807,22 +850,25 @@ def _iterated_poly(p, index: MultiIndex, limit):
     return p
 
 
-def total_derivative(e: Expr, d) -> Expr:
-    """Total derivative D_d: raises jet orders in direction d by the chain
-    rule, differentiates the independent variable d to 1, parameters to 0."""
+def _direction(d) -> str:
+    """The name of a direction given as an independent variable or a name."""
     d = _atom(d)
     name = d.name if isinstance(d, IndepVar) else d if isinstance(d, str) else None
     if name is None:
         raise TypeError("direction must be an independent variable or its name")
-    return _expr(_total_derivative_poly(_coerce(e)._poly, name, node_limit()))
+    return name
+
+
+def total_derivative(e: Expr, d) -> Expr:
+    """Total derivative D_d: raises jet orders in direction d by the chain
+    rule, differentiates the independent variable d to 1, parameters to 0."""
+    return _expr(_total_derivative_poly(_coerce(e)._poly, _direction(d), node_limit()))
 
 
 def diff(e: Expr, sym) -> Expr:
     """Partial derivative with respect to one atom or its one-atom
     expression (chain rule is applied through function applications)."""
-    atom = _atom(sym)
-    if not isinstance(atom, (JetVar, _NamedAtom, FunAtom)):
-        raise TypeError(f"cannot differentiate with respect to {sym!r}: not an atom")
+    atom = _atom_key(sym, "differentiate with respect to")
     return _expr(_gradient(_coerce(e), atom, node_limit()))
 
 
@@ -848,7 +894,7 @@ def euler_derivative(density: Expr, field: str) -> Expr:
 
 def substitute(e: Expr, mapping) -> Expr:
     """Substitute atoms by expressions (single simultaneous pass)."""
-    table = {_atom(k): _coerce(v)._poly for k, v in mapping.items()}
+    table = {_atom_key(k, "substitute for"): _coerce(v)._poly for k, v in mapping.items()}
     return _expr(_subst_poly(_coerce(e)._poly, table, node_limit()))
 
 
@@ -877,9 +923,10 @@ def _subst_poly(p, table, limit):
                 powers[pair] = _ppow(rep, e, limit)
             factors.append(powers[pair])
         term = {tuple(kept): coeff}, 1
+        last = factors.pop() if factors else _ONE_POLY
         for f in factors:
             term = _pmul(term, f, limit)
-        _padd_into(acc, term, limit)
+        _paddmul_into(acc, term, last, limit)
     return _normal(acc[0], acc[1] * d)
 
 
@@ -926,7 +973,7 @@ def divergence_split(density: Expr, d=None):
         deriv = _gradient(density, a, limit)
         for j in range(k):
             lowered = ((JetVar(a.field, MultiIndex({name: k - 1 - j})), 1),)
-            _padd_into(collected, _pmul(({lowered: 1}, 1), deriv, limit), limit, (-1) ** j)
+            _paddmul_into(collected, ({lowered: 1}, 1), deriv, limit, (-1) ** j)
             deriv = _total_derivative_poly(deriv, name, limit)
 
     # scale integral over the field-rescaling ray: each monomial of total
@@ -954,8 +1001,7 @@ def divergence_split(density: Expr, d=None):
 
 def _divergence_direction(density, d):
     if d is not None:
-        d = _atom(d)
-        return d.name if isinstance(d, IndepVar) else str(d)
+        return _direction(d)
     names = set()
     for a in atoms(density):
         if isinstance(a, IndepVar):
@@ -994,8 +1040,7 @@ def _poly_antiderivative(p, name, limit):
                     f"(term contains {a.display()})"
                 )
         if k == -1:
-            lifted = _pmul(({tuple(rest): coeff}, 1), _fun_poly("log", Sym(t)), limit)
-            _padd_into(out, lifted, limit)
+            _paddmul_into(out, ({tuple(rest): coeff}, 1), _fun_poly("log", Sym(t)), limit)
             continue
         rest.append((t, k + 1))
         sign = 1 if k + 1 > 0 else -1
@@ -1057,6 +1102,8 @@ def _eval_atom(a, assignment) -> Fraction:
         x = _eval_poly(a[3]._poly, assignment)
         if a.fn == "log" and x <= 0:
             raise _DomainViolation("log of a non-positive sample")
+        import mpmath  # here, not at the top: only function atoms need it
+
         with mpmath.workprec(RAND_EVAL_PRECISION):
             mx = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
             fn = getattr(mpmath, a.fn)
@@ -1076,7 +1123,7 @@ def _mpf_to_fraction(x) -> Fraction:
 def evaluate(e: Expr, assignment) -> Fraction:
     """Exact evaluation at a rational point (atom -> Fraction); elementary
     functions go through the 256-bit route of rand_eval."""
-    table = {_atom(k): Fraction(v) for k, v in assignment.items()}
+    table = {_atom_key(k, "assign a value to"): Fraction(v) for k, v in assignment.items()}
     missing = [
         a for a in atoms(_coerce(e)) if not isinstance(a, FunAtom) and a not in table
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 
 from . import expr as ex
 from .expr import Expr, is_identically_zero
@@ -250,13 +251,12 @@ def wedge(a: Form, b: Form) -> Form:
     if grade > a.space.n:
         raise FormError(f"wedge grade {grade} exceeds dimension {a.space.n}")
     limit = ex.node_limit()
-    table = {}
+    table = defaultdict(ex._acc)
     for i_idx, i_coeff in a.components.items():
         for sign, idx, j_idx in _complements(a.space.n, i_idx, b.grade):
             j_coeff = b.components.get(j_idx)
             if j_coeff is not None:
-                term = ex._pmul(i_coeff._poly, j_coeff._poly, limit)
-                ex._padd_scaled(table, idx, term, sign, limit)
+                ex._paddmul_into(table[idx], i_coeff._poly, j_coeff._poly, limit, sign)
     return Form._of_sums(a.space, grade, table)
 
 
@@ -264,13 +264,13 @@ def exterior_d(a: Form) -> Form:
     if a.grade >= a.space.n:
         raise FormError(f"d of a grade-{a.grade} form exceeds dimension {a.space.n}")
     limit = ex.node_limit()
-    table = {}
+    table = defaultdict(ex._acc)
     for idx, coeff in a.components.items():
         for mu in range(a.space.n):
             if mu not in idx:
                 d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu], limit)
                 sign, new_idx = _merge_sign((mu,), idx)
-                ex._padd_scaled(table, new_idx, d_coeff, sign, limit)
+                ex._padd_into(table[new_idx], d_coeff, limit, sign)
     return Form._of_sums(a.space, a.grade + 1, table)
 
 
@@ -298,12 +298,14 @@ def interior(xi: SpacetimeVector, a: Form) -> Form:
     if a.grade == 0:
         raise FormError("interior product needs grade >= 1")
     limit = ex.node_limit()
-    table = {}
+    table = defaultdict(ex._acc)
     for idx, coeff in a.components.items():
         for pos, mu in enumerate(idx):
             if xi.components[mu]._poly[0]:
-                term = ex._pmul(xi.components[mu]._poly, coeff._poly, limit)
-                ex._padd_scaled(table, idx[:pos] + idx[pos + 1 :], term, (-1) ** pos, limit)
+                ex._paddmul_into(
+                    table[idx[:pos] + idx[pos + 1 :]],
+                    xi.components[mu]._poly, coeff._poly, limit, (-1) ** pos,
+                )
     return Form._of_sums(a.space, a.grade - 1, table)
 
 

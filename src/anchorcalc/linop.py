@@ -9,6 +9,7 @@ parts and discards boundary terms.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from . import expr as ex
 from .expr import (
@@ -153,8 +154,7 @@ class LinDiffOp:
         limit = ex.node_limit()
         out = [ex._acc() for _ in range(self.rows)]
         for (r, c, alpha), coeff in self.entries.items():
-            d = ex._iterated_poly(vector[c], alpha, limit)
-            ex._padd_into(out[r], ex._pmul(coeff._poly, d, limit), limit)
+            ex._paddmul_into(out[r], coeff._poly, ex._iterated_poly(vector[c], alpha, limit), limit)
         return [ex._expr_sum(acc) for acc in out]
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
@@ -166,23 +166,22 @@ class LinDiffOp:
         by_row = {}
         for (k, c, beta), b in other.entries.items():
             by_row.setdefault(k, []).append((c, beta, b))
-        entries = {}
+        entries = defaultdict(ex._acc)
         for (r, k, alpha), a in self.entries.items():
             for c, beta, b in by_row.get(k, ()):
                 for remaining, binom, db in _leibniz(alpha, b, limit):
-                    product = ex._pmul(a._poly, db, limit)
-                    ex._padd_scaled(entries, (r, c, remaining + beta), product, binom, limit)
+                    ex._paddmul_into(entries[(r, c, remaining + beta)], a._poly, db, limit, binom)
         return LinDiffOp._of_sums(self.rows, other.cols, entries)
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
         Leibniz rule expanded so entries are again coeff * D^a sums."""
         limit = ex.node_limit()
-        entries = {}
+        entries = defaultdict(ex._acc)
         for (r, c, alpha), a in self.entries.items():
             sign = (-1) ** alpha.order()
             for remaining, binom, da in _leibniz(alpha, a, limit):
-                ex._padd_scaled(entries, (c, r, remaining), da, sign * binom, limit)
+                ex._padd_into(entries[(c, r, remaining)], da, limit, sign * binom)
         return LinDiffOp._of_sums(self.cols, self.rows, entries)
 
     # inspection ------------------------------------------------------------

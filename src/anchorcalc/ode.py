@@ -186,9 +186,10 @@ class _Partials:
         return ex._gradient(e, _T if i is None else self._x[i], self.limit)
 
     def addmul(self, acc, p, q, sign=1):
-        """acc += sign * p * q, for polynomials p, q and an accumulator."""
+        """acc += sign * p * q, for polynomials p, q and an accumulator;
+        most partials are zero, so those skip the kernel call."""
         if p[0] and q[0]:
-            ex._padd_into(acc, ex._pmul(p, q, self.limit), self.limit, sign)
+            ex._paddmul_into(acc, p, q, self.limit, sign)
 
 
 def _characteristic(tab, sys, f):

@@ -4,7 +4,7 @@ Grammar (whitespace-insensitive):
 
     expr    :=  term (('+' | '-') term)*
     term    :=  unary (('*' | '/') unary)*
-    unary   :=  '-' unary | power
+    unary   :=  ('-' | '+') unary | power
     power   :=  atom ('^' exponent)?          # right-associative
     exponent:=  integer | '-' integer | '(' exponent ')'
     atom    :=  integer | identifier | call | '(' expr ')'
@@ -20,6 +20,7 @@ levels deep (parentheses, calls, signs) is rejected with a ParseError.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import expr as ex
@@ -53,15 +54,13 @@ class VarContext:
         clash = set(names) & set(ex.FUNCTIONS)
         if clash:
             raise ValueError(f"names shadow elementary functions: {sorted(clash)}")
+        self.atoms = {n: ex.IndepVar(n) for n in self.indep}
+        self.atoms.update((n, ex.JetVar(n)) for n in self.fields)
+        self.atoms.update((n, ex.Param(n)) for n in self.params)
 
     def lookup(self, name):
-        if name in self.indep:
-            return ex.IndepVar(name)
-        if name in self.fields:
-            return ex.JetVar(name)
-        if name in self.params:
-            return ex.Param(name)
-        return None
+        """The atom a name denotes, or None."""
+        return self.atoms.get(name)
 
     def split_jet_suffix(self, suffix):
         """Split a derivative suffix into independent-variable names by
@@ -149,42 +148,82 @@ class _Parser:
         raise ParseError(message, pos, self.text)
 
     # grammar rules ------------------------------------------------------
+    # expr and term, which every token passes through, read the token list
+    # directly rather than through peek and advance
     def expr(self):
+        tokens = self.tokens
         p = self.term()
         acc = None  # the sum of two or more terms, accumulated in place
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                q = self.term()
-                if acc is None:
-                    acc = ex._acc(p)
-                ex._padd_into(acc, q, self.limit, 1 if val == "+" else -1)
-            else:
+            kind, val, _ = tokens[self.k]
+            if kind != "op" or val not in "+-":
                 return p if acc is None else ex._normal(*acc)
+            self.k += 1
+            q = self.term()
+            if acc is None:
+                acc = ex._acc(p)
+            ex._padd_into(acc, q, self.limit, 1 if val == "+" else -1)
 
     def term(self):
-        p = self.unary()
+        """A product of factors in one pass.  Each nonzero integer and each
+        atom, with its power and signs, goes into one numerator, one
+        denominator and one exponent per atom, and their monomial is built
+        once, at the end.  Any other factor (parenthesised, a call or the
+        integer 0) goes through unary() and is multiplied in as it comes, so
+        errors and refused products arise where the factor-by-factor fold
+        meets them: a nonzero monomial factor changes no term count.  Each
+        sign and each factor counts one nesting level, as in the grammar."""
+        tokens = self.tokens
+        num = den = 1
+        exponents = {}
+        p = None  # the product of the other factors, once there is one
+        op = "*"
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                q = self.unary()
-                p = ex._pmul(p, q if val == "*" else ex._pinv(q), self.limit)
+            kind, val, pos = tokens[self.k]
+            signs = 0
+            while kind == "op" and val in "+-":
+                self.descend()
+                self.k += 1
+                signs += 1
+                if val == "-":
+                    num = -num
+                kind, val, pos = tokens[self.k]
+            if kind == "ident" and val not in ex.FUNCTIONS or kind == "num" and int(val):
+                self.descend()
+                self.k += 1
+                atom = None if kind == "num" else self.identifier(val, pos)
+                e = 1
+                if tokens[self.k][:2] == ("op", "^"):
+                    self.k += 1
+                    e = self.exponent()
+                self.depth -= 1
+                if op == "/":
+                    e = -e
+                if atom is not None:
+                    exponents[atom] = exponents.get(atom, 0) + e
+                elif e >= 0:
+                    num *= int(val) ** e
+                else:
+                    den *= int(val) ** -e
             else:
-                return p
+                q = self.unary()
+                if op == "/":
+                    q = ex._pinv(q)
+                p = q if p is None else ex._pmul(p, q, self.limit)
+            self.depth -= signs
+            kind, op, _ = tokens[self.k]
+            if kind != "op" or op not in "*/":
+                break
+            self.k += 1
+        g = math.gcd(num, den)
+        mono = {tuple(sorted((a, e) for a, e in exponents.items() if e)): num // g}, den // g
+        return mono if p is None else ex._pmul(p, mono, self.limit)
 
     def unary(self):
-        self.descend()  # every nested parenthesis, call and sign passes here
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            p = ex._pscale(self.unary(), -1)
-        elif kind == "op" and val == "+":
-            self.advance()
-            p = self.unary()
-        else:
-            p = self.power()
+        """A factor that term() does not gather, one nesting level deeper;
+        every nested parenthesis and call passes here."""
+        self.descend()
+        p = self.power()
         self.depth -= 1
         return p
 
@@ -249,7 +288,7 @@ class _Parser:
                     self.text,
                 )
             return ex.JetVar(head, counts)
-        atom = self.context.lookup(name)
+        atom = self.context.atoms.get(name)
         if atom is None:
             raise ParseError(f"unknown identifier {name!r}", pos, self.text)
         return atom

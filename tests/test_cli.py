@@ -338,6 +338,20 @@ def test_cli_entry_point_subprocess():
     assert json.loads(result.stdout)["version"] == "1"
 
 
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is imported on the first evaluation of a function atom only
+    code = (
+        "import sys, anchorcalc.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "from anchorcalc import expr as ex\n"
+        "x1 = ex.jet('x1')\n"
+        "assert ex.probably_zero(ex.sin(x1)**2 + ex.cos(x1)**2 - 1)\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cross_process_byte_determinism():
     def run_once():
         out = []

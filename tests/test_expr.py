@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
+from anchorcalc import forms as fo
 from anchorcalc import linop as lo
+from anchorcalc import ode
 
 t = ac.indep("t")
 x1 = ac.jet("x1")
@@ -388,6 +390,30 @@ def test_product_refused_before_any_term_product(monkeypatch):
     assert len(calls) == 25
 
 
+def test_accumulated_product_refused_before_any_term_product(monkeypatch):
+    # the same cap where a product goes straight into a sum: v * d f/d x1 in
+    # the characteristic residual, and the coefficient product of a wedge
+    calls = []
+    mono_mul = ex._mono_mul
+    monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    five = ex.Add(x1**k for k in range(1, 6))
+    f = ex.Add(x1**k for k in range(2, 7))  # d f/d x1 has five terms too
+    system = ode.OdeSystem([five])
+    e2 = fo.euclidean(2)
+    dx0, dx1 = fo.basis_form(e2, 0).scale(five), fo.basis_form(e2, 1).scale(five)
+    residual, square = -five * ex.diff(f, x1), five * five
+    calls.clear()
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "24")
+    for attempt in (lambda: ode.check_characteristic(system, f), lambda: fo.wedge(dx0, dx1)):
+        with pytest.raises(ex.ResourceLimitError, match="5 x 5 term products"):
+            attempt()
+    assert calls == []
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "25")
+    assert ode.check_characteristic(system, f) == (False, residual)
+    assert fo.wedge(dx0, dx1).component((0, 1)) == square
+    assert len(calls) == 2 * 25
+
+
 # --- fraction-free kernel against a Fraction reference ----------------------------
 #
 # The reference holds a polynomial as a dict monomial -> nonzero Fraction, with
@@ -656,6 +682,41 @@ def test_monomial_product_cancels_some_exponents():
     assert ex._pmul(p, q, limit) == _general_pmul(p, q) == (t**3 * 2)._poly
 
 
+# --- the fused multiply-accumulate ---------------------------------------------
+#
+# Operands: sums with rational denominators and function atoms, Laurent
+# monomials, and constants (zero included).  The start of the accumulator may
+# be unrelated, cancel part of the added product, or cancel all of it.  The
+# references form the product, with _pmul and with the term-by-term loop
+# above, and add it.
+
+_FUSED_OPERANDS = st.one_of(
+    _REF_PAIRS.map(lambda pair: pair[0]), _MONOMIALS, _RATIONALS.map(ac.rational)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _FUSED_OPERANDS,
+    _FUSED_OPERANDS,
+    _FUSED_OPERANDS,
+    st.sampled_from([-3, -1, 1, 2]),
+    st.sampled_from(["other", "cancel some", "cancel all"]),
+)
+def test_fused_multiply_accumulate_matches_product_then_add(start, p, q, k, mode):
+    if mode != "other":
+        start = (start if mode == "cancel some" else 0) - k * p * q
+    limit = ex.node_limit()
+    fused = ex._acc(start._poly)
+    ex._paddmul_into(fused, p._poly, q._poly, limit, k)
+    for product in (ex._pmul(p._poly, q._poly, limit), _general_pmul(p._poly, q._poly)):
+        reference = ex._acc(start._poly)
+        ex._padd_into(reference, product, limit, k)
+        assert ex._normal(*fused) == ex._normal(*reference)
+    if mode == "cancel all":
+        assert ex._normal(*fused) == ({}, 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_REF_PAIRS)
 def test_total_derivatives_do_not_depend_on_the_jet_step_cache(pair):
@@ -837,6 +898,27 @@ def test_nested_function_atoms_differentiate_by_the_chain_rule():
 def test_diff_refuses_what_is_not_an_atom(sym):
     with pytest.raises(TypeError, match="not an atom"):
         ex.diff(x1 * x2, sym)
+
+
+@pytest.mark.parametrize(
+    "key", [x1 + x2, 2 * x1, "x1", ac.ONE, ac.sin(x1) + 1],
+    ids=["sum", "multiple", "name", "constant", "function plus one"],
+)
+def test_substitute_and_evaluate_refuse_what_is_not_an_atom(key):
+    with pytest.raises(TypeError, match="not an atom"):
+        ac.substitute(x1 * x2, {key: 2})
+    with pytest.raises(TypeError, match="not an atom"):
+        ac.evaluate(x1 * x2, {x1: 1, x2: 2, key: 5})
+    # an atom, or its one-atom expression, is still a key
+    assert ac.substitute(x1 * x2, {ex.JetVar("x1"): 2, x2: x1}) == 2 * x1
+    assert ac.evaluate(x1 * x2, {x1: 3, ex.JetVar("x2"): Fraction(1, 2)}) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("d", [x1 + x2, 2, x1, 2 * t], ids=["sum", "integer", "jet", "multiple"])
+def test_divergence_split_refuses_a_bad_direction(d):
+    with pytest.raises(TypeError, match="direction must be an independent variable or its name"):
+        ac.divergence_split(x1t * x1, d=d)
+    assert ac.divergence_split(x1t * x1, d=t) == ac.divergence_split(x1t * x1, d="t") == x1**2 / 2
 
 
 def _count_fills(monkeypatch):

@@ -389,6 +389,11 @@ def test_parser_errors_match_expr_operator_reference(text):
         "-" * (MAX_DEPTH + 1) + "x1",
         "x1^" + "(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH,
         "x1 + x2   \t\n",
+        "1/2/3*x1/x2^2",
+        "0*x1",
+        "x1*0/2",
+        "2*(x1+x2)*x1^-1",
+        "1/(x1-x1)",
     ],
 )
 def test_parser_matches_reference_on_edge_texts(text):
