@@ -444,19 +444,27 @@ def _mono_mul(m1, m2):
     return tuple(out) + m1[i:] + m2[j:]
 
 
+def _align(acc, d: int) -> int:
+    """Move the accumulator acc to the lcm of its denominator and d, which
+    differ, and return the factor lcm // d of a numerator over d."""
+    den = acc[1]
+    lcm = math.lcm(den, d)
+    if lcm != den:
+        f = lcm // den
+        out = acc[0]
+        for m in out:
+            out[m] *= f
+        acc[1] = lcm
+    return lcm // d
+
+
 def _padd_into(acc, p, limit, k=1):
     """acc += k * p for an accumulator acc and an int k.  The accumulator
     moves to the lcm of the two denominators only when they differ."""
     c, d = p
-    out, den = acc
-    if d != den:
-        lcm = math.lcm(den, d)
-        if lcm != den:
-            f = lcm // den
-            for m in out:
-                out[m] *= f
-            acc[1] = lcm
-        k *= lcm // d
+    out = acc[0]
+    if d != acc[1]:
+        k *= _align(acc, d)
     get = out.get
     for m, v in c.items():
         nv = get(m, 0) + k * v
@@ -493,16 +501,10 @@ def _paddmul_into(acc, p, q, limit, k=1):
         return
     if n1 * n2 > limit:
         _refuse_product(n1, n2, limit)
-    out, den = acc
+    out = acc[0]
     d = pd * qd
-    if d != den:
-        lcm = math.lcm(den, d)
-        if lcm != den:
-            f = lcm // den
-            for m in out:
-                out[m] *= f
-            acc[1] = lcm
-        k *= lcm // d
+    if d != acc[1]:
+        k *= _align(acc, d)
     get = out.get
     mono_mul = _mono_mul
     if n2 == 1:

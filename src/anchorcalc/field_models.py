@@ -131,13 +131,17 @@ def metric_weights(space: FlatSpace, k: int):
 def pairing_adjoint(op: LinDiffOp, weights_in, weights_out) -> LinDiffOp:
     """Adjoint with respect to weighted pairings on domain and codomain:
     (op P, W)_out = (adj W, P)_in up to a total divergence.  The weights
-    are constants, so entry (r, c, alpha) of the formal adjoint is scaled
-    by weights_in[r] * weights_out[c]."""
-    entries = {}
-    for (r, c, alpha), coeff in op.formal_adjoint().entries.items():
-        w = Fraction(weights_in[r] * weights_out[c])
-        entries[(r, c, alpha)] = ex._expr(ex._pscale(coeff._poly, w.numerator, w.denominator))
-    return LinDiffOp(op.cols, op.rows, entries)
+    are nonzero constants (ints or Fractions), so entry (r, c, alpha) of
+    the formal adjoint is scaled by weights_in[r] * weights_out[c] and
+    stays nonzero."""
+    if 0 in weights_in or 0 in weights_out:
+        raise ValueError("a pairing weight is zero")
+    entries = op.formal_adjoint().entries
+    for key, coeff in entries.items():
+        w = weights_in[key[0]] * weights_out[key[1]]
+        if w != 1:
+            entries[key] = ex._expr(ex._pscale(coeff._poly, w.numerator, w.denominator))
+    return LinDiffOp._of(op.cols, op.rows, entries)
 
 
 def _vstack(top: LinDiffOp, bottom: LinDiffOp) -> LinDiffOp:

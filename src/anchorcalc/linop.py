@@ -4,10 +4,24 @@ An operator is a sparse matrix whose (row, col) entries are finite sums
 ``coeff * D^alpha`` acting on the col-th component of the argument vector.
 Composition expands by the Leibniz rule; the formal adjoint integrates by
 parts and discards boundary terms.
+
+Composition picks its path per product from the coefficient types.  When
+both coefficients are rational constants, D^alpha o b = b D^alpha, so the
+product is the one entry (a * b) D^(alpha + beta): its integer numerator
+and denominator go straight into the output entry's accumulator, the
+kernel's own (numerators, denominator) pair, with no polynomial product,
+and the index sum alpha + beta is memoised.  The formal adjoint of a
+constant entry a D^alpha is likewise the one entry (-1)^|alpha| a D^alpha.
+Each sum is normalised once per entry, as every accumulated sum is, so
+the result is exact and in the same canonical form as the Leibniz loop
+that every product with a polynomial coefficient still takes.  Sums,
+differences and scalings accumulate once into valid entries and are not
+validated again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 
@@ -46,6 +60,40 @@ def _sub_indices(alpha: MultiIndex):
                 dict(list(r.items) + ([(name, count - k)] if count - k else []))
             )
             yield gamma, rem, c * c2
+
+
+@functools.lru_cache(maxsize=4096)
+def _index_sum(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
+    """alpha + beta; bounded and shared by every call, as the few distinct
+    index pairs of an operator recur in every product."""
+    return alpha + beta
+
+
+def _constant(e: Expr):
+    """(numerator, denominator) of a nonzero constant, None otherwise."""
+    if type(e) is ex.Rat:
+        c, d = e._poly
+        return c[()], d
+    return None
+
+
+def _add_constant(table, key, num: int, d: int, limit):
+    """table[key] += num / d for a table of accumulators, with one integer
+    multiply-add and no polynomial; the accumulator moves to a common
+    denominator (expr._align) only when the two differ."""
+    acc = table.get(key)
+    if acc is None:
+        table[key] = [{(): num}, d]
+        return
+    if d != acc[1]:
+        num *= ex._align(acc, d)
+    out = acc[0]
+    num += out.get((), 0)
+    if num:
+        out[()] = num
+    else:
+        del out[()]
+    ex._check_size(len(out), limit)
 
 
 def _leibniz(alpha: MultiIndex, b: Expr, limit):
@@ -91,14 +139,21 @@ class LinDiffOp:
         self.entries = table
 
     @classmethod
-    def _of_sums(cls, rows, cols, table):
-        """The operator of accumulated sums keyed by valid entries, as
-        compose and formal_adjoint build them: no re-validation, zero sums
-        dropped."""
+    def _of(cls, rows, cols, entries):
+        """The operator of nonzero values keyed by valid entries: no
+        re-validation."""
         op = object.__new__(cls)
         op.rows, op.cols = rows, cols
-        op.entries = {k: ex._expr_sum(acc) for k, acc in table.items() if acc[0]}
+        op.entries = entries
         return op
+
+    @classmethod
+    def _of_sums(cls, rows, cols, table):
+        """The operator of accumulated sums keyed by valid entries, as
+        the algebra below builds them: zero sums dropped."""
+        return cls._of(
+            rows, cols, {k: ex._expr_sum(acc) for k, acc in table.items() if acc[0]}
+        )
 
     # construction helpers -------------------------------------------------
     @staticmethod
@@ -124,53 +179,73 @@ class LinDiffOp:
 
     # algebra ---------------------------------------------------------------
     def __add__(self, other: "LinDiffOp") -> "LinDiffOp":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "LinDiffOp") -> "LinDiffOp":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LinDiffOp", k: int) -> "LinDiffOp":
+        """self + k * other for k = +-1, accumulated once per entry."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         limit = ex.node_limit()
-        merged = dict(self.entries)
-        for k, v in other.entries.items():
-            if k in merged:
-                v = ex._expr(ex._psum(merged[k]._poly, v._poly, limit))
-            merged[k] = v
-        return LinDiffOp(self.rows, self.cols, merged)
-
-    def __sub__(self, other: "LinDiffOp") -> "LinDiffOp":
-        return self + other.scale(-1)
+        table = {key: ex._acc(v._poly) for key, v in self.entries.items()}
+        for key, v in other.entries.items():
+            acc = table.get(key)
+            if acc is None:
+                acc = table[key] = ex._acc()
+            ex._padd_into(acc, v._poly, limit, k)
+        return LinDiffOp._of_sums(self.rows, self.cols, table)
 
     def scale(self, coeff) -> "LinDiffOp":
         coeff = ex._coerce(coeff)._poly
         limit = ex.node_limit()
-        return LinDiffOp(
+        if not coeff[0]:
+            return LinDiffOp(self.rows, self.cols)
+        # a product of nonzero polynomials is nonzero, so every entry stays
+        return LinDiffOp._of(
             self.rows,
             self.cols,
             {k: ex._expr(ex._pmul(coeff, v._poly, limit)) for k, v in self.entries.items()},
         )
 
     def apply(self, vector):
-        """Apply to a vector of expressions."""
+        """Apply to a vector of expressions; each D^alpha of a component is
+        taken once per call, however many rows use it."""
         if len(vector) != self.cols:
             raise ValueError(f"expected {self.cols} components, got {len(vector)}")
         vector = [ex._coerce(v)._poly for v in vector]
         limit = ex.node_limit()
         out = [ex._acc() for _ in range(self.rows)]
+        derivatives = {}
         for (r, c, alpha), coeff in self.entries.items():
-            ex._paddmul_into(out[r], coeff._poly, ex._iterated_poly(vector[c], alpha, limit), limit)
+            dv = derivatives.get((c, alpha))
+            if dv is None:
+                dv = derivatives[(c, alpha)] = ex._iterated_poly(vector[c], alpha, limit)
+            ex._paddmul_into(out[r], coeff._poly, dv, limit)
         return [ex._expr_sum(acc) for acc in out]
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Leibniz-expanded composition: (self.compose(other)).apply(v) ==
-        self.apply(other.apply(v))."""
+        self.apply(other.apply(v)).  A product of two constants adds its
+        integer numerator to the entry's accumulator (module docstring)."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         limit = ex.node_limit()
         by_row = {}
         for (k, c, beta), b in other.entries.items():
-            by_row.setdefault(k, []).append((c, beta, b))
+            by_row.setdefault(k, []).append((c, beta, b, _constant(b)))
         entries = defaultdict(ex._acc)
         for (r, k, alpha), a in self.entries.items():
-            for c, beta, b in by_row.get(k, ()):
+            ca = _constant(a)
+            for c, beta, b, cb in by_row.get(k, ()):
+                if ca and cb:
+                    key = (r, c, _index_sum(alpha, beta))
+                    _add_constant(entries, key, ca[0] * cb[0], ca[1] * cb[1], limit)
+                    continue
                 for remaining, binom, db in _leibniz(alpha, b, limit):
-                    ex._paddmul_into(entries[(r, c, remaining + beta)], a._poly, db, limit, binom)
+                    key = (r, c, _index_sum(remaining, beta))
+                    ex._paddmul_into(entries[key], a._poly, db, limit, binom)
         return LinDiffOp._of_sums(self.rows, other.cols, entries)
 
     def formal_adjoint(self) -> "LinDiffOp":
@@ -180,6 +255,10 @@ class LinDiffOp:
         entries = defaultdict(ex._acc)
         for (r, c, alpha), a in self.entries.items():
             sign = (-1) ** alpha.order()
+            ca = _constant(a)
+            if ca:
+                _add_constant(entries, (c, r, alpha), sign * ca[0], ca[1], limit)
+                continue
             for remaining, binom, da in _leibniz(alpha, a, limit):
                 ex._padd_into(entries[(c, r, remaining)], da, limit, sign * binom)
         return LinDiffOp._of_sums(self.cols, self.rows, entries)

@@ -34,10 +34,24 @@ def field_name(i: int) -> str:
     return f"x{i + 1}"
 
 
+def _has_derivative_jet(p) -> bool:
+    """Whether a jet of order > 0 occurs in the polynomial p, also inside a
+    function atom's argument; stops at the first one."""
+    for mono in p[0]:
+        for a, _ in mono:
+            t = type(a)
+            if t is ex.JetVar:
+                if a[2][0]:
+                    return True
+            elif t is ex.FunAtom and _has_derivative_jet(a[3]._poly):
+                return True
+    return False
+
+
 def _check_zeroth_order(e: Expr, what: str) -> Expr:
     e = ex._coerce(e)
-    bad = [a for a in ex.jet_atoms(e) if a.index.order() > 0]
-    if bad:
+    if _has_derivative_jet(e._poly):
+        bad = [a for a in ex.jet_atoms(e) if a.index.order() > 0]
         names = ", ".join(sorted(a.display() for a in bad))
         raise UnsupportedInputError(
             f"{what} must depend on (t, x) only, found {names}; "

@@ -255,6 +255,24 @@ def test_cli_deep_nesting_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nested" in err
 
 
+@pytest.mark.parametrize(
+    "v, found",
+    [
+        ("[sin(x1_t), x1]", "x1_t"),  # only inside a function atom's argument
+        ("[x1 + exp(t*x2), x2_tt*cos(x1_t)]", "x1_t, x2_tt"),
+    ],
+)
+def test_cli_jet_derivative_in_v_exits_2(tmp_path, capsys, v, found):
+    model = tmp_path / "jet.ini"
+    model.write_text(f"[ode]\nn = 2\nv = {v}\n")
+    code, out = run_cli("check", str(model))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: v must depend on (t, x) only, found {found}; "
+        "use linop.ShellRules to reduce derivatives on shell first\n"
+    )
+
+
 def test_cli_nested_power_exits_2(tmp_path, capsys):
     # the expansion has 31,465 monomials, under the cap, but its last product
     # would take 7315 x 715 term products, over it: refused before its loop

@@ -599,6 +599,18 @@ def test_chiral_anchor_matches_reference(name, g):
     _assert_same_operator(v, ref_v)
 
 
+def test_pairing_adjoint_scales_the_formal_adjoint():
+    op = fm.d_operator(L2, 1).scale(ac.jet("u"))  # from 1-forms (2) to 2-forms (1)
+    w_in, w_out = [Fraction(1, 3), -2], [Fraction(-5, 2)]
+    expected = LinDiffOp(
+        2, 1, {k: v * w_in[k[0]] * w_out[k[1]] for k, v in op.formal_adjoint().entries.items()}
+    )
+    adjoint = fm.pairing_adjoint(op, w_in, w_out)
+    assert (adjoint.rows, adjoint.cols) == (2, 1) and adjoint.entries == expected.entries
+    with pytest.raises(ValueError, match="weight is zero"):
+        fm.pairing_adjoint(op, [1, 0], w_out)
+
+
 # --- optional slow-suite configuration: n = 6, p = 3 ----------------------------
 
 

@@ -347,9 +347,9 @@ def _operation(name, n, k):
         return lambda: A.compose(B)
     if name == "LinDiffOp.scale":
         return lambda: A.scale(w)
-    if name == "LinDiffOp.__add__":
+    if name in ("LinDiffOp.__add__", "LinDiffOp.__sub__"):
         C = lo.LinDiffOp.identity(n).scale(w)
-        return lambda: A + C
+        return (lambda: A + C) if name == "LinDiffOp.__add__" else (lambda: A - C)
     if name == "LinDiffOp.apply":
         return lambda: B.apply([u] * n)
     AB = A.compose(B)
@@ -367,6 +367,7 @@ OPERATIONS = (
     "conformal_killing_check",
     "LinDiffOp.scale",
     "LinDiffOp.__add__",
+    "LinDiffOp.__sub__",
     "LinDiffOp.apply",
 )
 

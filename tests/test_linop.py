@@ -376,23 +376,47 @@ def _coeffs(draw):
 
 
 @st.composite
-def _ops(draw, rows, cols):
+def _constants(draw):
+    """A nonzero rational constant over one of several denominators."""
+    num = draw(st.integers(-6, 6).filter(bool))
+    return ac.rational(num, draw(st.sampled_from([1, 2, 3, 4, 6, 12])))
+
+
+@st.composite
+def _ops(draw, rows, cols, coeffs=_coeffs(), max_entries=5):
     entries = {}
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, max_entries))):
         key = (
             draw(st.integers(0, rows - 1)),
             draw(st.integers(0, cols - 1)),
             ex.MultiIndex(draw(st.sampled_from(_ORDERS))),
         )
-        entries[key] = draw(_coeffs())
+        entries[key] = draw(coeffs)
     return lo.LinDiffOp(rows, cols, entries)
+
+
+def _op_strategy(draw):
+    """(coefficients, entry count) of either random family: mixed constant
+    and polynomial coefficients, or constants only and more entries, which
+    take the integer path of compose and formal_adjoint throughout."""
+    if draw(st.booleans()):
+        return _coeffs(), 5
+    return _constants(), 30
 
 
 @st.composite
 def _op_chains(draw):
     n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    coeffs, size = _op_strategy(draw)
     vector = [draw(_coeffs()) * draw(_coeffs()) for _ in range(m)]
-    return draw(_ops(n, k)), draw(_ops(k, m)), vector
+    return draw(_ops(n, k, coeffs, size)), draw(_ops(k, m, coeffs, size)), vector
+
+
+@st.composite
+def _op_pairs(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeffs, size = _op_strategy(draw)
+    return draw(_ops(rows, cols, coeffs, size)), draw(_ops(rows, cols, coeffs, size))
 
 
 def _same_entries(a, b):
@@ -408,3 +432,87 @@ def test_compose_and_adjoint_match_reference(chain):
     assert _same_entries(A.formal_adjoint(), _reference_adjoint(A))
     assert _same_entries(B.formal_adjoint(), _reference_adjoint(B))
     assert AB.apply(v) == A.apply(B.apply(v))
+
+
+def _reference_sum(a, b, sign):
+    entries = dict(a.entries)
+    for key, v in b.entries.items():
+        entries[key] = entries[key] + sign * v if key in entries else sign * v
+    return lo.LinDiffOp(a.rows, a.cols, entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_op_pairs())
+def test_sum_and_difference_match_reference(pair):
+    A, B = pair
+    difference = A - B
+    assert _same_entries(difference, A + B.scale(-1))
+    assert _same_entries(difference, _reference_sum(A, B, -1))
+    assert _same_entries(A + B, _reference_sum(A, B, 1))
+    assert (A - A).entries == {}
+    c = ac.rational(-3, 4)
+    scaled = lo.LinDiffOp(B.rows, B.cols, {k: c * v for k, v in B.entries.items()})
+    assert _same_entries(B.scale(c), scaled)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(ex, name)
+    monkeypatch.setattr(ex, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_constant_compose_forms_no_polynomial_product(monkeypatch):
+    rng = random.Random(4)
+
+    def constant_op():
+        entries = {}
+        for _ in range(20):
+            key = (rng.randrange(3), rng.randrange(3), ex.MultiIndex(rng.choice(_ORDERS)))
+            entries[key] = ac.rational(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+        return lo.LinDiffOp(3, 3, entries)
+
+    A, B = constant_op(), constant_op()
+    expected = _reference_compose(A, B)
+    calls = _counting(monkeypatch, "_paddmul_into")
+    assert _same_entries(A.compose(B), expected)
+    assert not calls
+    # the path is chosen per product: one polynomial coefficient takes the
+    # Leibniz loop for its own products only
+    poly_key = (0, 0, ex.MultiIndex({"x0": 1}))
+    mixed = lo.LinDiffOp(3, 3, {**B.entries, poly_key: ac.jet("u") * _X0})
+    expected = _reference_compose(A, mixed)
+    calls.clear()
+    assert _same_entries(A.compose(mixed), expected)
+    leibniz_terms = sum(len(list(lo._sub_indices(k[2]))) for k in A.entries if k[1] == 0)
+    assert len(calls) == leibniz_terms > 0
+
+
+def test_apply_takes_each_derivative_once(monkeypatch):
+    dx = ex.MultiIndex({"x0": 1})
+    indices = (dx, dx + dx)
+    entries = {(r, c, a): ac.rational(r + 1) for r in range(3) for c in range(2) for a in indices}
+    op = lo.LinDiffOp(3, 2, entries)
+    v = [ac.jet("u") * _X0, ac.jet("w") ** 2]
+    expected = [
+        ex.Add(
+            op.entries[(r, c, alpha)] * ex.iterated_total_derivative(v[c], alpha)
+            for c in range(2)
+            for alpha in indices
+        )
+        for r in range(3)
+    ]
+    calls = _counting(monkeypatch, "_iterated_poly")
+    assert op.apply(v) == expected
+    assert len(calls) == 4  # one per (column, alpha) pair, not one per entry
+
+
+def test_constant_product_into_a_full_sum_is_refused(monkeypatch):
+    # entry (0, 0) sums u, of 4 monomials, and the constant 1: 5 monomials
+    u = ex.Add(ac.jet("u", {"x0": i}) for i in range(4))
+    A = lo.LinDiffOp(1, 2, {(0, 0, ex.EMPTY_INDEX): ac.ONE, (0, 1, ex.EMPTY_INDEX): ac.ONE})
+    B = lo.LinDiffOp(2, 1, {(0, 0, ex.EMPTY_INDEX): u, (1, 0, ex.EMPTY_INDEX): ac.ONE})
+    assert A.compose(B).entries[(0, 0, ex.EMPTY_INDEX)] == u + 1
+    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "4")
+    with pytest.raises(ex.ResourceLimitError):
+        A.compose(B)
