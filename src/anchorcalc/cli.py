@@ -169,6 +169,23 @@ def _default_xis(space):
     return [(f"t{mu}", fo.translation(space, mu)) for mu in range(space.n)]
 
 
+# The work of a catalog run, counted as C(n, p) * n^2 for a p-form field on
+# R^n, tracks its wall time over the n default vector fields (README.md has
+# the timings the budget was sized from).
+_MAX_CATALOG_WORK = 50_000
+
+
+def _check_catalog_work(n: int, grade: int):
+    """Refuse a run over the work budget before any space or form is built;
+    a grade outside 0..n is left to the model's own check."""
+    work = math.comb(n, grade) * n * n if 0 <= grade <= n else 0
+    if work > _MAX_CATALOG_WORK:
+        raise ex.ResourceLimitError(
+            f"a {grade}-form field on n = {n} takes {work} units of work "
+            f"(components x n^2), more than the budget of {_MAX_CATALOG_WORK}"
+        )
+
+
 def catalog_report(args) -> ModelReport:
     if args.model == "pform":
         return _pform_report(args)
@@ -190,6 +207,7 @@ def _passes_unless_raised(fn):
 
 
 def _pform_report(args) -> ModelReport:
+    _check_catalog_work(args.n, args.p)
     space = fo.euclidean(args.n) if args.euclidean else fo.lorentzian(args.n)
     a, b = _fraction(args.a, "--a"), _fraction(args.b, "--b")
     model = fm.PFormModel(space, args.p, a, b)
@@ -220,6 +238,7 @@ def _pform_report(args) -> ModelReport:
 
 
 def _selfdual_report(args) -> ModelReport:
+    _check_catalog_work(args.n, args.n // 2)
     space = fo.lorentzian(args.n)
     model = fm.SelfDualModel(space)
     report = ModelReport(model=f"selfdual(n={args.n})")

@@ -14,9 +14,13 @@ integer exponents (Laurent monomials).
 
 Every operation, the arithmetic operators included, expands eagerly, so
 every value is in canonical form and equality of values is mathematical
-equality within this class.  Function applications are opaque atoms (no
-trigonometric rewriting), so identities that mix them are decided by the
-randomized evaluation oracle instead.
+equality within this class.  Function applications are opaque atoms, with
+no trigonometric or logarithmic rewriting.  So a canonical zero is a true
+zero, and a check that PASSes is sound; but a nonzero residual is a true
+nonzero only when it is polynomial in jets, variables and parameters.  A
+residual with function atoms can be an identity between them, such as
+sin(u)^2 + cos(u)^2 - 1, and then its check FAILs falsely.  No check
+consults the randomized evaluation oracle (rand_eval, probably_zero).
 
 An atom is a tuple that is its own sort key, built from names and numbers
 only: hashing and ordering run in C, and the printed order, graded-
@@ -59,8 +63,8 @@ class ExprError(Exception):
 
 class ResourceLimitError(ExprError):
     """A computation would pass a resource budget: the node limit of an
-    expression, the step budget of the numeric oracle, or the column budget
-    of the characteristic search."""
+    expression, the step budget of the numeric oracle, the column budget
+    of the characteristic search, or the work budget of a catalog run."""
 
 
 class UnsupportedInputError(ExprError):
@@ -595,6 +599,48 @@ def _pscale(p, num, den=1):
             return c, d
         return {m: v * num for m, v in c.items()}, d
     return _normal({m: v * num for m, v in c.items()}, d * den)
+
+
+# ---------------------------------------------------------------------------
+# sparse tables: dicts from keys that their owner validated (form indices,
+# operator entries) to nonzero values.  Every sum, difference, scaling and
+# coefficient map of forms and operators is one of these helpers, and its
+# result is such a table again, which its owner takes without re-validation.
+
+
+def _table_sums(table):
+    """The table of a dict from keys to accumulators, zero sums dropped."""
+    return {key: _expr_sum(acc) for key, acc in table.items() if acc[0]}
+
+
+def _table_plus(a, b, limit, k):
+    """a + k * b for k = +-1: each value of b is added once, to the value of
+    its key in a if there is one."""
+    out = dict(a)
+    for key, v in b.items():
+        u = out.pop(key, None)
+        if u is None:
+            out[key] = v if k == 1 else -v
+            continue
+        acc = _acc(u._poly)
+        _padd_into(acc, v._poly, limit, k)
+        if acc[0]:
+            out[key] = _expr_sum(acc)
+    return out
+
+
+def _table_scale(table, p, limit):
+    """Every value times the polynomial p; a product of nonzero polynomials
+    is nonzero, so every key stays unless p is zero."""
+    if not p[0]:
+        return {}
+    return {key: _expr(_pmul(p, v._poly, limit)) for key, v in table.items()}
+
+
+def _table_map(table, fn):
+    """fn of every value, coerced to an expression, zero results dropped."""
+    out = {key: _coerce(fn(v)) for key, v in table.items()}
+    return {key: v for key, v in out.items() if v._poly[0]}
 
 
 # ---------------------------------------------------------------------------

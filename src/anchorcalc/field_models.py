@@ -150,7 +150,7 @@ def _vstack(top: LinDiffOp, bottom: LinDiffOp) -> LinDiffOp:
     entries = dict(top.entries)
     for (r, c, a), v in bottom.entries.items():
         entries[(r + top.rows, c, a)] = v
-    return LinDiffOp(top.rows + bottom.rows, top.cols, entries)
+    return LinDiffOp._of(top.rows + bottom.rows, top.cols, entries)
 
 
 def _block(op: LinDiffOp, copies: int) -> LinDiffOp:
@@ -158,7 +158,7 @@ def _block(op: LinDiffOp, copies: int) -> LinDiffOp:
     for k in range(copies):
         for (r, c, a), v in op.entries.items():
             entries[(r + k * op.rows, c + k * op.cols, a)] = v
-    return LinDiffOp(op.rows * copies, op.cols * copies, entries)
+    return LinDiffOp._of(op.rows * copies, op.cols * copies, entries)
 
 
 def _d_or_zero(form: Form) -> Form:
@@ -545,15 +545,9 @@ class ChiralModel:
 
     def bracket_form(self, a_forms, b_forms):
         """[A, B]_c = f^{ab}_c A_a ^ B_b for algebra-valued forms."""
-        out = []
-        for c in range(self.N):
-            acc = fo.zero_form(self.space, a_forms[0].grade + b_forms[0].grade)
-            for a in range(self.N):
-                for b in range(self.N):
-                    coeff = self.algebra.structure(a, b, c)
-                    if coeff:
-                        acc = acc + fo.wedge(a_forms[a], b_forms[b]).scale(coeff)
-            out.append(acc)
+        out = [fo.zero_form(self.space, a_forms[0].grade + b_forms[0].grade)] * self.N
+        for (a, b, c), coeff in self.algebra.f.items():
+            out[c] = out[c] + fo.wedge(a_forms[a], b_forms[b]).scale(coeff)
         return out
 
     @_memoised
@@ -661,11 +655,10 @@ class ChiralModel:
         2-form slots of the dual dynamics bundle."""
         zero_g = ChiralModel(self.space, self.algebra, 0, self.prefix)
         v, _ = zero_g.anchor_ops()
-        entries = {}
-        for (r, c, alpha), coeff in v.entries.items():
-            if (
-                a * self.mid_dim <= r < (a + 1) * self.mid_dim
-                and a * self.out_dim <= c < (a + 1) * self.out_dim
-            ):
-                entries[(r - a * self.mid_dim, c - a * self.out_dim, alpha)] = coeff
-        return LinDiffOp(self.mid_dim, self.out_dim, entries)
+        r0, c0 = a * self.mid_dim, a * self.out_dim
+        entries = {
+            (r - r0, c - c0, alpha): coeff
+            for (r, c, alpha), coeff in v.entries.items()
+            if r0 <= r < r0 + self.mid_dim and c0 <= c < c0 + self.out_dim
+        }
+        return LinDiffOp._of(self.mid_dim, self.out_dim, entries)

@@ -4,16 +4,23 @@ Forms carry expression coefficients that may contain jets of field
 components, so d raises jet orders through the kernel's total derivatives.
 The metric is constant diagonal, the orientation fixed by
 epsilon_{0,...,n-1} = +1, coordinates are named x0..x{n-1}.
+
+Form(...), and so every builder below it, validates each index and
+coefficient it is given.  The operations (sum, difference, scaling,
+coefficient map, wedge, d, hodge, interior) key their results by valid
+indices only and build them on expr's table helpers through the trusted
+Form._of, without validating them again.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import defaultdict
 
 from . import expr as ex
-from .expr import Expr, is_identically_zero
+from .expr import Expr
 
 
 class FormError(ex.ExprError):
@@ -103,18 +110,15 @@ class Form:
                 raise FormError(f"index {idx} must be strictly increasing")
             if any(not 0 <= m < space.n for m in idx):
                 raise FormError(f"index {idx} out of range")
-            coeff = ex._coerce(coeff)
-            if not is_identically_zero(coeff):
-                table[idx] = coeff
-        self.components = table
+            table[idx] = coeff
+        self.components = ex._table_map(table, ex._coerce)
 
     @classmethod
-    def _of_sums(cls, space, grade, table):
-        """The form of accumulated sums keyed by valid indices, as the
-        operations below build them: no re-validation, zero sums dropped."""
+    def _of(cls, space, grade, components):
+        """The form of nonzero values keyed by valid indices, as every
+        operation below builds it: no re-validation."""
         form = object.__new__(cls)
-        form.space, form.grade = space, grade
-        form.components = {idx: ex._expr_sum(acc) for idx, acc in table.items() if acc[0]}
+        form.space, form.grade, form.components = space, grade, components
         return form
 
     def component(self, idx) -> Expr:
@@ -130,31 +134,23 @@ class Form:
         return not self.components
 
     def __add__(self, other: "Form") -> "Form":
-        self._compatible(other)
-        limit = ex.node_limit()
-        table = dict(self.components)
-        for idx, coeff in other.components.items():
-            if idx in table:
-                coeff = ex._expr(ex._psum(table[idx]._poly, coeff._poly, limit))
-            table[idx] = coeff
-        return Form(self.space, self.grade, table)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Form", k: int) -> "Form":
+        """self + k * other for k = +-1."""
+        self._compatible(other)
+        table = ex._table_plus(self.components, other.components, ex.node_limit(), k)
+        return Form._of(self.space, self.grade, table)
 
     def scale(self, factor) -> "Form":
-        factor = ex._coerce(factor)._poly
-        limit = ex.node_limit()
-        return Form(
-            self.space,
-            self.grade,
-            {idx: ex._expr(ex._pmul(factor, c._poly, limit)) for idx, c in self.components.items()},
-        )
+        table = ex._table_scale(self.components, ex._coerce(factor)._poly, ex.node_limit())
+        return Form._of(self.space, self.grade, table)
 
     def map_coefficients(self, fn) -> "Form":
-        return Form(
-            self.space, self.grade, {i: fn(c) for i, c in self.components.items()}
-        )
+        return Form._of(self.space, self.grade, ex._table_map(self.components, fn))
 
     def _compatible(self, other: "Form"):
         if self.space.signature != other.space.signature:
@@ -257,7 +253,7 @@ def wedge(a: Form, b: Form) -> Form:
             j_coeff = b.components.get(j_idx)
             if j_coeff is not None:
                 ex._paddmul_into(table[idx], i_coeff._poly, j_coeff._poly, limit, sign)
-    return Form._of_sums(a.space, grade, table)
+    return Form._of(a.space, grade, ex._table_sums(table))
 
 
 def exterior_d(a: Form) -> Form:
@@ -271,7 +267,7 @@ def exterior_d(a: Form) -> Form:
                 d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu], limit)
                 sign, new_idx = _merge_sign((mu,), idx)
                 ex._padd_into(table[new_idx], d_coeff, limit, sign)
-    return Form._of_sums(a.space, a.grade + 1, table)
+    return Form._of(a.space, a.grade + 1, ex._table_sums(table))
 
 
 def hodge(a: Form) -> Form:
@@ -279,14 +275,11 @@ def hodge(a: Form) -> Form:
     and epsilon_{0...n-1} = +1."""
     space = a.space
     table = {}
-    full = set(range(space.n))
     for idx, coeff in a.components.items():
-        complement = tuple(sorted(full - set(idx)))
-        sign, _ = _merge_sign(idx, complement)
-        for m in idx:
-            sign *= space.signature[m]
+        ((sign, _, complement),) = _complements(space.n, idx, space.n - a.grade)
+        sign *= math.prod(space.signature[m] for m in idx)
         table[complement] = ex._expr(ex._pscale(coeff._poly, sign))
-    return Form(space, space.n - a.grade, table)
+    return Form._of(space, space.n - a.grade, table)
 
 
 def double_hodge_sign(space: FlatSpace, grade: int) -> int:
@@ -306,24 +299,17 @@ def interior(xi: SpacetimeVector, a: Form) -> Form:
                     table[idx[:pos] + idx[pos + 1 :]],
                     xi.components[mu]._poly, coeff._poly, limit, (-1) ** pos,
                 )
-    return Form._of_sums(a.space, a.grade - 1, table)
+    return Form._of(a.space, a.grade - 1, ex._table_sums(table))
 
 
 def lie_derivative(xi: SpacetimeVector, a: Form) -> Form:
     """Cartan formula i_xi d + d i_xi with the grade-edge terms dropped
     where they do not exist (grade 0 has no interior product, grade n no d)."""
-    space = a.space
-    terms = []
-    if a.grade < space.n:
-        terms.append(interior(xi, exterior_d(a)))
-    if a.grade > 0:
-        terms.append(exterior_d(interior(xi, a)))
-    if not terms:
-        return zero_form(space, a.grade)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    if a.grade == 0:
+        return interior(xi, exterior_d(a))
+    if a.grade == a.space.n:
+        return exterior_d(interior(xi, a))
+    return interior(xi, exterior_d(a)) + exterior_d(interior(xi, a))
 
 
 def pairing_density(a: Form, b: Form) -> Form:

@@ -14,9 +14,7 @@ and the index sum alpha + beta is memoised.  The formal adjoint of a
 constant entry a D^alpha is likewise the one entry (-1)^|alpha| a D^alpha.
 Each sum is normalised once per entry, as every accumulated sum is, so
 the result is exact and in the same canonical form as the Leibniz loop
-that every product with a polynomial coefficient still takes.  Sums,
-differences and scalings accumulate once into valid entries and are not
-validated again.
+that every product with a polynomial coefficient still takes.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ from .expr import (
 
 class ShellError(ex.ExprError):
     """On-shell reduction could not be completed."""
-
-
-def _as_index(a) -> MultiIndex:
-    return a if isinstance(a, MultiIndex) else MultiIndex(a)
 
 
 def _sub_indices(alpha: MultiIndex):
@@ -121,22 +115,13 @@ class LinDiffOp:
         self.rows = rows
         self.cols = cols
         table = {}
-        for key, coeff in (entries or {}).items():
-            r, c, alpha = key
-            alpha = _as_index(alpha)
+        for (r, c, alpha), coeff in (entries or {}).items():
             coeff = ex._coerce(coeff)
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry outside the matrix shape")
-            if is_identically_zero(coeff):
-                continue
-            k = (r, c, alpha)
-            if k in table:
-                coeff = table[k] + coeff
-                if is_identically_zero(coeff):
-                    del table[k]
-                    continue
-            table[k] = coeff
-        self.entries = table
+            key = (r, c, MultiIndex(alpha))
+            table[key] = table[key] + coeff if key in table else coeff
+        self.entries = ex._table_map(table, ex._coerce)
 
     @classmethod
     def _of(cls, rows, cols, entries):
@@ -146,14 +131,6 @@ class LinDiffOp:
         op.rows, op.cols = rows, cols
         op.entries = entries
         return op
-
-    @classmethod
-    def _of_sums(cls, rows, cols, table):
-        """The operator of accumulated sums keyed by valid entries, as
-        the algebra below builds them: zero sums dropped."""
-        return cls._of(
-            rows, cols, {k: ex._expr_sum(acc) for k, acc in table.items() if acc[0]}
-        )
 
     # construction helpers -------------------------------------------------
     @staticmethod
@@ -185,29 +162,15 @@ class LinDiffOp:
         return self._plus(other, -1)
 
     def _plus(self, other: "LinDiffOp", k: int) -> "LinDiffOp":
-        """self + k * other for k = +-1, accumulated once per entry."""
+        """self + k * other for k = +-1."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        limit = ex.node_limit()
-        table = {key: ex._acc(v._poly) for key, v in self.entries.items()}
-        for key, v in other.entries.items():
-            acc = table.get(key)
-            if acc is None:
-                acc = table[key] = ex._acc()
-            ex._padd_into(acc, v._poly, limit, k)
-        return LinDiffOp._of_sums(self.rows, self.cols, table)
+        table = ex._table_plus(self.entries, other.entries, ex.node_limit(), k)
+        return LinDiffOp._of(self.rows, self.cols, table)
 
     def scale(self, coeff) -> "LinDiffOp":
-        coeff = ex._coerce(coeff)._poly
-        limit = ex.node_limit()
-        if not coeff[0]:
-            return LinDiffOp(self.rows, self.cols)
-        # a product of nonzero polynomials is nonzero, so every entry stays
-        return LinDiffOp._of(
-            self.rows,
-            self.cols,
-            {k: ex._expr(ex._pmul(coeff, v._poly, limit)) for k, v in self.entries.items()},
-        )
+        table = ex._table_scale(self.entries, ex._coerce(coeff)._poly, ex.node_limit())
+        return LinDiffOp._of(self.rows, self.cols, table)
 
     def apply(self, vector):
         """Apply to a vector of expressions; each D^alpha of a component is
@@ -246,7 +209,7 @@ class LinDiffOp:
                 for remaining, binom, db in _leibniz(alpha, b, limit):
                     key = (r, c, _index_sum(remaining, beta))
                     ex._paddmul_into(entries[key], a._poly, db, limit, binom)
-        return LinDiffOp._of_sums(self.rows, other.cols, entries)
+        return LinDiffOp._of(self.rows, other.cols, ex._table_sums(entries))
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
@@ -261,29 +224,21 @@ class LinDiffOp:
                 continue
             for remaining, binom, da in _leibniz(alpha, a, limit):
                 ex._padd_into(entries[(c, r, remaining)], da, limit, sign * binom)
-        return LinDiffOp._of_sums(self.cols, self.rows, entries)
+        return LinDiffOp._of(self.cols, self.rows, ex._table_sums(entries))
 
     # inspection ------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.entries
 
     def map_coefficients(self, fn) -> "LinDiffOp":
-        return LinDiffOp(
-            self.rows, self.cols, {k: fn(v) for k, v in self.entries.items()}
-        )
+        return LinDiffOp._of(self.rows, self.cols, ex._table_map(self.entries, fn))
 
     def __eq__(self, other):
         if not isinstance(other, LinDiffOp):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        keys = set(self.entries) | set(other.entries)
-        for k in keys:
-            a = self.entries.get(k, ex.ZERO)
-            b = other.entries.get(k, ex.ZERO)
-            if not is_identically_zero(a - b):
-                return False
-        return True
+        return (self - other).is_zero()
 
     def __repr__(self):
         return f"LinDiffOp({self.rows}x{self.cols}, {len(self.entries)} entries)"
@@ -404,7 +359,5 @@ def reduce_on_shell(obj, shell: ShellRules):
 
 def op_equal_mod_shell(a: LinDiffOp, b: LinDiffOp, shell: ShellRules):
     """Entrywise weak equality; returns (flag, residual operator)."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
     residual = reduce_on_shell(a - b, shell)
     return residual.is_zero(), residual

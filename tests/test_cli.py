@@ -585,6 +585,42 @@ def test_search_column_budget_exits_2_at_once(tmp_path, capsys, n, degree):
     assert err.startswith("resource limit:") and err.count("\n") == 1
 
 
+def test_catalog_over_the_work_budget_builds_no_form(monkeypatch, capsys):
+    builds = []
+
+    def counted(init):
+        return lambda *a, **k: builds.append(1) or init(*a, **k)
+
+    for cls in (forms.Form, forms.FlatSpace):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    for argv in (("pform", "--n", "40", "--p", "20"), ("selfdual", "--n", "14")):
+        with _deadline(5):
+            code = cli.main(["catalog", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and err.count("\n") == 1
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "argv, work", [(("pform", "--n", "4", "--p", "2"), 6 * 16), (("selfdual", "--n", "2"), 2 * 4)]
+)
+def test_catalog_work_budget_boundary(monkeypatch, capsys, argv, work):
+    # the work estimate is C(n, p) * n^2, with p = n/2 for the self-dual field
+    monkeypatch.setattr(cli, "_MAX_CATALOG_WORK", work)
+    assert run_cli("catalog", *argv)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_CATALOG_WORK", work - 1)
+    assert run_cli("catalog", *argv)[0] == 2
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
+def test_catalog_work_budget_admits_the_pinned_reports():
+    # CI pins pform n = 10 (p = 2 and 5) and selfdual n = 10; the benchmark
+    # stops at n = 6
+    for n, p in ((10, 2), (10, 5), (8, 4), (6, 3)):
+        assert math.comb(n, p) * n * n <= cli._MAX_CATALOG_WORK
+
+
 def test_rk4_convergence_order():
     # halving the step should shrink oscillator drift ~16x (4th order)
     model = parse_model(OSCILLATOR)

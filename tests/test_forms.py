@@ -313,6 +313,62 @@ def test_wedge_matches_pairwise_reference(n, lorentz, seed):
             assert fo.Form(space, result.grade, result.components).components == result.components
 
 
+# --- the shared table algebra against the validating constructor ---------------
+
+
+def _reference_sum(a, b, sign):
+    """a + sign * b entry by entry, built through the validating Form(...)."""
+    out = dict(a.components)
+    for idx, v in b.components.items():
+        out[idx] = out[idx] + sign * v if idx in out else sign * v
+    return fo.Form(a.space, a.grade, out)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@settings(max_examples=6, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32))
+def test_sum_and_difference_match_reference(n, lorentz, seed):
+    space = fo.lorentzian(n) if lorentz else fo.euclidean(n)
+    rng = random.Random(seed)
+    c = ac.rational(-3, 4) * space.coord_expr(0)
+    for grade in range(n + 1):
+        a, b = _sparse_form(rng, space, grade), _sparse_form(rng, space, grade)
+        difference = a - b
+        assert difference.components == (a + b.scale(-1)).components
+        assert difference.components == _reference_sum(a, b, -1).components
+        assert (a + b).components == _reference_sum(a, b, 1).components
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+        scaled = fo.Form(space, grade, {idx: c * v for idx, v in a.components.items()})
+        assert a.scale(c).components == scaled.components
+        # every trusted result is a valid form: the public constructor keeps it
+        shifted = a.map_coefficients(lambda v: v - 1)
+        for result in (a + b, difference, a.scale(c), fo.hodge(a), shifted):
+            assert fo.Form(space, result.grade, result.components).components == result.components
+
+
+def test_form_algebra_builds_without_revalidation(monkeypatch):
+    F, G = fo.field_form(L4, "F", 2), fo.field_form(L4, "G", 2)
+    calls = []
+    init = fo.Form.__init__
+    monkeypatch.setattr(fo.Form, "__init__", lambda *a, **k: calls.append(1) or init(*a, **k))
+    results = [F + G, F - G, F.scale(ac.jet("u")), fo.hodge(F), F.map_coefficients(lambda v: 2 * v)]
+    assert not calls
+    assert [len(r.components) for r in results] == [6] * 5
+
+
+def test_map_coefficients_coerces_and_drops_zeros():
+    u, w = ac.jet("u"), ac.jet("w")
+    # 0 and ex.ZERO are dropped, and an int result becomes an expression
+    values = {u: 0, w: ex.ZERO, u * w: 3}
+    form = fo.Form(E4, 1, {(0,): u, (1,): w, (2,): u * w}).map_coefficients(values.get)
+    assert form.components == {(2,): ac.rational(3)}
+    assert isinstance(form.components[(2,)], ex.Expr)
+    op = lo.LinDiffOp(1, 3, {(0, c, ex.EMPTY_INDEX): v for c, v in enumerate(values)})
+    op = op.map_coefficients(values.get)
+    assert op.entries == {(0, 2, ex.EMPTY_INDEX): ac.rational(3)}
+    assert isinstance(op.entries[(0, 2, ex.EMPTY_INDEX)], ex.Expr)
+
+
 # --- node limit in the form and operator layers ---------------------------------
 
 def _wide(name, k):
@@ -337,8 +393,8 @@ def _operation(name, n, k):
         return lambda: fo.exterior_d(a)
     if name == "Form.scale":
         return lambda: a.scale(w)
-    if name == "Form.__add__":
-        return lambda: a + b
+    if name in ("Form.__add__", "Form.__sub__"):
+        return (lambda: a + b) if name == "Form.__add__" else (lambda: a - b)
     if name == "conformal_killing_check":
         return lambda: fo.conformal_killing_check(xi, space)
     A = lo.LinDiffOp.identity(n).scale(u)
@@ -364,6 +420,7 @@ OPERATIONS = (
     "formal_adjoint",
     "Form.scale",
     "Form.__add__",
+    "Form.__sub__",
     "conformal_killing_check",
     "LinDiffOp.scale",
     "LinDiffOp.__add__",

@@ -312,6 +312,14 @@ def test_anchor_definition_through_operators():
     assert not ok
 
 
+def test_constructor_sums_entries_that_name_one_index():
+    # (("t", 1),) and MultiIndex({"t": 1}) name the same derivative
+    dt = ex.MultiIndex({"t": 1})
+    op = lo.LinDiffOp(1, 1, {(0, 0, (("t", 1),)): t, (0, 0, dt): 1, (0, 0, ()): x1 - x1})
+    assert op.entries == {(0, 0, dt): t + 1}
+    assert lo.LinDiffOp(1, 1, {(0, 0, (("t", 1),)): t, (0, 0, dt): -t}).is_zero()
+
+
 def test_describe():
     assert lo.LinDiffOp(2, 2).describe() == "0"
     assert Dt.compose(Id.scale(x1)).describe() == "[0,0] (x1_t) * 1; [0,0] (x1) * D_t"
