@@ -342,7 +342,7 @@ def oracle_report(args) -> ModelReport:
 def search_output(args):
     model = parse_model(args.model_file)
     solutions = ode.search_characteristics(model.system, args.degree)
-    texts = [ex.to_text(s.f) for s in solutions]
+    texts = [ex.to_text(s) for s in solutions]
     doc = {
         "version": "1",
         "model": model.name,

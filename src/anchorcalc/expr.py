@@ -14,13 +14,19 @@ integer exponents (Laurent monomials).
 
 Every operation, the arithmetic operators included, expands eagerly, so
 every value is in canonical form and equality of values is mathematical
-equality within this class.  Function applications are opaque atoms, with
-no trigonometric or logarithmic rewriting.  So a canonical zero is a true
-zero, and a check that PASSes is sound; but a nonzero residual is a true
-nonzero only when it is polynomial in jets, variables and parameters.  A
-residual with function atoms can be an identity between them, such as
-sin(u)^2 + cos(u)^2 - 1, and then its check FAILs falsely.  No check
-consults the randomized evaluation oracle (rand_eval, probably_zero).
+equality within this class.  Function applications are opaque atoms of
+the canonical form, with no trigonometric or logarithmic rewriting.  So a
+canonical zero is a true zero, and a check that PASSes is sound.  The ODE
+checks reduce a nonzero residual modulo sin(u)^2 + cos(u)^2 - 1 for each
+argument u (_pythagorean_normal) before they test and print it, so a
+residual that is still nonzero is a true nonzero when it is polynomial in
+jets, variables, parameters and sin(u), cos(u) (no negative power of
+sin(u) or cos(u)).  Relations between
+different arguments, such as sin(2u) = 2 sin(u) cos(u) or exp(a + b) =
+exp(a) exp(b), stay undecided, and such an identity FAILs falsely; zero
+testing of elementary expressions is undecidable in general (Richardson
+1968).  No check consults the randomized evaluation oracle (rand_eval,
+probably_zero); the tests use it as the reference for the reduction.
 
 An atom is a tuple that is its own sort key, built from names and numbers
 only: hashing and ordering run in C, and the printed order, graded-
@@ -601,6 +607,42 @@ def _pscale(p, num, den=1):
     return _normal({m: v * num for m, v in c.items()}, d * den)
 
 
+def _pythagorean_normal(p, limit):
+    """p modulo sin(u)^2 + cos(u)^2 - 1 for every argument u.  Rewriting
+    cos(u)^k, k >= 2, as cos(u)^(k-2) * (1 - sin(u)^2) until no such power
+    is left gives cos(u)^(k mod 2) * (1 - sin(u)^2)^(k // 2), expanded here
+    in one step.  This is the normal form modulo a one-element Groebner
+    basis per argument (Cox, Little & O'Shea, ch. 2): for polynomials in
+    sin(u), cos(u) and other atoms it is zero exactly when p lies in the
+    ideal of these relations, and it never makes a nonzero value zero.
+    Negative powers are left as they are.  Returns p itself when it holds
+    no such power."""
+    c, d = p
+    if not any(_is_cos_power(*f) for mono in c for f in mono):
+        return p
+    acc = _acc()
+    for mono, coeff in c.items():
+        q = {tuple(f for f in mono if not _is_cos_power(*f)): coeff}, 1
+        for a, e in mono:
+            if _is_cos_power(a, e):
+                q = _pmul(q, _cos_power(a, e), limit)
+        _padd_into(acc, q, limit)
+    return _normal(acc[0], d)
+
+
+def _is_cos_power(a, e) -> bool:
+    return e >= 2 and type(a) is FunAtom and a[1] == "cos"
+
+
+def _cos_power(a, e):
+    """cos(u)^(e mod 2) * (1 - sin(u)^2)^(e // 2) for a = cos(u), expanded."""
+    s, q = FunAtom("sin", a[3]), e // 2
+    base = ((a, 1),) if e % 2 else ()
+    terms = {_mono_mul(base, ((s, 2 * i),)): (-1) ** i * math.comb(q, i) for i in range(1, q + 1)}
+    terms[base] = 1
+    return terms, 1
+
+
 # ---------------------------------------------------------------------------
 # sparse tables: dicts from keys that their owner validated (form indices,
 # operator entries) to nonzero values.  Every sum, difference, scaling and
@@ -650,15 +692,6 @@ def _table_map(table, fn):
 def Sym(atom) -> Expr:
     """The expression of a single atom."""
     return _expr(({((atom, 1),): 1}, 1))
-
-
-def Add(terms) -> Expr:
-    """The sum of the given terms."""
-    acc = _acc()
-    limit = node_limit()
-    for t in terms:
-        _padd_into(acc, _coerce(t)._poly, limit)
-    return _expr_sum(acc)
 
 
 def indep(name: str) -> Expr:
@@ -918,10 +951,6 @@ def diff(e: Expr, sym) -> Expr:
     expression (chain rule is applied through function applications)."""
     atom = _atom_key(sym, "differentiate with respect to")
     return _expr(_gradient(_coerce(e), atom, node_limit()))
-
-
-def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
-    return _expr(_iterated_poly(_coerce(e)._poly, index, node_limit()))
 
 
 def euler_derivative(density: Expr, field: str) -> Expr:

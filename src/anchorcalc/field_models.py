@@ -69,9 +69,8 @@ def grade_basis(space: FlatSpace, k: int):
     return list(itertools.combinations(range(space.n), k))
 
 
-def form_to_vector(form: Form, basis=None):
-    basis = basis if basis is not None else grade_basis(form.space, form.grade)
-    return [form.components.get(idx, ex.ZERO) for idx in basis]
+def form_to_vector(form: Form):
+    return [form.components.get(idx, ex.ZERO) for idx in grade_basis(form.space, form.grade)]
 
 
 def vector_to_form(space: FlatSpace, grade: int, vec) -> Form:
@@ -324,18 +323,6 @@ class PFormModel:
         residual = (delta_form - expected).map_coefficients(self.shell().reduce)
         return residual.is_zero(), residual
 
-    def kernel_forms(self):
-        """V*(P) for a symbolic p-form P, organized as the two form slots;
-        for nonzero rational a, b their zero sets are dP = 0 and d*P = 0."""
-        space, p = self.space, self.p
-        P = fo.field_form(space, "P", p)
-        _, vstar = self.anchor_ops()
-        out = vstar.apply(form_to_vector(P))
-        dim1 = len(grade_basis(space, p + 1))
-        slot1 = vector_to_form(space, p + 1, out[:dim1])
-        slot2 = vector_to_form(space, space.n - p + 1, out[dim1:])
-        return slot1, slot2
-
 
 # ---------------------------------------------------------------------------
 # self-dual model
@@ -534,7 +521,7 @@ class ChiralModel:
 
     @_memoised
     def residuals(self):
-        return tuple(fo.exterior_d(h) for h in self.H)
+        return tuple(m.residual() for m in self.components)
 
     @_memoised
     def shell(self) -> ShellRules:

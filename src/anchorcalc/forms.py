@@ -52,9 +52,6 @@ class FlatSpace:
     def coord_expr(self, mu: int) -> Expr:
         return ex.indep(self.coords[mu])
 
-    def volume_indices(self):
-        return tuple(range(self.n))
-
     def __repr__(self):
         return f"FlatSpace(signature={self.signature})"
 
@@ -204,10 +201,6 @@ def basis_form(space: FlatSpace, *indices) -> Form:
     return Form(space, len(indices), {tuple(indices): ex.ONE})
 
 
-def volume_form(space: FlatSpace) -> Form:
-    return basis_form(space, *space.volume_indices())
-
-
 def field_form(space: FlatSpace, name: str, grade: int) -> Form:
     """Symbolic field of the given grade: one jet field per component,
     named e.g. F01 for the (0,1) component."""
@@ -280,11 +273,6 @@ def hodge(a: Form) -> Form:
         sign *= math.prod(space.signature[m] for m in idx)
         table[complement] = ex._expr(ex._pscale(coeff._poly, sign))
     return Form._of(space, space.n - a.grade, table)
-
-
-def double_hodge_sign(space: FlatSpace, grade: int) -> int:
-    """The sign s with ** = s * Id on the given grade."""
-    return (-1) ** (grade * (space.n - grade)) * space.metric_sign
 
 
 def interior(xi: SpacetimeVector, a: Form) -> Form:

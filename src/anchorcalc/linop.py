@@ -142,18 +142,6 @@ class LinDiffOp:
         alpha = MultiIndex({name: 1})
         return LinDiffOp(n, n, {(i, i, alpha): ex.ONE for i in range(n)})
 
-    @staticmethod
-    def from_matrix(matrix) -> "LinDiffOp":
-        rows = len(matrix)
-        cols = len(matrix[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(matrix):
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            for c, coeff in enumerate(row):
-                entries[(r, c, EMPTY_INDEX)] = ex._coerce(coeff)
-        return LinDiffOp(rows, cols, entries)
-
     # algebra ---------------------------------------------------------------
     def __add__(self, other: "LinDiffOp") -> "LinDiffOp":
         return self._plus(other, 1)
@@ -348,16 +336,3 @@ def _reduce_full(e, rules):
         if not hit:
             return e
         e = ex.substitute(e, hit)
-
-
-def reduce_on_shell(obj, shell: ShellRules):
-    """Reduce an expression or operator coefficient-wise on the shell."""
-    if isinstance(obj, LinDiffOp):
-        return obj.map_coefficients(shell.reduce)
-    return shell.reduce(obj)
-
-
-def op_equal_mod_shell(a: LinDiffOp, b: LinDiffOp, shell: ShellRules):
-    """Entrywise weak equality; returns (flag, residual operator)."""
-    residual = reduce_on_shell(a - b, shell)
-    return residual.is_zero(), residual

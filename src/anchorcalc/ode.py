@@ -80,26 +80,6 @@ def free_system(n: int) -> OdeSystem:
     return OdeSystem([ex.ZERO] * n)
 
 
-class CharacteristicFn:
-    def __init__(self, f):
-        self.f = _check_zeroth_order(f, "a characteristic")
-
-    def __repr__(self):
-        return f"CharacteristicFn({ex.to_text(self.f)})"
-
-
-class VerticalVector:
-    def __init__(self, w):
-        self.w = tuple(_check_zeroth_order(c, "a vertical vector") for c in w)
-        self.n = len(self.w)
-
-
-class VerticalForm:
-    def __init__(self, psi):
-        self.psi = tuple(_check_zeroth_order(c, "a vertical form") for c in psi)
-        self.n = len(self.psi)
-
-
 class Bivector:
     """Antisymmetric alpha^{ij}(t, x); only i < j entries are stored."""
 
@@ -205,13 +185,20 @@ class _Partials:
         if p[0] and q[0]:
             ex._paddmul_into(acc, p, q, self.limit, sign)
 
+    def residual(self, e: Expr) -> Expr:
+        """e modulo sin(u)^2 + cos(u)^2 - 1 for every argument u: the form
+        in which a check tests a residual for zero and prints it."""
+        p = ex._pythagorean_normal(e._poly, self.limit)
+        return e if p is e._poly else ex._expr(p)
+
 
 def _characteristic(tab, sys, f):
     """(flag, residual d_t f - v . grad f)."""
     acc = ex._acc(tab.d(f, None))
     for i, vi in enumerate(sys.v):
         tab.addmul(acc, vi._poly, tab.d(f, i), -1)
-    return not acc[0], ex._expr_sum(acc)
+    residual = tab.residual(ex._expr_sum(acc))
+    return is_identically_zero(residual), residual
 
 
 def _lie_bracket(tab, a, b, out=None):
@@ -254,39 +241,24 @@ def _matrix(sys: OdeSystem, alpha: Bivector):
     return alpha.matrix()
 
 
-def _coerce_char(f):
-    return f.f if isinstance(f, CharacteristicFn) else _check_zeroth_order(f, "a characteristic")
-
-
-def _coerce_vec(w):
-    if isinstance(w, VerticalVector):
-        return w.w
-    return tuple(_check_zeroth_order(c, "a vertical vector") for c in w)
-
-
-def _coerce_form(psi):
-    if isinstance(psi, VerticalForm):
-        return psi.psi
-    return tuple(_check_zeroth_order(c, "a vertical form") for c in psi)
-
-
 # ---------------------------------------------------------------------------
 # checks
 
 
 def check_characteristic(sys: OdeSystem, f):
     """d_t f = v . grad f; returns (flag, residual)."""
-    return _characteristic(_Partials(sys.n), sys, _coerce_char(f))
+    return _characteristic(_Partials(sys.n), sys, _check_zeroth_order(f, "a characteristic"))
 
 
 def check_symmetry(sys: OdeSystem, w):
     """d_t w = [v, w]; returns (flag, residual vector)."""
-    w = _coerce_vec(w)
+    w = tuple(_check_zeroth_order(c, "a vertical vector") for c in w)
     if len(w) != sys.n:
         raise ValueError("dimension mismatch")
     tab = _Partials(sys.n)
     # d_t w - [v, w] = d_t w + [w, v]
-    residual = _lie_bracket(tab, w, sys.v, [ex._acc(tab.d(wi, None)) for wi in w])
+    bracket = _lie_bracket(tab, w, sys.v, [ex._acc(tab.d(wi, None)) for wi in w])
+    residual = [tab.residual(r) for r in bracket]
     return all(is_identically_zero(r) for r in residual), residual
 
 
@@ -301,14 +273,16 @@ def check_anchor(sys: OdeSystem, alpha: Bivector):
             tab.addmul(acc, v[k]._poly, tab.d(a[i][j], k), -1)
             tab.addmul(acc, a[k][j]._poly, tab.d(v[i], k))
             tab.addmul(acc, a[i][k]._poly, tab.d(v[j], k))
-        if acc[0]:
-            residual[(i, j)] = ex._expr_sum(acc)
+        r = tab.residual(ex._expr_sum(acc))
+        if not is_identically_zero(r):
+            residual[(i, j)] = r
     return not residual, residual
 
 
-def anchor_apply(alpha: Bivector, f) -> VerticalVector:
+def anchor_apply(alpha: Bivector, f) -> tuple:
     """w^i = alpha^{ij} d_j f: the proper symmetry generated by f."""
-    return VerticalVector(_anchor_apply(_Partials(alpha.n), alpha.matrix(), _coerce_char(f)))
+    f = _check_zeroth_order(f, "a characteristic")
+    return tuple(_anchor_apply(_Partials(alpha.n), alpha.matrix(), f))
 
 
 def schouten_square(alpha: Bivector) -> Trivector:
@@ -322,13 +296,13 @@ def schouten_square(alpha: Bivector) -> Trivector:
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
             for m in range(n):
                 tab.addmul(acc, a[p][m]._poly, tab.d(a[q][r], m))
-        upper[(i, j, k)] = ex._expr_sum(acc)
+        upper[(i, j, k)] = tab.residual(ex._expr_sum(acc))
     return Trivector(n, upper)
 
 
 def poisson_bracket(alpha: Bivector, f, g) -> Expr:
     """{f, g} = alpha^{ij} d_i f d_j g."""
-    f, g = _coerce_char(f), _coerce_char(g)
+    f, g = (_check_zeroth_order(e, "a characteristic") for e in (f, g))
     return _poisson_bracket(_Partials(alpha.n), alpha.matrix(), f, g)
 
 
@@ -336,17 +310,18 @@ def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     """Proper deformation by the twist of H: v'^i = v^i - alpha^{ij} d_j H
     (sign frozen by calibration; the free system deforms to
     xdot^i = {x^i, H})."""
-    return _deform(_Partials(sys.n), sys, _matrix(sys, alpha), _coerce_char(hamiltonian))
+    h = _check_zeroth_order(hamiltonian, "a characteristic")
+    return _deform(_Partials(sys.n), sys, _matrix(sys, alpha), h)
 
 
 def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     """When {f, H} is a function of t alone with polynomial antiderivative g,
     f - g must be conserved by the deformed system.  Returns (flag, detail)."""
-    f, h = _coerce_char(f), _coerce_char(hamiltonian)
+    f, h = (_check_zeroth_order(e, "a characteristic") for e in (f, hamiltonian))
     tab, a = _Partials(sys.n), _matrix(sys, alpha)
     if not _characteristic(tab, sys, f)[0]:
         return False, "f is not a characteristic of the original system"
-    bracket = _poisson_bracket(tab, a, f, h)
+    bracket = tab.residual(_poisson_bracket(tab, a, f, h))
     if any(tab.d(bracket, i)[0] for i in range(sys.n)):
         return False, "{f, H} depends on x; the twist is not invariant under f"
     g = ex._poly_antiderivative(bracket._poly, TIME, tab.limit)
@@ -366,7 +341,7 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     Exact differentials of characteristics always pass.  Returns
     (flag, residuals keyed by condition name).
     """
-    psi = _coerce_form(psi)
+    psi = tuple(_check_zeroth_order(c, "a vertical form") for c in psi)
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
     n = sys.n
@@ -382,30 +357,33 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
             for i in range(n):
                 tab.addmul(acc, a[i][l]._poly, tab.d(psi[k], i))
                 tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], k), -1)
-            if acc[0]:
-                residuals[f"closure[l={l + 1},k={k + 1}]"] = ex._expr_sum(acc)
+            r = tab.residual(ex._expr_sum(acc))
+            if not is_identically_zero(r):
+                residuals[f"closure[l={l + 1},k={k + 1}]"] = r
         acc = ex._acc()
         for i in range(n):
             tab.addmul(acc, a[i][l]._poly, tab.d(psi_v, i))
             tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], None), -1)
-        if acc[0]:
-            residuals[f"transport[l={l + 1}]"] = ex._expr_sum(acc)
+        r = tab.residual(ex._expr_sum(acc))
+        if not is_identically_zero(r):
+            residuals[f"transport[l={l + 1}]"] = r
     return not residuals, residuals
 
 
-def differential(f, n: int) -> VerticalForm:
+def differential(f, n: int) -> tuple:
     """The vertical differential d~f as a covector of x-partials."""
-    f, tab = _coerce_char(f), _Partials(n)
-    return VerticalForm([ex._expr(tab.d(f, i)) for i in range(n)])
+    f, tab = _check_zeroth_order(f, "a characteristic"), _Partials(n)
+    return tuple(ex._expr(tab.d(f, i)) for i in range(n))
 
 
 def commutator_matches_bracket(alpha: Bivector, f, g):
     """Residual of [V(f), V(g)] - sigma V({f, g}) with the frozen sign."""
-    f, g = _coerce_char(f), _coerce_char(g)
+    f, g = (_check_zeroth_order(e, "a characteristic") for e in (f, g))
     tab, a = _Partials(alpha.n), alpha.matrix()
     rhs = _anchor_apply(tab, a, _poisson_bracket(tab, a, f, g))
     out = [ex._acc(ex._pscale(r._poly, -HOMOMORPHISM_SIGN)) for r in rhs]
-    residual = _lie_bracket(tab, _anchor_apply(tab, a, f), _anchor_apply(tab, a, g), out)
+    bracket = _lie_bracket(tab, _anchor_apply(tab, a, f), _anchor_apply(tab, a, g), out)
+    residual = [tab.residual(r) for r in bracket]
     return all(is_identically_zero(r) for r in residual), residual
 
 
@@ -534,7 +512,7 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
         for m, coeff in residual[0].items():
             rows.setdefault(m, {})[col] = coeff
     kernel = _kernel(_eliminate(rows.values()), len(basis))
-    return [CharacteristicFn(s) for s in _echelon_solutions(kernel, basis)]
+    return _echelon_solutions(kernel, basis)
 
 
 def _monomials(n: int, max_degree: int):

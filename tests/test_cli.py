@@ -692,6 +692,25 @@ def test_pendulum_fixture_verdicts(tmp_path):
     assert checks["characteristic"]["residual"] == "-2*x2*sin(x1)"
 
 
+def test_pendulum_identity_fixture_verdicts(tmp_path):
+    # the pendulum with w = [x2*(sin(x1)^2 + cos(x1)^2), -sin(x1)], equal to
+    # its w: the symmetry residual is zero modulo sin^2 + cos^2 - 1
+    identity = FIXTURES / "pendulum_identity.ini"
+    code, out = run_cli("check", str(identity), "--json")
+    assert code == 0
+    assert {c["name"]: c["status"] for c in json.loads(out)["checks"]} == dict.fromkeys(
+        PENDULUM_CHECKS, "PASS"
+    )
+    # a true nonzero stays a FAIL, with the residual of the plain pendulum
+    mutant = tmp_path / "mutant.ini"
+    mutant.write_text(identity.read_text().replace("f = x2^2/2 - cos(x1)", "f = x2^2/2 + cos(x1)"))
+    code, out = run_cli("check", str(mutant), "--json", "--only", "characteristic,symmetry")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["symmetry"]["status"] == "PASS"
+    assert checks["characteristic"]["residual"] == "-2*x2*sin(x1)"
+
+
 @pytest.mark.parametrize("value", ["1e5", "abc", "0", "-5"])
 def test_malformed_node_limit_exits_2_without_a_report(monkeypatch, value):
     monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", value)

@@ -8,6 +8,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +80,10 @@ _commands = st.one_of(
 
 def _assert_contract(path, text, command):
     path.write_text(text, encoding="utf-8")
-    argv = [command[0], str(path), *command[1:], "--json"]
+    _assert_report_contract([command[0], str(path), *command[1:], "--json"], text)
+
+
+def _assert_report_contract(argv, text=None):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -107,3 +111,70 @@ def test_grammar_valid_models_keep_exit_contract(tmp_path_factory, text, command
 @given(text=_noise, command=_commands)
 def test_random_model_text_keeps_exit_contract(tmp_path_factory, text, command):
     _assert_contract(tmp_path_factory.getbasetemp() / "noise.ini", text, command)
+
+
+# catalog arguments per family, as (valid values, bad values) per option;
+# n <= 5 keeps every run far below the work budget.  Values go in as
+# --option=value, so that argparse reads -1/2 as a value, not as an option.
+_CATALOG_OPTIONS = {
+    "pform": {
+        "--n": (["2", "3", "4", "5"], ["0", "-1", "x"]),
+        "--p": (["1", "2", "3", "4"], ["0", "-1", "5", "x", "2.5"]),
+        "--a": (["1", "0", "-1/2", "3"], ["x", "1/0", ""]),
+        "--b": (["0", "1", "2/3"], ["x", "1/0"]),
+        "--xi": (["t0", "t1", "r01", "r12", "dil"], ["t9", "r10", "r00", "r0", "r012", "q", "t", ""]),
+    },
+    "selfdual": {
+        "--n": (["2"], ["1", "3", "4", "5", "0", "x"]),
+        "--xi": (["t0", "t1", "r01", "dil"], ["t9", "r10", "r12", "q", ""]),
+    },
+    "chiral": {
+        "--g": (["1", "0", "-2", "1/2"], ["x", "1/0", ""]),
+        "--algebra": (["su2", "abelian3", "abelian1"], ["so3", ""]),
+        "--epsilon": (["1,1,1", "1,0,0", "0,0,0", "1/2,-1,2"], ["1", "1,1", "1,x,1", "1,1/0,1", ""]),
+        "--xi": (["t0", "t1", "r01", "dil"], ["t9", "r10", "r12", "q", ""]),
+    },
+}
+
+
+@st.composite
+def _catalog_argv(draw):
+    """A family, some of its options at valid values and, in half of the
+    cases, one option at a bad value, so that the bad value is reached."""
+    model = draw(st.sampled_from(sorted(_CATALOG_OPTIONS)))
+    options = _CATALOG_OPTIONS[model]
+    chosen = {o: draw(st.sampled_from(good)) for o, (good, _) in options.items() if draw(st.booleans())}
+    if draw(st.booleans()):
+        option = draw(st.sampled_from(sorted(options)))
+        chosen[option] = draw(st.sampled_from(options[option][1]))
+    argv = ["catalog", model, *(f"{o}={v}" for o, v in chosen.items())]
+    if model == "pform" and draw(st.booleans()):
+        argv.append("--euclidean")
+    return argv + ["--json"]
+
+
+def _assert_catalog_contract(argv):
+    try:
+        _assert_report_contract(argv)
+    except SystemExit as stop:  # argparse refuses a value with a usage line
+        assert stop.code == 2, (argv, stop.code)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_catalog_argv())
+def test_catalog_arguments_keep_exit_contract(argv):
+    _assert_catalog_contract(argv)
+
+
+@pytest.mark.parametrize(
+    "model, option, value",
+    [
+        (model, option, value)
+        for model, options in _CATALOG_OPTIONS.items()
+        for option, (_, bad) in options.items()
+        for value in bad
+    ],
+)
+def test_each_bad_catalog_value_keeps_exit_contract(model, option, value):
+    # every bad value once, with the other options at their defaults
+    _assert_catalog_contract(["catalog", model, f"{option}={value}", "--json"])

@@ -281,6 +281,51 @@ def test_probably_zero_for_trig_identity():
     assert not ac.probably_zero(ac.sin(t) ** 2 - ac.cos(t) ** 2)
 
 
+# --- the Pythagorean normal form ---------------------------------------------
+
+# two arguments: each has its own relation, and none links the two
+_U, _V = x1, t + 2 * x2
+_TRIG_FACTORS = [x1, x2, ac.sin(_U), ac.cos(_U), ac.sin(_V), ac.cos(_V)]
+
+
+def _nf(e):
+    return ex._expr(ex._pythagorean_normal(e._poly, ex.node_limit()))
+
+
+def test_pythagorean_normal_form_examples():
+    s, c = ac.sin(x1), ac.cos(x1)
+    assert _nf(c**4) == 1 - 2 * s**2 + s**4
+    assert _nf(x2 * c**3) == x2 * c - x2 * c * s**2
+    assert _nf(s**2 + c**2 - 1) == ac.ZERO
+    assert _nf(s**2 - c**2) == 2 * s**2 - 1
+    # relations between different arguments stay undecided
+    double = ac.sin(2 * x1) - 2 * s * c
+    assert _nf(double) == double
+
+
+@st.composite
+def _trig_polys(draw):
+    """Sums of up to four terms, each a small integer times up to four
+    factors drawn from x1, x2 and sin, cos of two arguments."""
+    e = ac.ZERO
+    for _ in range(draw(st.integers(0, 4))):
+        term = ac.rational(draw(st.integers(-3, 3)))
+        for f in draw(st.lists(st.sampled_from(_TRIG_FACTORS), max_size=4)):
+            term = term * f
+        e = e + term
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trig_polys(), _trig_polys(), st.sampled_from([_U, _V]))
+def test_pythagorean_normal_form(p, q, u):
+    nf = _nf(p)
+    assert _nf(p + (ac.sin(u) ** 2 + ac.cos(u) ** 2 - 1) * q) == nf
+    assert _nf(nf) == nf
+    for seed in range(3):
+        assert abs(ac.rand_eval(nf - p, seed)) <= ex.RAND_EVAL_THRESHOLD
+
+
 def test_evaluate_exact():
     e = x1**2 + ac.rational(1, 2) * x2
     point = {ex.JetVar("x1"): Fraction(2), ex.JetVar("x2"): Fraction(3)}
@@ -378,7 +423,7 @@ def test_product_refused_before_any_term_product(monkeypatch):
     calls = []
     mono_mul = ex._mono_mul
     monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
-    five = ex.Add(ac.jet(f"u{i}") for i in range(5))
+    five = sum((ac.jet(f"u{i}") for i in range(5)), ac.ZERO)
     monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "24")
     # 5 x 5 = 25 term products: refused, although the square has 15 monomials
     for attempt in (lambda: five * five, lambda: five**2, lambda: five**3):
@@ -396,8 +441,8 @@ def test_accumulated_product_refused_before_any_term_product(monkeypatch):
     calls = []
     mono_mul = ex._mono_mul
     monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
-    five = ex.Add(x1**k for k in range(1, 6))
-    f = ex.Add(x1**k for k in range(2, 7))  # d f/d x1 has five terms too
+    five = sum((x1**k for k in range(1, 6)), ac.ZERO)
+    f = sum((x1**k for k in range(2, 7)), ac.ZERO)  # d f/d x1 has five terms too
     system = ode.OdeSystem([five])
     e2 = fo.euclidean(2)
     dx0, dx1 = fo.basis_form(e2, 0).scale(five), fo.basis_form(e2, 1).scale(five)

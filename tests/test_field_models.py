@@ -254,8 +254,13 @@ def test_proper_symmetry_pform():
 
 
 def test_kernel_equations_match_residuals():
+    # V*(P) for a symbolic 2-form P, split into its two form slots: for
+    # nonzero rational a, b their zero sets are dP = 0 and d*P = 0
     m = fm.PFormModel(L4, 2, Fraction(3), Fraction(5))
-    k1, k2 = m.kernel_forms()
+    _, vstar = m.anchor_ops()
+    out = vstar.apply(fm.form_to_vector(fo.field_form(L4, "P", 2)))
+    dim1 = len(fm.grade_basis(L4, 3))
+    k1, k2 = fm.vector_to_form(L4, 3, out[:dim1]), fm.vector_to_form(L4, 3, out[dim1:])
     p_model = fm.PFormModel(L4, 2, 1, 1, field_name="P")
     r1, r2 = p_model.residuals()
     assert k1 == r1.scale(3)
