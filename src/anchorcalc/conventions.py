@@ -25,6 +25,19 @@ Exact kernel
   * Canonical form: expanded sum of Laurent monomials over jet/independent/
     parameter/function atoms with rational coefficients, graded-lex ordered,
     largest monomial first.  sin/cos/exp/log are opaque atoms.
+  * Residual reduction: each ODE check reduces a nonzero residual modulo
+    sin(u)^2 + cos(u)^2 - 1 for every argument u, rewriting cos(u)^k,
+    k >= 2, as cos(u)^(k-2) * (1 - sin(u)^2), and prints the result.  With
+    negative powers of cos(u), the residual is zero when its product with
+    the monomial of their largest inverse powers reduces to zero; a
+    nonzero one keeps its negative powers.
+  * Budgets, all constants; a run that would pass one exits 2:
+      expr.NODE_LIMIT = 1000000 monomials per polynomial, and term
+        products per multiplication
+      ode.MAX_SEARCH_COLUMNS = 2000 monomials in a characteristic search
+      numeric.MAX_RK4_STEPS = 10000000 RK4 steps in a drift-oracle run
+      cli._MAX_CATALOG_WORK = 50000 units of work, C(n, p) * n^2, in a
+        catalog run
   * Randomized oracle: 32 seeds, rational samples with |numerator| <= 1000
     and denominator <= 1000, elementary functions at 256-bit precision,
     zero threshold 10^-40.

@@ -18,11 +18,11 @@ equality within this class.  Function applications are opaque atoms of
 the canonical form, with no trigonometric or logarithmic rewriting.  So a
 canonical zero is a true zero, and a check that PASSes is sound.  The ODE
 checks reduce a nonzero residual modulo sin(u)^2 + cos(u)^2 - 1 for each
-argument u (_pythagorean_normal) before they test and print it, so a
-residual that is still nonzero is a true nonzero when it is polynomial in
-jets, variables, parameters and sin(u), cos(u) (no negative power of
-sin(u) or cos(u)).  Relations between
-different arguments, such as sin(2u) = 2 sin(u) cos(u) or exp(a + b) =
+argument u (_pythagorean_normal) before they test and print it, clearing
+negative powers of cos(u) for the zero test, so a residual that is still
+nonzero is a true nonzero when it is a Laurent polynomial in jets,
+variables, parameters and sin(u), cos(u).  Relations between different
+arguments, such as sin(2u) = 2 sin(u) cos(u) or exp(a + b) =
 exp(a) exp(b), stay undecided, and such an identity FAILs falsely; zero
 testing of elementary expressions is undecidable in general (Richardson
 1968).  No check consults the randomized evaluation oracle (rand_eval,
@@ -31,15 +31,16 @@ probably_zero); the tests use it as the reference for the reduction.
 An atom is a tuple that is its own sort key, built from names and numbers
 only: hashing and ordering run in C, and the printed order, graded-
 lexicographic with the largest monomial first, is the same in every
-process.  Each public operation reads ANCHORCALC_NODE_LIMIT once and raises
-ResourceLimitError when an intermediate polynomial holds more monomials, or
-when a multiplication would form more term products (len(p) * len(q)) than
-the limit; a product is refused before its loop runs, whether it is formed
-or accumulated straight into a sum, so the cap bounds time as well as
-size.  That holds for the parser, the operator and form layers and the ODE
-checks and characteristic search too: they read the limit once per call
-(once per parsed expression) and run on the polynomial layer below, so a
-change takes effect at the next call.
+process.  Every operation raises ResourceLimitError when an intermediate
+polynomial holds more than NODE_LIMIT monomials, or when a multiplication
+would form more term products (len(p) * len(q)) than NODE_LIMIT; a product
+is refused before its loop runs, whether it is formed or accumulated
+straight into a sum, so the cap bounds time as well as size.  That holds
+for the parser, the operator and form layers and the ODE checks and
+characteristic search too, as they run on the polynomial layer below.
+NODE_LIMIT is a constant, like the other budgets (ode.MAX_SEARCH_COLUMNS,
+numeric.MAX_RK4_STEPS, cli._MAX_CATALOG_WORK), read by each size test
+when it runs.
 
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash and the memoised gradient of an expression
@@ -53,14 +54,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 from fractions import Fraction
 from operator import itemgetter
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 
-_DEFAULT_NODE_LIMIT = 10**6
+NODE_LIMIT = 10**6
 
 
 class ExprError(Exception):
@@ -81,23 +81,9 @@ class EvaluationError(ExprError):
     """Randomized evaluation could not produce a sample."""
 
 
-def node_limit() -> int:
-    """ANCHORCALC_NODE_LIMIT, the default when unset or empty; a value that
-    is not an integer >= 1 raises ValueError."""
-    text = os.environ.get("ANCHORCALC_NODE_LIMIT")
-    if not text:
-        return _DEFAULT_NODE_LIMIT
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"ANCHORCALC_NODE_LIMIT must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
-def _check_size(n: int, limit: int) -> None:
-    if n > limit:
-        raise ResourceLimitError(
-            f"expression exceeds node limit ({n} monomials > {limit}); "
-            "set ANCHORCALC_NODE_LIMIT to raise the cap"
-        )
+def _check_size(n: int) -> None:
+    if n > NODE_LIMIT:
+        raise ResourceLimitError(f"expression exceeds node limit ({n} monomials > {NODE_LIMIT})")
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +284,23 @@ class Expr:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        return _expr(_psum(self._poly, _coerce(other)._poly, node_limit()))
+        return _expr(_psum(self._poly, _coerce(other)._poly))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _expr(_psum(self._poly, _coerce(other)._poly, node_limit(), -1))
+        return _expr(_psum(self._poly, _coerce(other)._poly, -1))
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        return _expr(_pmul(self._poly, _coerce(other)._poly, node_limit()))
+        return _expr(_pmul(self._poly, _coerce(other)._poly))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _expr(_pmul(self._poly, _pinv(_coerce(other)._poly), node_limit()))
+        return _expr(_pmul(self._poly, _pinv(_coerce(other)._poly)))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -322,7 +308,7 @@ class Expr:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             raise UnsupportedInputError("only integer powers are supported")
-        return _expr(_ppow(self._poly, exponent, node_limit()))
+        return _expr(_ppow(self._poly, exponent))
 
     def __neg__(self):
         return _expr(_pscale(self._poly, -1))
@@ -403,8 +389,7 @@ def _atom_key(x, action: str):
 # polynomial layer.  A polynomial is a pair (numerators, denominator) in the
 # normal form of _normal, and is never mutated.  A sum is accumulated in a
 # list [numerators, denominator] by _padd_into and _paddmul_into and
-# normalised once, at the end.  `limit` is the node limit read once by the
-# public operation that called in.
+# normalised once, at the end.
 
 
 def _normal(c, d):
@@ -468,7 +453,7 @@ def _align(acc, d: int) -> int:
     return lcm // d
 
 
-def _padd_into(acc, p, limit, k=1):
+def _padd_into(acc, p, k=1):
     """acc += k * p for an accumulator acc and an int k.  The accumulator
     moves to the lcm of the two denominators only when they differ."""
     c, d = p
@@ -482,24 +467,23 @@ def _padd_into(acc, p, limit, k=1):
             out[m] = nv
         else:
             del out[m]
-    _check_size(len(out), limit)
+    _check_size(len(out))
 
 
-def _psum(p, q, limit, k=1):
+def _psum(p, q, k=1):
     """p + k * q."""
     acc = _acc(p)
-    _padd_into(acc, q, limit, k)
+    _padd_into(acc, q, k)
     return _normal(*acc)
 
 
-def _refuse_product(n1: int, n2: int, limit: int):
+def _refuse_product(n1: int, n2: int):
     raise ResourceLimitError(
-        f"product exceeds node limit ({n1} x {n2} term products > {limit}); "
-        "set ANCHORCALC_NODE_LIMIT to raise the cap"
+        f"product exceeds node limit ({n1} x {n2} term products > {NODE_LIMIT})"
     )
 
 
-def _paddmul_into(acc, p, q, limit, k=1):
+def _paddmul_into(acc, p, q, k=1):
     """acc += k * p * q for an accumulator acc and an int k, without forming
     the product: each term product goes straight into the sum.  The product
     is refused as in _pmul, and the accumulator's size is checked after."""
@@ -509,8 +493,8 @@ def _paddmul_into(acc, p, q, limit, k=1):
     n1, n2 = len(pc), len(qc)
     if not n2:  # a zero factor
         return
-    if n1 * n2 > limit:
-        _refuse_product(n1, n2, limit)
+    if n1 * n2 > NODE_LIMIT:
+        _refuse_product(n1, n2)
     out = acc[0]
     d = pd * qd
     if d != acc[1]:
@@ -537,20 +521,20 @@ def _paddmul_into(acc, p, q, limit, k=1):
                     out[m] = nv
                 else:
                     del out[m]
-    _check_size(len(out), limit)
+    _check_size(len(out))
 
 
-def _pmul(p, q, limit):
+def _pmul(p, q):
     """p * q.  Refused before any work when the term products would exceed
-    the limit, which also bounds the monomials of the result."""
+    NODE_LIMIT, which also bounds the monomials of the result."""
     if len(p[0]) < len(q[0]):
         p, q = q, p
     (pc, pd), (qc, qd) = p, q
-    if len(pc) * len(qc) > limit:
-        _refuse_product(len(pc), len(qc), limit)
+    if len(pc) * len(qc) > NODE_LIMIT:
+        _refuse_product(len(pc), len(qc))
     if len(qc) != 1:  # the general loop, or a zero factor
         acc = _acc()
-        _paddmul_into(acc, p, q, limit)
+        _paddmul_into(acc, p, q)
         return _normal(*acc)
     ((m2, c2),) = qc.items()
     if not m2:
@@ -570,7 +554,7 @@ def _pinv(p):
     return {tuple((a, -e) for a, e in mono): d if coeff > 0 else -d}, abs(coeff)
 
 
-def _ppow(p, n: int, limit):
+def _ppow(p, n: int):
     if n < 0:
         p, n = _pinv(p), -n
     if n == 0:
@@ -583,10 +567,10 @@ def _ppow(p, n: int, limit):
     base = p
     while n:
         if n & 1:
-            result = _pmul(result, base, limit)
+            result = _pmul(result, base)
         n >>= 1
         if n:
-            base = _pmul(base, base, limit)
+            base = _pmul(base, base)
     return result
 
 
@@ -607,7 +591,7 @@ def _pscale(p, num, den=1):
     return _normal({m: v * num for m, v in c.items()}, d * den)
 
 
-def _pythagorean_normal(p, limit):
+def _pythagorean_normal(p):
     """p modulo sin(u)^2 + cos(u)^2 - 1 for every argument u.  Rewriting
     cos(u)^k, k >= 2, as cos(u)^(k-2) * (1 - sin(u)^2) until no such power
     is left gives cos(u)^(k mod 2) * (1 - sin(u)^2)^(k // 2), expanded here
@@ -615,9 +599,21 @@ def _pythagorean_normal(p, limit):
     basis per argument (Cox, Little & O'Shea, ch. 2): for polynomials in
     sin(u), cos(u) and other atoms it is zero exactly when p lies in the
     ideal of these relations, and it never makes a nonzero value zero.
-    Negative powers are left as they are.  Returns p itself when it holds
-    no such power."""
+    The rewriting leaves sin(u) free, so negative powers of sin(u) need
+    nothing.  Negative powers of cos(u) are not rewritten, but p is zero
+    when its product with the monomial of the largest inverse power of each
+    cos(u) in it reduces to zero, as cos(u) is nonzero wherever p is
+    defined.  Returns p itself when it holds no power to rewrite."""
     c, d = p
+    inverse = {}
+    for mono in c:
+        for a, e in mono:
+            if e < 0 and type(a) is FunAtom and a[1] == "cos":
+                inverse[a] = max(inverse.get(a, 0), -e)
+    if inverse:
+        cleared = _pmul(p, ({tuple(sorted(inverse.items())): 1}, 1))
+        if not _pythagorean_normal(cleared)[0]:  # one level deep: cleared holds no inverse power
+            return {}, 1
     if not any(_is_cos_power(*f) for mono in c for f in mono):
         return p
     acc = _acc()
@@ -625,8 +621,8 @@ def _pythagorean_normal(p, limit):
         q = {tuple(f for f in mono if not _is_cos_power(*f)): coeff}, 1
         for a, e in mono:
             if _is_cos_power(a, e):
-                q = _pmul(q, _cos_power(a, e), limit)
-        _padd_into(acc, q, limit)
+                q = _pmul(q, _cos_power(a, e))
+        _padd_into(acc, q)
     return _normal(acc[0], d)
 
 
@@ -655,7 +651,7 @@ def _table_sums(table):
     return {key: _expr_sum(acc) for key, acc in table.items() if acc[0]}
 
 
-def _table_plus(a, b, limit, k):
+def _table_plus(a, b, k):
     """a + k * b for k = +-1: each value of b is added once, to the value of
     its key in a if there is one."""
     out = dict(a)
@@ -665,18 +661,18 @@ def _table_plus(a, b, limit, k):
             out[key] = v if k == 1 else -v
             continue
         acc = _acc(u._poly)
-        _padd_into(acc, v._poly, limit, k)
+        _padd_into(acc, v._poly, k)
         if acc[0]:
             out[key] = _expr_sum(acc)
     return out
 
 
-def _table_scale(table, p, limit):
+def _table_scale(table, p):
     """Every value times the polynomial p; a product of nonzero polynomials
     is nonzero, so every key stays unless p is zero."""
     if not p[0]:
         return {}
-    return {key: _expr(_pmul(p, v._poly, limit)) for key, v in table.items()}
+    return {key: _expr(_pmul(p, v._poly)) for key, v in table.items()}
 
 
 def _table_map(table, fn):
@@ -805,7 +801,7 @@ def max_jet_order(e: Expr, field=None) -> int:
 # differentiation
 
 
-def _total_derivative_poly(p, d: str, limit):
+def _total_derivative_poly(p, d: str):
     """D_d p by the product rule over monomials.  The derivative of each
     atom is worked out once per call; an atom seldom repeats inside one
     call, so the jet step is memoised across calls as well, in _jet_step."""
@@ -820,7 +816,7 @@ def _total_derivative_poly(p, d: str, limit):
                 if isinstance(a, JetVar):
                     da = _jet_step(a, d)
                 elif isinstance(a, FunAtom):
-                    da = _chain(a, _total_derivative_poly(a[3]._poly, d, limit), limit)
+                    da = _chain(a, _total_derivative_poly(a[3]._poly, d))
                 elif isinstance(a, IndepVar) and a[1] == d:
                     da = {(): 1}, 1
                 else:
@@ -846,11 +842,11 @@ def _total_derivative_poly(p, d: str, limit):
                     acc[m] = nc
                 else:
                     del acc[m]
-        _check_size(len(acc), limit)
+        _check_size(len(acc))
     return _normal(acc, pd * den)
 
 
-def _chain(atom: FunAtom, inner, limit):
+def _chain(atom: FunAtom, inner):
     """d fn(arg) = fn'(arg) * d arg, with d arg given as `inner`."""
     if not inner[0]:
         return {}, 1
@@ -863,7 +859,7 @@ def _chain(atom: FunAtom, inner, limit):
         outer = {((atom, 1),): 1}, 1
     else:
         outer = _pinv(arg._poly)
-    return _pmul(outer, inner, limit)
+    return _pmul(outer, inner)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -877,15 +873,13 @@ _ZERO_POLY = {}, 1
 _ONE_POLY = {(): 1}, 1
 
 
-def _gradient(e: Expr, atom, limit):
+def _gradient(e: Expr, atom):
     """d e / d atom as a polynomial: the kernel's one partial derivative.
     The exponent shifts of e are memoised on e in its _grad slot like its
     hash, so every operation on the same value shares them; a shared
     partial is read only, and callers copy it before adding to it.  A
     function atom of e adds the chain rule through its argument, whose
-    gradient is memoised in turn.  Each lookup checks its size against
-    `limit`, so a node limit lowered after the memo was filled still
-    applies."""
+    gradient is memoised in turn."""
     try:
         table, funs = e._grad
     except AttributeError:  # the slot stays unset until the first lookup
@@ -894,9 +888,8 @@ def _gradient(e: Expr, atom, limit):
     if funs:
         acc = _acc(p)
         for f in funs:
-            _paddmul_into(acc, table[f], _chain(f, _gradient(f[3], atom, limit), limit), limit)
+            _paddmul_into(acc, table[f], _chain(f, _gradient(f[3], atom)))
         p = _normal(*acc)
-    _check_size(len(p[0]), limit)
     return p
 
 
@@ -924,10 +917,10 @@ def _shift_gradient(p):
     return {a: _normal(out, d) for a, out in table.items()}, funs
 
 
-def _iterated_poly(p, index: MultiIndex, limit):
+def _iterated_poly(p, index: MultiIndex):
     for name, count in index.items:
         for _ in range(count):
-            p = _total_derivative_poly(p, name, limit)
+            p = _total_derivative_poly(p, name)
     return p
 
 
@@ -943,25 +936,24 @@ def _direction(d) -> str:
 def total_derivative(e: Expr, d) -> Expr:
     """Total derivative D_d: raises jet orders in direction d by the chain
     rule, differentiates the independent variable d to 1, parameters to 0."""
-    return _expr(_total_derivative_poly(_coerce(e)._poly, _direction(d), node_limit()))
+    return _expr(_total_derivative_poly(_coerce(e)._poly, _direction(d)))
 
 
 def diff(e: Expr, sym) -> Expr:
     """Partial derivative with respect to one atom or its one-atom
     expression (chain rule is applied through function applications)."""
     atom = _atom_key(sym, "differentiate with respect to")
-    return _expr(_gradient(_coerce(e), atom, node_limit()))
+    return _expr(_gradient(_coerce(e), atom))
 
 
 def euler_derivative(density: Expr, field: str) -> Expr:
     """Variational derivative with respect to one field:
     sum over jet orders of (-1)^|a| D^a (d density / d u_a)."""
     density = _coerce(density)
-    limit = node_limit()
     out = _acc()
     for a in jet_atoms(density, field):
-        term = _iterated_poly(_gradient(density, a, limit), a.index, limit)
-        _padd_into(out, term, limit, (-1) ** a.index.order())
+        term = _iterated_poly(_gradient(density, a), a.index)
+        _padd_into(out, term, (-1) ** a.index.order())
     return _expr_sum(out)
 
 
@@ -972,10 +964,10 @@ def euler_derivative(density: Expr, field: str) -> Expr:
 def substitute(e: Expr, mapping) -> Expr:
     """Substitute atoms by expressions (single simultaneous pass)."""
     table = {_atom_key(k, "substitute for"): _coerce(v)._poly for k, v in mapping.items()}
-    return _expr(_subst_poly(_coerce(e)._poly, table, node_limit()))
+    return _expr(_subst_poly(_coerce(e)._poly, table))
 
 
-def _subst_poly(p, table, limit):
+def _subst_poly(p, table):
     c, d = p
     acc = _acc()
     replaced = {}  # atom -> new polynomial, or None when it stays
@@ -987,7 +979,7 @@ def _subst_poly(p, table, limit):
             a, e = pair
             if a not in replaced:
                 if isinstance(a, FunAtom):
-                    arg = _subst_poly(a[3]._poly, table, limit)
+                    arg = _subst_poly(a[3]._poly, table)
                     rep = None if arg == a[3]._poly else _fun_poly(a[1], _expr(arg))
                 else:
                     rep = table.get(a)
@@ -997,13 +989,13 @@ def _subst_poly(p, table, limit):
                 kept.append(pair)
                 continue
             if pair not in powers:
-                powers[pair] = _ppow(rep, e, limit)
+                powers[pair] = _ppow(rep, e)
             factors.append(powers[pair])
         term = {tuple(kept): coeff}, 1
         last = factors.pop() if factors else _ONE_POLY
         for f in factors:
-            term = _pmul(term, f, limit)
-        _paddmul_into(acc, term, last, limit)
+            term = _pmul(term, f)
+        _paddmul_into(acc, term, last)
     return _normal(acc[0], acc[1] * d)
 
 
@@ -1039,7 +1031,6 @@ def divergence_split(density: Expr, d=None):
         if not is_identically_zero(euler_derivative(density, f)):
             return None
 
-    limit = node_limit()
     # integration-by-parts collector: for every field u and order k >= 1,
     #   u^(k) dL/du^(k) = u E(L)-part + D_t [ sum_j (-1)^j u^(k-1-j) D^j dL/du^(k) ]
     collected = _acc()
@@ -1047,11 +1038,11 @@ def divergence_split(density: Expr, d=None):
         k = a.index.order()
         if k == 0:
             continue
-        deriv = _gradient(density, a, limit)
+        deriv = _gradient(density, a)
         for j in range(k):
             lowered = ((JetVar(a.field, MultiIndex({name: k - 1 - j})), 1),)
-            _paddmul_into(collected, ({lowered: 1}, 1), deriv, limit, (-1) ** j)
-            deriv = _total_derivative_poly(deriv, name, limit)
+            _paddmul_into(collected, ({lowered: 1}, 1), deriv, (-1) ** j)
+            deriv = _total_derivative_poly(deriv, name)
 
     # scale integral over the field-rescaling ray: each monomial of total
     # jet degree m contributes with weight 1/m
@@ -1068,7 +1059,7 @@ def divergence_split(density: Expr, d=None):
     c, d = density._poly
     remainder = _normal({m: v for m, v in c.items()
                          if not any(isinstance(a, JetVar) for a, _ in m)}, d)
-    _padd_into(ray, _poly_antiderivative(remainder, name, limit), limit)
+    _padd_into(ray, _poly_antiderivative(remainder, name))
 
     j = _expr_sum(ray)
     if not is_identically_zero(total_derivative(j, name) - density):
@@ -1096,10 +1087,10 @@ def _divergence_direction(density, d):
 def antiderivative(e: Expr, name: str) -> Expr:
     """Termwise antiderivative in the independent variable `name` of an
     expression in independent variables and parameters (t^-1 gives log t)."""
-    return _expr(_poly_antiderivative(_coerce(e)._poly, name, node_limit()))
+    return _expr(_poly_antiderivative(_coerce(e)._poly, name))
 
 
-def _poly_antiderivative(p, name, limit):
+def _poly_antiderivative(p, name):
     c, d = p
     out = _acc()
     t = IndepVar(name)
@@ -1117,11 +1108,11 @@ def _poly_antiderivative(p, name, limit):
                     f"(term contains {a.display()})"
                 )
         if k == -1:
-            _paddmul_into(out, ({tuple(rest): coeff}, 1), _fun_poly("log", Sym(t)), limit)
+            _paddmul_into(out, ({tuple(rest): coeff}, 1), _fun_poly("log", Sym(t)))
             continue
         rest.append((t, k + 1))
         sign = 1 if k + 1 > 0 else -1
-        _padd_into(out, _normal({tuple(sorted(rest)): sign * coeff}, sign * (k + 1)), limit)
+        _padd_into(out, _normal({tuple(sorted(rest)): sign * coeff}, sign * (k + 1)))
     return _normal(out[0], out[1] * d)
 
 

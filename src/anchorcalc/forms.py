@@ -139,11 +139,11 @@ class Form:
     def _plus(self, other: "Form", k: int) -> "Form":
         """self + k * other for k = +-1."""
         self._compatible(other)
-        table = ex._table_plus(self.components, other.components, ex.node_limit(), k)
+        table = ex._table_plus(self.components, other.components, k)
         return Form._of(self.space, self.grade, table)
 
     def scale(self, factor) -> "Form":
-        table = ex._table_scale(self.components, ex._coerce(factor)._poly, ex.node_limit())
+        table = ex._table_scale(self.components, ex._coerce(factor)._poly)
         return Form._of(self.space, self.grade, table)
 
     def map_coefficients(self, fn) -> "Form":
@@ -239,27 +239,25 @@ def wedge(a: Form, b: Form) -> Form:
     grade = a.grade + b.grade
     if grade > a.space.n:
         raise FormError(f"wedge grade {grade} exceeds dimension {a.space.n}")
-    limit = ex.node_limit()
     table = defaultdict(ex._acc)
     for i_idx, i_coeff in a.components.items():
         for sign, idx, j_idx in _complements(a.space.n, i_idx, b.grade):
             j_coeff = b.components.get(j_idx)
             if j_coeff is not None:
-                ex._paddmul_into(table[idx], i_coeff._poly, j_coeff._poly, limit, sign)
+                ex._paddmul_into(table[idx], i_coeff._poly, j_coeff._poly, sign)
     return Form._of(a.space, grade, ex._table_sums(table))
 
 
 def exterior_d(a: Form) -> Form:
     if a.grade >= a.space.n:
         raise FormError(f"d of a grade-{a.grade} form exceeds dimension {a.space.n}")
-    limit = ex.node_limit()
     table = defaultdict(ex._acc)
     for idx, coeff in a.components.items():
         for mu in range(a.space.n):
             if mu not in idx:
-                d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu], limit)
+                d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu])
                 sign, new_idx = _merge_sign((mu,), idx)
-                ex._padd_into(table[new_idx], d_coeff, limit, sign)
+                ex._padd_into(table[new_idx], d_coeff, sign)
     return Form._of(a.space, a.grade + 1, ex._table_sums(table))
 
 
@@ -278,14 +276,13 @@ def hodge(a: Form) -> Form:
 def interior(xi: SpacetimeVector, a: Form) -> Form:
     if a.grade == 0:
         raise FormError("interior product needs grade >= 1")
-    limit = ex.node_limit()
     table = defaultdict(ex._acc)
     for idx, coeff in a.components.items():
         for pos, mu in enumerate(idx):
             if xi.components[mu]._poly[0]:
                 ex._paddmul_into(
                     table[idx[:pos] + idx[pos + 1 :]],
-                    xi.components[mu]._poly, coeff._poly, limit, (-1) ** pos,
+                    xi.components[mu]._poly, coeff._poly, (-1) ** pos,
                 )
     return Form._of(a.space, a.grade - 1, ex._table_sums(table))
 
@@ -327,26 +324,25 @@ def conformal_killing_check(xi: SpacetimeVector, space: FlatSpace) -> str:
     """Classify a vector field: 'killing', 'conformal' or 'neither' from the
     flat-metric deformation d_mu xi_nu + d_nu xi_mu."""
     n = space.n
-    limit = ex.node_limit()
     sig = space.signature
     partials = {  # d_mu xi^nu
-        (mu, nu): ex._total_derivative_poly(xi.components[nu]._poly, space.coords[mu], limit)
+        (mu, nu): ex._total_derivative_poly(xi.components[nu]._poly, space.coords[mu])
         for mu in range(n)
         for nu in range(n)
     }
     deformation = {  # indices lowered by eta
-        (mu, nu): ex._psum(ex._pscale(partials[mu, nu], sig[nu]), partials[nu, mu], limit, sig[mu])
+        (mu, nu): ex._psum(ex._pscale(partials[mu, nu], sig[nu]), partials[nu, mu], sig[mu])
         for mu, nu in itertools.combinations_with_replacement(range(n), 2)
     }
     if not any(k[0] for k in deformation.values()):
         return "killing"
     divergence = ex._acc()
     for mu in range(n):
-        ex._padd_into(divergence, partials[(mu, mu)], limit)
+        ex._padd_into(divergence, partials[(mu, mu)])
     divergence = ex._normal(*divergence)
     for (mu, nu), k in deformation.items():
         if mu == nu:
-            k = ex._psum(k, ex._pscale(divergence, 2 * sig[mu], n), limit, -1)
+            k = ex._psum(k, ex._pscale(divergence, 2 * sig[mu], n), -1)
         if k[0]:
             return "neither"
     return "conformal"

@@ -71,7 +71,7 @@ def _constant(e: Expr):
     return None
 
 
-def _add_constant(table, key, num: int, d: int, limit):
+def _add_constant(table, key, num: int, d: int):
     """table[key] += num / d for a table of accumulators, with one integer
     multiply-add and no polynomial; the accumulator moves to a common
     denominator (expr._align) only when the two differ."""
@@ -87,16 +87,16 @@ def _add_constant(table, key, num: int, d: int, limit):
         out[()] = num
     else:
         del out[()]
-    ex._check_size(len(out), limit)
+    ex._check_size(len(out))
 
 
-def _leibniz(alpha: MultiIndex, b: Expr, limit):
+def _leibniz(alpha: MultiIndex, b: Expr):
     """(alpha - gamma, multinomial, D^gamma b polynomial) for gamma <= alpha;
     a constant b has no derivatives, so only gamma = 0 remains."""
     if isinstance(b, ex.Rat):
         return ((alpha, 1, b._poly),)
     return (
-        (rem, binom, ex._iterated_poly(b._poly, gamma, limit))
+        (rem, binom, ex._iterated_poly(b._poly, gamma))
         for gamma, rem, binom in _sub_indices(alpha)
     )
 
@@ -153,11 +153,11 @@ class LinDiffOp:
         """self + k * other for k = +-1."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        table = ex._table_plus(self.entries, other.entries, ex.node_limit(), k)
+        table = ex._table_plus(self.entries, other.entries, k)
         return LinDiffOp._of(self.rows, self.cols, table)
 
     def scale(self, coeff) -> "LinDiffOp":
-        table = ex._table_scale(self.entries, ex._coerce(coeff)._poly, ex.node_limit())
+        table = ex._table_scale(self.entries, ex._coerce(coeff)._poly)
         return LinDiffOp._of(self.rows, self.cols, table)
 
     def apply(self, vector):
@@ -166,14 +166,13 @@ class LinDiffOp:
         if len(vector) != self.cols:
             raise ValueError(f"expected {self.cols} components, got {len(vector)}")
         vector = [ex._coerce(v)._poly for v in vector]
-        limit = ex.node_limit()
         out = [ex._acc() for _ in range(self.rows)]
         derivatives = {}
         for (r, c, alpha), coeff in self.entries.items():
             dv = derivatives.get((c, alpha))
             if dv is None:
-                dv = derivatives[(c, alpha)] = ex._iterated_poly(vector[c], alpha, limit)
-            ex._paddmul_into(out[r], coeff._poly, dv, limit)
+                dv = derivatives[(c, alpha)] = ex._iterated_poly(vector[c], alpha)
+            ex._paddmul_into(out[r], coeff._poly, dv)
         return [ex._expr_sum(acc) for acc in out]
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
@@ -182,7 +181,6 @@ class LinDiffOp:
         integer numerator to the entry's accumulator (module docstring)."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        limit = ex.node_limit()
         by_row = {}
         for (k, c, beta), b in other.entries.items():
             by_row.setdefault(k, []).append((c, beta, b, _constant(b)))
@@ -192,26 +190,25 @@ class LinDiffOp:
             for c, beta, b, cb in by_row.get(k, ()):
                 if ca and cb:
                     key = (r, c, _index_sum(alpha, beta))
-                    _add_constant(entries, key, ca[0] * cb[0], ca[1] * cb[1], limit)
+                    _add_constant(entries, key, ca[0] * cb[0], ca[1] * cb[1])
                     continue
-                for remaining, binom, db in _leibniz(alpha, b, limit):
+                for remaining, binom, db in _leibniz(alpha, b):
                     key = (r, c, _index_sum(remaining, beta))
-                    ex._paddmul_into(entries[key], a._poly, db, limit, binom)
+                    ex._paddmul_into(entries[key], a._poly, db, binom)
         return LinDiffOp._of(self.rows, other.cols, ex._table_sums(entries))
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
         Leibniz rule expanded so entries are again coeff * D^a sums."""
-        limit = ex.node_limit()
         entries = defaultdict(ex._acc)
         for (r, c, alpha), a in self.entries.items():
             sign = (-1) ** alpha.order()
             ca = _constant(a)
             if ca:
-                _add_constant(entries, (c, r, alpha), sign * ca[0], ca[1], limit)
+                _add_constant(entries, (c, r, alpha), sign * ca[0], ca[1])
                 continue
-            for remaining, binom, da in _leibniz(alpha, a, limit):
-                ex._padd_into(entries[(c, r, remaining)], da, limit, sign * binom)
+            for remaining, binom, da in _leibniz(alpha, a):
+                ex._padd_into(entries[(c, r, remaining)], da, sign * binom)
         return LinDiffOp._of(self.cols, self.rows, ex._table_sums(entries))
 
     # inspection ------------------------------------------------------------

@@ -167,28 +167,26 @@ def _x_atoms(n: int):
 
 
 class _Partials:
-    """The node limit, read once per call, and the partial derivatives of
-    the call's operands in (t, x1..xn): d(e, i) is d e / d x_i and d(e, None)
-    is d e / d t, read off the gradient memoised on e, so callers copy
-    before adding to them."""
+    """The partial derivatives of the call's operands in (t, x1..xn):
+    d(e, i) is d e / d x_i and d(e, None) is d e / d t, read off the
+    gradient memoised on e, so callers copy before adding to them."""
 
     def __init__(self, n: int):
-        self.limit = ex.node_limit()
         self._x = _x_atoms(n)
 
     def d(self, e: Expr, i):
-        return ex._gradient(e, _T if i is None else self._x[i], self.limit)
+        return ex._gradient(e, _T if i is None else self._x[i])
 
     def addmul(self, acc, p, q, sign=1):
         """acc += sign * p * q, for polynomials p, q and an accumulator;
         most partials are zero, so those skip the kernel call."""
         if p[0] and q[0]:
-            ex._paddmul_into(acc, p, q, self.limit, sign)
+            ex._paddmul_into(acc, p, q, sign)
 
     def residual(self, e: Expr) -> Expr:
         """e modulo sin(u)^2 + cos(u)^2 - 1 for every argument u: the form
         in which a check tests a residual for zero and prints it."""
-        p = ex._pythagorean_normal(e._poly, self.limit)
+        p = ex._pythagorean_normal(e._poly)
         return e if p is e._poly else ex._expr(p)
 
 
@@ -324,8 +322,8 @@ def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
     bracket = tab.residual(_poisson_bracket(tab, a, f, h))
     if any(tab.d(bracket, i)[0] for i in range(sys.n)):
         return False, "{f, H} depends on x; the twist is not invariant under f"
-    g = ex._poly_antiderivative(bracket._poly, TIME, tab.limit)
-    conserved = ex._expr(ex._psum(f._poly, g, tab.limit, -1))
+    g = ex._poly_antiderivative(bracket._poly, TIME)
+    conserved = ex._expr(ex._psum(f._poly, g, -1))
     ok, residual = _characteristic(tab, _deform(tab, sys, a, h), conserved)
     if not ok:
         return False, f"conservation failed with residual {ex.to_text(residual)}"
@@ -493,7 +491,7 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     if any(isinstance(a, (ex.FunAtom, ex.Param)) for c in sys.v for a in ex.atoms(c)):
         raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
-    tab = _Partials(sys.n)  # for its limit and sums
+    tab = _Partials(sys.n)  # for its atoms and sums
     # every residual times the common denominator of v: the rows are then
     # integral, and scaling every equation by one constant keeps the kernel.
     # den * (d_t mono - v . grad mono) = -(w . grad mono) with w_t = -den

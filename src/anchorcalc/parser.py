@@ -112,8 +112,8 @@ def tokenize(text):
 
 class _Parser:
     """Builds the normal-form polynomial pair of each rule on the
-    polynomial layer of expr, with the node limit read once per parse; only
-    a function argument is wrapped in an Expr, for its atom."""
+    polynomial layer of expr; only a function argument is wrapped in an
+    Expr, for its atom."""
 
     def __init__(self, text, context):
         self.text = text
@@ -121,7 +121,6 @@ class _Parser:
         self.tokens = tokenize(text)
         self.k = 0
         self.depth = 0
-        self.limit = ex.node_limit()
 
     def peek(self):
         return self.tokens[self.k]
@@ -162,7 +161,7 @@ class _Parser:
             q = self.term()
             if acc is None:
                 acc = ex._acc(p)
-            ex._padd_into(acc, q, self.limit, 1 if val == "+" else -1)
+            ex._padd_into(acc, q, 1 if val == "+" else -1)
 
     def term(self):
         """A product of factors in one pass.  Each nonzero integer and each
@@ -209,7 +208,7 @@ class _Parser:
                 q = self.unary()
                 if op == "/":
                     q = ex._pinv(q)
-                p = q if p is None else ex._pmul(p, q, self.limit)
+                p = q if p is None else ex._pmul(p, q)
             self.depth -= signs
             kind, op, _ = tokens[self.k]
             if kind != "op" or op not in "*/":
@@ -217,7 +216,7 @@ class _Parser:
             self.k += 1
         g = math.gcd(num, den)
         mono = {tuple(sorted((a, e) for a, e in exponents.items() if e)): num // g}, den // g
-        return mono if p is None else ex._pmul(p, mono, self.limit)
+        return mono if p is None else ex._pmul(p, mono)
 
     def unary(self):
         """A factor that term() does not gather, one nesting level deeper;
@@ -232,7 +231,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            return ex._ppow(base, self.exponent(), self.limit)
+            return ex._ppow(base, self.exponent())
         return base
 
     def exponent(self):

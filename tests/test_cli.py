@@ -159,6 +159,14 @@ def test_cli_convention_sheet():
     code, out = run_cli("--convention")
     assert code == 0
     assert "Hodge star" in out and "Twist sign" in out
+    budgets = {
+        "expr.NODE_LIMIT": ac.expr.NODE_LIMIT,
+        "ode.MAX_SEARCH_COLUMNS": ode.MAX_SEARCH_COLUMNS,
+        "numeric.MAX_RK4_STEPS": numeric.MAX_RK4_STEPS,
+        "cli._MAX_CATALOG_WORK": cli._MAX_CATALOG_WORK,
+    }
+    for name, value in budgets.items():
+        assert f"{name} = {value} " in out
 
 
 def test_cli_catalog_pform_small():
@@ -711,21 +719,30 @@ def test_pendulum_identity_fixture_verdicts(tmp_path):
     assert checks["characteristic"]["residual"] == "-2*x2*sin(x1)"
 
 
-@pytest.mark.parametrize("value", ["1e5", "abc", "0", "-5"])
-def test_malformed_node_limit_exits_2_without_a_report(monkeypatch, value):
+def test_trig_quotient_fixture_verdicts(tmp_path):
+    # f = t*(tan(x1)^2 - cos(x1)^(-2) + 1): d_t f is zero only after the
+    # residual is cleared of its inverse powers of cos(x1)
+    quotient = FIXTURES / "trig_quotient.ini"
+    code, out = run_cli("check", str(quotient), "--json")
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert statuses.pop("characteristic") == "PASS"
+    assert set(statuses.values()) == {"SKIP"}
+    # a true nonzero stays a FAIL, printed with its inverse powers
+    mutant = tmp_path / "mutant.ini"
+    mutant.write_text(quotient.read_text().replace("+ 1)", "- 1)"))
+    code, out = run_cli("check", str(mutant), "--json", "--only", "characteristic")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["residual"] == "cos(x1)^(-2)*sin(x1)^2 - 1 - cos(x1)^(-2)"
+
+
+@pytest.mark.parametrize("value", ["1", "abc"])
+def test_node_limit_is_not_read_from_the_environment(monkeypatch, value):
+    expected = run_cli("check", str(OSCILLATOR), "--json")
     monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", value)
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = run_cli("check", str(OSCILLATOR), "--json")
-    assert (code, out) == (2, "")
-    assert err.getvalue() == (
-        f"error: ANCHORCALC_NODE_LIMIT must be an integer >= 1, got {value!r}\n"
-    )
-
-
-def test_empty_node_limit_keeps_the_default(monkeypatch):
-    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "")
-    assert ac.expr.node_limit() == 10**6
+    assert run_cli("check", str(OSCILLATOR), "--json") == expected
+    assert expected[0] == 0
 
 
 def test_oracle_time_dependent_characteristic(tmp_path):
@@ -746,7 +763,7 @@ def test_run_checks_resource_cap_gives_error_record(monkeypatch):
         "[ode]\nn = 2\nv = [(x1 + x2 + 1)^4, 0]\n\n"
         "[characteristic]\nf = (x1 + x2)^4\n"
     )
-    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "10")
+    monkeypatch.setattr(ac.expr, "NODE_LIMIT", 10)
     report = cli.run_checks(model, ["characteristic"])
     assert report.checks[0].status == "ERROR"
     assert "node limit" in report.checks[0].residual

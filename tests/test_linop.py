@@ -523,6 +523,6 @@ def test_constant_product_into_a_full_sum_is_refused(monkeypatch):
     A = lo.LinDiffOp(1, 2, {(0, 0, ex.EMPTY_INDEX): ac.ONE, (0, 1, ex.EMPTY_INDEX): ac.ONE})
     B = lo.LinDiffOp(2, 1, {(0, 0, ex.EMPTY_INDEX): u, (1, 0, ex.EMPTY_INDEX): ac.ONE})
     assert A.compose(B).entries[(0, 0, ex.EMPTY_INDEX)] == u + 1
-    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "4")
+    monkeypatch.setattr(ex, "NODE_LIMIT", 4)
     with pytest.raises(ex.ResourceLimitError):
         A.compose(B)

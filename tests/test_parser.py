@@ -316,7 +316,8 @@ def _fixture_texts():
 
 def test_tokenize_matches_reference_on_the_fixtures():
     texts = _fixture_texts()
-    assert len(texts) == 32  # euler_top 11, oscillator 7, pendulum 7, pendulum_identity 7
+    # euler_top 11, oscillator 7, pendulum 7, pendulum_identity 7, trig_quotient 2
+    assert len(texts) == 34
     for text in texts:
         assert tokenize(text) == _reference_tokenize(text)
         _assert_same_as_reference(text)
