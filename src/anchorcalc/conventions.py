@@ -90,5 +90,7 @@ Chiral multiplet (n = 2, N self-dual 1-forms, semi-simple algebra)
   * Anchor <W, V*(P)> = (W^a, dP_a + g [P, H]_a) with
     [A ^ B]_a = f^{bc}_a A_b ^ B_c.
   * Characteristic Psi = -*epsilon_a t^a gives V(Psi) = -g [epsilon, H]
-    exactly, and the bracket of frame sections is -g f_{ab}^c e_c.
+    exactly, and the bracket of frame sections is -g f_{ab}^c e_c.  These
+    structure constants satisfy Jacobi because f does, which is checked
+    once when the LieAlgebra is built.
 """

@@ -35,7 +35,8 @@ process.  Every operation raises ResourceLimitError when an intermediate
 polynomial holds more than NODE_LIMIT monomials, or when a multiplication
 would form more term products (len(p) * len(q)) than NODE_LIMIT; a product
 is refused before its loop runs, whether it is formed or accumulated
-straight into a sum, so the cap bounds time as well as size.  That holds
+straight into a sum, so the cap bounds time as well as size; the
+reduction refuses cos(u)^k when (k // 2 + 1)^2 exceeds it.  That holds
 for the parser, the operator and form layers and the ODE checks and
 characteristic search too, as they run on the polynomial layer below.
 NODE_LIMIT is a constant, like the other budgets (ode.MAX_SEARCH_COLUMNS,
@@ -631,10 +632,19 @@ def _is_cos_power(a, e) -> bool:
 
 
 def _cos_power(a, e):
-    """cos(u)^(e mod 2) * (1 - sin(u)^2)^(e // 2) for a = cos(u), expanded."""
+    """cos(u)^(e mod 2) * (1 - sin(u)^2)^(e // 2) for a = cos(u), expanded.
+    Its q + 1 = e // 2 + 1 binomials have about q bits each, so it is
+    refused before any term is built when (q + 1)^2 exceeds NODE_LIMIT."""
     s, q = FunAtom("sin", a[3]), e // 2
+    if (q + 1) ** 2 > NODE_LIMIT:
+        raise ResourceLimitError(
+            f"cos power exceeds node limit ({q + 1} binomials of about {q} bits)"
+        )
     base = ((a, 1),) if e % 2 else ()
-    terms = {_mono_mul(base, ((s, 2 * i),)): (-1) ** i * math.comb(q, i) for i in range(1, q + 1)}
+    terms, c = {}, 1
+    for i in range(1, q + 1):  # c = (-1)^i C(q, i), one running product
+        c = -c * (q - i + 1) // i
+        terms[_mono_mul(base, ((s, 2 * i),))] = c
     terms[base] = 1
     return terms, 1
 

@@ -187,6 +187,71 @@ def test_cli_catalog_chiral():
     assert code == 0
 
 
+def _rotation_only(psi, xi):
+    # energy_momentum certifies the translation currents and raises when one
+    # fails, so the wrong factor goes on the rotation's characteristic only
+    if xi.components == forms.rotation(forms.lorentzian(4), 0, 1).components:
+        return psi[0].scale(2), psi[1]
+    return psi
+
+
+@pytest.mark.parametrize(
+    "argv, model, method, wrong, failed",
+    [
+        (
+            ("selfdual", "--n", "2"),
+            field_models.SelfDualModel,
+            "characteristic",
+            lambda psi, xi: psi.scale(2),
+            {f"certificates[{x}]": "current_residual: (" for x in ("t0", "t1", "dil")},
+        ),
+        (
+            ("chiral",),
+            field_models.ChiralModel,
+            "internal_characteristic",
+            lambda psi, eps: ([form.scale(2) for form in psi[0]], psi[1]),
+            {"internal_certificates": "transform_residual[1]: ("},
+        ),
+        (
+            # each multiplet component's residuals, in parentheses
+            ("chiral",),
+            field_models.SelfDualModel,
+            "characteristic",
+            lambda psi, xi: psi.scale(2),
+            {
+                f"spacetime_certificates[{x}]": "H1: (current_residual: ("
+                for x in ("t0", "t1", "dil")
+            },
+        ),
+        (
+            ("pform", "--n", "4", "--p", "2", "--xi", "r01"),
+            field_models.PFormModel,
+            "killing_characteristic",
+            _rotation_only,
+            # one residual form per check: the detail is the form itself
+            {"current_certificate[r01]": "(", "proper_symmetry[r01]": "("},
+        ),
+    ],
+)
+def test_catalog_fail_lists_each_nonzero_residual(monkeypatch, argv, model, method, wrong, failed):
+    code, out = run_cli("catalog", *argv, "--json")
+    assert code == 0
+    clean = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    original = getattr(model, method)
+    monkeypatch.setattr(model, method, lambda self, arg: wrong(original(self, arg), arg))
+    code, out = run_cli("catalog", *argv, "--json")
+    assert code == 1
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert records.keys() == clean.keys()
+    for name, record in records.items():
+        if name in failed:
+            assert record["status"] == "FAIL", name
+            assert record["residual"].startswith(failed[name]), record
+            assert ") dx" in record["residual"], record
+        else:
+            assert record["status"] == clean[name], name
+
+
 @pytest.mark.parametrize(
     "argv",
     [("catalog", "selfdual", "--n", "3"), ("catalog", "pform", "--n", "2", "--p", "5")],

@@ -332,6 +332,36 @@ def test_pythagorean_normal_form(p, q, r, s, u):
         assert abs(ac.rand_eval(nf - r, seed)) <= ex.RAND_EVAL_THRESHOLD
 
 
+def _cos_atom(u):
+    (((atom, _),),) = ac.cos(u)._poly[0]
+    return atom
+
+
+def test_cos_power_is_the_binomial_expansion():
+    cos_u, one_minus_sin2 = _cos_atom(x1), (1 - ac.sin(x1) ** 2)._poly
+    for k in range(61):
+        expected = ex._ppow(one_minus_sin2, k // 2)
+        if k % 2:
+            expected = ex._pmul(expected, ac.cos(x1)._poly)
+        assert ex._cos_power(cos_u, k) == expected, k
+
+
+def test_cos_power_refused_before_any_term(monkeypatch):
+    calls = []
+    mono_mul = ex._mono_mul
+    monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    monkeypatch.setattr(ex, "NODE_LIMIT", 100)
+    cos_u = _cos_atom(x1)
+    # q = k // 2 = 9: (q + 1)^2 = 100 is at the limit; q = 10 is over it
+    for k in (20, 21):
+        with pytest.raises(ex.ResourceLimitError, match="cos power"):
+            ex._cos_power(cos_u, k)
+    assert calls == []
+    for k in (18, 19):
+        assert len(ex._cos_power(cos_u, k)[0]) == 10
+    assert len(calls) == 2 * 9
+
+
 def test_evaluate_exact():
     e = x1**2 + ac.rational(1, 2) * x2
     point = {ex.JetVar("x1"): Fraction(2), ex.JetVar("x2"): Fraction(3)}

@@ -289,8 +289,8 @@ def test_selfdual_certificates():
 def test_selfdual_zero_vector_trivial():
     sd = fm.SelfDualModel(L2)
     zero = fo.SpacetimeVector(L2, [ac.ZERO, ac.ZERO])
-    ok, payload = sd.verify(zero)
-    assert ok and payload["current_residual"] == "0"
+    ok, residuals = sd.verify(zero)
+    assert ok and "current_residual" not in residuals
 
 
 def test_selfdual_rejects_non_conformal():
@@ -338,10 +338,6 @@ def test_structure_constant_index_out_of_range_is_refused():
         fm.LieAlgebra(2, {(0, 1, 2): 1, (1, 0, 2): -1})
     with pytest.raises(fm.FieldModelError, match="outside"):
         fm.LieAlgebra(3, {(0, -1, 2): 0})
-
-
-def test_scaled_algebra_keeps_jacobi():
-    fm.su2().scaled(Fraction(-7, 3))
 
 
 def _dense_verdict(n, f):
@@ -436,8 +432,8 @@ def test_chiral_rational_coupling_and_epsilon():
 
 def test_chiral_epsilon_zero():
     model = fm.ChiralModel(L2, fm.su2(), ac.param("g"))
-    ok, payload = model.verify([0, 0, 0])
-    assert ok and payload["current_residual"] == "0"
+    ok, residuals = model.verify([0, 0, 0])
+    assert ok and "current_residual" not in residuals
 
 
 def test_chiral_epsilon_must_be_constant():
@@ -460,15 +456,13 @@ def test_chiral_g_zero_blocks_match_selfdual():
 def test_chiral_g_zero_reports_byte_identical():
     model = fm.ChiralModel(L2, fm.su2(), 0)
     for name, xi in [("t0", fo.translation(L2, 0)), ("t1", fo.translation(L2, 1)), ("dil", fo.dilation(L2))]:
-        ok, payloads = model.spacetime_verify(xi)
+        ok, residuals = model.spacetime_verify(xi)
         assert ok
         for a in range(3):
             sd = fm.SelfDualModel(L2, f"H{a + 1}")
-            ok_sd, payload_sd = sd.verify(xi)
+            ok_sd, residuals_sd = sd.verify(xi)
             assert ok_sd
-            assert json.dumps(payload_sd, sort_keys=True) == json.dumps(
-                payloads[a], sort_keys=True
-            )
+            assert residuals.get(f"H{a + 1}", {}) == residuals_sd
 
 
 def test_chiral_n1_abelian_matches_selfdual():
@@ -478,11 +472,9 @@ def test_chiral_n1_abelian_matches_selfdual():
     v_s, _ = sd.anchor_ops()
     assert v_c == v_s
     xi = fo.translation(L2, 0)
-    _, payload_c = model.spacetime_verify(xi)
-    _, payload_s = sd.verify(xi)
-    assert json.dumps(payload_c[0], sort_keys=True) == json.dumps(
-        payload_s, sort_keys=True
-    )
+    _, residuals_c = model.spacetime_verify(xi)
+    _, residuals_s = sd.verify(xi)
+    assert residuals_c.get("H1", {}) == residuals_s
 
 
 def test_chiral_wrong_space():
