@@ -28,9 +28,7 @@ from .modelfile import ModelFile, ModelFileError, parse_model
 from .report import ERROR, FAIL, PASS, SKIP, CheckRecord, ModelReport
 
 
-def _residual_text(residual) -> str | None:
-    if residual is None:
-        return None
+def _residual_text(residual) -> str:
     if isinstance(residual, ex.Expr):
         return ex.to_text(residual)
     if isinstance(residual, fo.Form):
@@ -39,16 +37,12 @@ def _residual_text(residual) -> str | None:
         return residual.describe()
     if isinstance(residual, dict):
         # a residual per name; a nested dict is parenthesised
-        inside = "; ".join(
+        return "; ".join(
             f"{k}: ({_residual_text(v)})" if isinstance(v, dict) else f"{k}: {_residual_text(v)}"
             for k, v in sorted(residual.items())
         )
-        return inside or None
     if isinstance(residual, (list, tuple)):
-        parts = [ex.to_text(r) for r in residual]
-        if all(p == "0" for p in parts):
-            return None
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(ex.to_text(r) for r in residual) + ")"
     return str(residual)
 
 
@@ -202,18 +196,18 @@ def _pform_checks(args):
     model = fm.PFormModel(space, args.p, a, b)
     sig = "euclidean" if args.euclidean else "lorentzian"
     name = f"pform(n={args.n},p={args.p},a={args.a},b={args.b},{sig})"
-    checks = [("noether_identity", lambda: (model.noether_identity_check(), None))]
+    checks = [("noether_identity", lambda: _verdict(*model.noether_identity_check()))]
     for xi_name, xi in _xis(space, args.xi, dilation=False):
         checks += [
             (
                 f"current_certificate[{xi_name}]",
-                lambda xi=xi: _verdict(*model.killing_current(xi)[1:]),
+                lambda xi=xi: _verdict(*model.current_certificate(xi)),
             ),
             (f"proper_symmetry[{xi_name}]", lambda xi=xi: _verdict(*model.proper_symmetry(xi))),
         ]
     witness = {False: "does not fire (a != b)", True: f"fires: G = {args.a} * Id"}
     checks += [
-        # energy_momentum returns T, or raises on a failed current, asymmetry or trace
+        # energy_momentum returns T, or raises on asymmetry or trace
         ("energy_momentum", lambda: (model.energy_momentum() is not None, None)),
         ("anchor_identity", lambda: _verdict(*model.anchor_verify())),
         ("triviality_witness", lambda: (True, witness[model.triviality_witness() is not None])),
@@ -225,7 +219,7 @@ def _selfdual_checks(args):
     _check_catalog_work(args.n, args.n // 2)
     space = fo.lorentzian(args.n)
     model = fm.SelfDualModel(space)
-    checks = [("noether_identity", lambda: (model.noether_identity_check(), None))]
+    checks = [("noether_identity", lambda: _verdict(*model.noether_identity_check()))]
     checks += [
         (f"certificates[{name}]", lambda xi=xi: _verdict(*model.verify(xi)))
         for name, xi in _xis(space, args.xi, dilation=True)
@@ -241,6 +235,11 @@ def _chiral_checks(args):
     algebra = fm.ALGEBRAS[args.algebra]()
     model = fm.ChiralModel(space, algebra, _fraction(args.g, "--g"))
     epsilon = [_fraction(part, "--epsilon") for part in args.epsilon.split(",")]
+    if len(epsilon) != algebra.n:
+        raise ValueError(
+            f"--epsilon needs one value per generator of {args.algebra} "
+            f"({algebra.n}), got {len(epsilon)}"
+        )
     checks = [("internal_certificates", lambda: _verdict(*model.verify(epsilon)))]
     checks += [
         (f"spacetime_certificates[{name}]", lambda xi=xi: _verdict(*model.spacetime_verify(xi)))

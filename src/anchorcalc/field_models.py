@@ -167,8 +167,8 @@ def _d_or_zero(form: Form) -> Form:
 
 
 def _certificate(residuals):
-    """(ok, the residuals that are not zero) for residual forms keyed by
-    name: what the self-dual and chiral certificates return."""
+    """(ok, the residuals that are not zero) for residual forms or operators
+    keyed by name: what every field-model certificate returns."""
     nonzero = {name: r for name, r in residuals.items() if not r.is_zero()}
     return not nonzero, nonzero
 
@@ -209,9 +209,10 @@ class PFormModel:
         t1, t2 = self.residuals()
         return form_to_vector(t1) + form_to_vector(t2)
 
-    def noether_identity_check(self) -> bool:
+    def noether_identity_check(self):
+        """dT1 = 0 and dT2 = 0; returns (ok, the nonzero residuals)."""
         t1, t2 = self.residuals()
-        return _d_or_zero(t1).is_zero() and _d_or_zero(t2).is_zero()
+        return _certificate({"dT1": _d_or_zero(t1), "dT2": _d_or_zero(t2)})
 
     @_memoised
     def shell(self) -> ShellRules:
@@ -242,36 +243,31 @@ class PFormModel:
         return psi1, psi2
 
     @_memoised_per_vector
-    def killing_current(self, xi: SpacetimeVector):
-        """Current j and the exact certificate
-        (Psi1, T1) + (Psi2, T2) - dj = 0, returned as (j, ok, residual)."""
+    def killing_current(self, xi: SpacetimeVector) -> Form:
+        """The current j(xi); current_certificate certifies it."""
         self._check_vector(xi)
         p = self.p
         starF = self._star_F()
-        j = (
+        return (
             fo.wedge(fo.interior(xi, self.F), starF)
             + fo.wedge(self.F, fo.interior(xi, starF)).scale((-1) ** (p - 1))
         ).scale(ex.rational(1, 2))
+
+    def current_certificate(self, xi: SpacetimeVector):
+        """The exact certificate (Psi1, T1) + (Psi2, T2) - dj = 0 of the
+        current j(xi); returns (ok, the nonzero residual)."""
         psi1, psi2 = self.killing_characteristic(xi)
         t1, t2 = self.residuals()
-        residual = (
-            fo.pairing_density(psi1, t1)
-            + fo.pairing_density(psi2, t2)
-            - fo.exterior_d(j)
-        )
-        return j, residual.is_zero(), residual
+        density = fo.pairing_density(psi1, t1) + fo.pairing_density(psi2, t2)
+        return _certificate({"current_residual": density - fo.exterior_d(self.killing_current(xi))})
 
     def energy_momentum(self):
-        """T_{mu nu} read from *j for the n translations; asserts symmetry
-        and (in the critical dimension) tracelessness."""
-        currents = []
-        for mu in range(self.space.n):
-            j, ok, residual = self.killing_current(fo.translation(self.space, mu))
-            if not ok:
-                raise FieldModelError(
-                    f"current certificate failed for translation {mu}: {residual!r}"
-                )
-            currents.append(j)
+        """T_{mu nu} read from *j for the n translations, whose currents
+        current_certificate certifies; asserts symmetry and (in the critical
+        dimension) tracelessness."""
+        currents = [
+            self.killing_current(fo.translation(self.space, mu)) for mu in range(self.space.n)
+        ]
         traceless = self.space.n == 2 * self.p
         return _energy_momentum(self.space, currents, traceless, "energy-momentum")
 
@@ -299,14 +295,11 @@ class PFormModel:
 
     def anchor_verify(self):
         """Definition check J o V = V* o J*; exact (field-independent
-        operators), reported as (ok, residual operator)."""
+        operators), returned as (ok, the nonzero residual operator)."""
         v, vstar = self.anchor_ops()
         j_op = self.linearization()
         j_star = pairing_adjoint(j_op, *self._weights())
-        lhs = j_op.compose(v)
-        rhs = vstar.compose(j_star)
-        residual = lhs - rhs
-        return residual.is_zero(), residual
+        return _certificate({"anchor_residual": j_op.compose(v) - vstar.compose(j_star)})
 
     def triviality_witness(self):
         """G with V* = J o G when a = b (the trivial anchor); None otherwise."""
@@ -321,14 +314,15 @@ class PFormModel:
 
     def proper_symmetry(self, xi: SpacetimeVector):
         """delta F = V(Psi) reduces on shell to (a - b) L_xi F; returns
-        (ok, residual form)."""
+        (ok, the nonzero residual)."""
         psi1, psi2 = self.killing_characteristic(xi)
         v, _ = self.anchor_ops()
         delta = v.apply(form_to_vector(psi1) + form_to_vector(psi2))
         delta_form = vector_to_form(self.space, self.p, delta)
         expected = fo.lie_derivative(xi, self.F).scale(self.a - self.b)
-        residual = (delta_form - expected).map_coefficients(self.shell().reduce)
-        return residual.is_zero(), residual
+        return _certificate(
+            {"transform_residual": (delta_form - expected).map_coefficients(self.shell().reduce)}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +351,9 @@ class SelfDualModel:
     def shell(self) -> ShellRules:
         return ShellRules(form_to_vector(self.residual()), self.space.coords)
 
-    def noether_identity_check(self) -> bool:
-        return _d_or_zero(self.residual()).is_zero()
+    def noether_identity_check(self):
+        """dT = 0; returns (ok, the nonzero residual)."""
+        return _certificate({"dT": _d_or_zero(self.residual())})
 
     @_memoised
     def anchor_ops(self):

@@ -117,7 +117,7 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
 
     alpha = None
     if "anchor" in cp:
-        upper = {}
+        upper, keys = {}, {}
         for key, value in cp["anchor"].items():
             m = _ALPHA_KEY.match(key)
             if not m:
@@ -128,6 +128,9 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
             i, j = int(groups[0]), int(groups[1])
             if not (1 <= i < j <= n):
                 raise ModelFileError(f"[anchor] {key}: need 1 <= i < j <= n")
+            if (i, j) in keys:
+                raise ModelFileError(f"[anchor] {keys[i, j]} and {key} both set alpha_{i}_{j}")
+            keys[i, j] = key
             upper[(i - 1, j - 1)] = _parse(value, ctx, f"[anchor] {key}")
         alpha = ode.Bivector(n, upper)
 

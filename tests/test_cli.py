@@ -77,6 +77,24 @@ def test_anchor_key_validation():
         parse_model_text("[ode]\nn = 2\nv = [x1, x2]\n\n[anchor]\nalpha_21 = 1\n")
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("alpha_12 = 1", "alpha_1_2 = x1"),
+        ("alpha_1_2 = x1", "alpha_12 = 1"),
+        ("alpha_1_2 = 1", "alpha_01_2 = 1"),
+    ],
+)
+def test_anchor_entry_named_twice_exits_2(tmp_path, capsys, first, second):
+    # each spelling once named the same entry, and the last one silently won
+    model = tmp_path / "twice.ini"
+    model.write_text(f"[ode]\nn = 2\nv = [-x2, x1]\n\n[anchor]\n{first}\n{second}\n")
+    code, out = run_cli("check", str(model))
+    assert code == 2 and out == ""
+    keys = " and ".join(line.split(" = ")[0] for line in (first, second))
+    assert capsys.readouterr().err == f"error: [anchor] {keys} both set alpha_1_2\n"
+
+
 # --- run_checks ----------------------------------------------------------------
 
 
@@ -187,14 +205,6 @@ def test_cli_catalog_chiral():
     assert code == 0
 
 
-def _rotation_only(psi, xi):
-    # energy_momentum certifies the translation currents and raises when one
-    # fails, so the wrong factor goes on the rotation's characteristic only
-    if xi.components == forms.rotation(forms.lorentzian(4), 0, 1).components:
-        return psi[0].scale(2), psi[1]
-    return psi
-
-
 @pytest.mark.parametrize(
     "argv, model, method, wrong, failed",
     [
@@ -223,13 +233,31 @@ def _rotation_only(psi, xi):
                 for x in ("t0", "t1", "dil")
             },
         ),
+        # energy_momentum reads the translation currents and does not
+        # certify them again, so it passes beside their failed certificates
         (
-            ("pform", "--n", "4", "--p", "2", "--xi", "r01"),
+            ("pform", "--n", "2", "--p", "1", "--xi", "t0"),
             field_models.PFormModel,
             "killing_characteristic",
-            _rotation_only,
-            # one residual form per check: the detail is the form itself
-            {"current_certificate[r01]": "(", "proper_symmetry[r01]": "("},
+            lambda psi, xi: (psi[0].scale(2), psi[1]),
+            {
+                "current_certificate[t0]": "current_residual: (",
+                "proper_symmetry[t0]": "transform_residual: (",
+            },
+        ),
+        (
+            ("pform",),
+            field_models.PFormModel,
+            "killing_characteristic",
+            lambda psi, xi: (psi[0].scale(2), psi[1]),
+            {
+                f"{check}[t{mu}]": f"{residual}: ("
+                for mu in range(4)
+                for check, residual in (
+                    ("current_certificate", "current_residual"),
+                    ("proper_symmetry", "transform_residual"),
+                )
+            },
         ),
     ],
 )
@@ -291,9 +319,10 @@ def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
         ("pform", "--b", "1/0"),
         ("chiral", "--g", "1/0"),
         ("chiral", "--epsilon", "1,1/0"),
+        ("chiral", "--epsilon", "1,1"),  # su2 has three generators
     ],
 )
-def test_cli_catalog_zero_denominator_exits_2(argv, capsys):
+def test_cli_catalog_bad_option_value_exits_2(argv, capsys):
     code, out = run_cli("catalog", *argv)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
@@ -372,6 +401,7 @@ def _counting(counts, key, fn):
         # one V in anchor_ops, one J* in anchor_verify
         (("catalog", "pform", "--n", "4", "--p", "2"), 2),
         (("catalog", "selfdual", "--n", "2"), 1),
+        (("catalog", "pform", "--n", "4", "--p", "2", "--xi", "r01"), 2),
     ],
 )
 def test_catalog_builds_model_artifacts_once(monkeypatch, argv, adjoints):
@@ -384,17 +414,18 @@ def test_catalog_builds_model_artifacts_once(monkeypatch, argv, adjoints):
         "formal_adjoint",
         _counting(counts, "adjoint", linop.LinDiffOp.formal_adjoint),
     )
-    # Every current j(xi) is built with a wedge; energy-momentum only reads
-    # the translation currents, which the report has verified before it.
+    # Every current j(xi) is built with wedges and certified with pairing
+    # densities; energy-momentum only reads the translation currents, and
+    # builds those that the report has not built before it.
     in_emt = []
-    wedge = forms.wedge
+    for name in ("wedge", "pairing_density"):
 
-    def counted_wedge(a, b):
-        if in_emt:
-            counts["wedge in energy_momentum"] += 1
-        return wedge(a, b)
+        def counted(a, b, fn=getattr(forms, name), key=f"{name} in energy_momentum"):
+            if in_emt:
+                counts[key] += 1
+            return fn(a, b)
 
-    monkeypatch.setattr(forms, "wedge", counted_wedge)
+        monkeypatch.setattr(forms, name, counted)
     for model in (field_models.PFormModel, field_models.SelfDualModel):
 
         def emt(self, original=model.energy_momentum):
@@ -407,7 +438,11 @@ def test_catalog_builds_model_artifacts_once(monkeypatch, argv, adjoints):
         monkeypatch.setattr(model, "energy_momentum", emt)
     code, _ = run_cli(*argv)
     assert code == 0
-    assert counts == {"shell": 1, "adjoint": adjoints}
+    expected = {"shell": 1, "adjoint": adjoints}
+    if "--xi" in argv:
+        # the report builds no translation current: two wedges for each of the four
+        expected["wedge in energy_momentum"] = 8
+    assert counts == expected
 
 
 def test_cli_search():
