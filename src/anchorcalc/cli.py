@@ -16,6 +16,7 @@ import functools
 import math
 import sys
 import time
+import types
 from fractions import Fraction
 
 from . import expr as ex
@@ -82,29 +83,43 @@ def _schouten_square(model: ModelFile):
     return square.is_zero(), inside or None
 
 
-# name -> (model-file sections it needs, check); a check with a section
-# missing is skipped.
+def _shared_results(system: ode.OdeSystem):
+    """The results that two checks of one run both use, each computed once
+    and keyed by its canonical value: the characteristic residual of f,
+    which `characteristic` and the first step of `twist_invariance` read,
+    and the symmetry residual of each distinct vector, a tuple, which
+    `noether_map` and `symmetry` share when alpha df equals w.  Each run
+    makes its own, so nothing is kept from one run to the next."""
+    return types.SimpleNamespace(
+        characteristic=functools.cache(lambda f: ode.check_characteristic(system, f)),
+        symmetry=functools.cache(lambda w: ode.check_symmetry(system, w)),
+    )
+
+
+# name -> (model-file sections it needs, check of the model and the run's
+# shared results); a check with a section missing is skipped.
 ODE_CHECKS = {
-    "anchor": (("anchor",), lambda m: _verdict(*ode.check_anchor(m.system, m.alpha))),
-    "characteristic": (
-        ("characteristic",),
-        lambda m: _verdict(*ode.check_characteristic(m.system, m.f)),
-    ),
+    "anchor": (("anchor",), lambda m, s: _verdict(*ode.check_anchor(m.system, m.alpha))),
+    "characteristic": (("characteristic",), lambda m, s: _verdict(*s.characteristic(m.f))),
     "noether_map": (
         ("anchor", "characteristic"),
-        lambda m: _verdict(*ode.check_symmetry(m.system, ode.anchor_apply(m.alpha, m.f))),
+        lambda m, s: _verdict(*s.symmetry(ode.anchor_apply(m.alpha, m.f))),
     ),
     "proper_symmetry": (
         ("anchor", "characteristic"),
-        lambda m: _verdict(
+        lambda m, s: _verdict(
             *ode.proper_symmetry_conditions(m.system, m.alpha, ode.differential(m.f, m.system.n))
         ),
     ),
-    "schouten_square": (("anchor",), _schouten_square),
-    "symmetry": (("symmetry",), lambda m: _verdict(*ode.check_symmetry(m.system, m.w))),
+    "schouten_square": (("anchor",), lambda m, s: _schouten_square(m)),
+    "symmetry": (("symmetry",), lambda m, s: _verdict(*s.symmetry(tuple(m.w)))),
     "twist_invariance": (
         ("anchor", "characteristic", "hamiltonian"),
-        lambda m: _verdict(*ode.twist_invariance_check(m.system, m.alpha, m.f, m.hamiltonian)),
+        lambda m, s: _verdict(
+            *ode.twist_invariance_check(
+                m.system, m.alpha, m.f, m.hamiltonian, s.characteristic(m.f)[0]
+            )
+        ),
     ),
 }
 
@@ -124,11 +139,11 @@ def _skip_text(sections) -> str:
     return f"needs {', '.join(names[:-1])} and {names[-1]}"
 
 
-def _ode_check(model: ModelFile, name: str):
+def _ode_check(model: ModelFile, shared, name: str):
     sections, check = ODE_CHECKS[name]
     if any(getattr(model, _SECTION_FIELDS[s]) is None for s in sections):
         return None, _skip_text(sections)
-    return check(model)
+    return check(model, shared)
 
 
 def run_checks(model: ModelFile, selection=None) -> ModelReport:
@@ -139,7 +154,8 @@ def run_checks(model: ModelFile, selection=None) -> ModelReport:
     unknown = [name for name in selection if name not in ODE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    checks = [(name, lambda name=name: _ode_check(model, name)) for name in selection]
+    shared = _shared_results(model.system)
+    checks = [(name, lambda name=name: _ode_check(model, shared, name)) for name in selection]
     return _run(ModelReport(model=model.name), checks)
 
 

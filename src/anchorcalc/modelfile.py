@@ -20,11 +20,27 @@ Format (INI-style, expression grammar from the kernel):
 
 Fields are x1..xn, the independent variable is t.  Printing a parsed file
 with format_model and parsing it back is the identity on canonical files.
+
+The layout is read in one pass (_read_sections), and it accepts this INI
+subset: `[section]` header lines; `key = value` or `key: value` lines, cut
+at the first `=` or `:`; comment lines whose first non-blank character is
+`#` or `;`; blank lines; and continuation lines, indented deeper than the
+key line they extend, joined to its value with a newline.  There are no
+inline comments: a `#` after a value is part of it.  A section or a key
+named twice in a section, and any other line, is a ModelFileError with its
+line number.  On its accepted files the reader gives the same sections,
+keys and values as configparser.ConfigParser(interpolation=None,
+strict=True) with case-sensitive keys, and it rejects every file that
+parser rejects.  It diverges on purpose in two places:
+- `[DEFAULT]` is a section like any other, and so an unknown one;
+  configparser copies its keys into every section;
+- a line that starts with `[` is a header and must end with `]`;
+  configparser drops the text after the last `]` (`[ode] n = 2` is the
+  header `ode`) and reads `[x = 1` as the key `[x`.
 """
 
 from __future__ import annotations
 
-import configparser
 import re
 
 from . import expr as ex
@@ -88,20 +104,55 @@ def parse_model(path) -> ModelFile:
     return parse_model_text(text, name=str(path))
 
 
+def _read_sections(text: str, name: str):
+    """{section: {key: value}} of the INI subset in the module docstring,
+    in file order, read in one pass over the lines."""
+    sections = {}
+    section = key = None  # the open section's keys; the key a continuation extends
+    indent = 0  # indentation of the last header or key line
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if not stripped and key is not None:
+                section[key].append("")  # kept only inside a value
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            section[key].append(stripped)
+            continue
+        indent, where = depth, f"{name}, line {number}"
+        if stripped[0] == "[":
+            header = stripped[1:-1]
+            if not header or stripped[-1] != "]":
+                raise ModelFileError(f"{where}: expected a [section] header, got {stripped!r}")
+            if header in sections:
+                raise ModelFileError(f"{where}: section [{header}] is repeated")
+            section = sections[header] = {}
+            key = None
+            continue
+        cut = min((i for i in (stripped.find("="), stripped.find(":")) if i >= 0), default=0)
+        key = stripped[:cut].rstrip()
+        if section is None or not key:
+            what = "a [section] header" if section is None else "key = value"
+            raise ModelFileError(f"{where}: expected {what}, got {stripped!r}")
+        if key in section:
+            raise ModelFileError(f"{where}: key {key!r} is repeated in its section")
+        section[key] = [stripped[cut + 1 :].strip()]
+    return {
+        header: {k: "\n".join(lines).rstrip() for k, lines in keys.items()}
+        for header, keys in sections.items()
+    }
+
+
 def parse_model_text(text: str, name: str = "model") -> ModelFile:
-    cp = configparser.ConfigParser(interpolation=None, strict=True)
-    cp.optionxform = str
-    try:
-        cp.read_string(text, source=name)
-    except configparser.Error as exc:
-        raise ModelFileError(f"cannot parse {name}: {exc}") from exc
-    for section in cp.sections():
+    sections = _read_sections(text, name)
+    for section in sections:
         if section not in KNOWN_SECTIONS:
             raise ModelFileError(f"unknown section [{section}]")
-    if "ode" not in cp:
+    if "ode" not in sections:
         raise ModelFileError("missing [ode] section")
 
-    ode_sec = cp["ode"]
+    ode_sec = sections["ode"]
     _check_keys(ode_sec, {"n", "v"}, "ode")
     try:
         n = int(ode_sec.get("n", ""))
@@ -109,16 +160,16 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
         raise ModelFileError("[ode] n must be an integer") from None
     if n < 1:
         raise ModelFileError("[ode] n must be positive")
-    ctx = _context(n)
     v_items = _split_list(ode_sec.get("v", ""), "[ode] v")
-    if len(v_items) != n:
+    if len(v_items) != n:  # before the n names of the context are built
         raise ModelFileError(f"[ode] v has {len(v_items)} components, expected {n}")
+    ctx = _context(n)
     v = [_parse(item, ctx, "[ode] v") for item in v_items]
 
     alpha = None
-    if "anchor" in cp:
+    if "anchor" in sections:
         upper, keys = {}, {}
-        for key, value in cp["anchor"].items():
+        for key, value in sections["anchor"].items():
             m = _ALPHA_KEY.match(key)
             if not m:
                 raise ModelFileError(
@@ -135,22 +186,22 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
         alpha = ode.Bivector(n, upper)
 
     f = None
-    if "characteristic" in cp:
-        _check_keys(cp["characteristic"], {"f"}, "characteristic")
-        f = _parse(cp["characteristic"].get("f", ""), ctx, "[characteristic] f")
+    if "characteristic" in sections:
+        _check_keys(sections["characteristic"], {"f"}, "characteristic")
+        f = _parse(sections["characteristic"].get("f", ""), ctx, "[characteristic] f")
 
     w = None
-    if "symmetry" in cp:
-        _check_keys(cp["symmetry"], {"w"}, "symmetry")
-        items = _split_list(cp["symmetry"].get("w", ""), "[symmetry] w")
+    if "symmetry" in sections:
+        _check_keys(sections["symmetry"], {"w"}, "symmetry")
+        items = _split_list(sections["symmetry"].get("w", ""), "[symmetry] w")
         if len(items) != n:
             raise ModelFileError(f"[symmetry] w has {len(items)} components, expected {n}")
         w = [_parse(item, ctx, "[symmetry] w") for item in items]
 
     hamiltonian = None
-    if "hamiltonian" in cp:
-        _check_keys(cp["hamiltonian"], {"H"}, "hamiltonian")
-        hamiltonian = _parse(cp["hamiltonian"].get("H", ""), ctx, "[hamiltonian] H")
+    if "hamiltonian" in sections:
+        _check_keys(sections["hamiltonian"], {"H"}, "hamiltonian")
+        hamiltonian = _parse(sections["hamiltonian"].get("H", ""), ctx, "[hamiltonian] H")
 
     return ModelFile(n, v, alpha=alpha, f=f, w=w, hamiltonian=hamiltonian, name=name)
 

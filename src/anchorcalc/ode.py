@@ -210,26 +210,28 @@ def _lie_bracket(tab, a, b, out=None):
     return [ex._expr_sum(acc) for acc in out]
 
 
-def _anchor_apply(tab, a, f, sign=1, out=None):
-    """w^i = alpha^{ij} d_j f for a = alpha.matrix(), times sign and added
-    to the accumulators `out` (zero by default)."""
-    out = out or [ex._acc() for _ in a]
+def _anchor_apply(tab, a, f):
+    """w^i = alpha^{ij} d_j f for a = alpha.matrix()."""
+    out = [ex._acc() for _ in a]
     for row, acc in zip(a, out):
         for j, aij in enumerate(row):
-            tab.addmul(acc, aij._poly, tab.d(f, j), sign)
+            tab.addmul(acc, aij._poly, tab.d(f, j))
     return [ex._expr_sum(acc) for acc in out]
 
 
-def _poisson_bracket(tab, a, f, g):
-    """{f, g} = d_i f (alpha^{ij} d_j g)."""
+def _pairing(tab, f, w):
+    """d_i f w^i; with w = alpha dg it is the bracket {f, g}."""
     acc = ex._acc()
-    for i, wi in enumerate(_anchor_apply(tab, a, g)):
+    for i, wi in enumerate(w):
         tab.addmul(acc, tab.d(f, i), wi._poly)
     return ex._expr_sum(acc)
 
 
-def _deform(tab, sys, a, h):
-    return OdeSystem(_anchor_apply(tab, a, h, TWIST_SIGN, [ex._acc(vi._poly) for vi in sys.v]))
+def _deform(sys, alpha_dh):
+    """v'^i = v^i + TWIST_SIGN alpha^{ij} d_j H, given alpha dH."""
+    return OdeSystem(
+        ex._expr(ex._psum(vi._poly, wi._poly, TWIST_SIGN)) for vi, wi in zip(sys.v, alpha_dh)
+    )
 
 
 def _matrix(sys: OdeSystem, alpha: Bivector):
@@ -301,7 +303,8 @@ def schouten_square(alpha: Bivector) -> Trivector:
 def poisson_bracket(alpha: Bivector, f, g) -> Expr:
     """{f, g} = alpha^{ij} d_i f d_j g."""
     f, g = (_check_zeroth_order(e, "a characteristic") for e in (f, g))
-    return _poisson_bracket(_Partials(alpha.n), alpha.matrix(), f, g)
+    tab = _Partials(alpha.n)
+    return _pairing(tab, f, _anchor_apply(tab, alpha.matrix(), g))
 
 
 def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
@@ -309,22 +312,29 @@ def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     (sign frozen by calibration; the free system deforms to
     xdot^i = {x^i, H})."""
     h = _check_zeroth_order(hamiltonian, "a characteristic")
-    return _deform(_Partials(sys.n), sys, _matrix(sys, alpha), h)
+    return _deform(sys, _anchor_apply(_Partials(sys.n), _matrix(sys, alpha), h))
 
 
-def twist_invariance_check(sys: OdeSystem, alpha: Bivector, f, hamiltonian):
+def twist_invariance_check(
+    sys: OdeSystem, alpha: Bivector, f, hamiltonian, is_characteristic=None
+):
     """When {f, H} is a function of t alone with polynomial antiderivative g,
-    f - g must be conserved by the deformed system.  Returns (flag, detail)."""
+    f - g must be conserved by the deformed system.  The first step is the
+    flag of check_characteristic(sys, f), computed here unless the caller
+    passes it as is_characteristic.  Returns (flag, detail)."""
     f, h = (_check_zeroth_order(e, "a characteristic") for e in (f, hamiltonian))
     tab, a = _Partials(sys.n), _matrix(sys, alpha)
-    if not _characteristic(tab, sys, f)[0]:
+    if is_characteristic is None:
+        is_characteristic = _characteristic(tab, sys, f)[0]
+    if not is_characteristic:
         return False, "f is not a characteristic of the original system"
-    bracket = tab.residual(_poisson_bracket(tab, a, f, h))
+    alpha_dh = _anchor_apply(tab, a, h)  # both {f, H} and the deformed field read it
+    bracket = tab.residual(_pairing(tab, f, alpha_dh))
     if any(tab.d(bracket, i)[0] for i in range(sys.n)):
         return False, "{f, H} depends on x; the twist is not invariant under f"
     g = ex._poly_antiderivative(bracket._poly, TIME)
     conserved = ex._expr(ex._psum(f._poly, g, -1))
-    ok, residual = _characteristic(tab, _deform(tab, sys, a, h), conserved)
+    ok, residual = _characteristic(tab, _deform(sys, alpha_dh), conserved)
     if not ok:
         return False, f"conservation failed with residual {ex.to_text(residual)}"
     return True, ex.to_text(ex._expr(g))
@@ -378,9 +388,10 @@ def commutator_matches_bracket(alpha: Bivector, f, g):
     """Residual of [V(f), V(g)] - sigma V({f, g}) with the frozen sign."""
     f, g = (_check_zeroth_order(e, "a characteristic") for e in (f, g))
     tab, a = _Partials(alpha.n), alpha.matrix()
-    rhs = _anchor_apply(tab, a, _poisson_bracket(tab, a, f, g))
+    a_dg = _anchor_apply(tab, a, g)
+    rhs = _anchor_apply(tab, a, _pairing(tab, f, a_dg))
     out = [ex._acc(ex._pscale(r._poly, -HOMOMORPHISM_SIGN)) for r in rhs]
-    bracket = _lie_bracket(tab, _anchor_apply(tab, a, f), _anchor_apply(tab, a, g), out)
+    bracket = _lie_bracket(tab, _anchor_apply(tab, a, f), a_dg, out)
     residual = [tab.residual(r) for r in bracket]
     return all(is_identically_zero(r) for r in residual), residual
 
@@ -491,23 +502,35 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     if any(isinstance(a, (ex.FunAtom, ex.Param)) for c in sys.v for a in ex.atoms(c)):
         raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
-    tab = _Partials(sys.n)  # for its atoms and sums
     # every residual times the common denominator of v: the rows are then
     # integral, and scaling every equation by one constant keeps the kernel.
-    # den * (d_t mono - v . grad mono) = -(w . grad mono) with w_t = -den
-    # and w_i = den * v_i, the gradient of a monomial being its exponent
-    # shifts: one term each, so every product takes the one-term path
+    # den * (d_t m - v . grad m) = -(w . grad m) with w_t = -den and
+    # w_i = den * v_i.  The partial of a monomial m in its atom a of
+    # exponent e is e times its exponent shift s, so each term c * u of w_a
+    # adds -e * c to the row of the monomial u * s: one integer product per
+    # term, with the node limit of _paddmul_into
     den = math.lcm(*(vi._poly[1] for vi in sys.v))
-    w = {_T: ({(): -den}, 1)}
-    w.update(zip(tab._x, (ex._pscale(vi._poly, den) for vi in sys.v)))
+    w = {_T: {(): -den}}
+    w.update(zip(_x_atoms(sys.n), (ex._pscale(vi._poly, den)[0] for vi in sys.v)))
+    limit, mono_mul = ex.NODE_LIMIT, ex._mono_mul
     rows = {}  # residual monomial -> {basis column: integer coefficient}
     for col, mono in enumerate(basis):
-        grad = ex._shift_gradient(({mono: 1}, 1))[0]
-        residual = ex._acc()
-        for atom, wa in w.items():
-            if atom in grad:
-                tab.addmul(residual, wa, grad[atom], -1)
-        for m, coeff in residual[0].items():
+        residual = {}
+        for k, (atom, e) in enumerate(mono):
+            terms = w[atom]
+            if len(terms) > limit:
+                ex._refuse_product(len(terms), 1)
+            head, tail = mono[:k], mono[k + 1 :]
+            shift = head + tail if e == 1 else head + ((atom, e - 1),) + tail
+            for u, c in terms.items():
+                m = mono_mul(u, shift)
+                value = residual.get(m, 0) - e * c
+                if value:
+                    residual[m] = value
+                else:
+                    del residual[m]
+            ex._check_size(len(residual))
+        for m, coeff in residual.items():
             rows.setdefault(m, {})[col] = coeff
     kernel = _kernel(_eliminate(rows.values()), len(basis))
     return _echelon_solutions(kernel, basis)

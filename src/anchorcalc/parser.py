@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 
 from . import expr as ex
 
@@ -47,8 +48,8 @@ class VarContext:
         self.indep = tuple(indep)
         self.fields = tuple(fields)
         self.params = tuple(params)
-        names = list(self.indep) + list(self.fields) + list(self.params)
-        dupes = {n for n in names if names.count(n) > 1}
+        names = self.indep + self.fields + self.params
+        dupes = {n for n, count in Counter(names).items() if count > 1}
         if dupes:
             raise ValueError(f"names must be unique within a model: {sorted(dupes)}")
         clash = set(names) & set(ex.FUNCTIONS)

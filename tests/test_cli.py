@@ -22,6 +22,7 @@ from anchorcalc.modelfile import (
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 OSCILLATOR = FIXTURES / "oscillator.ini"
+LAYOUT = FIXTURES / "oscillator_layout.ini"
 
 
 def run_cli(*argv):
@@ -139,6 +140,47 @@ def test_every_check_appears_exactly_once():
     assert len(names) == len(set(names))
 
 
+_SHARING_MODELS = [pytest.param(str(p), id=p.name) for p in sorted(FIXTURES.glob("*.ini"))] + [
+    # f is no characteristic, and alpha df differs from w
+    pytest.param(OSCILLATOR.read_text().replace("(x1^2 + x2^2)/2\n\n[sym", f"{f}\n\n[sym"), id=f)
+    for f in ("x2", "x1*x2")
+]
+
+
+@pytest.mark.parametrize("model", _SHARING_MODELS)
+def test_each_check_alone_gives_its_record_of_the_full_run(tmp_path, model):
+    # the results that checks share within a run leak nothing into a record
+    if "\n" in model:
+        (tmp_path / "model.ini").write_text(model)
+        model = str(tmp_path / "model.ini")
+    _, out = run_cli("check", model, "--json")
+    full = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(full) == sorted(cli.ODE_CHECKS)
+    for name in cli.ODE_CHECKS:
+        _, out = run_cli("check", model, "--only", name, "--json")
+        assert json.loads(out)["checks"] == [full[name]]
+
+
+def test_full_check_computes_each_shared_result_once(monkeypatch):
+    # alpha df equals w in the oscillator, so noether_map and symmetry
+    # bracket one distinct vector once; characteristic and twist_invariance
+    # read one residual of f, and twist_invariance applies alpha to dH once
+    calls = collections.Counter()
+    for name in ("_lie_bracket", "_characteristic", "_anchor_apply"):
+        real = getattr(ode, name)
+        monkeypatch.setattr(
+            ode, name, lambda *a, name=name, real=real, **k: calls.update([name]) or real(*a, **k)
+        )
+    report = cli.run_checks(parse_model(OSCILLATOR))
+    assert {c.status for c in report.checks} == {"PASS"}
+    # _characteristic: f once, and once the conserved f - g of the deformed
+    # system; _anchor_apply: alpha df for noether_map and alpha dH
+    assert calls == {"_lie_bracket": 1, "_characteristic": 2, "_anchor_apply": 2}
+    calls.clear()
+    cli.run_checks(parse_model(OSCILLATOR))  # a second run shares nothing with the first
+    assert calls == {"_lie_bracket": 1, "_characteristic": 2, "_anchor_apply": 2}
+
+
 # --- CLI entry points ------------------------------------------------------------
 
 
@@ -156,6 +198,13 @@ def test_cli_check_json_matches_golden():
     want = json.loads(golden)
     want["model"] = str(OSCILLATOR)
     assert got == want
+
+
+def test_cli_check_layout_fixture_matches_oscillator():
+    # comment lines, the ':' delimiter and a continuation line change no check
+    reports = [run_cli("check", str(path), "--json") for path in (OSCILLATOR, LAYOUT)]
+    assert [code for code, _ in reports] == [0, 0]
+    assert len({json.dumps(json.loads(out)["checks"]) for _, out in reports}) == 1
 
 
 def test_cli_check_failure_exit_code(tmp_path):

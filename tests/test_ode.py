@@ -872,6 +872,40 @@ def test_search_matches_dense_reference(case):
     assert sols == [ac.to_text(f) for f in _reference_search(system, degree)]
 
 
+def _kernel_rows(system, degree):
+    """The integer rows of the search built on the kernel's generic path:
+    each column's gradient by _shift_gradient and each product by
+    _paddmul_into, as one multiset of {column: coefficient} rows."""
+    den = math.lcm(*(vi._poly[1] for vi in system.v))
+    w = {ode._T: ({(): -den}, 1)}
+    w.update(zip(ode._x_atoms(system.n), (ex._pscale(vi._poly, den) for vi in system.v)))
+    rows = {}
+    for col, mono in enumerate(ode._monomials(system.n, degree)):
+        grad = ex._shift_gradient(({mono: 1}, 1))[0]
+        residual = ex._acc()
+        for atom, wa in w.items():
+            if atom in grad and wa[0]:
+                ex._paddmul_into(residual, wa, grad[atom], -1)
+        for m, coeff in residual[0].items():
+            rows.setdefault(m, {})[col] = coeff
+    return sorted(sorted(row.items()) for row in rows.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_search_rows_match_the_generic_kernel_path(case):
+    # the rows read off the exponent shifts are the rows of the derivative
+    # and product routines, integer for integer
+    system, degree = case
+    seen, real = [], ode._eliminate
+    ode._eliminate = lambda rows: seen.append(sorted(sorted(r.items()) for r in rows)) or real(rows)
+    try:
+        ode.search_characteristics(system, degree)
+    finally:
+        ode._eliminate = real
+    assert seen == [_kernel_rows(system, degree)]
+
+
 @st.composite
 def _bivectors_and_points(draw):
     n = draw(st.integers(2, 4))
@@ -1000,3 +1034,12 @@ def test_check_honours_node_limit_set_at_runtime(monkeypatch, name):
     monkeypatch.setattr(ex, "NODE_LIMIT", 10)
     with pytest.raises(ex.ResourceLimitError):
         call()
+
+
+def test_search_refuses_a_term_product_over_the_node_limit(monkeypatch):
+    # a column's product with a component of v is refused before any of its
+    # terms is added, as _paddmul_into refuses it
+    system = ode.OdeSystem([_dense_poly(1, 6)])
+    monkeypatch.setattr(ex, "NODE_LIMIT", 5)
+    with pytest.raises(ex.ResourceLimitError, match=r"6 x 1 term products"):
+        ode.search_characteristics(system, 1)

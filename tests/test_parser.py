@@ -316,8 +316,9 @@ def _fixture_texts():
 
 def test_tokenize_matches_reference_on_the_fixtures():
     texts = _fixture_texts()
-    # euler_top 11, oscillator 7, pendulum 7, pendulum_identity 7, trig_quotient 2
-    assert len(texts) == 34
+    # euler_top 11, oscillator and oscillator_layout 7 each, pendulum 7,
+    # pendulum_identity 7, trig_quotient 2
+    assert len(texts) == 41
     for text in texts:
         assert tokenize(text) == _reference_tokenize(text)
         _assert_same_as_reference(text)
