@@ -880,7 +880,6 @@ def _jet_step(atom: JetVar, d: str):
 
 
 _ZERO_POLY = {}, 1
-_ONE_POLY = {(): 1}, 1
 
 
 def _gradient(e: Expr, atom):
@@ -978,8 +977,12 @@ def substitute(e: Expr, mapping) -> Expr:
 
 
 def _subst_poly(p, table):
+    """p with the atoms of the table replaced by their polynomials.  The
+    monomials that hold no replaced atom are added to the sum at once, and
+    p itself is returned when no monomial holds one."""
     c, d = p
     acc = _acc()
+    unchanged = {}
     replaced = {}  # atom -> new polynomial, or None when it stays
     powers = {}  # (atom, exponent) -> power of its replacement
     for mono, coeff in c.items():
@@ -1001,11 +1004,17 @@ def _subst_poly(p, table):
             if pair not in powers:
                 powers[pair] = _ppow(rep, e)
             factors.append(powers[pair])
+        if not factors:
+            unchanged[mono] = coeff
+            continue
         term = {tuple(kept): coeff}, 1
-        last = factors.pop() if factors else _ONE_POLY
+        last = factors.pop()
         for f in factors:
             term = _pmul(term, f)
         _paddmul_into(acc, term, last)
+    if len(unchanged) == len(c):
+        return p
+    _padd_into(acc, (unchanged, 1))
     return _normal(acc[0], acc[1] * d)
 
 

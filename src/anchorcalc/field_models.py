@@ -232,14 +232,23 @@ class PFormModel:
         )
 
     @_memoised_per_vector
+    def _interior_F(self, xi: SpacetimeVector) -> Form:
+        """i_xi F, which the characteristic, the current and L_xi F share."""
+        return fo.interior(xi, self.F)
+
+    @_memoised_per_vector
+    def _interior_star_F(self, xi: SpacetimeVector) -> Form:
+        """i_xi *F, which the characteristic and the current share."""
+        return fo.interior(xi, self._star_F())
+
+    @_memoised_per_vector
     def killing_characteristic(self, xi: SpacetimeVector):
         self._check_vector(xi)
         n, p = self.space.n, self.p
-        starF = self._star_F()
         sign1 = self.sigma * (-1) ** ((n - p) * (p - 1))
         sign2 = self.sigma * (-1) ** (p - 1)
-        psi1 = fo.hodge(fo.interior(xi, starF)).scale(sign1)
-        psi2 = fo.hodge(fo.interior(xi, self.F)).scale(sign2)
+        psi1 = fo.hodge(self._interior_star_F(xi)).scale(sign1)
+        psi2 = fo.hodge(self._interior_F(xi)).scale(sign2)
         return psi1, psi2
 
     @_memoised_per_vector
@@ -247,10 +256,9 @@ class PFormModel:
         """The current j(xi); current_certificate certifies it."""
         self._check_vector(xi)
         p = self.p
-        starF = self._star_F()
         return (
-            fo.wedge(fo.interior(xi, self.F), starF)
-            + fo.wedge(self.F, fo.interior(xi, starF)).scale((-1) ** (p - 1))
+            fo.wedge(self._interior_F(xi), self._star_F())
+            + fo.wedge(self.F, self._interior_star_F(xi)).scale((-1) ** (p - 1))
         ).scale(ex.rational(1, 2))
 
     def current_certificate(self, xi: SpacetimeVector):
@@ -319,7 +327,8 @@ class PFormModel:
         v, _ = self.anchor_ops()
         delta = v.apply(form_to_vector(psi1) + form_to_vector(psi2))
         delta_form = vector_to_form(self.space, self.p, delta)
-        expected = fo.lie_derivative(xi, self.F).scale(self.a - self.b)
+        lie_F = fo.lie_derivative(xi, self.F, da=self.residuals()[0], ia=self._interior_F(xi))
+        expected = lie_F.scale(self.a - self.b)
         return _certificate(
             {"transform_residual": (delta_form - expected).map_coefficients(self.shell().reduce)}
         )
@@ -366,12 +375,17 @@ class SelfDualModel:
         adjoint = pairing_adjoint(d_mid, w_mid, w_out)
         return _selfdual_operator(space).compose(adjoint), d_mid
 
+    @_memoised_per_vector
+    def _interior_H(self, xi: SpacetimeVector) -> Form:
+        """i_xi H, which the characteristic, the current and L_xi H share."""
+        return fo.interior(xi, self.H)
+
     def characteristic(self, xi: SpacetimeVector) -> Form:
-        return fo.hodge(fo.interior(xi, self.H)).scale(-1)
+        return fo.hodge(self._interior_H(xi)).scale(-1)
 
     @_memoised_per_vector
     def current(self, xi: SpacetimeVector) -> Form:
-        return fo.wedge(fo.interior(xi, self.H), self.H).scale(ex.rational(1, 2))
+        return fo.wedge(self._interior_H(xi), self.H).scale(ex.rational(1, 2))
 
     def _check_vector(self, xi: SpacetimeVector):
         verdict = fo.conformal_killing_check(xi, self.space)
@@ -384,7 +398,7 @@ class SelfDualModel:
         nonzero residual forms keyed by name)."""
         self._check_vector(xi)
         psi = self.characteristic(xi)
-        lie_H = fo.lie_derivative(xi, self.H)
+        lie_H = fo.lie_derivative(xi, self.H, da=self.residual(), ia=self._interior_H(xi))
         v, _ = self.anchor_ops()
         delta = vector_to_form(self.space, self.mid, v.apply(form_to_vector(psi)))
         return _certificate(

@@ -287,14 +287,22 @@ def interior(xi: SpacetimeVector, a: Form) -> Form:
     return Form._of(a.space, a.grade - 1, ex._table_sums(table))
 
 
-def lie_derivative(xi: SpacetimeVector, a: Form) -> Form:
+def lie_derivative(
+    xi: SpacetimeVector, a: Form, da: Form | None = None, ia: Form | None = None
+) -> Form:
     """Cartan formula i_xi d + d i_xi with the grade-edge terms dropped
-    where they do not exist (grade 0 has no interior product, grade n no d)."""
+    where they do not exist (grade 0 has no interior product, grade n no d).
+    A caller that already holds d a or i_xi a passes it as da or ia, and
+    it is not built again."""
+    if a.grade < a.space.n and da is None:
+        da = exterior_d(a)
+    if a.grade > 0 and ia is None:
+        ia = interior(xi, a)
     if a.grade == 0:
-        return interior(xi, exterior_d(a))
+        return interior(xi, da)
     if a.grade == a.space.n:
-        return exterior_d(interior(xi, a))
-    return interior(xi, exterior_d(a)) + exterior_d(interior(xi, a))
+        return exterior_d(ia)
+    return interior(xi, da) + exterior_d(ia)
 
 
 def pairing_density(a: Form, b: Form) -> Form:

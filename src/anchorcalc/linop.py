@@ -267,13 +267,15 @@ class ShellRules:
     (the order-k prolongation).  Each relation must be solvable for its
     greatest jet atom (highest order, then field, then index) with a
     constant coefficient.  The rules of each order are built on first use
-    and cached; a racing first build recomputes the same rules.
+    and cached, with the table of their right-hand side polynomials that
+    reduce substitutes; a racing first build recomputes the same rules.
     """
 
     def __init__(self, equations, directions):
         self.equations = [ex._coerce(e) for e in equations]
         self.directions = tuple(directions)
         self._cache = {}
+        self._tables = {}
         # build the equations' own order now, so a bad shell fails here
         self.rules_up_to(max(map(ex.max_jet_order, self.equations), default=0))
 
@@ -293,9 +295,17 @@ class ShellRules:
         return rules
 
     def reduce(self, e: Expr) -> Expr:
-        """Exhaustively substitute leading jets; idempotent."""
+        """Substitute every leading jet of e in one simultaneous pass;
+        idempotent.  One pass suffices: _eliminate leaves every right-hand
+        side free of leads, so no lead is left after it, and the value is
+        the fixed point that substituting until no lead is left reaches."""
         e = ex._coerce(e)
-        return _reduce_full(e, self.rules_up_to(ex.max_jet_order(e)))
+        order = ex.max_jet_order(e)
+        table = self._tables.get(order)
+        if table is None:
+            rules = self.rules_up_to(order)
+            table = self._tables[order] = {lead: rhs._poly for lead, rhs in rules.items()}
+        return ex._expr(ex._subst_poly(e._poly, table))
 
 
 def _eliminate(equations):
@@ -327,7 +337,8 @@ def _eliminate(equations):
 
 
 def _reduce_full(e, rules):
-    """Substitute the rules into e until no lead is left."""
+    """Substitute the rules into e until no lead is left: the reduction of
+    _eliminate, whose rules are still being built."""
     while True:
         hit = {a: rules[a] for a in ex.jet_atoms(e) if a in rules}
         if not hit:

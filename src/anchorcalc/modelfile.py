@@ -37,6 +37,11 @@ parser rejects.  It diverges on purpose in two places:
 - a line that starts with `[` is a header and must end with `]`;
   configparser drops the text after the last `]` (`[ode] n = 2` is the
   header `ode`) and reads `[x = 1` as the key `[x`.
+
+An expression that does not parse is a ModelFileError with the line and
+column in the file where the parser stopped.  The reader keeps only where
+each value starts; the position is mapped back into the file
+(_file_position) when the error is raised.
 """
 
 from __future__ import annotations
@@ -73,26 +78,26 @@ def _context(n: int) -> VarContext:
 
 
 def _split_list(text: str, where: str):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ModelFileError(f"{where}: expected a bracketed list, got {text!r}")
-    inner = text[1:-1]
-    parts = []
+    """The items of a bracketed list, cut at the commas outside
+    parentheses: (offset of the item in text, the stripped item) pairs."""
+    stripped = text.strip()
+    if not (stripped.startswith("[") and stripped.endswith("]")):
+        raise ModelFileError(f"{where}: expected a bracketed list, got {stripped!r}")
+    inner = stripped[1:-1]
+    if not inner:
+        return []
+    offset = len(text) - len(text.lstrip()) + 1  # of the part in text
+    items = []
     depth = 0
-    current = []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
+    for part in inner.split(","):
+        if depth:  # the comma stands inside parentheses: the item goes on
+            start, item = items[-1]
+            items[-1] = start, item + "," + part
         else:
-            current.append(ch)
-    if current or parts:
-        parts.append("".join(current))
-    return [p.strip() for p in parts]
+            items.append((offset, part))
+        depth += part.count("(") - part.count(")")
+        offset += len(part) + 1
+    return [(start + len(item) - len(item.lstrip()), item.strip()) for start, item in items]
 
 
 _ALPHA_KEY = re.compile(r"alpha_([0-9]+)_([0-9]+)$|alpha_([0-9])([0-9])$")
@@ -105,9 +110,13 @@ def parse_model(path) -> ModelFile:
 
 
 def _read_sections(text: str, name: str):
-    """{section: {key: value}} of the INI subset in the module docstring,
-    in file order, read in one pass over the lines."""
+    """({section: {key: value}}, starts) of the INI subset in the module
+    docstring, in file order, read in one pass over the lines.  starts maps
+    each (section, key) to the number of its key line and the index in that
+    line of the text after its delimiter, which _file_position reads when
+    an error is raised."""
     sections = {}
+    starts = {}
     section = key = None  # the open section's keys; the key a continuation extends
     indent = 0  # indentation of the last header or key line
     for number, line in enumerate(text.split("\n"), 1):
@@ -138,14 +147,38 @@ def _read_sections(text: str, name: str):
         if key in section:
             raise ModelFileError(f"{where}: key {key!r} is repeated in its section")
         section[key] = [stripped[cut + 1 :].strip()]
-    return {
+        starts[header, key] = number, depth + cut + 1
+    values = {
         header: {k: "\n".join(lines).rstrip() for k, lines in keys.items()}
         for header, keys in sections.items()
     }
+    return values, starts
+
+
+def _file_position(text: str, start, value: str, pos: int):
+    """(line, column) in the file text of character pos of a value that
+    _read_sections read, its key line and delimiter given by start.  The
+    later lines of the value are its continuation and blank lines in file
+    order; the comment lines between them are not part of it."""
+    number, index = start
+    lines = text.split("\n")
+    k = value.count("\n", 0, pos)  # the line of the value that pos is on
+    column = pos - (value.rfind("\n", 0, pos) + 1) + 1
+    if not k:
+        line = lines[number - 1]
+        return number, len(line) - len(line[index:].lstrip()) + column
+    for i in range(number, len(lines)):  # lines[number] follows the key line
+        line = lines[i]
+        stripped = line.strip()
+        if stripped and stripped[0] in "#;":
+            continue
+        k -= 1
+        if not k:
+            return i + 1, len(line) - len(line.lstrip()) + column
 
 
 def parse_model_text(text: str, name: str = "model") -> ModelFile:
-    sections = _read_sections(text, name)
+    sections, starts = _read_sections(text, name)
     for section in sections:
         if section not in KNOWN_SECTIONS:
             raise ModelFileError(f"unknown section [{section}]")
@@ -164,12 +197,28 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
     if len(v_items) != n:  # before the n names of the context are built
         raise ModelFileError(f"[ode] v has {len(v_items)} components, expected {n}")
     ctx = _context(n)
-    v = [_parse(item, ctx, "[ode] v") for item in v_items]
+
+    def parse(header, key, item=None, offset=0):
+        """The expression of a value, or of the list item at offset in it;
+        a ParseError is reported at its line and column in the file."""
+        value = sections[header].get(key, "")
+        item = value if item is None else item
+        if not item.strip():
+            raise ModelFileError(f"[{header}] {key}: empty expression")
+        try:
+            return parse_expr(item, ctx)
+        except ParseError as exc:
+            line, column = _file_position(text, starts[header, key], value, offset + exc.position)
+            raise ModelFileError(
+                f"[{header}] {key}: {exc.message} (line {line}, column {column})"
+            ) from exc
+
+    v = [parse("ode", "v", item, offset) for offset, item in v_items]
 
     alpha = None
     if "anchor" in sections:
         upper, keys = {}, {}
-        for key, value in sections["anchor"].items():
+        for key in sections["anchor"]:
             m = _ALPHA_KEY.match(key)
             if not m:
                 raise ModelFileError(
@@ -182,13 +231,13 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
             if (i, j) in keys:
                 raise ModelFileError(f"[anchor] {keys[i, j]} and {key} both set alpha_{i}_{j}")
             keys[i, j] = key
-            upper[(i - 1, j - 1)] = _parse(value, ctx, f"[anchor] {key}")
+            upper[(i - 1, j - 1)] = parse("anchor", key)
         alpha = ode.Bivector(n, upper)
 
     f = None
     if "characteristic" in sections:
         _check_keys(sections["characteristic"], {"f"}, "characteristic")
-        f = _parse(sections["characteristic"].get("f", ""), ctx, "[characteristic] f")
+        f = parse("characteristic", "f")
 
     w = None
     if "symmetry" in sections:
@@ -196,12 +245,12 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
         items = _split_list(sections["symmetry"].get("w", ""), "[symmetry] w")
         if len(items) != n:
             raise ModelFileError(f"[symmetry] w has {len(items)} components, expected {n}")
-        w = [_parse(item, ctx, "[symmetry] w") for item in items]
+        w = [parse("symmetry", "w", item, offset) for offset, item in items]
 
     hamiltonian = None
     if "hamiltonian" in sections:
         _check_keys(sections["hamiltonian"], {"H"}, "hamiltonian")
-        hamiltonian = _parse(sections["hamiltonian"].get("H", ""), ctx, "[hamiltonian] H")
+        hamiltonian = parse("hamiltonian", "H")
 
     return ModelFile(n, v, alpha=alpha, f=f, w=w, hamiltonian=hamiltonian, name=name)
 
@@ -210,15 +259,6 @@ def _check_keys(section, allowed, name):
     extra = set(section.keys()) - allowed
     if extra:
         raise ModelFileError(f"unknown keys in [{name}]: {sorted(extra)}")
-
-
-def _parse(text, ctx, where):
-    if not text.strip():
-        raise ModelFileError(f"{where}: empty expression")
-    try:
-        return parse_expr(text, ctx)
-    except ParseError as exc:
-        raise ModelFileError(f"{where}: {exc}") from exc
 
 
 def format_model(model: ModelFile) -> str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -119,12 +118,14 @@ def compile_scalar(e, n: int):
     return _define(f"def scalar(t, x):\n{body}", "scalar")
 
 
-@dataclass
 class DriftRecord:
-    name: str
-    drift: float
-    blowup: bool
-    stop: str | None = None
+    __slots__ = ("name", "drift", "blowup", "stop")
+
+    def __init__(self, name: str, drift: float, blowup: bool, stop: str | None = None):
+        self.name = name
+        self.drift = drift
+        self.blowup = blowup
+        self.stop = stop
 
 
 def random_initial_points(n: int, seed: int, count: int = DEFAULT_POINTS):

@@ -33,6 +33,7 @@ MAX_DEPTH = 100
 
 class ParseError(ex.ExprError):
     def __init__(self, message, position, text):
+        self.message = message
         self.position = position
         line = text.count("\n", 0, position) + 1
         col = position - (text.rfind("\n", 0, position) + 1) + 1

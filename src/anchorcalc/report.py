@@ -8,7 +8,6 @@ human-readable rendering only, since they would break reproducibility).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 REPORT_VERSION = "1"
 
@@ -20,19 +19,27 @@ ERROR = "ERROR"
 _ORDER = {PASS: 0, SKIP: 1, FAIL: 2, ERROR: 3}
 
 
-@dataclass
+# Plain slotted classes: importing dataclasses would load inspect, ast and
+# dis, about a third of the CLI's cold import.
+
+
 class CheckRecord:
-    name: str
-    status: str
-    residual: str | None = None
-    ms: float = 0.0
+    __slots__ = ("name", "status", "residual", "ms")
+
+    def __init__(self, name: str, status: str, residual: str | None = None, ms: float = 0.0):
+        self.name = name
+        self.status = status
+        self.residual = residual
+        self.ms = ms
 
 
-@dataclass
 class ModelReport:
-    model: str
-    seed: int | None = None
-    checks: list = field(default_factory=list)
+    __slots__ = ("model", "seed", "checks")
+
+    def __init__(self, model: str, seed: int | None = None, checks=None):
+        self.model = model
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     def add(self, record: CheckRecord):
         if any(c.name == record.name for c in self.checks):

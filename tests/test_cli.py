@@ -181,6 +181,59 @@ def test_full_check_computes_each_shared_result_once(monkeypatch):
     assert calls == {"_lie_bracket": 1, "_characteristic": 2, "_anchor_apply": 2}
 
 
+def _count_form_builds(monkeypatch, vector, forms_of_interest):
+    """Patch forms.interior and forms.exterior_d to count, per name in
+    forms_of_interest, the interior products with the vector and the
+    exterior derivatives of that form."""
+    calls = collections.Counter()
+    interior, exterior_d = forms.interior, forms.exterior_d
+
+    def which(a):
+        return next((n for n, f in forms_of_interest.items() if a.components == f.components), "")
+
+    def counted_interior(xi, a):
+        if xi.components == vector.components and which(a):
+            calls.update([f"i_xi {which(a)}"])
+        return interior(xi, a)
+
+    def counted_exterior_d(a):
+        if which(a):
+            calls.update([f"d {which(a)}"])
+        return exterior_d(a)
+
+    monkeypatch.setattr(forms, "interior", counted_interior)
+    monkeypatch.setattr(forms, "exterior_d", counted_exterior_d)
+    return calls
+
+
+def test_catalog_builds_each_derived_form_once(monkeypatch):
+    # the characteristic, the current and L_xi H share one i_xi H, and
+    # L_xi H reads the residual dH
+    space = forms.lorentzian(6)
+    H = forms.selfdual_project(forms.field_form(space, "H", 3))[0]
+    calls = _count_form_builds(monkeypatch, forms.dilation(space), {"H": H})
+    assert run_cli("catalog", "selfdual", "--n", "6", "--xi", "dil")[0] == 0
+    assert calls == {"i_xi H": 1, "d H": 1}
+    monkeypatch.undo()
+    # the characteristic, the current and L_xi F share i_xi F, the first
+    # two share i_xi *F, and L_xi F reads the residual dF (d*F is the other)
+    space = forms.lorentzian(4)
+    F = forms.field_form(space, "F", 2)
+    r01 = forms.rotation(space, 0, 1)
+    calls = _count_form_builds(monkeypatch, r01, {"F": F, "*F": forms.hodge(F)})
+    assert run_cli("catalog", "pform", "--n", "4", "--p", "2", "--xi", "r01")[0] == 0
+    assert calls == {"i_xi F": 1, "i_xi *F": 1, "d F": 1, "d *F": 1}
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the report records are plain slotted classes: dataclasses would load
+    # inspect, ast and dis at every start of the command
+    code = "import sys, anchorcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # --- CLI entry points ------------------------------------------------------------
 
 

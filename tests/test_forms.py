@@ -186,6 +186,21 @@ def test_cartan_identities_random():
                     assert fo.exterior_d(lie) == fo.lie_derivative(xi, fo.exterior_d(w))
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SPACES), st.integers(0, 2**32))
+def test_lie_derivative_from_a_given_d_and_interior(space, seed):
+    # a caller that holds d a or i_xi a gets the same L_xi a
+    xi = rand_vector(space, seed)
+    for grade in range(space.n + 1):
+        a = rand_form(space, grade, seed)
+        da = fo.exterior_d(a) if grade < space.n else None
+        ia = fo.interior(xi, a) if grade else None
+        lie = fo.lie_derivative(xi, a)
+        assert fo.lie_derivative(xi, a, da=da) == lie
+        assert fo.lie_derivative(xi, a, ia=ia) == lie
+        assert fo.lie_derivative(xi, a, da=da, ia=ia) == lie
+
+
 def test_lie_derivative_volume_rotation():
     assert fo.lie_derivative(fo.rotation(E2, 0, 1), _volume(E2)).is_zero()
 

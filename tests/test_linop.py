@@ -1,8 +1,9 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import anchorcalc as ac
@@ -285,6 +286,57 @@ def test_reduce_kills_prolonged_equations_and_is_idempotent(system):
     probe = sum(_tjet(f, k) * _tjet(fields[0], top - k) for f in fields for k in range(top + 1))
     once = shell.reduce(probe)
     assert shell.reduce(once) == once
+
+
+def _jet_of_order(draw, field, directions, k):
+    """A jet of the field of order k, its directions drawn."""
+    steps = draw(st.lists(st.sampled_from(directions), min_size=k, max_size=k))
+    return ac.jet(field, collections.Counter(steps))
+
+
+@st.composite
+def _shells_and_probes(draw):
+    """A linear shell in one or two directions, one equation per field,
+    solved for a jet of order 1 or 2 of its field with a constant
+    coefficient, the rest lower-order jets times powers of t; and probes,
+    sums of products of two jets times powers of t, that hold a jet one or
+    two orders above every equation."""
+    directions = draw(st.sampled_from([["t"], ["t", "s"]]))
+    fields = [f"x{i + 1}" for i in range(draw(st.integers(1, 3)))]
+    orders = [draw(st.sampled_from([1, 2])) for _ in fields]
+    equations = []
+    for field, q in zip(fields, orders):
+        e = draw(_fractions.filter(bool)) * _jet_of_order(draw, field, directions, q)
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(0, q - 1))
+            jet = _jet_of_order(draw, draw(st.sampled_from(fields)), directions, k)
+            e = e + draw(_fractions) * t ** draw(st.integers(0, 2)) * jet
+        equations.append(e)
+    probes = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = max(orders) + draw(st.integers(1, 2))
+        probe = _jet_of_order(draw, draw(st.sampled_from(fields)), directions, top)
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = (
+                _jet_of_order(draw, draw(st.sampled_from(fields)), directions, k)
+                for k in (draw(st.integers(0, top)), draw(st.integers(0, top)))
+            )
+            probe = probe + draw(_fractions) * t ** draw(st.integers(0, 1)) * a * b
+        probes.append(probe)
+    return equations, directions, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shells_and_probes())
+def test_reduce_in_one_pass_is_the_fixed_point_of_its_rules(case):
+    equations, directions, probes = case
+    try:
+        shell = lo.ShellRules(equations, directions)
+    except lo.ShellError:  # a prolongation left a lead with a coefficient in t
+        reject()
+    for probe in probes:
+        rules = shell.rules_up_to(ex.max_jet_order(probe))
+        assert shell.reduce(probe) == lo._reduce_full(probe, rules)
 
 
 def test_op_equal_mod_shell_exact_and_weak():

@@ -31,7 +31,7 @@ def _reference(text):
 
 def _ours(text):
     try:
-        sections = modelfile._read_sections(text, "model")
+        sections, _ = modelfile._read_sections(text, "model")
     except ModelFileError:
         return None
     return [(section, list(keys.items())) for section, keys in sections.items()]
@@ -147,3 +147,82 @@ def test_check_reads_its_model_file_without_configparser():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# --- expression errors point into the file ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[ode]\nn = 2\nv = [x1,\n    x2 +]\n", r"\[ode\] v: expected a value \(line 4, column 9\)"),
+        (
+            "[ode]\n  v :  [ q ]\n  n = 1\n",
+            r"\[ode\] v: unknown identifier 'q' \(line 2, column 10\)",
+        ),
+        (
+            "[ode]\nn = 1\nv = [x1]\n[characteristic]\nf = x1 +\n  ; comment\n\n  x1 +\n",
+            r"\[characteristic\] f: expected a value \(line 8, column 7\)",
+        ),
+        (
+            "[ode]\r\nn = 2\r\nv = [x1, x2]\r\n[symmetry]\r\nw = [x2,\r\n\t(x1 $ 1)]\r\n",
+            r"\[symmetry\] w: unexpected character '\$' \(line 6, column 6\)",
+        ),
+        (
+            "[ode]\nn = 2\nv = [x1, x2]\n[anchor]\nalpha_12 = x1 *\n     x2 ^ y\n",
+            r"\[anchor\] alpha_12: exponent must be an integer \(line 6, column 11\)",
+        ),
+        (
+            "[ode]\nn = 1\nv = [x1]\n[hamiltonian]\nH = x1^2\n  # comment\n  + x1_y",
+            r"\[hamiltonian\] H: cannot read .* suffix 'y' .* \(line 7, column 5\)",
+        ),
+    ],
+)
+def test_expression_error_names_its_file_line_and_column(text, message):
+    with pytest.raises(ModelFileError, match=message):
+        parse_model_text(text)
+
+
+_ITEMS = st.sampled_from([["x1"], ["-", "x1"], ["(", "x1", "+", "1", ")"], ["2", "*", "x1"]])
+_BAD_ITEMS = st.sampled_from([["q"], ["x1", "+", "q"], ["(", "x1", "-", "q", ")"]])
+# what stands between two tokens of a value: nothing, spaces, or a line
+# break into a continuation line, maybe past comment and blank lines
+_GAPS = st.sampled_from(["", " ", "  ", "\n    ", "\n\t", "\n  # note\n   ", "\n\n  ", "\n  ;\n\n  "])
+
+
+@st.composite
+def _misplaced_files(draw):
+    """A model file whose [ode] v list or [characteristic] f value holds
+    the one unknown identifier q, its tokens laid out over continuation,
+    comment and blank lines; and the (section, key) that holds q."""
+    n = draw(st.integers(1, 3))
+    in_list = draw(st.booleans())
+    bad = draw(_BAD_ITEMS)
+    if in_list:
+        items = [draw(_ITEMS) for _ in range(n)]
+        items[draw(st.integers(0, n - 1))] = bad
+        tokens = ["["] + [t for item in items for t in item + [","]][:-1] + ["]"]
+    else:
+        tokens = draw(_ITEMS) + ["*"] + bad
+    value = "".join(draw(_GAPS) + token for token in tokens)
+    key = draw(st.sampled_from([" = ", "=", ": ", " :"]))
+    v = "[" + ", ".join(["x1"] * n) + "]"
+    if in_list:
+        text = f"[ode]\nn = {n}\nv{key}{value}\n"
+        where = "[ode] v"
+    else:
+        text = f"[ode]\nn = {n}\nv = {v}\n\n[characteristic]\nf{key}{value}\n"
+        where = "[characteristic] f"
+    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n"]))), where
+
+
+@settings(max_examples=300, deadline=None)
+@given(_misplaced_files())
+def test_expression_error_points_at_the_token_in_the_file(case):
+    text, where = case
+    at = text.index("q")
+    line = text.count("\n", 0, at) + 1
+    column = at - text.rfind("\n", 0, at)
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text)
+    assert str(err.value) == f"{where}: unknown identifier 'q' (line {line}, column {column})"

@@ -308,7 +308,7 @@ def _fixture_texts():
         for section in cp.sections():
             for value in cp[section].values():
                 if value.startswith("["):
-                    texts.extend(_split_list(value, section))
+                    texts.extend(item for _, item in _split_list(value, section))
                 elif section != "ode":  # [ode] n is a count, not an expression
                     texts.append(value)
     return texts
