@@ -188,21 +188,15 @@ def _xis(space, selector, dilation: bool):
     return xis + [("dil", fo.dilation(space))] if dilation else xis
 
 
-# The work of a catalog run, counted as C(n, p) * n^2 for a p-form field on
-# R^n, tracks its wall time over the n default vector fields (README.md has
-# the timings the budget was sized from).
-_MAX_CATALOG_WORK = 50_000
-
-
 def _check_catalog_work(n: int, grade: int):
-    """Refuse a run over the work budget before any space or form is built;
-    a grade outside 0..n is left to the model's own check."""
+    """Refuse a run over the catalog budget before any space or form is
+    built; a grade outside 0..n is left to the model's own check.  The work
+    of a catalog run, counted as C(n, p) * n^2 for a p-form field on R^n,
+    tracks its wall time over the n default vector fields (README.md has
+    the timings the budget was sized from)."""
     work = math.comb(n, grade) * n * n if 0 <= grade <= n else 0
-    if work > _MAX_CATALOG_WORK:
-        raise ex.ResourceLimitError(
-            f"a {grade}-form field on n = {n} takes {work} units of work "
-            f"(components x n^2), more than the budget of {_MAX_CATALOG_WORK}"
-        )
+    if work > ex.BUDGETS["catalog budget"][0]:
+        ex.refuse(f"a {grade}-form field on n = {n}", f"{work} units of work", "catalog budget")
 
 
 def _pform_checks(args):

@@ -8,6 +8,8 @@ bracket homomorphism on so(3)); the test suite re-runs those calibrations
 against the frozen values.
 """
 
+from .expr import BUDGETS
+
 # Hamiltonian deformation: deform(sys, alpha, H) returns v' = v - alpha.grad(H),
 # so the free system deforms to xdot^i = {x^i, H} with the bracket below.
 TWIST_SIGN = -1
@@ -18,7 +20,8 @@ TWIST_SIGN = -1
 # {f, g} = alpha^{ij} d_i f d_j g.
 HOMOMORPHISM_SIGN = -1
 
-CONVENTION_SHEET = """\
+CONVENTION_SHEET = (
+    """\
 anchorcalc convention sheet (version 1)
 
 Exact kernel
@@ -32,12 +35,9 @@ Exact kernel
     the monomial of their largest inverse powers reduces to zero; a
     nonzero one keeps its negative powers.
   * Budgets, all constants; a run that would pass one exits 2:
-      expr.NODE_LIMIT = 1000000 monomials per polynomial, and term
-        products per multiplication
-      ode.MAX_SEARCH_COLUMNS = 2000 monomials in a characteristic search
-      numeric.MAX_RK4_STEPS = 10000000 RK4 steps in a drift-oracle run
-      cli._MAX_CATALOG_WORK = 50000 units of work, C(n, p) * n^2, in a
-        catalog run
+"""
+    + "".join(f"      {name}: {limit} {unit}\n" for name, (limit, unit) in BUDGETS.items())
+    + """\
   * Randomized oracle: 32 seeds, rational samples with |numerator| <= 1000
     and denominator <= 1000, elementary functions at 256-bit precision,
     zero threshold 10^-40.
@@ -94,3 +94,4 @@ Chiral multiplet (n = 2, N self-dual 1-forms, semi-simple algebra)
     structure constants satisfy Jacobi because f does, which is checked
     once when the LieAlgebra is built.
 """
+)

@@ -39,9 +39,8 @@ straight into a sum, so the cap bounds time as well as size; the
 reduction refuses cos(u)^k when (k // 2 + 1)^2 exceeds it.  That holds
 for the parser, the operator and form layers and the ODE checks and
 characteristic search too, as they run on the polynomial layer below.
-NODE_LIMIT is a constant, like the other budgets (ode.MAX_SEARCH_COLUMNS,
-numeric.MAX_RK4_STEPS, cli._MAX_CATALOG_WORK), read by each size test
-when it runs.
+NODE_LIMIT is the node-limit row of BUDGETS, the one table of resource
+budgets, and each size test reads it when it runs.
 
 Everything here is a pure function over immutable values and is safe for
 concurrent use; the cached hash and the memoised gradient of an expression
@@ -61,7 +60,16 @@ from operator import itemgetter
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 
-NODE_LIMIT = 10**6
+# Every resource budget: name -> (limit, the unit it counts).  A run that
+# would pass one is refused before the work it bounds, and exits 2; the
+# convention sheet prints these rows.
+BUDGETS = {
+    "node limit": (10**6, "monomials or term products per kernel operation"),
+    "column budget": (2000, "monomials in a characteristic search"),
+    "step budget": (10**7, "RK4 steps in a drift-oracle run"),
+    "catalog budget": (50_000, "units of work, C(n, p) * n^2, in a catalog run"),
+}
+NODE_LIMIT = BUDGETS["node limit"][0]
 
 
 class ExprError(Exception):
@@ -69,9 +77,7 @@ class ExprError(Exception):
 
 
 class ResourceLimitError(ExprError):
-    """A computation would pass a resource budget: the node limit of an
-    expression, the step budget of the numeric oracle, the column budget
-    of the characteristic search, or the work budget of a catalog run."""
+    """A computation would pass a resource budget, a row of BUDGETS."""
 
 
 class UnsupportedInputError(ExprError):
@@ -82,9 +88,17 @@ class EvaluationError(ExprError):
     """Randomized evaluation could not produce a sample."""
 
 
+def refuse(what: str, count: str, budget: str, limit: int | None = None):
+    """Raise the ResourceLimitError of every budget: `what` would take
+    `count`, more than the limit that applied, the table's unless given."""
+    if limit is None:
+        limit = BUDGETS[budget][0]
+    raise ResourceLimitError(f"{what} exceeds the {budget} ({count} > {limit})")
+
+
 def _check_size(n: int) -> None:
     if n > NODE_LIMIT:
-        raise ResourceLimitError(f"expression exceeds node limit ({n} monomials > {NODE_LIMIT})")
+        refuse("expression", f"{n} monomials", "node limit", NODE_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +492,6 @@ def _psum(p, q, k=1):
     return _normal(*acc)
 
 
-def _refuse_product(n1: int, n2: int):
-    raise ResourceLimitError(
-        f"product exceeds node limit ({n1} x {n2} term products > {NODE_LIMIT})"
-    )
-
-
 def _paddmul_into(acc, p, q, k=1):
     """acc += k * p * q for an accumulator acc and an int k, without forming
     the product: each term product goes straight into the sum.  The product
@@ -495,7 +503,7 @@ def _paddmul_into(acc, p, q, k=1):
     if not n2:  # a zero factor
         return
     if n1 * n2 > NODE_LIMIT:
-        _refuse_product(n1, n2)
+        refuse("product", f"{n1} x {n2} term products", "node limit", NODE_LIMIT)
     out = acc[0]
     d = pd * qd
     if d != acc[1]:
@@ -532,7 +540,7 @@ def _pmul(p, q):
         p, q = q, p
     (pc, pd), (qc, qd) = p, q
     if len(pc) * len(qc) > NODE_LIMIT:
-        _refuse_product(len(pc), len(qc))
+        refuse("product", f"{len(pc)} x {len(qc)} term products", "node limit", NODE_LIMIT)
     if len(qc) != 1:  # the general loop, or a zero factor
         acc = _acc()
         _paddmul_into(acc, p, q)
@@ -637,9 +645,7 @@ def _cos_power(a, e):
     refused before any term is built when (q + 1)^2 exceeds NODE_LIMIT."""
     s, q = FunAtom("sin", a[3]), e // 2
     if (q + 1) ** 2 > NODE_LIMIT:
-        raise ResourceLimitError(
-            f"cos power exceeds node limit ({q + 1} binomials of about {q} bits)"
-        )
+        refuse("cos power", f"({q + 1} binomials)^2", "node limit", NODE_LIMIT)
     base = ((a, 1),) if e % 2 else ()
     terms, c = {}, 1
     for i in range(1, q + 1):  # c = (-1)^i C(q, i), one running product

@@ -38,10 +38,11 @@ parser rejects.  It diverges on purpose in two places:
   configparser drops the text after the last `]` (`[ode] n = 2` is the
   header `ode`) and reads `[x = 1` as the key `[x`.
 
-An expression that does not parse is a ModelFileError with the line and
-column in the file where the parser stopped.  The reader keeps only where
-each value starts; the position is mapped back into the file
-(_file_position) when the error is raised.
+The reader records the file line and start column of every line it joins
+into a value, so a position in a value is one index into that list.  An
+expression that does not parse is a ModelFileError with the line and
+column in the file where the parser stopped; every other error in a value
+names the line it stands on.
 """
 
 from __future__ import annotations
@@ -110,13 +111,12 @@ def parse_model(path) -> ModelFile:
 
 
 def _read_sections(text: str, name: str):
-    """({section: {key: value}}, starts) of the INI subset in the module
-    docstring, in file order, read in one pass over the lines.  starts maps
-    each (section, key) to the number of its key line and the index in that
-    line of the text after its delimiter, which _file_position reads when
-    an error is raised."""
+    """({section: {key: value}}, places) of the INI subset in the module
+    docstring, in file order, read in one pass over the lines.  places maps
+    each (section, key) to the (file line, index in it) where each line of
+    its value starts."""
     sections = {}
-    starts = {}
+    places = {}
     section = key = None  # the open section's keys; the key a continuation extends
     indent = 0  # indentation of the last header or key line
     for number, line in enumerate(text.split("\n"), 1):
@@ -124,10 +124,12 @@ def _read_sections(text: str, name: str):
         if not stripped or stripped[0] in "#;":
             if not stripped and key is not None:
                 section[key].append("")  # kept only inside a value
+                place.append((number, len(line)))
             continue
         depth = len(line) - len(line.lstrip())
         if key is not None and depth > indent:
             section[key].append(stripped)
+            place.append((number, depth))
             continue
         indent, where = depth, f"{name}, line {number}"
         if stripped[0] == "[":
@@ -146,72 +148,64 @@ def _read_sections(text: str, name: str):
             raise ModelFileError(f"{where}: expected {what}, got {stripped!r}")
         if key in section:
             raise ModelFileError(f"{where}: key {key!r} is repeated in its section")
-        section[key] = [stripped[cut + 1 :].strip()]
-        starts[header, key] = number, depth + cut + 1
+        rest = stripped[cut + 1 :]
+        section[key] = [rest.strip()]
+        place = places[header, key] = [(number, depth + len(stripped) - len(rest.lstrip()))]
     values = {
         header: {k: "\n".join(lines).rstrip() for k, lines in keys.items()}
         for header, keys in sections.items()
     }
-    return values, starts
-
-
-def _file_position(text: str, start, value: str, pos: int):
-    """(line, column) in the file text of character pos of a value that
-    _read_sections read, its key line and delimiter given by start.  The
-    later lines of the value are its continuation and blank lines in file
-    order; the comment lines between them are not part of it."""
-    number, index = start
-    lines = text.split("\n")
-    k = value.count("\n", 0, pos)  # the line of the value that pos is on
-    column = pos - (value.rfind("\n", 0, pos) + 1) + 1
-    if not k:
-        line = lines[number - 1]
-        return number, len(line) - len(line[index:].lstrip()) + column
-    for i in range(number, len(lines)):  # lines[number] follows the key line
-        line = lines[i]
-        stripped = line.strip()
-        if stripped and stripped[0] in "#;":
-            continue
-        k -= 1
-        if not k:
-            return i + 1, len(line) - len(line.lstrip()) + column
+    return values, places
 
 
 def parse_model_text(text: str, name: str = "model") -> ModelFile:
-    sections, starts = _read_sections(text, name)
+    sections, places = _read_sections(text, name)
     for section in sections:
         if section not in KNOWN_SECTIONS:
             raise ModelFileError(f"unknown section [{section}]")
     if "ode" not in sections:
         raise ModelFileError("missing [ode] section")
 
+    def error(header, key, message, pos=0, column=False):
+        """The ModelFileError `[header] message` about the value of key, at
+        the file line of its character pos, and at its column if asked; a
+        missing key has no line."""
+        if key in sections[header]:
+            value = sections[header][key]
+            line, start = places[header, key][value.count("\n", 0, pos)]
+            at = start + pos - value.rfind("\n", 0, pos)
+            message += f" (line {line}, column {at})" if column else f" (line {line})"
+        return ModelFileError(f"[{header}] {message}")
+
+    def items(header, key):
+        try:
+            return _split_list(sections[header].get(key, ""), key)
+        except ModelFileError as exc:
+            raise error(header, key, str(exc)) from None
+
     ode_sec = sections["ode"]
     _check_keys(ode_sec, {"n", "v"}, "ode")
     try:
         n = int(ode_sec.get("n", ""))
     except ValueError:
-        raise ModelFileError("[ode] n must be an integer") from None
+        raise error("ode", "n", "n must be an integer") from None
     if n < 1:
-        raise ModelFileError("[ode] n must be positive")
-    v_items = _split_list(ode_sec.get("v", ""), "[ode] v")
+        raise error("ode", "n", "n must be positive")
+    v_items = items("ode", "v")
     if len(v_items) != n:  # before the n names of the context are built
-        raise ModelFileError(f"[ode] v has {len(v_items)} components, expected {n}")
+        raise error("ode", "v", f"v has {len(v_items)} components, expected {n}")
     ctx = _context(n)
 
     def parse(header, key, item=None, offset=0):
         """The expression of a value, or of the list item at offset in it;
         a ParseError is reported at its line and column in the file."""
-        value = sections[header].get(key, "")
-        item = value if item is None else item
+        item = sections[header].get(key, "") if item is None else item
         if not item.strip():
-            raise ModelFileError(f"[{header}] {key}: empty expression")
+            raise error(header, key, f"{key}: empty expression", offset)
         try:
             return parse_expr(item, ctx)
         except ParseError as exc:
-            line, column = _file_position(text, starts[header, key], value, offset + exc.position)
-            raise ModelFileError(
-                f"[{header}] {key}: {exc.message} (line {line}, column {column})"
-            ) from exc
+            raise error(header, key, f"{key}: {exc.message}", offset + exc.position, True) from exc
 
     v = [parse("ode", "v", item, offset) for offset, item in v_items]
 
@@ -221,15 +215,15 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
         for key in sections["anchor"]:
             m = _ALPHA_KEY.match(key)
             if not m:
-                raise ModelFileError(
-                    f"[anchor] keys must look like alpha_12 or alpha_1_2, got {key!r}"
+                raise error(
+                    "anchor", key, f"keys must look like alpha_12 or alpha_1_2, got {key!r}"
                 )
             groups = [g for g in m.groups() if g is not None]
             i, j = int(groups[0]), int(groups[1])
             if not (1 <= i < j <= n):
-                raise ModelFileError(f"[anchor] {key}: need 1 <= i < j <= n")
+                raise error("anchor", key, f"{key}: need 1 <= i < j <= n")
             if (i, j) in keys:
-                raise ModelFileError(f"[anchor] {keys[i, j]} and {key} both set alpha_{i}_{j}")
+                raise error("anchor", key, f"{keys[i, j]} and {key} both set alpha_{i}_{j}")
             keys[i, j] = key
             upper[(i - 1, j - 1)] = parse("anchor", key)
         alpha = ode.Bivector(n, upper)
@@ -242,10 +236,10 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
     w = None
     if "symmetry" in sections:
         _check_keys(sections["symmetry"], {"w"}, "symmetry")
-        items = _split_list(sections["symmetry"].get("w", ""), "[symmetry] w")
-        if len(items) != n:
-            raise ModelFileError(f"[symmetry] w has {len(items)} components, expected {n}")
-        w = [parse("symmetry", "w", item, offset) for offset, item in items]
+        w_items = items("symmetry", "w")
+        if len(w_items) != n:
+            raise error("symmetry", "w", f"w has {len(w_items)} components, expected {n}")
+        w = [parse("symmetry", "w", item, offset) for offset, item in w_items]
 
     hamiltonian = None
     if "hamiltonian" in sections:

@@ -32,8 +32,6 @@ DEFAULT_STEP = 1e-3
 DEFAULT_T_END = 100.0
 DEFAULT_POINTS = 3
 DRIFT_TOLERANCE = 1e-6
-# points x steps per oracle run; bounds its time (the defaults take 3 x 10^5)
-MAX_RK4_STEPS = 10**7
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 # what float arithmetic and the math functions raise outside their domain
@@ -217,14 +215,11 @@ def integrate_drift(
 ):
     """Max |f(t, x(t)) - f(0, x(0))| along RK4 trajectories of xdot = -v,
     for each named tracked function.  Returns a list of DriftRecord.
-    Raises ResourceLimitError before any step when points x steps exceeds
-    MAX_RK4_STEPS."""
+    Raises ResourceLimitError before any step when points x steps, which
+    bounds its time (the defaults take 3 x 10^5), passes the step budget."""
     ratio = t_end / step
-    if not math.isfinite(ratio) or points * round(ratio) > MAX_RK4_STEPS:
-        raise ex.ResourceLimitError(
-            f"the oracle would take {points} x {ratio:.6g} RK4 steps, "
-            f"more than the budget of {MAX_RK4_STEPS}"
-        )
+    if not math.isfinite(ratio) or points * round(ratio) > ex.BUDGETS["step budget"][0]:
+        ex.refuse("the oracle", f"{points} x {ratio:.6g} RK4 steps", "step budget")
     run = _trajectory(system, [f for _, f in tracked])
     records = [DriftRecord(name, 0.0, False) for name, _ in tracked]
     for point in random_initial_points(system.n, seed, points):

@@ -482,9 +482,6 @@ def _kernel(reduced, cols):
 
 
 MAX_SEARCH_DEGREE = 12
-# monomials in (t, x) up to the search degree, one unknown each; bounds the
-# search's time (n = 4 at degree 9, 2002 monomials, is the first refused)
-MAX_SEARCH_COLUMNS = 2000
 
 
 def search_characteristics(sys: OdeSystem, max_degree: int):
@@ -493,12 +490,11 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     leading coefficients; the constant solution is removed."""
     if not 0 <= max_degree <= MAX_SEARCH_DEGREE:
         raise ValueError(f"degree {max_degree} is outside the search range 0..{MAX_SEARCH_DEGREE}")
+    # one unknown per monomial in (t, x) up to the degree; n = 4 at degree 9,
+    # 2002 monomials, is the first search refused
     columns = math.comb(sys.n + 1 + max_degree, max_degree)
-    if columns > MAX_SEARCH_COLUMNS:
-        raise ex.ResourceLimitError(
-            f"the search would take {columns} monomials, "
-            f"more than the budget of {MAX_SEARCH_COLUMNS}"
-        )
+    if columns > ex.BUDGETS["column budget"][0]:
+        ex.refuse("the search", f"{columns} monomials", "column budget")
     if any(isinstance(a, (ex.FunAtom, ex.Param)) for c in sys.v for a in ex.atoms(c)):
         raise UnsupportedInputError("characteristic search needs v polynomial in (t, x)")
     basis = _monomials(sys.n, max_degree)
@@ -519,7 +515,7 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
         for k, (atom, e) in enumerate(mono):
             terms = w[atom]
             if len(terms) > limit:
-                ex._refuse_product(len(terms), 1)
+                ex.refuse("product", f"{len(terms)} x 1 term products", "node limit", limit)
             head, tail = mono[:k], mono[k + 1 :]
             shift = head + tail if e == 1 else head + ((atom, e - 1),) + tail
             for u, c in terms.items():

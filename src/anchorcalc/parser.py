@@ -255,11 +255,12 @@ class _Parser:
         return value
 
     def atom(self):
+        """term() gathers nonzero integers and identifiers other than function
+        names, so here an integer is 0 and an identifier names a function."""
         kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            value = int(val)
-            return ({(): value}, 1) if value else ({}, 1)
+            return {}, 1
         if kind == "op" and val == "(":
             self.advance()
             inner = self.expr()
@@ -267,12 +268,10 @@ class _Parser:
             return inner
         if kind == "ident":
             self.advance()
-            if val in ex.FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return ex._fun_poly(val, ex._expr(arg))
-            return {((self.identifier(val, pos), 1),): 1}, 1
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return ex._fun_poly(val, ex._expr(arg))
         raise ParseError("expected a value", pos, self.text)
 
     def identifier(self, name, pos):

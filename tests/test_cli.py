@@ -93,7 +93,7 @@ def test_anchor_entry_named_twice_exits_2(tmp_path, capsys, first, second):
     code, out = run_cli("check", str(model))
     assert code == 2 and out == ""
     keys = " and ".join(line.split(" = ")[0] for line in (first, second))
-    assert capsys.readouterr().err == f"error: [anchor] {keys} both set alpha_1_2\n"
+    assert capsys.readouterr().err == f"error: [anchor] {keys} both set alpha_1_2 (line 7)\n"
 
 
 # --- run_checks ----------------------------------------------------------------
@@ -279,14 +279,30 @@ def test_cli_convention_sheet():
     code, out = run_cli("--convention")
     assert code == 0
     assert "Hodge star" in out and "Twist sign" in out
-    budgets = {
-        "expr.NODE_LIMIT": ac.expr.NODE_LIMIT,
-        "ode.MAX_SEARCH_COLUMNS": ode.MAX_SEARCH_COLUMNS,
-        "numeric.MAX_RK4_STEPS": numeric.MAX_RK4_STEPS,
-        "cli._MAX_CATALOG_WORK": cli._MAX_CATALOG_WORK,
-    }
-    for name, value in budgets.items():
-        assert f"{name} = {value} " in out
+    # the Budgets block is the table of budgets, one row per line
+    rows = [f"      {name}: {limit} {unit}\n" for name, (limit, unit) in ac.expr.BUDGETS.items()]
+    head = "  * Budgets, all constants; a run that would pass one exits 2:\n"
+    assert head + "".join(rows) + "  * Randomized oracle" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", str(OSCILLATOR)),
+        ("catalog", "pform", "--n", "3", "--p", "1"),
+        ("oracle", str(OSCILLATOR), "--t-end", "1"),
+    ],
+)
+def test_timings_change_only_the_ms_fields(argv):
+    code, plain = run_cli(*argv, "--json")
+    timed_code, timed = run_cli(*argv, "--json", "--timings")
+    assert code == timed_code
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert all(c["ms"] == 0 for c in plain["checks"])
+    assert all(isinstance(c["ms"], (int, float)) and c["ms"] >= 0 for c in timed["checks"])
+    for c in timed["checks"]:
+        c["ms"] = 0
+    assert timed == plain
 
 
 def test_cli_catalog_pform_small():
@@ -752,7 +768,7 @@ def test_oracle_step_budget_exits_2_at_once(argv, capsys):
 @pytest.mark.parametrize("points", [1, 3])
 def test_oracle_step_budget_boundary(points):
     model = parse_model(OSCILLATOR)
-    t_end = float(numeric.MAX_RK4_STEPS // points + 1)
+    t_end = float(ac.expr.BUDGETS["step budget"][0] // points + 1)
     with pytest.raises(ac.ResourceLimitError):
         numeric.integrate_drift(model.system, [("f", model.f)], t_end=t_end, step=1.0, points=points)
 
@@ -784,7 +800,7 @@ def test_search_degree_zero_has_no_solutions():
 @pytest.mark.parametrize("n, degree", [(4, 9), (6, 12)])
 def test_search_column_budget_exits_2_at_once(tmp_path, capsys, n, degree):
     # 2002 and 50388 monomials: just over the budget, and far over it
-    assert math.comb(n + 1 + degree, degree) > ode.MAX_SEARCH_COLUMNS
+    assert math.comb(n + 1 + degree, degree) > ac.expr.BUDGETS["column budget"][0]
     rotations = ", ".join(f"-x{i + 2}, x{i + 1}" for i in range(0, n, 2))
     model = tmp_path / "rotations.ini"
     model.write_text(f"[ode]\nn = {n}\nv = [{rotations}]\n")
@@ -817,18 +833,44 @@ def test_catalog_over_the_work_budget_builds_no_form(monkeypatch, capsys):
 )
 def test_catalog_work_budget_boundary(monkeypatch, capsys, argv, work):
     # the work estimate is C(n, p) * n^2, with p = n/2 for the self-dual field
-    monkeypatch.setattr(cli, "_MAX_CATALOG_WORK", work)
+    unit = ac.expr.BUDGETS["catalog budget"][1]
+    monkeypatch.setitem(ac.expr.BUDGETS, "catalog budget", (work, unit))
     assert run_cli("catalog", *argv)[0] == 0
-    monkeypatch.setattr(cli, "_MAX_CATALOG_WORK", work - 1)
+    monkeypatch.setitem(ac.expr.BUDGETS, "catalog budget", (work - 1, unit))
     assert run_cli("catalog", *argv)[0] == 2
     assert capsys.readouterr().err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize(
+    "budget, argv",
+    [
+        ("node limit", ["check", "{model}"]),
+        ("column budget", ["search", "{model}", "--degree", "12"]),
+        ("step budget", ["oracle", "{model}", "--step", "1e-300"]),
+        ("catalog budget", ["catalog", "pform", "--n", "40", "--p", "20"]),
+    ],
+)
+def test_every_refusal_names_its_budget_and_limit(tmp_path, capsys, monkeypatch, budget, argv):
+    v = "x2"
+    if budget == "node limit":  # (x1 + x2 + x3 + x4)^2 has 10 monomials
+        v = "(x1 + x2 + x3 + x4)^2"
+        monkeypatch.setattr(ac.expr, "NODE_LIMIT", 9)
+    model = tmp_path / "refused.ini"
+    model.write_text(f"[ode]\nn = 4\nv = [{v}, x1, x4, x3]\n\n[characteristic]\nf = x3 - x4\n")
+    with _deadline(5):
+        code = cli.main([a.format(model=model) for a in argv])
+    assert code == 2
+    limit = ac.expr.NODE_LIMIT if budget == "node limit" else ac.expr.BUDGETS[budget][0]
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert f" exceeds the {budget} (" in err and err.endswith(f" > {limit})\n")
 
 
 def test_catalog_work_budget_admits_the_pinned_reports():
     # CI pins pform n = 10 (p = 2 and 5) and selfdual n = 10; the benchmark
     # stops at n = 6
     for n, p in ((10, 2), (10, 5), (8, 4), (6, 3)):
-        assert math.comb(n, p) * n * n <= cli._MAX_CATALOG_WORK
+        assert math.comb(n, p) * n * n <= ac.expr.BUDGETS["catalog budget"][0]
 
 
 def test_rk4_convergence_order():

@@ -183,6 +183,24 @@ def test_expression_error_names_its_file_line_and_column(text, message):
         parse_model_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[ode]\nn = 2\nv = [x1]\n", "[ode] v has 1 components, expected 2 (line 3)"),
+        ("[ode]\nn = 2\nv = [x1,\n    ]\n", "[ode] v: empty expression (line 4)"),
+        ("[ode]\n\nn = two\nv = [x1]\n", "[ode] n must be an integer (line 3)"),
+        (
+            "[ode]\nn = 2\nv = [x1, x2]\n[anchor]\n  # note\nbeta_12 = 1\n",
+            "[anchor] keys must look like alpha_12 or alpha_1_2, got 'beta_12' (line 6)",
+        ),
+    ],
+)
+def test_value_error_names_its_file_line(text, message):
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text)
+    assert str(err.value) == message
+
+
 _ITEMS = st.sampled_from([["x1"], ["-", "x1"], ["(", "x1", "+", "1", ")"], ["2", "*", "x1"]])
 _BAD_ITEMS = st.sampled_from([["q"], ["x1", "+", "q"], ["(", "x1", "-", "q", ")"]])
 # what stands between two tokens of a value: nothing, spaces, or a line

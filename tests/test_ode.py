@@ -516,7 +516,7 @@ def test_search_column_budget_boundary(monkeypatch, n):
     monkeypatch.setattr(ode, "_monomials", _refuse_build)
     system = ode.free_system(n)
     for degree in range(ode.MAX_SEARCH_DEGREE + 1):
-        if math.comb(n + 1 + degree, degree) > ode.MAX_SEARCH_COLUMNS:
+        if math.comb(n + 1 + degree, degree) > ex.BUDGETS["column budget"][0]:
             with pytest.raises(ac.ResourceLimitError, match="monomials"):
                 ode.search_characteristics(system, degree)
         else:
@@ -526,7 +526,7 @@ def test_search_column_budget_boundary(monkeypatch, n):
 
 def test_search_budget_admits_every_degree_up_to_three_fields():
     d = ode.MAX_SEARCH_DEGREE
-    assert math.comb(3 + 1 + d, d) <= ode.MAX_SEARCH_COLUMNS
+    assert math.comb(3 + 1 + d, d) <= ex.BUDGETS["column budget"][0]
 
 
 def test_search_rejects_negative_degree():
