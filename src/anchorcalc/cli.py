@@ -272,6 +272,7 @@ def catalog_report(args) -> ModelReport:
 
 
 def oracle_report(args) -> ModelReport:
+    numeric.step_count(args.t_end, args.step, args.points)  # refuse before any work
     model = parse_model(args.model_file)
     if model.f is None:
         raise ModelFileError("the oracle needs a [characteristic] section")

@@ -114,7 +114,7 @@ def _read_sections(text: str, name: str):
     """({section: {key: value}}, places) of the INI subset in the module
     docstring, in file order, read in one pass over the lines.  places maps
     each (section, key) to the (file line, index in it) where each line of
-    its value starts."""
+    its value starts, and (section, None) to its header's."""
     sections = {}
     places = {}
     section = key = None  # the open section's keys; the key a continuation extends
@@ -139,6 +139,7 @@ def _read_sections(text: str, name: str):
             if header in sections:
                 raise ModelFileError(f"{where}: section [{header}] is repeated")
             section = sections[header] = {}
+            places[header, None] = [(number, depth)]
             key = None
             continue
         cut = min((i for i in (stripped.find("="), stripped.find(":")) if i >= 0), default=0)
@@ -162,7 +163,7 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
     sections, places = _read_sections(text, name)
     for section in sections:
         if section not in KNOWN_SECTIONS:
-            raise ModelFileError(f"unknown section [{section}]")
+            raise ModelFileError(f"unknown section [{section}]{_line(places, section)}")
     if "ode" not in sections:
         raise ModelFileError("missing [ode] section")
 
@@ -184,7 +185,7 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
             raise error(header, key, str(exc)) from None
 
     ode_sec = sections["ode"]
-    _check_keys(ode_sec, {"n", "v"}, "ode")
+    _check_keys(sections, places, "ode", {"n", "v"})
     try:
         n = int(ode_sec.get("n", ""))
     except ValueError:
@@ -230,12 +231,12 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
 
     f = None
     if "characteristic" in sections:
-        _check_keys(sections["characteristic"], {"f"}, "characteristic")
+        _check_keys(sections, places, "characteristic", {"f"})
         f = parse("characteristic", "f")
 
     w = None
     if "symmetry" in sections:
-        _check_keys(sections["symmetry"], {"w"}, "symmetry")
+        _check_keys(sections, places, "symmetry", {"w"})
         w_items = items("symmetry", "w")
         if len(w_items) != n:
             raise error("symmetry", "w", f"w has {len(w_items)} components, expected {n}")
@@ -243,16 +244,24 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
 
     hamiltonian = None
     if "hamiltonian" in sections:
-        _check_keys(sections["hamiltonian"], {"H"}, "hamiltonian")
+        _check_keys(sections, places, "hamiltonian", {"H"})
         hamiltonian = parse("hamiltonian", "H")
 
     return ModelFile(n, v, alpha=alpha, f=f, w=w, hamiltonian=hamiltonian, name=name)
 
 
-def _check_keys(section, allowed, name):
-    extra = set(section.keys()) - allowed
+def _line(places, header, key=None) -> str:
+    """` (line N)`: the file line of a section's header, or of a key."""
+    return f" (line {places[header, key][0][0]})"
+
+
+def _check_keys(sections, places, header, allowed):
+    """Refuse the keys of a section outside allowed, at the line of the
+    first of them in the file."""
+    extra = [key for key in sections[header] if key not in allowed]
     if extra:
-        raise ModelFileError(f"unknown keys in [{name}]: {sorted(extra)}")
+        where = _line(places, header, extra[0])
+        raise ModelFileError(f"unknown keys in [{header}]: {sorted(extra)}{where}")
 
 
 def format_model(model: ModelFile) -> str:

@@ -16,6 +16,19 @@ with ``**`` (never ``x*x``), and rewrites only what is exact in IEEE
 arithmetic: ``1.0*y`` and ``y**1`` as ``y``, ``a + (-c)*y`` as
 ``a - c*y``, and an atom power used twice in one evaluation point as one
 local computed once.
+
+One step makes no builtin call of its own: it evaluates v at the four RK4
+stages, updates x, tests each coordinate as ``-1e12 <= x_i <= 1e12``
+(false for NaN and for +-inf, like ``abs(x_i) <= 1e12``), evaluates the
+tracked f_j and updates their running extrema hi_j and lo_j by comparison
+alone.  Each trajectory then folds them into the drift once, as
+max(m_j, hi_j - s_j, s_j - lo_j) with s_j the start value.  That is the
+largest |f_j - s_j| of the steps bit for bit: IEEE rounding is monotone
+and s_j is fixed, so the largest and smallest fl(f - s_j) come from the
+largest and smallest f, and fl(s_j - lo) = -fl(lo - s_j).  A NaN f_j
+passes neither comparison, just as its NaN difference never raised the
+drift.  The stage times t + h/2 and t + h are computed only when v reads
+t, and t is advanced only when v or f reads it.
 """
 
 from __future__ import annotations
@@ -143,19 +156,26 @@ def _trajectory(system: ode.OdeSystem, fs):
     None after every step, else BLOWUP, TRACKED_DOMAIN or FIELD_DOMAIN, and
     the m_j are then partial.  A tracked function is evaluated only at the
     start point and at states inside the norm ball, so an error there is
-    its own; an overflow while evaluating v counts as a blow-up."""
+    its own; an overflow while evaluating v counts as a blow-up.  Every
+    stop leaves the loop with break, and the running extrema of each f_j
+    are folded into m_j once after it (module docstring)."""
     n, k = system.n, len(fs)
     x = [f"x{i}" for i in range(n)]
-    m = [f"m{j}" for j in range(k)]
+    m, f, hi, lo = ([f"{name}{j}" for j in range(k)] for name in ("m", "f", "hi", "lo"))
+    f_start = [f"f{j}_start" for j in range(k)]
+    t_atom = ex.IndepVar(ode.TIME)
+    v_reads_t = any(t_atom in ex.atoms(c) for c in system.v)
+    reads_t = v_reads_t or any(t_atom in ex.atoms(e) for e in fs)
     start, stages, tracked = [], [], []
 
     def evaluate(exprs, t, point, tag, out, lines):
         values = _emit(exprs, _point(t, point), lines, tag)
         lines += [f"{o} = {value}" for o, value in zip(out, values)]
 
-    evaluate(fs, "t", x, "_s", [f"f{j}_start" for j in range(k)], start)
+    evaluate(fs, "t", x, "_s", f_start, start)
     # stage s evaluates v at (t_s, x_s); x + h*(-v) is x - h*v exactly
-    stages += ["th = t + h2", "tf = t + step"]
+    if v_reads_t:
+        stages += ["th = t + h2", "tf = t + step"]
     vs, point = [], x
     for s, (t, h) in enumerate((("t", "h2"), ("th", "h2"), ("th", "step"), ("tf", None)), 1):
         v = [f"v{s}_{i}" for i in range(n)]
@@ -168,41 +188,64 @@ def _trajectory(system: ode.OdeSystem, fs):
         f"{xi} = {xi} - h6*({a} + 2.0*{b} + 2.0*{c} + {d})"
         for xi, a, b, c, d in zip(x, *vs)
     ]
-    update.append("t += step")
-    result = ", ".join(m)
-    # also true for NaN
-    inside = " and ".join(f"abs({xi}) <= {BLOWUP_NORM!r}" for xi in x) or "True"
-    update += [f"if not ({inside}):", f"    return ({BLOWUP!r}, {result})"]
-    evaluate(fs, "t", x, "_e", [f"f{j}" for j in range(k)], tracked)
-    drifts = []
-    for j in range(k):
-        drifts += [f"d = abs(f{j} - f{j}_start)", f"if d > m{j}:", f"    m{j} = d"]
+    if reads_t:
+        update.append("t += step")
+    # a chained comparison, like abs(x) <= norm, is false for NaN and +-inf
+    inside = " and ".join(f"{-BLOWUP_NORM!r} <= {xi} <= {BLOWUP_NORM!r}" for xi in x)
+    update += [f"if not ({inside or 'True'}):", f"    stop = {BLOWUP!r}", "    break"]
+    evaluate(fs, "t", x, "_e", f, tracked)
+    extrema, fold = [], []
+    for mj, sj, fj, hj, lj in zip(m, f_start, f, hi, lo):
+        extrema += [f"if {fj} > {hj}:", f"    {hj} = {fj}"]
+        extrema += [f"elif {fj} < {lj}:", f"    {lj} = {fj}"]
+        fold.append(f"{mj} = max({mj}, {hj} - {sj}, {sj} - {lj})")
 
-    def guarded(lines, indent, handlers):
-        pad = " " * indent
-        out = [f"{pad}try:", *(f"{pad}    {line}" for line in lines)]
+    def guarded(lines, handlers):
+        out = ["try:", *(f"    {line}" for line in lines)]
         for error, stop in handlers:
-            out += [f"{pad}except {error}:", f"{pad}    return ({stop!r}, {result})"]
+            out += [f"except {error}:", f"    stop = {stop!r}", "    break"]
         return out
 
-    tracked_error = [("_ERRORS", TRACKED_DOMAIN)]
+    result = ", ".join(m)
+    loop = [
+        *guarded(stages, [("OverflowError", BLOWUP), ("_ERRORS", FIELD_DOMAIN)]),
+        *update,
+        *guarded(tracked, [("_ERRORS", TRACKED_DOMAIN)]),
+        *extrema,
+    ]
     source = "\n".join(
         [
             f"def run(steps, step, {', '.join(x + m)}):",
             "    h2 = 0.5 * step",
             "    h6 = step / 6.0",
             "    t = 0.0",
-            *guarded(start, 4, tracked_error),
+            "    try:",
+            *(f"        {line}" for line in start),
+            "    except _ERRORS:",
+            f"        return ({TRACKED_DOMAIN!r}, {result})",
+            *(f"    {hj} = {lj} = {sj}" for hj, lj, sj in zip(hi, lo, f_start)),
+            "    stop = None",
             "    for _ in range(steps):",
-            *guarded(stages, 8, [("OverflowError", BLOWUP), ("_ERRORS", FIELD_DOMAIN)]),
-            *(f"        {line}" for line in update),
-            *guarded(tracked, 8, tracked_error),
-            *(f"        {line}" for line in drifts),
-            f"    return (None, {result})",
+            *(f"        {line}" for line in loop),
+            *(f"    {line}" for line in fold),
+            f"    return (stop, {result})",
             "",
         ]
     )
     return _define(source, "run")
+
+
+def step_count(t_end: float, step: float, points: int) -> int:
+    """The RK4 steps of each trajectory, round(t_end / step).  Raises
+    ResourceLimitError when points x steps, which bounds the time (the
+    defaults take 3 x 10^5), passes the step budget, and ValueError when
+    the run would take no step."""
+    ratio = t_end / step
+    if not math.isfinite(ratio) or points * round(ratio) > ex.BUDGETS["step budget"][0]:
+        ex.refuse("the oracle", f"{points} x {ratio:.6g} RK4 steps", "step budget")
+    if round(ratio) < 1:
+        raise ValueError(f"the oracle takes no RK4 step: t_end / step = {ratio:.6g} rounds to 0")
+    return round(ratio)
 
 
 def integrate_drift(
@@ -215,17 +258,12 @@ def integrate_drift(
 ):
     """Max |f(t, x(t)) - f(0, x(0))| along RK4 trajectories of xdot = -v,
     for each named tracked function.  Returns a list of DriftRecord.
-    Raises ResourceLimitError before any step when points x steps, which
-    bounds its time (the defaults take 3 x 10^5), passes the step budget."""
-    ratio = t_end / step
-    if not math.isfinite(ratio) or points * round(ratio) > ex.BUDGETS["step budget"][0]:
-        ex.refuse("the oracle", f"{points} x {ratio:.6g} RK4 steps", "step budget")
+    step_count refuses a run before any step."""
+    steps = step_count(t_end, step, points)
     run = _trajectory(system, [f for _, f in tracked])
     records = [DriftRecord(name, 0.0, False) for name, _ in tracked]
     for point in random_initial_points(system.n, seed, points):
-        stop, *drifts = run(
-            round(ratio), step, *map(float, point), *(r.drift for r in records)
-        )
+        stop, *drifts = run(steps, step, *map(float, point), *(r.drift for r in records))
         for record, drift in zip(records, drifts):
             record.drift = drift
             record.blowup = record.blowup or stop is not None

@@ -765,6 +765,21 @@ def test_oracle_step_budget_exits_2_at_once(argv, capsys):
     assert err.startswith("resource limit:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t_end", ["0.0004", "0.0005"])
+def test_oracle_run_without_a_step_exits_2_before_any_work(t_end, monkeypatch, capsys):
+    # t_end / step rounds to 0: no RK4 step would run, and a drift of 0
+    # would pass; the model file is not even read.  From 0.0006 on, one step
+    assert run_cli("oracle", str(OSCILLATOR), "--t-end", "0.0006")[0] == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "parse_model", lambda path: pytest.fail("the model was read"))
+    code = cli.main(["oracle", str(OSCILLATOR), "--t-end", t_end])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "no RK4 step" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("points", [1, 3])
 def test_oracle_step_budget_boundary(points):
     model = parse_model(OSCILLATOR)

@@ -201,6 +201,32 @@ def test_value_error_names_its_file_line(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the line of the first unknown key in the file, past a comment line
+        (
+            "[ode]\nn = 2\n# note\nv = [-x2, x1]\nm = 2\nk = 1\n",
+            "unknown keys in [ode]: ['k', 'm'] (line 5)",
+        ),
+        (
+            "[ode]\nn = 1\nv = [x1]\n\n[symmetry]\nw = [x1]\nf = x1\n",
+            "unknown keys in [symmetry]: ['f'] (line 7)",
+        ),
+        # the line of the header, past a blank line, or indented
+        ("[ode]\nn = 2\nv = [-x2, x1]\n\n[odes]\nf = 1\n", "unknown section [odes] (line 5)"),
+        (
+            "# model\n\n [DEFAULT]\nk = 1\n[ode]\nn = 1\nv = [x1]\n",
+            "unknown section [DEFAULT] (line 3)",
+        ),
+    ],
+)
+def test_section_and_key_errors_name_their_file_line(text, message):
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text)
+    assert str(err.value) == message
+
+
 _ITEMS = st.sampled_from([["x1"], ["-", "x1"], ["(", "x1", "+", "1", ")"], ["2", "*", "x1"]])
 _BAD_ITEMS = st.sampled_from([["q"], ["x1", "+", "q"], ["(", "x1", "-", "q", ")"]])
 # what stands between two tokens of a value: nothing, spaces, or a line

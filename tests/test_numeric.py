@@ -8,6 +8,7 @@ operations exactly, not merely closely: the property compares the bits.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +48,10 @@ def _reference_compile(e, n: int):
     return eval(source, env)  # noqa: S307 - source built from canonical forms
 
 
-def _reference_drift(system, tracked, seed, t_end, step, points):
+def _reference_drift(system, tracked, seed, t_end, step, points, seen=None):
+    """The records of integrate_drift, one point after another.  A point
+    stops at a blow-up or a domain error and the next one starts; the
+    drifts it reached stay.  seen, if given, collects every tracked value."""
     n = system.n
     v_fns = [_reference_compile(c, n) for c in system.v]
     tracked_fns = [(name, _reference_compile(f, n)) for name, f in tracked]
@@ -60,15 +64,15 @@ def _reference_drift(system, tracked, seed, t_end, step, points):
     for point in numeric.random_initial_points(n, seed, points):
         x = [float(c) for c in point]
         t = 0.0
+        stop = None
         try:
             start = {name: fn(t, x) for name, fn in tracked_fns}
+            if seen is not None:
+                seen += start.values()
         except (OverflowError, ValueError, ZeroDivisionError):
-            # the tracked function is undefined at the start point
-            for record in records.values():
-                record.blowup = True
-            continue
-        blowup = False
-        for _ in range(steps):
+            # undefined at the start point: the point takes no step
+            stop = numeric.TRACKED_DOMAIN
+        for _ in range(steps if stop is None else 0):
             try:
                 k1 = rhs(t, x)
                 x2 = [xi + 0.5 * step * k for xi, k in zip(x, k1)]
@@ -77,30 +81,41 @@ def _reference_drift(system, tracked, seed, t_end, step, points):
                 k3 = rhs(t + 0.5 * step, x3)
                 x4 = [xi + step * k for xi, k in zip(x, k3)]
                 k4 = rhs(t + step, x4)
-                x = [
-                    xi + step / 6.0 * (a + 2 * b + 2 * c + d)
-                    for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-                ]
-            except (OverflowError, ValueError, ZeroDivisionError):
-                blowup = True
+            except OverflowError:
+                stop = numeric.BLOWUP
                 break
+            except (ValueError, ZeroDivisionError):
+                stop = numeric.FIELD_DOMAIN
+                break
+            x = [
+                xi + step / 6.0 * (a + 2 * b + 2 * c + d)
+                for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+            ]
             t += step
             if any(abs(c) > numeric.BLOWUP_NORM or c != c for c in x):
-                blowup = True
+                stop = numeric.BLOWUP
                 break
-            for name, fn in tracked_fns:
-                drift = abs(fn(t, x) - start[name])
+            try:
+                values = {name: fn(t, x) for name, fn in tracked_fns}
+            except (OverflowError, ValueError, ZeroDivisionError):
+                stop = numeric.TRACKED_DOMAIN
+                break
+            if seen is not None:
+                seen += values.values()
+            for name, value in values.items():
+                drift = abs(value - start[name])
                 if drift > records[name].drift:
                     records[name].drift = drift
-        if blowup:
-            for name, _ in tracked_fns:
-                records[name].blowup = True
+        for record in records.values():
+            record.blowup = record.blowup or stop is not None
+            record.stop = record.stop or stop
     return list(records.values())
 
 
 # --- random small systems -------------------------------------------------------
 
 _T = ex.indep(ode.TIME)
+_BIG = ex.rational(10**300)
 
 
 def _x(i):
@@ -137,26 +152,46 @@ def _oracle_inputs(draw):
     tracked = [(f"f{j}", f) for j, f in enumerate(fs)]
     step = draw(st.sampled_from([0.01, 0.02, 0.05]))
     t_end = draw(st.floats(0.1, 0.6))
-    return system, tracked, draw(st.integers(0, 100)), t_end, step, draw(st.integers(1, 2))
+    # up to 3 points, so that the largest drift is carried across points
+    return system, tracked, draw(st.integers(0, 100)), t_end, step, draw(st.integers(1, 3))
 
 
 def _bits(records):
-    return [(r.name, r.drift.hex(), r.blowup) for r in records]
+    return [(r.name, r.drift.hex(), r.blowup, r.stop) for r in records]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_oracle_inputs())
 def test_generated_oracle_is_bit_identical_to_reference(case):
+    # partial drifts too: ERROR records print them
     system, tracked, seed, t_end, step, points = case
     records = numeric.integrate_drift(system, tracked, seed, t_end, step, points)
-    try:
-        expected = _reference_drift(system, tracked, seed, t_end, step, points)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        # the reference stops on a tracked function that leaves its domain
-        # mid-trajectory; the oracle flags that trajectory instead
-        assert all(r.blowup for r in records)
-        return
-    assert _bits(records) == _bits(expected)
+    assert _bits(records) == _bits(_reference_drift(system, tracked, seed, t_end, step, points))
+
+
+@pytest.mark.parametrize(
+    "v, f, special",
+    [
+        # x1 grows at unit speed until 10^300*x1^40 overflows to +inf, or
+        # -inf; some start points are already past it
+        ([-1], _BIG * _x(0) ** 40, math.inf),
+        ([-1], -_BIG * _x(0) ** 40, -math.inf),
+        # inf - inf once both terms overflow
+        ([-1, -1], _BIG * _x(0) ** 40 - _BIG * _x(1) ** 40, math.nan),
+        # 10^-400 is 0.0 in floats, so f is 0.0 or -0.0 with the sign of x1,
+        # which crosses zero
+        ([-1], ex.rational(1, 10**400) * _x(0), -0.0),
+        # -t is -0.0 at the start point
+        ([0], -_T, -0.0),
+    ],
+)
+def test_drift_bits_on_special_values_of_f(v, f, special):
+    system = ode.OdeSystem([ex.rational(c) for c in v])
+    tracked = [("f", f)]
+    seen = []
+    expected = _reference_drift(system, tracked, 5, 20.0, 0.5, 3, seen)
+    assert any(value.hex() == special.hex() for value in seen)
+    assert _bits(numeric.integrate_drift(system, tracked, 5, 20.0, 0.5, 3)) == _bits(expected)
 
 
 def test_power_one_and_unit_coefficients_are_exact():
