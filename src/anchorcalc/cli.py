@@ -432,11 +432,12 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "check":
-            model = parse_model(args.model_file)
-            selection = (
-                [part.strip() for part in args.only.split(",")] if args.only else None
-            )
-            report = run_checks(model, selection)
+            selection = None
+            if args.only is not None:
+                selection = [part.strip() for part in args.only.split(",")]
+                if not all(selection):
+                    raise ValueError(f"--only has an empty entry: {args.only!r}")
+            report = run_checks(parse_model(args.model_file), selection)
         elif args.command == "catalog":
             report = catalog_report(args)
         elif args.command == "oracle":

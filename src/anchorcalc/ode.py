@@ -348,34 +348,59 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
       (ii) sum_i alpha^{il} (d_i(psi . v) - d_t psi_i) = 0.
     Exact differentials of characteristics always pass.  Returns
     (flag, residuals keyed by condition name).
+
+    The curl d_i psi_k - d_k psi_i and the transport covector
+    d_i(psi . v) - d_t psi_i are formed once, and alpha is contracted with
+    their nonzero entries only: for psi = df the curl is zero, and so is
+    the transport covector when f is a characteristic, so those conditions
+    take no product at all.
     """
     psi = tuple(_check_zeroth_order(c, "a vertical form") for c in psi)
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
     n = sys.n
     tab, a = _Partials(n), _matrix(sys, alpha)
-    residuals = {}
     psi_v = ex._acc()
     for k in range(n):
         tab.addmul(psi_v, psi[k]._poly, sys.v[k]._poly)
     psi_v = ex._expr_sum(psi_v)
+    # the covectors as lists of nonzero (i, entry, sign): curl[k] holds the
+    # entries of d_i psi_k - d_k psi_i, one difference per pair i < k
+    curl = [[] for _ in range(n)]
+    for i, k in itertools.combinations(range(n), 2):
+        c = ex._psum(tab.d(psi[k], i), tab.d(psi[i], k), -1)
+        if c[0]:
+            curl[k].append((i, c, 1))
+            curl[i].append((k, c, -1))
+    transport = []
+    for i in range(n):
+        g = ex._psum(tab.d(psi_v, i), tab.d(psi[i], None), -1)
+        if g[0]:
+            transport.append((i, g, 1))
+    residuals = {}
     for l in range(n):
+        column = [row[l]._poly for row in a]
         for k in range(n):
-            acc = ex._acc()
-            for i in range(n):
-                tab.addmul(acc, a[i][l]._poly, tab.d(psi[k], i))
-                tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], k), -1)
-            r = tab.residual(ex._expr_sum(acc))
+            r = _contract(tab, column, curl[k])
             if not is_identically_zero(r):
                 residuals[f"closure[l={l + 1},k={k + 1}]"] = r
-        acc = ex._acc()
-        for i in range(n):
-            tab.addmul(acc, a[i][l]._poly, tab.d(psi_v, i))
-            tab.addmul(acc, a[i][l]._poly, tab.d(psi[i], None), -1)
-        r = tab.residual(ex._expr_sum(acc))
+        r = _contract(tab, column, transport)
         if not is_identically_zero(r):
             residuals[f"transport[l={l + 1}]"] = r
     return not residuals, residuals
+
+
+def _contract(tab, column, covector):
+    """sum_i column[i] * entry_i over the nonzero (i, entry, sign) of a
+    covector, as a residual; zero without a residual built when no entry
+    meets a nonzero column[i]."""
+    terms = [(column[i], g, sign) for i, g, sign in covector if column[i][0]]
+    if not terms:
+        return ex.ZERO
+    acc = ex._acc()
+    for p, g, sign in terms:
+        ex._paddmul_into(acc, p, g, sign)
+    return tab.residual(ex._expr_sum(acc))
 
 
 def differential(f, n: int) -> tuple:
@@ -442,18 +467,39 @@ def _eliminate(rows):
     as {column: nonzero int} dicts.  Returns {pivot column: row} of the
     reduced row echelon form, each row with a unit at its pivot, its
     smallest column.  Every step is integer-preserving (Bareiss 1968) and
-    divides out the content, and only the unit pivots divide."""
+    divides out the content, and only the unit pivots divide.
+
+    A column index maps each non-pivot column to the pivot rows that hold
+    it, so a new pivot back-substitutes into exactly those rows without a
+    scan of the others (Davis, Direct Methods for Sparse Linear Systems,
+    2006).  The index only chooses which rows to visit, and the reduced row
+    echelon form of a matrix is unique, so the rows returned, and every
+    kernel and report read off them, are those that a scan of every
+    reduced row for the lead would give."""
     reduced = {}  # pivot column -> primitive integer row
+    holders = {}  # non-pivot column -> pivot columns of the rows holding it
     for r in sorted(rows, key=len):  # sparsest first: it keeps the fill-in small
         for c in [c for c in r if c in reduced]:
             r = _cancel(r, c, reduced[c])
         if r:
             lead = min(r)
-            for pc, prow in reduced.items():
-                if lead in prow:
-                    reduced[pc] = _cancel(prow, lead, r)
+            for pc in holders.pop(lead, ()):
+                prow = reduced[pc]
+                reduced[pc] = new = _cancel(prow, lead, r)
+                for c in prow.keys() - new.keys():
+                    if c != lead:
+                        holders[c].discard(pc)
+                for c in new.keys() - prow.keys():
+                    holders.setdefault(c, set()).add(pc)
+            for c in r:
+                if c != lead:
+                    holders.setdefault(c, set()).add(lead)
             reduced[lead] = r
-    normal = {pc: {c: Fraction(v, row[pc]) for c, v in row.items()} for pc, row in reduced.items()}
+    one = Fraction(1)
+    normal = {
+        pc: {c: one if v == row[pc] else Fraction(v, row[pc]) for c, v in row.items()}
+        for pc, row in reduced.items()
+    }
     return dict(sorted(normal.items()))
 
 

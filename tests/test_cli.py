@@ -275,6 +275,17 @@ def test_cli_usage_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize("only", ["", "anchor,", ",anchor", "anchor,,symmetry", " , "])
+def test_only_with_an_empty_entry_exits_2(only):
+    # an empty entry names no check: it is a usage error of its own, neither
+    # a request for every check nor an unknown check
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("check", str(OSCILLATOR), "--only", only)
+    assert (code, out) == (2, "")
+    assert err.getvalue() == f"error: --only has an empty entry: {only!r}\n"
+
+
 def test_cli_convention_sheet():
     code, out = run_cli("--convention")
     assert code == 0

@@ -170,6 +170,52 @@ def test_proper_symmetry_failure():
     assert not ok and residuals
 
 
+def _count_kernel_products(monkeypatch, call):
+    """call() with ex._paddmul_into counted; returns (result, products)."""
+    products, real = [0], ex._paddmul_into
+
+    def counted(*args, **kwargs):
+        products[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_paddmul_into", counted)
+    try:
+        return call(), products[0]
+    finally:
+        monkeypatch.setattr(ex, "_paddmul_into", real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_proper_symmetry_of_a_differential_takes_no_closure_product(monkeypatch, n):
+    # psi = df is closed, so the curl is zero and the closure conditions
+    # take no product; the transport covector is -grad of the residual
+    # d_t f - v . grad f, so it takes none either when f is a characteristic.
+    # What is left is psi . v, one product per nonzero psi_k v_k
+    rng = random.Random(n)
+    alpha = SO3 if n == 3 else ode.canonical_bivector(n)
+    xs = [ac.jet(ode.field_name(i)) for i in range(n)]
+    # the quadratic part makes every psi_k and v_k nonzero
+    h = rand_poly(rng, n, 3) + sum(((i + 1) * x**2 for i, x in enumerate(xs)), ac.ZERO)
+    system = ode.deform(ode.free_system(n), alpha, h)
+    for f, characteristic in ((h, True), (h + xs[0] * xs[-1], False)):
+        assert ode.check_characteristic(system, f)[0] == characteristic
+        psi = ode.differential(f, n)
+        psi_v = sum(1 for p, v in zip(psi, system.v) if p._poly[0] and v._poly[0])
+        # one transport product per nonzero alpha^{il} meeting a nonzero g_i
+        grad = [ex.diff(ode.check_characteristic(system, f)[1], x) for x in xs]
+        transport = sum(
+            1
+            for i, l in itertools.product(range(n), repeat=2)
+            if not is_identically_zero(alpha.entry(i, l)) and not is_identically_zero(grad[i])
+        )
+        (ok, residuals), products = _count_kernel_products(
+            monkeypatch, lambda: ode.proper_symmetry_conditions(system, alpha, psi)
+        )
+        assert products == psi_v + transport
+        assert not any(name.startswith("closure") for name in residuals)
+        assert psi_v and (transport == 0) == characteristic == ok
+
+
 # --- Schouten square and brackets -------------------------------------------
 
 
@@ -834,6 +880,29 @@ def _reference_rank(alpha, point, depth):
 @settings(max_examples=200, deadline=None)
 @given(_matrices)
 def test_row_reduce_and_nullspace_match_reference(case):
+    rows, cols = case
+    assert _row_reduce(rows, cols) == _reference_row_reduce(rows, cols)
+    assert _nullspace(rows, cols) == _reference_nullspace(rows, cols)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """20-80 integer rows, as dense Fraction rows: mostly singletons and
+    rows of two or three entries, then three dense rows, so that a
+    new pivot back-substitutes into many reduced rows."""
+    cols = draw(st.integers(10, 40))
+    column, entry = st.integers(0, cols - 1), st.integers(-9, 9).filter(bool)
+    singleton = st.dictionaries(column, entry, min_size=1, max_size=1)
+    short = st.dictionaries(column, entry, min_size=2, max_size=3)
+    dense = st.dictionaries(column, entry, min_size=cols // 2, max_size=cols)
+    sparse = draw(st.lists(singleton | short, min_size=17, max_size=77))
+    rows = sparse + draw(st.lists(dense, min_size=3, max_size=3))
+    return [[Fraction(row.get(c, 0)) for c in range(cols)] for row in rows], cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_systems())
+def test_row_reduce_and_nullspace_match_reference_on_large_sparse_systems(case):
     rows, cols = case
     assert _row_reduce(rows, cols) == _reference_row_reduce(rows, cols)
     assert _nullspace(rows, cols) == _reference_nullspace(rows, cols)

@@ -317,8 +317,8 @@ def _fixture_texts():
 def test_tokenize_matches_reference_on_the_fixtures():
     texts = _fixture_texts()
     # euler_top 11, oscillator and oscillator_layout 7 each, pendulum 7,
-    # pendulum_identity 7, trig_quotient 2
-    assert len(texts) == 41
+    # pendulum_identity 7, pendulum_shifted 7, trig_quotient 2
+    assert len(texts) == 48
     for text in texts:
         assert tokenize(text) == _reference_tokenize(text)
         _assert_same_as_reference(text)
