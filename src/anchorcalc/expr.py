@@ -908,6 +908,16 @@ def _gradient(e: Expr, atom):
     return p
 
 
+def _support(e: Expr):
+    """The atoms outside which every partial of e is zero: those of e and,
+    by the chain rule, those of its function atoms' arguments."""
+    try:
+        table, funs = e._grad
+    except AttributeError:
+        table, funs = e._grad = _shift_gradient(e._poly)
+    return set(table).union(*(_support(f[3]) for f in funs)) if funs else table
+
+
 def _shift_gradient(p):
     """(table, funs) of the gradient of p with every atom opaque: table
     maps each atom to its partial, and funs lists the function atoms, which

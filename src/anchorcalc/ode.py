@@ -158,8 +158,8 @@ class Trivector:
 
 # ---------------------------------------------------------------------------
 # helpers: each public operation below makes one _Partials and sums its
-# products on the polynomial layer.  The partials are memoised on the
-# operands themselves (expr._gradient), so the checks of one model share them
+# products on the polynomial layer, each sum a contraction over the nonzero
+# partials that tab.grad lists, one kernel product per pair in tab.addmul
 
 
 def _x_atoms(n: int):
@@ -167,21 +167,37 @@ def _x_atoms(n: int):
 
 
 class _Partials:
-    """The partial derivatives of the call's operands in (t, x1..xn):
-    d(e, i) is d e / d x_i and d(e, None) is d e / d t, read off the
-    gradient memoised on e, so callers copy before adding to them."""
+    """The partial derivatives of one call's operands in (t, x1..xn).
+    grad(e) lists the nonzero (k, d e / d x_k) in ascending k, read off the
+    gradient memoised on e in the x_k of expr._support(e) only, once per
+    operand object of the call: alpha^{rq} = -alpha^{qr} is an operand of
+    its own, never one of a pair.  Partials are shared: callers copy them."""
 
     def __init__(self, n: int):
-        self._x = _x_atoms(n)
+        self._index = {field_name(k): k for k in range(n)}
+        self._grads = {}
 
-    def d(self, e: Expr, i):
-        return ex._gradient(e, _T if i is None else self._x[i])
+    def grad(self, e: Expr):
+        memo = self._grads.get(id(e))
+        if memo is None:
+            pairs, index = [], self._index
+            for a in ex._support(e):
+                if type(a) is JetVar and not a[2][0] and a[1] in index:  # a field x_k
+                    p = ex._gradient(e, a)
+                    if p[0]:
+                        pairs.append((index[a[1]], p))
+            pairs.sort()
+            memo = self._grads[id(e)] = e, pairs  # e stays alive, so its id stays its own
+        return memo[1]
 
-    def addmul(self, acc, p, q, sign=1):
-        """acc += sign * p * q, for polynomials p, q and an accumulator;
-        most partials are zero, so those skip the kernel call."""
-        if p[0] and q[0]:
-            ex._paddmul_into(acc, p, q, sign)
+    def addmul(self, acc, coeffs, pairs, sign=1):
+        """acc += sign * sum of coeffs[k] * p over the pairs (k, p), for
+        expressions coeffs, one kernel product per nonzero coeffs[k]; returns acc."""
+        for k, p in pairs:
+            c = coeffs[k]._poly
+            if c[0]:
+                ex._paddmul_into(acc, c, p, sign)
+        return acc
 
     def residual(self, e: Expr) -> Expr:
         """e modulo sin(u)^2 + cos(u)^2 - 1 for every argument u: the form
@@ -192,9 +208,7 @@ class _Partials:
 
 def _characteristic(tab, sys, f):
     """(flag, residual d_t f - v . grad f)."""
-    acc = ex._acc(tab.d(f, None))
-    for i, vi in enumerate(sys.v):
-        tab.addmul(acc, vi._poly, tab.d(f, i), -1)
+    acc = tab.addmul(ex._acc(ex._gradient(f, _T)), sys.v, tab.grad(f), -1)
     residual = tab.residual(ex._expr_sum(acc))
     return is_identically_zero(residual), residual
 
@@ -203,28 +217,20 @@ def _lie_bracket(tab, a, b, out=None):
     """[a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical fields, added to
     the accumulators `out` (zero by default)."""
     out = out or [ex._acc() for _ in a]
-    for i, acc in enumerate(out):
-        for k in range(len(a)):
-            tab.addmul(acc, a[k]._poly, tab.d(b[i], k))
-            tab.addmul(acc, b[k]._poly, tab.d(a[i], k), -1)
+    for ai, bi, acc in zip(a, b, out):
+        tab.addmul(acc, a, tab.grad(bi))
+        tab.addmul(acc, b, tab.grad(ai), -1)
     return [ex._expr_sum(acc) for acc in out]
 
 
 def _anchor_apply(tab, a, f):
     """w^i = alpha^{ij} d_j f for a = alpha.matrix()."""
-    out = [ex._acc() for _ in a]
-    for row, acc in zip(a, out):
-        for j, aij in enumerate(row):
-            tab.addmul(acc, aij._poly, tab.d(f, j))
-    return [ex._expr_sum(acc) for acc in out]
+    return [_pairing(tab, f, row) for row in a]
 
 
 def _pairing(tab, f, w):
     """d_i f w^i; with w = alpha dg it is the bracket {f, g}."""
-    acc = ex._acc()
-    for i, wi in enumerate(w):
-        tab.addmul(acc, tab.d(f, i), wi._poly)
-    return ex._expr_sum(acc)
+    return ex._expr_sum(tab.addmul(ex._acc(), w, tab.grad(f)))
 
 
 def _deform(sys, alpha_dh):
@@ -257,7 +263,7 @@ def check_symmetry(sys: OdeSystem, w):
         raise ValueError("dimension mismatch")
     tab = _Partials(sys.n)
     # d_t w - [v, w] = d_t w + [w, v]
-    bracket = _lie_bracket(tab, w, sys.v, [ex._acc(tab.d(wi, None)) for wi in w])
+    bracket = _lie_bracket(tab, w, sys.v, [ex._acc(ex._gradient(wi, _T)) for wi in w])
     residual = [tab.residual(r) for r in bracket]
     return all(is_identically_zero(r) for r in residual), residual
 
@@ -267,12 +273,10 @@ def check_anchor(sys: OdeSystem, alpha: Bivector):
     tab, a, v = _Partials(sys.n), _matrix(sys, alpha), sys.v
     residual = {}
     for i, j in itertools.combinations(range(sys.n), 2):
-        # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j
-        acc = ex._acc(tab.d(a[i][j], None))
-        for k in range(sys.n):
-            tab.addmul(acc, v[k]._poly, tab.d(a[i][j], k), -1)
-            tab.addmul(acc, a[k][j]._poly, tab.d(v[i], k))
-            tab.addmul(acc, a[i][k]._poly, tab.d(v[j], k))
+        # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j, a^kj = -a^jk
+        acc = tab.addmul(ex._acc(ex._gradient(a[i][j], _T)), v, tab.grad(a[i][j]), -1)
+        tab.addmul(acc, a[j], tab.grad(v[i]), -1)
+        tab.addmul(acc, a[i], tab.grad(v[j]))
         r = tab.residual(ex._expr_sum(acc))
         if not is_identically_zero(r):
             residual[(i, j)] = r
@@ -294,8 +298,7 @@ def schouten_square(alpha: Bivector) -> Trivector:
     for i, j, k in itertools.combinations(range(n), 3):
         acc = ex._acc()
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            for m in range(n):
-                tab.addmul(acc, a[p][m]._poly, tab.d(a[q][r], m))
+            tab.addmul(acc, a[p], tab.grad(a[q][r]))
         upper[(i, j, k)] = tab.residual(ex._expr_sum(acc))
     return Trivector(n, upper)
 
@@ -330,7 +333,7 @@ def twist_invariance_check(
         return False, "f is not a characteristic of the original system"
     alpha_dh = _anchor_apply(tab, a, h)  # both {f, H} and the deformed field read it
     bracket = tab.residual(_pairing(tab, f, alpha_dh))
-    if any(tab.d(bracket, i)[0] for i in range(sys.n)):
+    if tab.grad(bracket):
         return False, "{f, H} depends on x; the twist is not invariant under f"
     g = ex._poly_antiderivative(bracket._poly, TIME)
     conserved = ex._expr(ex._psum(f._poly, g, -1))
@@ -358,55 +361,41 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     psi = tuple(_check_zeroth_order(c, "a vertical form") for c in psi)
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
-    n = sys.n
-    tab, a = _Partials(n), _matrix(sys, alpha)
-    psi_v = ex._acc()
-    for k in range(n):
-        tab.addmul(psi_v, psi[k]._poly, sys.v[k]._poly)
-    psi_v = ex._expr_sum(psi_v)
-    # the covectors as lists of nonzero (i, entry, sign): curl[k] holds the
-    # entries of d_i psi_k - d_k psi_i, one difference per pair i < k
-    curl = [[] for _ in range(n)]
-    for i, k in itertools.combinations(range(n), 2):
-        c = ex._psum(tab.d(psi[k], i), tab.d(psi[i], k), -1)
+    tab, a = _Partials(sys.n), _matrix(sys, alpha)
+    acc = tab.addmul(ex._acc(), psi, [(k, vk._poly) for k, vk in enumerate(sys.v) if vk._poly[0]])
+    d_psi_v = dict(tab.grad(ex._expr_sum(acc)))  # the partials of psi . v
+    # the covectors as lists of nonzero (i, entry) pairs, each sign folded
+    # into its entry: curl[k] holds d_i psi_k - d_k psi_i at i, one
+    # difference per pair i < k at which either partial is nonzero
+    grads = [dict(tab.grad(pk)) for pk in psi]
+    curl = [[] for _ in psi]
+    for i, k in sorted({(min(i, k), max(i, k)) for k, g in enumerate(grads) for i in g if i != k}):
+        c = ex._psum(grads[k].get(i, ex._ZERO_POLY), grads[i].get(k, ex._ZERO_POLY), -1)
         if c[0]:
-            curl[k].append((i, c, 1))
-            curl[i].append((k, c, -1))
-    transport = []
-    for i in range(n):
-        g = ex._psum(tab.d(psi_v, i), tab.d(psi[i], None), -1)
-        if g[0]:
-            transport.append((i, g, 1))
+            curl[k].append((i, c))
+            curl[i].append((k, ex._pscale(c, -1)))
+    transport = [
+        (i, g)
+        for i, pi in enumerate(psi)
+        if (g := ex._psum(d_psi_v.get(i, ex._ZERO_POLY), ex._gradient(pi, _T), -1))[0]
+    ]
     residuals = {}
-    for l in range(n):
-        column = [row[l]._poly for row in a]
-        for k in range(n):
-            r = _contract(tab, column, curl[k])
+    for l, row in enumerate(a):
+        for k, covector in enumerate(curl + [transport]):
+            acc = tab.addmul(ex._acc(), row, covector, -1)  # alpha^{il} = -alpha^{li}
+            r = tab.residual(ex._expr_sum(acc)) if acc[0] else ex.ZERO
             if not is_identically_zero(r):
-                residuals[f"closure[l={l + 1},k={k + 1}]"] = r
-        r = _contract(tab, column, transport)
-        if not is_identically_zero(r):
-            residuals[f"transport[l={l + 1}]"] = r
+                name = f"closure[l={l + 1},k={k + 1}]" if k < sys.n else f"transport[l={l + 1}]"
+                residuals[name] = r
     return not residuals, residuals
-
-
-def _contract(tab, column, covector):
-    """sum_i column[i] * entry_i over the nonzero (i, entry, sign) of a
-    covector, as a residual; zero without a residual built when no entry
-    meets a nonzero column[i]."""
-    terms = [(column[i], g, sign) for i, g, sign in covector if column[i][0]]
-    if not terms:
-        return ex.ZERO
-    acc = ex._acc()
-    for p, g, sign in terms:
-        ex._paddmul_into(acc, p, g, sign)
-    return tab.residual(ex._expr_sum(acc))
 
 
 def differential(f, n: int) -> tuple:
     """The vertical differential d~f as a covector of x-partials."""
-    f, tab = _check_zeroth_order(f, "a characteristic"), _Partials(n)
-    return tuple(ex._expr(tab.d(f, i)) for i in range(n))
+    out = [ex.ZERO] * n
+    for k, p in _Partials(n).grad(_check_zeroth_order(f, "a characteristic")):
+        out[k] = ex._expr(p)
+    return tuple(out)
 
 
 def commutator_matches_bracket(alpha: Bivector, f, g):

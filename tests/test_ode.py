@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -236,6 +237,44 @@ def test_schouten_product_entry_poisson_case():
     # alpha^{12} = x1 x3, alpha^{13} = 0, alpha^{23} = 1 satisfies Jacobi
     alpha = ode.Bivector(3, {(0, 1): x1 * x3, (1, 2): ac.ONE})
     assert ode.schouten_square(alpha).is_zero()
+
+
+def _dense_anchor(n):
+    """The dense-anchor model: v = [x2, ..., xn, x1] and, with 1-based
+    indices, alpha^{ij} = x((i+j) mod n + 1), so every operand has one
+    nonzero partial."""
+    xs = [ac.jet(ode.field_name(i)) for i in range(n)]
+    upper = {(i, j): xs[(i + j + 2) % n] for i in range(n) for j in range(i + 1, n)}
+    return ode.OdeSystem(xs[1:] + xs[:1]), ode.Bivector(n, upper)
+
+
+def test_contractions_read_each_operand_at_most_n_times(monkeypatch):
+    # the checks contract over nonzero partials only: each distinct operand
+    # value gets at most n gradient lookups and no product has a zero
+    # factor, where a loop over every index looked up 3n C(n, 3) = 7,920
+    # partials in the square at n = 12
+    n = 12
+    system, alpha = _dense_anchor(n)
+    lookups, gradient, paddmul = collections.Counter(), ex._gradient, ex._paddmul_into
+
+    def counted(e, atom):
+        lookups[e] += 1
+        return gradient(e, atom)
+
+    def nonzero(acc, p, q, k=1):
+        assert p[0] and q[0], "a kernel product with a zero factor"
+        return paddmul(acc, p, q, k)
+
+    monkeypatch.setattr(ex, "_gradient", counted)
+    monkeypatch.setattr(ex, "_paddmul_into", nonzero)
+    for passes, bound in (
+        (lambda: ode.schouten_square(alpha).is_zero(), n * n * (n - 1)),  # n per alpha^{qr}
+        (lambda: ode.check_anchor(system, alpha)[0], n * (n * (n - 1) + n)),  # and per v^i
+    ):
+        lookups.clear()
+        assert not passes()  # both FAIL on this model
+        assert max(lookups.values()) <= n
+        assert sum(lookups.values()) <= bound
 
 
 def brute_antisymmetrization(alpha, i, j, k):
@@ -1002,21 +1041,37 @@ def _texts(residual):
 
 
 @st.composite
+def _components(draw, n):
+    """Zero one time in four, else a sum as in _polynomials, now and then
+    plus a term times exp(x_k): such a term puts x_k into the partials
+    through the chain rule, and exp needs no reduction modulo
+    sin^2 + cos^2 - 1, so the dense reference still applies."""
+    if draw(st.integers(0, 3)) == 0:
+        return ac.ZERO
+    e = draw(_polynomials(n, 2))
+    if draw(st.booleans()):
+        x = ac.jet(ode.field_name(draw(st.integers(0, n - 1))))
+        e = e + draw(_polynomials(n, 1)) * ac.exp(x)
+    return e
+
+
+@st.composite
 def _check_inputs(draw):
-    """A system with n <= 3, a random antisymmetric anchor and random
-    functions, all with rational coefficients and terms in t."""
-    n = draw(st.integers(1, 3))
+    """A system with n <= 5, so up to 10 triples in the Schouten square, a
+    random antisymmetric anchor and random functions, all with rational
+    coefficients and terms in t, any entry of which may be zero."""
+    n = draw(st.integers(1, 5))
     free = draw(st.booleans())  # f without t is then a characteristic
-    v = [ac.ZERO if free else draw(_polynomials(n, 2)) for _ in range(n)]
+    v = [ac.ZERO if free else draw(_components(n)) for _ in range(n)]
     alpha = ode.Bivector(
-        n, {(i, j): draw(_polynomials(n, 2)) for i in range(n) for j in range(i + 1, n)}
+        n, {(i, j): draw(_components(n)) for i in range(n) for j in range(i + 1, n)}
     )
-    f = draw(_polynomials(n, 2))
+    f = draw(_components(n))
     if free:
         f = ac.substitute(f, {t: ac.ZERO})
-    g, h = draw(_polynomials(n, 2)), draw(_polynomials(n, 2))
-    w = [draw(_polynomials(n, 2)) for _ in range(n)]
-    psi = [draw(_polynomials(n, 2)) for _ in range(n)]
+    g, h = draw(_components(n)), draw(_components(n))
+    w = [draw(_components(n)) for _ in range(n)]
+    psi = [draw(_components(n)) for _ in range(n)]
     return ode.OdeSystem(v), alpha, f, g, h, w, psi
 
 

@@ -316,9 +316,10 @@ def _fixture_texts():
 
 def test_tokenize_matches_reference_on_the_fixtures():
     texts = _fixture_texts()
-    # euler_top 11, oscillator and oscillator_layout 7 each, pendulum 7,
-    # pendulum_identity 7, pendulum_shifted 7, trig_quotient 2
-    assert len(texts) == 48
+    # dense_anchor 79 (12 in v, 66 anchor entries, f), euler_top 11,
+    # oscillator and oscillator_layout 7 each, pendulum 7, pendulum_identity
+    # 7, pendulum_shifted 7, trig_quotient 2
+    assert len(texts) == 127
     for text in texts:
         assert tokenize(text) == _reference_tokenize(text)
         _assert_same_as_reference(text)
