@@ -10,7 +10,6 @@ from .expr import (
     EMPTY_INDEX,
     ONE,
     ZERO,
-    EvaluationError,
     Expr,
     ExprError,
     FunAtom,
@@ -24,15 +23,12 @@ from .expr import (
     cos,
     divergence_split,
     euler_derivative,
-    evaluate,
     exp,
     indep,
     is_identically_zero,
     jet,
     log,
     param,
-    probably_zero,
-    rand_eval,
     rational,
     sin,
     substitute,

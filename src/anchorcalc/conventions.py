@@ -37,11 +37,7 @@ Exact kernel
   * Budgets, all constants; a run that would pass one exits 2:
 """
     + "".join(f"      {name}: {limit} {unit}\n" for name, (limit, unit) in BUDGETS.items())
-    + """\
-  * Randomized oracle: 32 seeds, rational samples with |numerator| <= 1000
-    and denominator <= 1000, elementary functions at 256-bit precision,
-    zero threshold 10^-40.
-
+    + """
 ODE bivector calculus (fields x1..xn, independent variable t)
   * Equations of motion: xdot^i + v^i(t, x) = 0.
   * Characteristic: d_t f = v.grad f; symmetry: d_t w = [v, w];

@@ -25,8 +25,7 @@ variables, parameters and sin(u), cos(u).  Relations between different
 arguments, such as sin(2u) = 2 sin(u) cos(u) or exp(a + b) =
 exp(a) exp(b), stay undecided, and such an identity FAILs falsely; zero
 testing of elementary expressions is undecidable in general (Richardson
-1968).  No check consults the randomized evaluation oracle (rand_eval,
-probably_zero); the tests use it as the reference for the reduction.
+1968).
 
 An atom is a tuple that is its own sort key, built from names and numbers
 only: hashing and ordering run in C, and the printed order, graded-
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from fractions import Fraction
 from operator import itemgetter
 
@@ -82,10 +80,6 @@ class ResourceLimitError(ExprError):
 
 class UnsupportedInputError(ExprError):
     """Input is outside the supported expression class."""
-
-
-class EvaluationError(ExprError):
-    """Randomized evaluation could not produce a sample."""
 
 
 def refuse(what: str, count: str, budget: str, limit: int | None = None):
@@ -784,20 +778,20 @@ def terms(e: Expr):
     return _sorted_terms(_coerce(e).poly())
 
 
-def atoms(e: Expr, nested: bool = True):
-    """All atoms of the canonical form; with nested=True descends into
-    function-application arguments as well."""
+def atoms(e: Expr):
+    """All atoms of the canonical form, those of function-application
+    arguments included."""
     out = set()
-    _collect_atoms(_coerce(e)._poly, out, nested)
+    _collect_atoms(_coerce(e)._poly, out)
     return out
 
 
-def _collect_atoms(p, out, nested):
+def _collect_atoms(p, out):
     for mono in p[0]:
         for a, _ in mono:
             out.add(a)
-            if nested and isinstance(a, FunAtom):
-                _collect_atoms(a[3]._poly, out, nested)
+            if isinstance(a, FunAtom):
+                _collect_atoms(a[3]._poly, out)
 
 
 def jet_atoms(e: Expr, field=None):
@@ -1149,106 +1143,6 @@ def _poly_antiderivative(p, name):
         sign = 1 if k + 1 > 0 else -1
         _padd_into(out, _normal({tuple(sorted(rest)): sign * coeff}, sign * (k + 1)))
     return _normal(out[0], out[1] * d)
-
-
-# ---------------------------------------------------------------------------
-# randomized evaluation oracle
-
-
-RAND_EVAL_SEEDS = 32
-RAND_EVAL_PRECISION = 256
-RAND_EVAL_THRESHOLD = Fraction(1, 10**40)
-_RESAMPLE_LIMIT = 8
-
-
-def rand_eval(e: Expr, seed: int) -> Fraction:
-    """Evaluate at a seeded random rational point (numerators and
-    denominators bounded by 1000).  Elementary functions are evaluated in
-    256-bit binary arithmetic and converted back to exact rationals, so the
-    result is deterministic for a fixed seed."""
-    e = _coerce(e)
-    symbols = sorted(a for a in atoms(e) if not isinstance(a, FunAtom))
-    last = None
-    for attempt in range(_RESAMPLE_LIMIT):
-        rng = random.Random(1000003 * (seed + 1) + attempt)
-        assignment = {
-            a: Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-            for a in symbols
-        }
-        try:
-            return _eval_poly(e._poly, assignment)
-        except (_DomainViolation, ZeroDivisionError) as exc:
-            last = exc
-    raise EvaluationError(f"no valid sample after {_RESAMPLE_LIMIT} attempts: {last}")
-
-
-class _DomainViolation(Exception):
-    pass
-
-
-def _eval_poly(p, assignment) -> Fraction:
-    c, d = p
-    total = Fraction(0)
-    for mono, coeff in c.items():
-        value = coeff
-        for a, e in mono:
-            base = _eval_atom(a, assignment)
-            if base == 0 and e < 0:
-                raise _DomainViolation("negative power at zero sample")
-            value *= base**e
-        total += value
-    return total / d
-
-
-def _eval_atom(a, assignment) -> Fraction:
-    if isinstance(a, FunAtom):
-        x = _eval_poly(a[3]._poly, assignment)
-        if a.fn == "log" and x <= 0:
-            raise _DomainViolation("log of a non-positive sample")
-        import mpmath  # here, not at the top: only function atoms need it
-
-        with mpmath.workprec(RAND_EVAL_PRECISION):
-            mx = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-            fn = getattr(mpmath, a.fn)
-            return _mpf_to_fraction(fn(mx))
-    return assignment[a]
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exponent, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man)
-    value = value * Fraction(2) ** exponent
-    return -value if sign else value
-
-
-def evaluate(e: Expr, assignment) -> Fraction:
-    """Exact evaluation at a rational point (atom -> Fraction); elementary
-    functions go through the 256-bit route of rand_eval."""
-    table = {_atom_key(k, "assign a value to"): Fraction(v) for k, v in assignment.items()}
-    missing = [
-        a for a in atoms(_coerce(e)) if not isinstance(a, FunAtom) and a not in table
-    ]
-    if missing:
-        names = ", ".join(sorted(a.display() for a in missing))
-        raise EvaluationError(f"no value supplied for: {names}")
-    try:
-        return _eval_poly(_coerce(e)._poly, table)
-    except (_DomainViolation, ZeroDivisionError) as exc:
-        raise EvaluationError(str(exc)) from exc
-
-
-def probably_zero(e: Expr, seeds: int = RAND_EVAL_SEEDS) -> bool:
-    """Randomized zero test: exact when no function atoms are present,
-    otherwise 32-seed evaluation against the mismatch threshold."""
-    e = _coerce(e)
-    if not any(isinstance(a, FunAtom) for a in atoms(e, nested=False)):
-        return is_identically_zero(e)
-    for s in range(seeds):
-        if abs(rand_eval(e, s)) > RAND_EVAL_THRESHOLD:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -415,10 +415,17 @@ def commutator_matches_bracket(alpha: Bivector, f, g):
 
 
 def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
-    """Rank at a rational point of the anchor image together with iterated
-    Lie brackets up to the given depth, in exact arithmetic."""
+    """Rank at a rational point (t, x1..xn), a list of n + 1 rationals, of
+    the anchor image together with iterated Lie brackets up to the given
+    depth, in exact arithmetic.  Each entry is substituted at the point and
+    reduced modulo sin(u)^2 + cos(u)^2 - 1, as a check residual is.  Raises
+    UnsupportedInputError when an entry is undefined at the point, such as
+    x1^-1 at x1 = 0, or is not rational there, such as sin(1/3)."""
     n = alpha.n
-    assignment = _point_assignment(point, n)
+    coords = [Fraction(v) for v in point]
+    if len(coords) != n + 1:
+        raise ValueError(f"expected {n + 1} rational values (t, x1..x{n})")
+    at_point = dict(zip([_T] + _x_atoms(n), coords))
     fields = [alpha.column(l) for l in range(n)]
     accumulated = list(fields)
     frontier = list(fields)
@@ -428,27 +435,21 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
         accumulated.extend(frontier)
     rows = []
     for vec in accumulated:
-        try:
-            values = [ex.evaluate(c, assignment) for c in vec]
-        except ex.EvaluationError as exc:
-            raise ex.EvaluationError(
-                f"singular sample point, pick another one: {exc}"
-            ) from exc
+        values = []
+        for c in vec:
+            try:
+                r = tab.residual(ex.substitute(c, at_point))
+            except UnsupportedInputError as exc:
+                raise UnsupportedInputError(
+                    f"singular point, pick another one: {ex.to_text(c)} is undefined there"
+                ) from exc
+            if not isinstance(r, ex.Rat):
+                raise UnsupportedInputError(f"{ex.to_text(r)} is not rational at the point")
+            values.append(r.value)
         # scaling a row by a nonzero constant keeps the rank
         den = math.lcm(*(v.denominator for v in values))
         rows.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(values) if v})
     return len(_eliminate(rows))
-
-
-def _point_assignment(point, n):
-    if isinstance(point, dict):
-        return {k: Fraction(v) for k, v in point.items()}
-    values = [Fraction(v) for v in point]
-    if len(values) != n + 1:
-        raise ValueError(f"expected {n + 1} rational values (t, x1..x{n})")
-    table = {ex.IndepVar(TIME): values[0]}
-    table.update(zip(_x_atoms(n), values[1:]))
-    return table
 
 
 def _eliminate(rows):

@@ -293,7 +293,7 @@ def test_cli_convention_sheet():
     # the Budgets block is the table of budgets, one row per line
     rows = [f"      {name}: {limit} {unit}\n" for name, (limit, unit) in ac.expr.BUDGETS.items()]
     head = "  * Budgets, all constants; a run that would pass one exits 2:\n"
-    assert head + "".join(rows) + "  * Randomized oracle" in out
+    assert head + "".join(rows) + "\nODE bivector calculus" in out
 
 
 @pytest.mark.parametrize(
@@ -593,15 +593,23 @@ def test_cli_entry_point_subprocess():
     assert json.loads(result.stdout)["version"] == "1"
 
 
-def test_cli_import_leaves_mpmath_out():
-    # mpmath is imported on the first evaluation of a function atom only
+def test_package_runs_with_mpmath_blocked():
+    # the package has no runtime dependency: every module imports, a check
+    # of a model with function atoms runs, and a transitivity rank over
+    # function atoms is exact, all with mpmath unimportable
     code = (
-        "import sys, anchorcalc.cli\n"
-        "assert 'mpmath' not in sys.modules\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import anchorcalc\n"
+        "for m in pkgutil.iter_modules(anchorcalc.__path__):\n"
+        "    importlib.import_module('anchorcalc.' + m.name)\n"
+        "from fractions import Fraction\n"
+        "from anchorcalc import cli, ode\n"
         "from anchorcalc import expr as ex\n"
+        f"assert cli.main(['check', {str(FIXTURES / 'pendulum.ini')!r}, '--json']) == 0\n"
         "x1 = ex.jet('x1')\n"
-        "assert ex.probably_zero(ex.sin(x1)**2 + ex.cos(x1)**2 - 1)\n"
-        "assert 'mpmath' in sys.modules\n"
+        "alpha = ode.Bivector(2, {(0, 1): ex.sin(x1)**2 + ex.cos(x1)**2 - 1})\n"
+        "assert ode.transitivity_rank(alpha, [0, Fraction(1, 3), 2]) == 0\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

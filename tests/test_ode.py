@@ -13,6 +13,7 @@ from anchorcalc import expr as ex
 from anchorcalc import ode
 from anchorcalc.expr import canonicalize, is_identically_zero
 from test_expr import reference_diff  # the product-rule partial derivative
+from tests_helpers_oracle import evaluate
 
 t = ac.indep("t")
 x1, x2, x3 = ac.jet("x1"), ac.jet("x2"), ac.jet("x3")
@@ -487,8 +488,19 @@ def test_rank_agrees_at_three_points():
 
 def test_rank_singular_sample_asks_for_resample():
     alpha = ode.Bivector(2, {(0, 1): x1 ** -1})
-    with pytest.raises(ode.ex.EvaluationError, match="resample|another"):
+    with pytest.raises(ac.UnsupportedInputError, match="another"):
         ode.transitivity_rank(alpha, [0, 0, 1], 0)
+
+
+def test_rank_of_function_atoms_is_exact():
+    # the anchor is zero modulo sin^2 + cos^2 - 1, and sin(0) is exactly 0
+    identity = ode.Bivector(2, {(0, 1): ac.sin(x1) ** 2 + ac.cos(x1) ** 2 - 1})
+    assert ode.transitivity_rank(identity, [0, Fraction(1, 3), 2], 0) == 0
+    sine = ode.Bivector(2, {(0, 1): ac.sin(x1)})
+    assert ode.transitivity_rank(sine, [0, 0, 2], 0) == 0
+    # sin(1/3) is irrational, so the rank is refused, not approximated
+    with pytest.raises(ac.UnsupportedInputError, match=r"sin\(1/3\)"):
+        ode.transitivity_rank(sine, [0, Fraction(1, 3), 2], 0)
 
 
 # --- exact elimination ------------------------------------------------------
@@ -898,7 +910,8 @@ def _reference_search(sys_, max_degree):
 
 def _reference_rank(alpha, point, depth):
     n = alpha.n
-    assignment = ode._point_assignment(point, n)
+    assignment = {t: point[0]}
+    assignment.update((ac.jet(f"x{i}"), v) for i, v in enumerate(point[1:], 1))
     fields = [alpha.column(l) for l in range(n)]
     accumulated = list(fields)
     frontier = list(fields)
@@ -909,7 +922,7 @@ def _reference_rank(alpha, point, depth):
                 new.append(_lie_bracket(a, b))
         frontier = new
         accumulated.extend(new)
-    rows = [[ex.evaluate(c, assignment) for c in vec] for vec in accumulated]
+    rows = [[evaluate(c, assignment) for c in vec] for vec in accumulated]
     return len(_reference_row_reduce(rows, n)[1])
 
 
