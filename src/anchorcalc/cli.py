@@ -25,7 +25,7 @@ from . import forms as fo
 from . import numeric, ode
 from .conventions import CONVENTION_SHEET
 from .linop import LinDiffOp
-from .modelfile import ModelFile, ModelFileError, parse_model
+from .modelfile import SECTIONS, ModelFile, ModelFileError, parse_model
 from .report import ERROR, FAIL, PASS, SKIP, CheckRecord, ModelReport
 
 
@@ -123,15 +123,6 @@ ODE_CHECKS = {
     ),
 }
 
-# section name -> ModelFile attribute
-_SECTION_FIELDS = {
-    "anchor": "alpha",
-    "characteristic": "f",
-    "symmetry": "w",
-    "hamiltonian": "hamiltonian",
-}
-
-
 def _skip_text(sections) -> str:
     names = [f"[{s}]" for s in sections]
     if len(names) == 1:
@@ -141,7 +132,7 @@ def _skip_text(sections) -> str:
 
 def _ode_check(model: ModelFile, shared, name: str):
     sections, check = ODE_CHECKS[name]
-    if any(getattr(model, _SECTION_FIELDS[s]) is None for s in sections):
+    if any(getattr(model, SECTIONS[s][2]) is None for s in sections):
         return None, _skip_text(sections)
     return check(model, shared)
 
@@ -291,7 +282,7 @@ def oracle_report(args) -> ModelReport:
     elapsed = (time.perf_counter() - start) * 1000.0
     for rec in records:
         drift_text = f"drift = {rec.drift:.6e}"
-        if rec.blowup:
+        if rec.stop is not None:
             if rec.stop == numeric.TRACKED_DOMAIN:
                 cause = f"domain error in {rec.name} = {ex.to_text(model.f)}"
             elif rec.stop == numeric.FIELD_DOMAIN:

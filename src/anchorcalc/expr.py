@@ -727,13 +727,11 @@ def fun(fn: str, arg) -> Expr:
 
 def _fun_poly(fn, arg):
     p = arg._poly
+    if fn == "log" and type(arg) is Rat and p[0].get((), 0) <= 0:
+        raise UnsupportedInputError(f"log({to_text(arg)}) is undefined")
     if not p[0]:
         # exact values at zero argument
-        if fn == "sin":
-            return {}, 1
-        if fn == "cos" or fn == "exp":
-            return {(): 1}, 1
-        raise UnsupportedInputError("log(0) is undefined")
+        return ({}, 1) if fn == "sin" else ({(): 1}, 1)
     if fn == "log" and p == ({(): 1}, 1):
         return {}, 1
     return {((FunAtom(fn, arg), 1),): 1}, 1

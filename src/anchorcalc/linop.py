@@ -15,6 +15,11 @@ constant entry a D^alpha is likewise the one entry (-1)^|alpha| a D^alpha.
 Each sum is normalised once per entry, as every accumulated sum is, so
 the result is exact and in the same canonical form as the Leibniz loop
 that every product with a polynomial coefficient still takes.
+
+On-shell reduction (ShellRules) keeps one rule table per jet order, lead
+jet -> right-hand side polynomial, built on the kernel's polynomial layer.
+No right-hand side holds a lead, so one simultaneous substitution of the
+table reduces an expression completely.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .expr import (
     JetVar,
     MultiIndex,
     EMPTY_INDEX,
-    is_identically_zero,
     to_text,
 )
 
@@ -259,23 +263,25 @@ def linearize(components, fields) -> LinDiffOp:
 
 
 class ShellRules:
-    """Substitution rules lead-jet -> expression for a shell of equations.
+    """Substitution rules lead-jet -> polynomial for a shell of equations.
 
     The rules for jet order k eliminate the equations together with all
     their total derivatives of order <= k, so a jet of order <= k that the
     shell fixes is rewritten whatever the orders of the individual equations
     (the order-k prolongation).  Each relation must be solvable for its
     greatest jet atom (highest order, then field, then index) with a
-    constant coefficient.  The rules of each order are built on first use
-    and cached, with the table of their right-hand side polynomials that
-    reduce substitutes; a racing first build recomputes the same rules.
+    constant coefficient.  The rules of each order are one table, lead ->
+    right-hand side polynomial, built on first use and cached; a racing
+    first build recomputes the same table.  _eliminate solves each equation
+    for its lead after reducing it by the rules so far, so a right-hand
+    side holds only leads of later rules, and one pass in reverse order
+    leaves every right-hand side free of leads.
     """
 
     def __init__(self, equations, directions):
         self.equations = [ex._coerce(e) for e in equations]
         self.directions = tuple(directions)
         self._cache = {}
-        self._tables = {}
         # build the equations' own order now, so a bad shell fails here
         self.rules_up_to(max(map(ex.max_jet_order, self.equations), default=0))
 
@@ -296,32 +302,36 @@ class ShellRules:
 
     def reduce(self, e: Expr) -> Expr:
         """Substitute every leading jet of e in one simultaneous pass;
-        idempotent.  One pass suffices: _eliminate leaves every right-hand
-        side free of leads, so no lead is left after it, and the value is
-        the fixed point that substituting until no lead is left reaches."""
+        idempotent, as no right-hand side holds a lead."""
         e = ex._coerce(e)
-        order = ex.max_jet_order(e)
-        table = self._tables.get(order)
-        if table is None:
-            rules = self.rules_up_to(order)
-            table = self._tables[order] = {lead: rhs._poly for lead, rhs in rules.items()}
-        return ex._expr(ex._subst_poly(e._poly, table))
+        return ex._expr(ex._subst_poly(e._poly, self.rules_up_to(ex.max_jet_order(e))))
 
 
 def _eliminate(equations):
-    """Triangularize linear-in-their-lead equations into rewrite rules whose
-    right-hand sides contain no lead."""
+    """Triangularize linear-in-their-lead equations into one table, lead ->
+    right-hand side polynomial, in which no right-hand side holds a lead.
+
+    Each equation is reduced by the rules so far until no lead is left,
+    then solved for its own lead.  So rule k holds no earlier lead and not
+    its own, only leads of later rules; in one pass in reverse order those
+    are final when rule k is reached, and one substitution leaves it free
+    of leads.  The fully reduced image of a lead is unique, as each rule
+    maps its lead to smaller jets and substitution is a ring homomorphism.
+    """
     rules = {}
     for eq in equations:
-        eq = _reduce_full(eq, rules)
-        if is_identically_zero(eq):
+        p = eq._poly
+        while (q := ex._subst_poly(p, rules)) is not p:  # until no lead is left
+            p = q
+        if not p[0]:
             continue
+        eq = ex._expr(p)
         jets = ex.jet_atoms(eq)
         if not jets:
             raise ShellError(f"inconsistent shell relation: {to_text(eq)} = 0")
         lead = max(jets, key=_lead_key)
         coeff = ex.diff(eq, lead)
-        if ex.jet_atoms(coeff) or not isinstance(coeff, ex.Rat):
+        if not isinstance(coeff, ex.Rat):
             raise ShellError(
                 f"cannot solve relation for {lead.display()}: "
                 "leading coefficient is not constant"
@@ -329,18 +339,7 @@ def _eliminate(equations):
         rest = eq - coeff * ex.Sym(lead)
         if lead in ex.jet_atoms(rest):
             raise ShellError(f"relation is nonlinear in {lead.display()}")
-        rules[lead] = rest * ex.rational(-1) / coeff
-    # later rules rewrite earlier right-hand sides; atoms only ever decrease
-    for lead, rhs in rules.items():
-        rules[lead] = _reduce_full(rhs, rules)
+        rules[lead] = (rest * ex.rational(-1) / coeff)._poly
+    for lead in reversed(rules):
+        rules[lead] = ex._subst_poly(rules[lead], rules)
     return rules
-
-
-def _reduce_full(e, rules):
-    """Substitute the rules into e until no lead is left: the reduction of
-    _eliminate, whose rules are still being built."""
-    while True:
-        hit = {a: rules[a] for a in ex.jet_atoms(e) if a in rules}
-        if not hit:
-            return e
-        e = ex.substitute(e, hit)

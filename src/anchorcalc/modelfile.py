@@ -18,8 +18,11 @@ Format (INI-style, expression grammar from the kernel):
     [hamiltonian]
     H = (x1^2 + x2^2)/2
 
-Fields are x1..xn, the independent variable is t.  Printing a parsed file
-with format_model and parsing it back is the identity on canonical files.
+Fields are x1..xn, the independent variable is t.  SECTIONS is the one
+list of sections: the unknown-section and unknown-key checks, the parser
+and format_model read it, as does the skip rule of the check command.
+Printing a parsed file with format_model and parsing it back is the
+identity on canonical files.
 
 The layout is read in one pass (_read_sections), and it accepts this INI
 subset: `[section]` header lines; `key = value` or `key: value` lines, cut
@@ -53,7 +56,16 @@ from . import expr as ex
 from . import ode
 from .parser import ParseError, VarContext, parse_expr
 
-KNOWN_SECTIONS = ("ode", "anchor", "characteristic", "symmetry", "hamiltonian")
+# The one list of sections: name -> (key, whether its value is a list of
+# n expressions or one expression, ModelFile attribute).  [ode] also holds
+# n; [anchor] has no one key but the alpha_ij entries of its bivector.
+SECTIONS = {
+    "ode": ("v", True, "v"),
+    "anchor": (None, False, "alpha"),
+    "characteristic": ("f", False, "f"),
+    "symmetry": ("w", True, "w"),
+    "hamiltonian": ("H", False, "hamiltonian"),
+}
 
 
 class ModelFileError(ex.ExprError):
@@ -69,6 +81,10 @@ class ModelFile:
         self.w = w
         self.hamiltonian = hamiltonian
         self.name = name
+
+    @property
+    def v(self):
+        return self.system.v
 
     def context(self) -> VarContext:
         return _context(self.n)
@@ -162,7 +178,7 @@ def _read_sections(text: str, name: str):
 def parse_model_text(text: str, name: str = "model") -> ModelFile:
     sections, places = _read_sections(text, name)
     for section in sections:
-        if section not in KNOWN_SECTIONS:
+        if section not in SECTIONS:
             raise ModelFileError(f"unknown section [{section}]{_line(places, section)}")
     if "ode" not in sections:
         raise ModelFileError("missing [ode] section")
@@ -178,76 +194,65 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
             message += f" (line {line}, column {at})" if column else f" (line {line})"
         return ModelFileError(f"[{header}] {message}")
 
-    def items(header, key):
-        try:
-            return _split_list(sections[header].get(key, ""), key)
-        except ModelFileError as exc:
-            raise error(header, key, str(exc)) from None
-
-    ode_sec = sections["ode"]
-    _check_keys(sections, places, "ode", {"n", "v"})
+    _check_keys(sections, places, "ode")
     try:
-        n = int(ode_sec.get("n", ""))
+        n = int(sections["ode"].get("n", ""))
     except ValueError:
         raise error("ode", "n", "n must be an integer") from None
     if n < 1:
         raise error("ode", "n", "n must be positive")
-    v_items = items("ode", "v")
-    if len(v_items) != n:  # before the n names of the context are built
-        raise error("ode", "v", f"v has {len(v_items)} components, expected {n}")
-    ctx = _context(n)
+    ctx = None
 
     def parse(header, key, item=None, offset=0):
         """The expression of a value, or of the list item at offset in it;
         a ParseError is reported at its line and column in the file."""
+        nonlocal ctx
         item = sections[header].get(key, "") if item is None else item
         if not item.strip():
             raise error(header, key, f"{key}: empty expression", offset)
+        if ctx is None:  # built on the first parse, after v's length is checked
+            ctx = _context(n)
         try:
             return parse_expr(item, ctx)
         except ParseError as exc:
             raise error(header, key, f"{key}: {exc.message}", offset + exc.position, True) from exc
 
-    v = [parse("ode", "v", item, offset) for offset, item in v_items]
+    def expressions(header, key):
+        """The n expressions of a list value, its length checked before any
+        of them is parsed."""
+        try:
+            listed = _split_list(sections[header].get(key, ""), key)
+        except ModelFileError as exc:
+            raise error(header, key, str(exc)) from None
+        if len(listed) != n:
+            raise error(header, key, f"{key} has {len(listed)} components, expected {n}")
+        return [parse(header, key, item, offset) for offset, item in listed]
 
-    alpha = None
-    if "anchor" in sections:
+    values = {}
+    for header, (key, is_list, attr) in SECTIONS.items():
+        if header not in sections:
+            continue
+        if key is not None:
+            _check_keys(sections, places, header)
+            values[attr] = expressions(header, key) if is_list else parse(header, key)
+            continue
         upper, keys = {}, {}
-        for key in sections["anchor"]:
+        for key in sections[header]:
             m = _ALPHA_KEY.match(key)
             if not m:
                 raise error(
-                    "anchor", key, f"keys must look like alpha_12 or alpha_1_2, got {key!r}"
+                    header, key, f"keys must look like alpha_12 or alpha_1_2, got {key!r}"
                 )
             groups = [g for g in m.groups() if g is not None]
             i, j = int(groups[0]), int(groups[1])
             if not (1 <= i < j <= n):
-                raise error("anchor", key, f"{key}: need 1 <= i < j <= n")
+                raise error(header, key, f"{key}: need 1 <= i < j <= n")
             if (i, j) in keys:
-                raise error("anchor", key, f"{keys[i, j]} and {key} both set alpha_{i}_{j}")
+                raise error(header, key, f"{keys[i, j]} and {key} both set alpha_{i}_{j}")
             keys[i, j] = key
-            upper[(i - 1, j - 1)] = parse("anchor", key)
-        alpha = ode.Bivector(n, upper)
-
-    f = None
-    if "characteristic" in sections:
-        _check_keys(sections, places, "characteristic", {"f"})
-        f = parse("characteristic", "f")
-
-    w = None
-    if "symmetry" in sections:
-        _check_keys(sections, places, "symmetry", {"w"})
-        w_items = items("symmetry", "w")
-        if len(w_items) != n:
-            raise error("symmetry", "w", f"w has {len(w_items)} components, expected {n}")
-        w = [parse("symmetry", "w", item, offset) for offset, item in w_items]
-
-    hamiltonian = None
-    if "hamiltonian" in sections:
-        _check_keys(sections, places, "hamiltonian", {"H"})
-        hamiltonian = parse("hamiltonian", "H")
-
-    return ModelFile(n, v, alpha=alpha, f=f, w=w, hamiltonian=hamiltonian, name=name)
+            upper[(i - 1, j - 1)] = parse(header, key)
+        values[attr] = ode.Bivector(n, upper)
+    return ModelFile(n, name=name, **values)
 
 
 def _line(places, header, key=None) -> str:
@@ -255,9 +260,10 @@ def _line(places, header, key=None) -> str:
     return f" (line {places[header, key][0][0]})"
 
 
-def _check_keys(sections, places, header, allowed):
-    """Refuse the keys of a section outside allowed, at the line of the
-    first of them in the file."""
+def _check_keys(sections, places, header):
+    """Refuse the keys of a section other than its key in SECTIONS, and n
+    in [ode], at the line of the first of them in the file."""
+    allowed = (SECTIONS[header][0], "n" if header == "ode" else None)
     extra = [key for key in sections[header] if key not in allowed]
     if extra:
         where = _line(places, header, extra[0])
@@ -266,25 +272,18 @@ def _check_keys(sections, places, header, allowed):
 
 def format_model(model: ModelFile) -> str:
     """Canonical rendering; parse(format(m)) reproduces m."""
-    out = ["[ode]", f"n = {model.n}"]
-    vs = ", ".join(ex.to_text(c) for c in model.system.v)
-    out.append(f"v = [{vs}]")
-    if model.alpha is not None and not model.alpha.is_zero():
-        out.append("")
-        out.append("[anchor]")
-        for (i, j), value in sorted(model.alpha.upper.items()):
-            out.append(f"alpha_{i + 1}_{j + 1} = {ex.to_text(value)}")
-    if model.f is not None:
-        out.append("")
-        out.append("[characteristic]")
-        out.append(f"f = {ex.to_text(model.f)}")
-    if model.w is not None:
-        out.append("")
-        out.append("[symmetry]")
-        ws = ", ".join(ex.to_text(c) for c in model.w)
-        out.append(f"w = [{ws}]")
-    if model.hamiltonian is not None:
-        out.append("")
-        out.append("[hamiltonian]")
-        out.append(f"H = {ex.to_text(model.hamiltonian)}")
-    return "\n".join(out) + "\n"
+    blocks = []
+    for header, (key, is_list, attr) in SECTIONS.items():
+        value = getattr(model, attr)
+        if value is None or key is None and value.is_zero():
+            continue
+        lines = [f"[{header}]"] + ([f"n = {model.n}"] if header == "ode" else [])
+        if key is None:
+            for (i, j), entry in sorted(value.upper.items()):
+                lines.append(f"alpha_{i + 1}_{j + 1} = {ex.to_text(entry)}")
+        elif is_list:
+            lines.append(f"{key} = [{', '.join(map(ex.to_text, value))}]")
+        else:
+            lines.append(f"{key} = {ex.to_text(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

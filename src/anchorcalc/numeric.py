@@ -130,12 +130,11 @@ def compile_scalar(e, n: int):
 
 
 class DriftRecord:
-    __slots__ = ("name", "drift", "blowup", "stop")
+    __slots__ = ("name", "drift", "stop")
 
-    def __init__(self, name: str, drift: float, blowup: bool, stop: str | None = None):
+    def __init__(self, name: str, drift: float, stop: str | None = None):
         self.name = name
         self.drift = drift
-        self.blowup = blowup
         self.stop = stop
 
 
@@ -261,11 +260,10 @@ def integrate_drift(
     step_count refuses a run before any step."""
     steps = step_count(t_end, step, points)
     run = _trajectory(system, [f for _, f in tracked])
-    records = [DriftRecord(name, 0.0, False) for name, _ in tracked]
+    records = [DriftRecord(name, 0.0) for name, _ in tracked]
     for point in random_initial_points(system.n, seed, points):
         stop, *drifts = run(steps, step, *map(float, point), *(r.drift for r in records))
         for record, drift in zip(records, drifts):
             record.drift = drift
-            record.blowup = record.blowup or stop is not None
             record.stop = record.stop or stop
     return records

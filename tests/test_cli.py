@@ -96,6 +96,16 @@ def test_anchor_entry_named_twice_exits_2(tmp_path, capsys, first, second):
     assert capsys.readouterr().err == f"error: [anchor] {keys} both set alpha_1_2 (line 7)\n"
 
 
+def test_check_refuses_the_log_of_a_negative_constant(tmp_path, capsys):
+    # log(-2) once stayed an opaque atom, and this model passed its
+    # characteristic check, while the oracle refused it
+    model = tmp_path / "log_negative.ini"
+    model.write_text("[ode]\nn = 1\nv = [0]\n\n[characteristic]\nf = x1*log(-2)\n")
+    code, out = run_cli("check", str(model))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: log(-2) is undefined\n"
+
+
 # --- run_checks ----------------------------------------------------------------
 
 

@@ -85,6 +85,19 @@ def test_log_special_values():
         ac.canonicalize(ac.log(ac.rational(0)))
 
 
+@pytest.mark.parametrize("value, text", [(-2, "-2"), (Fraction(-1, 2), "-1/2"), (0, "0")])
+def test_log_of_a_constant_at_most_zero_is_undefined(value, text):
+    with pytest.raises(ex.UnsupportedInputError) as err:
+        ac.log(ac.rational(value))
+    assert str(err.value) == f"log({text}) is undefined"
+    # the log of a non-constant stays an atom, whatever the sign it takes
+    assert ac.to_text(ac.log(-(x1**2))) == "log(-x1^2)"
+    # and a point where its argument is a constant <= 0 is a singular one
+    alpha = ode.Bivector(2, {(0, 1): ac.log(x1)})
+    with pytest.raises(ex.UnsupportedInputError, match="^singular point, pick another one: "):
+        ode.transitivity_rank(alpha, [0, value, 1])
+
+
 # --- total derivative -------------------------------------------------------
 
 
@@ -833,8 +846,9 @@ _GRAD_LEAVES = st.one_of(
 
 
 def _apply(fn, e):
-    # log(0) is undefined
-    return e if ac.is_identically_zero(e) else fn(e)
+    # the log of a constant <= 0 is undefined
+    undefined = fn is ac.log and isinstance(e, ex.Rat) and e.value <= 0
+    return e if ac.is_identically_zero(e) or undefined else fn(e)
 
 
 def _grad_exprs(functions):

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
 from anchorcalc import linop as lo
+from tests_helpers_linop import _reduce_full, reference_rules
 
 t = ac.indep("t")
 x1, x2 = ac.jet("x1"), ac.jet("x2")
@@ -336,7 +337,62 @@ def test_reduce_in_one_pass_is_the_fixed_point_of_its_rules(case):
         reject()
     for probe in probes:
         rules = shell.rules_up_to(ex.max_jet_order(probe))
-        assert shell.reduce(probe) == lo._reduce_full(probe, rules)
+        as_exprs = {lead: ex._expr(rhs) for lead, rhs in rules.items()}
+        assert shell.reduce(probe) == _reduce_full(probe, as_exprs)
+
+
+def _rules_or_message(build):
+    """The rule table that build returns, as lead -> polynomial, or the
+    message of the ShellError it raises."""
+    try:
+        return build()
+    except lo.ShellError as exc:
+        return str(exc)
+
+
+@st.composite
+def _shells(draw):
+    """A shell of either generator and up to two more relations of order 0
+    with constant coefficients.  Two such relations can chain three rules,
+    each right-hand side holding the lead of a later one, and one can make
+    the shell inconsistent; a prolongation can leave a lead with a
+    coefficient in t."""
+    equations, directions = draw(
+        st.one_of(
+            _shells_and_probes().map(lambda case: case[:2]),
+            _linear_systems().map(lambda system: (system[2], ["t"])),
+        )
+    )
+    fields = sorted({a.field for e in equations for a in ex.jet_atoms(e)})
+    for _ in range(draw(st.integers(0, 2))):
+        # the greater field first, so a nonzero first coefficient is the lead's
+        xj, xi = map(ac.jet, sorted(draw(st.sampled_from(fields)) for _ in range(2)))
+        equations = equations + [draw(_fractions) * xi + draw(_fractions) * xj + draw(_fractions)]
+    return equations, directions
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shells())
+# a chain of three rules: x1_t -> x3 -> x2 -> x1, each holding a later lead
+@example(([x1t - ac.jet("x3"), ac.jet("x3") - x2, x2 - x1], ["t"]))
+def test_rule_table_matches_the_reference_elimination(shell_case):
+    """Up to two orders above the equations, rules_up_to(k) equals the
+    Expr-level reference as polynomials, no right-hand side holds a lead,
+    and a ShellError has the reference's message."""
+    equations, directions = shell_case
+    base = max(map(ex.max_jet_order, equations))
+    for order in range(base, base + 3):
+        table = _rules_or_message(lambda: lo.ShellRules(equations, directions).rules_up_to(order))
+        expected = _rules_or_message(
+            lambda: {
+                lead: rhs._poly
+                for lead, rhs in reference_rules(equations, directions, order).items()
+            }
+        )
+        assert table == expected
+        if isinstance(table, dict):
+            for rhs in table.values():
+                assert ex.jet_atoms(ex._expr(rhs)).isdisjoint(table)
 
 
 def test_op_equal_mod_shell_exact_and_weak():

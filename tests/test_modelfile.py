@@ -14,7 +14,8 @@ from anchorcalc import modelfile
 from anchorcalc.modelfile import ModelFileError, parse_model_text
 from anchorcalc.parser import VarContext
 
-OSCILLATOR = Path(__file__).parent / "fixtures" / "oscillator.ini"
+FIXTURES = Path(__file__).parent / "fixtures"
+OSCILLATOR = FIXTURES / "oscillator.ini"
 
 
 def _reference(text):
@@ -270,3 +271,20 @@ def test_expression_error_points_at_the_token_in_the_file(case):
     with pytest.raises(ModelFileError) as err:
         parse_model_text(text)
     assert str(err.value) == f"{where}: unknown identifier 'q' (line {line}, column {column})"
+
+
+def _upper(model):
+    return {} if model.alpha is None else model.alpha.upper
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ini")), ids=lambda path: path.name)
+def test_format_round_trip_over_every_fixture(path):
+    """parse(format(m)) gives m's v, anchor entries, f, w and H, and
+    formatting it again gives the same bytes."""
+    model = modelfile.parse_model(path)
+    once = modelfile.format_model(model)
+    again = parse_model_text(once)
+    assert again.system.v == model.system.v
+    assert _upper(again) == _upper(model)
+    assert (again.f, again.w, again.hamiltonian) == (model.f, model.w, model.hamiltonian)
+    assert modelfile.format_model(again) == once

@@ -59,7 +59,7 @@ def _reference_drift(system, tracked, seed, t_end, step, points, seen=None):
     def rhs(t, x):
         return [-fn(t, x) for fn in v_fns]
 
-    records = {name: numeric.DriftRecord(name, 0.0, False) for name, _ in tracked_fns}
+    records = {name: numeric.DriftRecord(name, 0.0) for name, _ in tracked_fns}
     steps = int(round(t_end / step))
     for point in numeric.random_initial_points(n, seed, points):
         x = [float(c) for c in point]
@@ -107,7 +107,6 @@ def _reference_drift(system, tracked, seed, t_end, step, points, seen=None):
                 if drift > records[name].drift:
                     records[name].drift = drift
         for record in records.values():
-            record.blowup = record.blowup or stop is not None
             record.stop = record.stop or stop
     return list(records.values())
 
@@ -157,7 +156,7 @@ def _oracle_inputs(draw):
 
 
 def _bits(records):
-    return [(r.name, r.drift.hex(), r.blowup, r.stop) for r in records]
+    return [(r.name, r.drift.hex(), r.stop) for r in records]
 
 
 @settings(max_examples=150, deadline=None)
