@@ -45,7 +45,9 @@ The reader records the file line and start column of every line it joins
 into a value, so a position in a value is one index into that list.  An
 expression that does not parse is a ModelFileError with the line and
 column in the file where the parser stopped; every other error in a value
-names the line it stands on.
+names the line it stands on, a value the kernel refuses (log(-2), a
+division by a sum) included.  A resource-limit refusal is not an error in
+the file and keeps its own message.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
 
     def parse(header, key, item=None, offset=0):
         """The expression of a value, or of the list item at offset in it;
-        a ParseError is reported at its line and column in the file."""
+        a ParseError is reported at its line and column in the file, and a
+        value the kernel refuses, such as log(-2), at the item's line."""
         nonlocal ctx
         item = sections[header].get(key, "") if item is None else item
         if not item.strip():
@@ -216,6 +219,8 @@ def parse_model_text(text: str, name: str = "model") -> ModelFile:
             return parse_expr(item, ctx)
         except ParseError as exc:
             raise error(header, key, f"{key}: {exc.message}", offset + exc.position, True) from exc
+        except ex.UnsupportedInputError as exc:
+            raise error(header, key, f"{key}: {exc}", offset) from exc
 
     def expressions(header, key):
         """The n expressions of a list value, its length checked before any

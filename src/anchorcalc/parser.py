@@ -16,6 +16,20 @@ one per derivative (``x1_tt`` is the second t-derivative of field x1).
 Which identifiers denote independent variables, fields or parameters is
 supplied by a :class:`VarContext`.  Input nested more than MAX_DEPTH
 levels deep (parentheses, calls, signs) is rejected with a ParseError.
+
+Most model-file values are flat sums of products, such as
+``-9/4*x3*x4*x5*x6 + x1^2``, and parse_expr reads those in one pass
+(_flat): one split at the signs gives the signed product texts, each a
+run of factors joined by ``*`` or ``/``, where a factor is a nonzero
+integer or a name of the context, with an optional non-negative integer
+power.  Each distinct product text is read once per context, through the
+memo VarContext.products, and the sum is normalised once.  Every other
+text goes whole through the tokenizer and the recursive-descent parser:
+one with parentheses, a call or a jet name; an unknown name, a zero
+factor or a negative exponent; a doubled or trailing sign; an empty or
+blank text; and a sum of more than NODE_LIMIT products.  So that parser
+is the one source of parse errors and refusals, and the flat reading
+gives the value it would give.
 """
 
 from __future__ import annotations
@@ -42,6 +56,10 @@ class ParseError(ex.ExprError):
         self.column = col
 
 
+# A name of a VarContext: an identifier without the jet suffix.
+_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9]*")
+
+
 class VarContext:
     """Symbol table mapping identifiers to atom kinds."""
 
@@ -50,6 +68,9 @@ class VarContext:
         self.fields = tuple(fields)
         self.params = tuple(params)
         names = self.indep + self.fields + self.params
+        odd = [n for n in names if not _NAME.fullmatch(n)]
+        if odd:
+            raise ValueError(f"names must be letters and digits, a letter first: {odd}")
         dupes = {n for n, count in Counter(names).items() if count > 1}
         if dupes:
             raise ValueError(f"names must be unique within a model: {sorted(dupes)}")
@@ -59,6 +80,8 @@ class VarContext:
         self.atoms = {n: ex.IndepVar(n) for n in self.indep}
         self.atoms.update((n, ex.JetVar(n)) for n in self.fields)
         self.atoms.update((n, ex.Param(n)) for n in self.params)
+        # product text -> (monomial, numerator, denominator), filled by _flat
+        self.products = {}
 
     def lookup(self, name):
         """The atom a name denotes, or None."""
@@ -149,82 +172,40 @@ class _Parser:
         raise ParseError(message, pos, self.text)
 
     # grammar rules ------------------------------------------------------
-    # expr and term, which every token passes through, read the token list
-    # directly rather than through peek and advance
     def expr(self):
-        tokens = self.tokens
         p = self.term()
         acc = None  # the sum of two or more terms, accumulated in place
         while True:
-            kind, val, _ = tokens[self.k]
+            kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
                 return p if acc is None else ex._normal(*acc)
-            self.k += 1
+            self.advance()
             q = self.term()
             if acc is None:
                 acc = ex._acc(p)
             ex._padd_into(acc, q, 1 if val == "+" else -1)
 
     def term(self):
-        """A product of factors in one pass.  Each nonzero integer and each
-        atom, with its power and signs, goes into one numerator, one
-        denominator and one exponent per atom, and their monomial is built
-        once, at the end.  Any other factor (parenthesised, a call or the
-        integer 0) goes through unary() and is multiplied in as it comes, so
-        errors and refused products arise where the factor-by-factor fold
-        meets them: a nonzero monomial factor changes no term count.  Each
-        sign and each factor counts one nesting level, as in the grammar."""
-        tokens = self.tokens
-        num = den = 1
-        exponents = {}
-        p = None  # the product of the other factors, once there is one
-        op = "*"
+        p = self.unary()
         while True:
-            kind, val, pos = tokens[self.k]
-            signs = 0
-            while kind == "op" and val in "+-":
-                self.descend()
-                self.k += 1
-                signs += 1
-                if val == "-":
-                    num = -num
-                kind, val, pos = tokens[self.k]
-            if kind == "ident" and val not in ex.FUNCTIONS or kind == "num" and int(val):
-                self.descend()
-                self.k += 1
-                atom = None if kind == "num" else self.identifier(val, pos)
-                e = 1
-                if tokens[self.k][:2] == ("op", "^"):
-                    self.k += 1
-                    e = self.exponent()
-                self.depth -= 1
-                if op == "/":
-                    e = -e
-                if atom is not None:
-                    exponents[atom] = exponents.get(atom, 0) + e
-                elif e >= 0:
-                    num *= int(val) ** e
-                else:
-                    den *= int(val) ** -e
-            else:
-                q = self.unary()
-                if op == "/":
-                    q = ex._pinv(q)
-                p = q if p is None else ex._pmul(p, q)
-            self.depth -= signs
-            kind, op, _ = tokens[self.k]
+            kind, op, _ = self.peek()
             if kind != "op" or op not in "*/":
-                break
-            self.k += 1
-        g = math.gcd(num, den)
-        mono = {tuple(sorted((a, e) for a, e in exponents.items() if e)): num // g}, den // g
-        return mono if p is None else ex._pmul(p, mono)
+                return p
+            self.advance()
+            q = self.unary()
+            p = ex._pmul(p, ex._pinv(q) if op == "/" else q)
 
     def unary(self):
-        """A factor that term() does not gather, one nesting level deeper;
-        every nested parenthesis and call passes here."""
+        """A signed factor, one nesting level deeper per sign and factor."""
         self.descend()
-        p = self.power()
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.advance()
+            p = self.unary()
+            if val == "-":
+                p = ex._pscale(p, -1)
+        else:
+            p = self.power()
         self.depth -= 1
         return p
 
@@ -255,12 +236,10 @@ class _Parser:
         return value
 
     def atom(self):
-        """term() gathers nonzero integers and identifiers other than function
-        names, so here an integer is 0 and an identifier names a function."""
         kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            return {}, 1
+            return ({(): int(val)}, 1) if int(val) else ({}, 1)
         if kind == "op" and val == "(":
             self.advance()
             inner = self.expr()
@@ -268,6 +247,8 @@ class _Parser:
             return inner
         if kind == "ident":
             self.advance()
+            if val not in ex.FUNCTIONS:
+                return {((self.identifier(val, pos), 1),): 1}, 1
             self.expect("(")
             arg = self.expr()
             self.expect(")")
@@ -294,8 +275,99 @@ class _Parser:
         return atom
 
 
+# The flat reading.  A sign split leaves the product texts at the odd
+# indices of the split, and an operator split leaves the factor texts of a
+# product at the even ones.  A factor is a name of the context or reads as
+# _FACTOR, an integer or a name with an optional power.
+_SIGNS = re.compile(r"([-+])")
+_OPERATORS = re.compile(r"([*/])")
+_FACTOR = re.compile(r"\s*(?:([0-9]+)|([a-zA-Z][a-zA-Z0-9]*))\s*(?:\^\s*([0-9]+)\s*)?")
+
+
+def _product(text, atoms):
+    """(monomial, numerator, denominator) of a product text, the fraction in
+    lowest terms; None when a factor is not a nonzero integer or a name in
+    atoms, each with an optional non-negative integer power."""
+    num = den = 1
+    exponents = {}
+    divide = False
+    for part in _OPERATORS.split(text):
+        atom = atoms.get(part)  # a bare name, the most common factor
+        e = 1
+        if atom is None:
+            if part == "*" or part == "/":
+                divide = part == "/"
+                continue
+            if part.isascii() and part.isdigit():  # a bare integer
+                integer, name, power = part, None, None
+            else:
+                m = _FACTOR.fullmatch(part)
+                if m is None:
+                    return None
+                integer, name, power = m.groups()
+            if power:
+                e = int(power)
+            if integer:
+                if not int(integer):
+                    return None
+                if divide:
+                    den *= int(integer) ** e
+                else:
+                    num *= int(integer) ** e
+                continue
+            atom = atoms.get(name)
+            if atom is None:
+                return None
+        exponents[atom] = exponents.get(atom, 0) + (-e if divide else e)
+    mono = sorted(exponents.items())
+    if 0 in exponents.values():  # a name divided out
+        mono = [item for item in mono if item[1]]
+    g = math.gcd(num, den)
+    return tuple(mono), num // g, den // g
+
+
+def _flat(text, context):
+    """The value of a flat sum of products, or None for any other text."""
+    if "(" in text:  # a call or parentheses
+        return None
+    parts = _SIGNS.split(text)
+    if parts[0].strip():
+        parts.insert(0, "+")
+    else:  # a leading sign, or a blank text
+        del parts[0]
+    if not parts or len(parts) // 2 > ex.NODE_LIMIT:
+        return None
+    memo = context.products
+    reads = []
+    d = 1
+    for product in parts[1::2]:
+        product = product.strip()
+        read = memo.get(product)
+        if read is None:
+            read = _product(product, context.atoms)
+            if read is None:
+                return None
+            memo[product] = read
+        if d % read[2]:
+            d = math.lcm(d, read[2])
+        reads.append(read)
+    out = {}
+    get = out.get
+    for sign, (mono, num, den) in zip(parts[::2], reads):
+        v = get(mono, 0) + (num if sign == "+" else -num) * (d // den)
+        if v:
+            out[mono] = v
+        else:
+            del out[mono]
+    return ex._expr(ex._normal(out, d))
+
+
 def parse_expr(text, context) -> ex.Expr:
-    """Parse a single expression; raises ParseError with position info."""
+    """Parse a single expression; raises ParseError with position info.  A
+    flat sum of products is read by _flat, any other text by _Parser."""
+    value = _flat(text, context)
+    if value is not None:
+        return value
     p = _Parser(text, context)
     node = p.expr()
     kind, val, pos = p.peek()

@@ -98,12 +98,13 @@ def test_anchor_entry_named_twice_exits_2(tmp_path, capsys, first, second):
 
 def test_check_refuses_the_log_of_a_negative_constant(tmp_path, capsys):
     # log(-2) once stayed an opaque atom, and this model passed its
-    # characteristic check, while the oracle refused it
+    # characteristic check, while the oracle refused it; the refusal names
+    # its section, key and file line, as every other error in a value does
     model = tmp_path / "log_negative.ini"
     model.write_text("[ode]\nn = 1\nv = [0]\n\n[characteristic]\nf = x1*log(-2)\n")
     code, out = run_cli("check", str(model))
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == "error: log(-2) is undefined\n"
+    assert capsys.readouterr().err == "error: [characteristic] f: log(-2) is undefined (line 6)\n"
 
 
 # --- run_checks ----------------------------------------------------------------

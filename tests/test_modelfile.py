@@ -202,6 +202,35 @@ def test_value_error_names_its_file_line(text, message):
     assert str(err.value) == message
 
 
+_DIVISION = "division is only supported by nonzero constants and single monomials"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[ode]\nn = 1\nv = [0]\n\n[characteristic]\nf = x1*log(-2)\n",
+            "[characteristic] f: log(-2) is undefined (line 6)",
+        ),
+        (
+            "[ode]\nn = 1\nv = [0]\n\n[characteristic]\nf = log(0)\n",
+            "[characteristic] f: log(0) is undefined (line 6)",
+        ),
+        (
+            "[ode]\nn = 2\nv = [x1, x2]\n[characteristic]\nf = x1/(x2 - x2)\n",
+            f"[characteristic] f: {_DIVISION} (line 5)",
+        ),
+        ("[ode]\nn = 2\nv = [1/(x1+x2), x1]\n", f"[ode] v: {_DIVISION} (line 3)"),
+        # a list item on a continuation line names its own line
+        ("[ode]\nn = 2\nv = [x1,\n    1/(x1+x2)]\n", f"[ode] v: {_DIVISION} (line 4)"),
+    ],
+)
+def test_kernel_refusal_names_its_file_line(text, message):
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

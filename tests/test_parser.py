@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
+from anchorcalc import modelfile, parser
 from anchorcalc.modelfile import _split_list
 from anchorcalc.parser import MAX_DEPTH, ParseError, VarContext, parse_expr, tokenize
 
@@ -401,3 +402,156 @@ def test_parser_errors_match_expr_operator_reference(text):
 )
 def test_parser_matches_reference_on_edge_texts(text):
     _assert_same_as_reference(text)
+
+
+# --- the flat reading of sums of products -----------------------------------------
+#
+# parse_expr reads a flat sum of products in one pass and sends every other
+# text whole to the tokenizer and the grammar.  The properties below hold the
+# flat reading to the reference, values and error texts alike, and hold the
+# choice of path to the rule in the parser docstring: a text reaches the
+# tokenizer exactly when it is not flat.
+
+
+def _tokenized(function, *args):
+    """The texts function(*args) hands to the tokenizer; a kernel error it
+    raises is dropped."""
+    calls = []
+    real = parser.tokenize
+    parser.tokenize = lambda t: calls.append(t) or real(t)
+    try:
+        function(*args)
+    except ex.ExprError:
+        pass
+    finally:
+        parser.tokenize = real
+    return calls
+
+
+def _tokenize_calls(text):
+    return _tokenized(parse_expr, text, CTX)
+
+
+_SPACES = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+_COEFFICIENTS = st.one_of(
+    st.integers(1, 12).map(str),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.tuples(st.integers(1, 5), st.integers(0, 3)).map(lambda pk: f"{pk[0]}^{pk[1]}"),
+)
+# factors the flat reading leaves to the grammar: a zero, unknown names, a
+# jet, bare function names, a call, parentheses and a negative power
+_DEFECTS = st.sampled_from(
+    ["0", "00", "0^2", "q", "x12", "x1_t", "sin", "cos", "exp(x1)", "(x1)", "x1^-1", "2^-1"]
+)
+
+
+@st.composite
+def _flat_product(draw):
+    """The factor texts and operators of a product: maybe a coefficient p,
+    p/q or p^k, then names of CTX and integers with powers ^0, ^1 or ^2 or
+    none, each after * or /."""
+    parts = [draw(_COEFFICIENTS)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0 if parts else 1, 3))):
+        name = draw(st.sampled_from(["t", "x1", "x2", "a", "b", "2", "3"]))
+        power = draw(st.sampled_from(["", "", "0", "1", "2"]))
+        if power:
+            name += draw(_SPACES) + "^" + draw(_SPACES) + power
+        parts += [draw(st.sampled_from(["*", "*", "/"])), name] if parts else [name]
+    return parts
+
+
+@st.composite
+def _flat_sums(draw):
+    """A flat sum of 0-8 products with random spacing, and whether the flat
+    reading takes it.  About half the draws are flat; the others carry one
+    defect: a factor the flat reading does not take, a doubled sign, a
+    trailing sign, or no product at all (an empty or blank text)."""
+    products = [draw(_flat_product()) for _ in range(draw(st.integers(0, 8)))]
+    if not products:
+        return draw(st.sampled_from(["", " ", "\t\n"])), False
+    defect = draw(st.sampled_from([None, None, None, "factor", "doubled sign", "trailing sign"]))
+    if defect == "factor":
+        parts = draw(st.sampled_from(products))
+        parts[draw(st.integers(0, len(parts) - 1)) & ~1] = draw(_DEFECTS)
+    signs = [draw(st.sampled_from(["", "", "-", "+"]))]
+    signs += [draw(st.sampled_from(["+", "-"])) for _ in products[1:]]
+    if defect == "doubled sign":
+        i = draw(st.integers(0, len(signs) - 1))
+        signs[i] = (signs[i] or "+") + draw(st.sampled_from(["+", "-"]))
+    text = "".join(
+        draw(_SPACES) + sign + draw(_SPACES) + "".join(p + draw(_SPACES) for p in parts)
+        for sign, parts in zip(signs, products)
+    )
+    if defect == "trailing sign":
+        text += draw(st.sampled_from(["+", "-"])) + draw(_SPACES)
+    return text, defect is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flat_sums())
+def test_flat_reading_matches_the_reference(case):
+    text, flat = case
+    _assert_same_as_reference(text)
+    assert _tokenize_calls(text) == ([] if flat else [text])
+
+
+def test_flat_reading_is_taken_for_plain_sums():
+    # the property's classification, on one text of each kind
+    assert _tokenize_calls("-9/4*x1*x2^2 + 3^2*a/b - t/2 + x1^0") == []
+    for text in ["", "  ", "x1 +", "x1 -- x2", "0*x1", "x1^-1", "x1_t", "q", "(x1)", "sin(x1)"]:
+        assert _tokenize_calls(text) == [text]
+
+
+def test_a_sum_past_the_node_limit_goes_to_the_grammar(monkeypatch):
+    # a sum of more terms than NODE_LIMIT is left to the grammar, which
+    # refuses it where the monomials pass the limit, or takes it when like
+    # terms keep the sum small
+    monkeypatch.setattr(ex, "NODE_LIMIT", 3)
+    for text in ["x1 + x2 + a + b", "x1 + x1 + x1 - x1", "x1 + x2 + a"]:
+        _assert_same_as_reference(text)
+    assert _tokenize_calls("x1 + x2 + a + b") == ["x1 + x2 + a + b"]
+    assert _tokenize_calls("x1 + x2 + a") == []
+    with pytest.raises(ex.ResourceLimitError, match="node limit"):
+        parse_expr("x1 + x2 + a + b", CTX)
+
+
+def test_context_names_are_identifiers():
+    # the flat reading looks a factor text up among the names as it stands,
+    # so a name must be one the tokenizer reads as one identifier
+    for name in ["x 1", "1x", "x1_t", "", "x+y"]:
+        with pytest.raises(ValueError, match="letters and digits"):
+            VarContext(fields=(name,))
+
+
+def test_fixture_models_reach_the_tokenizer_only_where_not_flat():
+    def tokenized(name):
+        return _tokenized(modelfile.parse_model, FIXTURES / name)
+
+    # euler_top's v, anchor, w and f are flat; its H is parenthesised
+    assert tokenized("euler_top.ini") == ["(x1^2 + 2*x2^2 + 3*x3^2)/2"]
+    # oscillator's v, anchor and w are flat; its f and H are parenthesised
+    assert tokenized("oscillator.ini") == ["(x1^2 + x2^2)/2"] * 2
+    # the pendulum's items with a function atom, and nothing else
+    calls = tokenized("pendulum.ini")
+    assert calls == ["sin(x1)", "x2^2/2 - cos(x1)", "-sin(x1)", "x2^2/2 - cos(x1)"]
+    assert all(any(f"{fn}(" in text for fn in ex.FUNCTIONS) for text in calls)
+    # across all fixtures, 107 of the 127 expressions are flat
+    others = sum(len(tokenized(path.name)) for path in FIXTURES.glob("*.ini"))
+    assert (len(_fixture_texts()) - others, len(_fixture_texts())) == (107, 127)
+
+
+def test_each_product_text_is_read_once_per_file(monkeypatch):
+    # w is -v, written with other spacing: its product texts are those of v
+    text = (
+        "[ode]\nn = 3\nv = [x2*x3, -2*x1*x3, x1*x2 - 1/2*x3]\n\n"
+        "[symmetry]\nw = [ -x2*x3 ,  2*x1*x3,-x1*x2+ 1/2*x3 ]\n"
+    )
+    reads = []
+    real = parser._product
+    monkeypatch.setattr(parser, "_product", lambda t, atoms: reads.append(t) or real(t, atoms))
+    model = modelfile.parse_model_text(text)
+    assert reads == ["x2*x3", "2*x1*x3", "x1*x2", "1/2*x3"]
+    assert model.w == [-c for c in model.v]
+    # the memo lives on the context of one file: the next file reads again
+    modelfile.parse_model_text(text)
+    assert reads == ["x2*x3", "2*x1*x3", "x1*x2", "1/2*x3"] * 2
