@@ -66,6 +66,7 @@ BUDGETS = {
     "column budget": (2000, "monomials in a characteristic search"),
     "step budget": (10**7, "RK4 steps in a drift-oracle run"),
     "catalog budget": (50_000, "units of work, C(n, p) * n^2, in a catalog run"),
+    "digit budget": (4300, "decimal digits of an integer in a model value or a printed residual"),
 }
 NODE_LIMIT = BUDGETS["node limit"][0]
 
@@ -93,6 +94,30 @@ def refuse(what: str, count: str, budget: str, limit: int | None = None):
 def _check_size(n: int) -> None:
     if n > NODE_LIMIT:
         refuse("expression", f"{n} monomials", "node limit", NODE_LIMIT)
+
+
+def _int_pow(base: int, e: int) -> int:
+    """base ** e for e >= 0, refused before it is computed when it would
+    have more decimal digits than the digit budget: a literal power such as
+    3^2000000 would otherwise take seconds and then fail to print."""
+    if e > 1 and abs(base) > 1:
+        limit = BUDGETS["digit budget"][0]
+        # an exponent past a float's range is past the budget too
+        digits = e * math.log10(abs(base)) if e < 1e300 else math.inf
+        if digits >= limit:
+            count = f"{int(digits) + 1} digits" if digits < math.inf else "over 10^299 digits"
+            refuse("integer power", count, "digit budget", limit)
+    return base**e
+
+
+def _int_text(n: int) -> str:
+    """str(n), refused past the digit budget; 2^(3 limit) < 10^limit, so
+    the bit length rules out nearly every integer at once."""
+    limit = BUDGETS["digit budget"][0]
+    if n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        digits = int(math.log10(abs(n))) + 1
+        refuse("printed integer", f"{digits} digits", "digit budget", limit)
+    return str(n)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +590,7 @@ def _ppow(p, n: int):
     c, d = p
     if len(c) == 1:
         ((mono, coeff),) = c.items()
-        return {tuple((a, e * n) for a, e in mono): coeff**n}, d**n
+        return {tuple((a, e * n) for a, e in mono): _int_pow(coeff, n)}, _int_pow(d, n)
     result = ({(): 1}, 1)
     base = p
     while n:
@@ -1162,10 +1187,7 @@ def to_text(e: Expr) -> str:
 
 
 def _term_text(mono, coeff) -> str:
-    factors = [
-        a.display() if e == 1 else f"{a.display()}^{e if e > 0 else f'({e})'}"
-        for a, e in mono
-    ]
+    factors = [a.display() if e == 1 else f"{a.display()}^{_exponent_text(e)}" for a, e in mono]
     if not factors:
         return _rational_text(coeff)
     if abs(coeff) != 1:
@@ -1173,7 +1195,11 @@ def _term_text(mono, coeff) -> str:
     return ("-" if coeff < 0 else "") + "*".join(factors)
 
 
+def _exponent_text(e: int) -> str:
+    return _int_text(e) if e > 0 else f"({_int_text(e)})"
+
+
 def _rational_text(v) -> str:
     if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+        return _int_text(v.numerator)
+    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"

@@ -502,7 +502,9 @@ ALGEBRAS = {"su2": su2, "abelian3": lambda: abelian(3), "abelian1": lambda: abel
 
 class ChiralModel:
     """Multiplet of N self-dual 1-forms on Lorentzian R^2 with equations
-    dH_a = 0 and anchor <W, V*(P)> = (W^a, dP_a + g [P, H]_a)."""
+    dH_a = 0 and anchor <W, V*(P)> = (W^a, dP_a + g [P, H]_a).  The
+    components differ only in their field names, so the space-time
+    certificates are verified once per multiplet (spacetime_verify)."""
 
     def __init__(self, space: FlatSpace, algebra: LieAlgebra, g, prefix: str = "H"):
         if space.n != 2 or not space.is_lorentzian():
@@ -606,8 +608,21 @@ class ChiralModel:
     def spacetime_verify(self, xi: SpacetimeVector):
         """Space-time certificates per multiplet component (the conformal
         symmetries keep the abelian form); returns (ok, the nonzero
-        residual dicts of SelfDualModel.verify keyed by component field)."""
-        results = {m.field_name: m.verify(xi)[1] for m in self.components}
+        residual dicts of SelfDualModel.verify keyed by component field).
+
+        One PASS is all: every component is SelfDualModel(space, H<a>), and
+        renaming the fields of the first to those of another keeps the atom
+        order (jet atoms of one component differ only after the shared
+        prefix H<a>), so each component's certificate, the shell's lead
+        choices included, is the image of the first under a ring
+        isomorphism, and it vanishes when the first does.  Only a FAIL runs
+        the per-component loop, for the detail of every component."""
+        first, *rest = self.components
+        ok, residual = first.verify(xi)
+        if ok:
+            return True, {}
+        results = {first.field_name: residual}
+        results.update((m.field_name, m.verify(xi)[1]) for m in rest)
         failed = {name: r for name, r in results.items() if r}
         return not failed, failed
 

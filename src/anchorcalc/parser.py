@@ -281,6 +281,8 @@ class _Parser:
 # _FACTOR, an integer or a name with an optional power.
 _SIGNS = re.compile(r"([-+])")
 _OPERATORS = re.compile(r"([*/])")
+# An integer literal: a run of digits that does not continue a name.
+_LITERAL = re.compile(r"(?<![a-zA-Z0-9_])[0-9]+")
 _FACTOR = re.compile(r"\s*(?:([0-9]+)|([a-zA-Z][a-zA-Z0-9]*))\s*(?:\^\s*([0-9]+)\s*)?")
 
 
@@ -311,9 +313,9 @@ def _product(text, atoms):
                 if not int(integer):
                     return None
                 if divide:
-                    den *= int(integer) ** e
+                    den *= ex._int_pow(int(integer), e)
                 else:
-                    num *= int(integer) ** e
+                    num *= ex._int_pow(int(integer), e)
                 continue
             atom = atoms.get(name)
             if atom is None:
@@ -364,7 +366,14 @@ def _flat(text, context):
 
 def parse_expr(text, context) -> ex.Expr:
     """Parse a single expression; raises ParseError with position info.  A
-    flat sum of products is read by _flat, any other text by _Parser."""
+    flat sum of products is read by _flat, any other text by _Parser.  An
+    integer literal, exponents included, longer than the digit budget is
+    refused before either reads it."""
+    limit = ex.BUDGETS["digit budget"][0]
+    if len(text) > limit:
+        longest = max(map(len, _LITERAL.findall(text)), default=0)
+        if longest > limit:
+            ex.refuse("integer literal", f"{longest} digits", "digit budget", limit)
     value = _flat(text, context)
     if value is not None:
         return value

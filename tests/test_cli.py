@@ -107,6 +107,50 @@ def test_check_refuses_the_log_of_a_negative_constant(tmp_path, capsys):
     assert capsys.readouterr().err == "error: [characteristic] f: log(-2) is undefined (line 6)\n"
 
 
+@pytest.mark.parametrize(
+    "f, digits",
+    [
+        # the flat reading and the grammar each once computed the power
+        # first, for 16 s at 3^30000000, and then failed to print it
+        ("3^30000000*x1", "integer power exceeds the digit budget (14313638 digits > 4300)"),
+        ("(3)^30000000*x1", "integer power exceeds the digit budget (14313638 digits > 4300)"),
+        ("x1/(-3)^-9013", "integer power exceeds the digit budget (4301 digits > 4300)"),
+        # an exponent past a float's range
+        (
+            "3^1" + "0" * 400 + "*x1",
+            "integer power exceeds the digit budget (over 10^299 digits > 4300)",
+        ),
+        ("7" * 4301 + "*x1", "integer literal exceeds the digit budget (4301 digits > 4300)"),
+        ("x1^" + "1" * 4301, "integer literal exceeds the digit budget (4301 digits > 4300)"),
+    ],
+)
+def test_check_refuses_an_integer_past_the_digit_budget(tmp_path, capsys, f, digits):
+    model = tmp_path / "integer_power.ini"
+    model.write_text(f"[ode]\nn = 1\nv = [x1]\n\n[characteristic]\nf = {f}\n")
+    code, out = run_cli("check", str(model))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"resource limit: {digits}\n"
+
+
+def test_check_reports_a_residual_past_the_digit_budget_as_error(tmp_path):
+    # the literals stay under the budget, but the characteristic residual
+    # -x1*df/dx1 holds 2*10^8000: printing it once raised Python's
+    # ValueError out of the run, and the whole report was lost
+    model = tmp_path / "large_coefficient.ini"
+    model.write_text(
+        "[ode]\nn = 1\nv = [x1]\n\n[characteristic]\nf = (10^4000*x1 + 1)^2\n\n"
+        "[symmetry]\nw = [x1]\n"
+    )
+    code, out = run_cli("check", str(model), "--json")
+    assert code == 2
+    records = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert records["characteristic"]["status"] == "ERROR"
+    assert records["characteristic"]["residual"] == (
+        "printed integer exceeds the digit budget (8001 digits > 4300)"
+    )
+    assert records["symmetry"]["status"] == "PASS"
+
+
 # --- run_checks ----------------------------------------------------------------
 
 

@@ -371,6 +371,36 @@ def test_cos_power_refused_before_any_term(monkeypatch):
     assert len(calls) == 2 * 9
 
 
+def test_integer_power_refused_past_the_digit_budget():
+    # 3^9012 has 4300 digits, the budget, and 10^4300 has 4301
+    assert len(str(ex._int_pow(3, 9012))) == 4300
+    assert len(str(ex._int_pow(-10, 4299))) == 4301  # the sign and 4300 digits
+    for base, e in ((3, 9013), (10, 4300), (-10, 4300), (2**7200, 2)):
+        with pytest.raises(ex.ResourceLimitError, match="digit budget"):
+            ex._int_pow(base, e)
+    assert ex._int_pow(1, 10**9) == 1 and ex._int_pow(-1, 10**9 + 1) == -1
+    assert ex._int_pow(0, 10**9) == 0 and ex._int_pow(10**5000, 1) == 10**5000
+    # the kernel's power of a monomial takes the same helper
+    with pytest.raises(ex.ResourceLimitError, match=r"\(4301 digits > 4300\)"):
+        (ac.rational(1, 3) * x1) ** -9013
+    assert (ac.rational(1, 3) * x1) ** -9012 == 3**9012 * x1**-9012
+
+
+def test_to_text_refuses_an_integer_past_the_digit_budget(monkeypatch):
+    below = 10**4300 - 1  # 4300 digits
+    assert ac.to_text(below * x1 - ac.rational(1, below)) == f"{below}*x1 - 1/{below}"
+    assert ac.to_text(x1**below) == f"x1^{below}" and ac.to_text(x1**-below) == f"x1^(-{below})"
+    for value in (10**4300 * x1, ac.rational(1, 10**4300) * x1, -(10**4300), x1 ** (10**4300)):
+        with pytest.raises(ex.ResourceLimitError, match=r"digit budget \(4301 digits > 4300\)"):
+            ac.to_text(value)
+    # the limit is read when the text is made
+    monkeypatch.setitem(ex.BUDGETS, "digit budget", (3, "digits"))
+    assert ac.to_text(2**9 * x1) == "512*x1"  # under 2^(3 * 3) bits: no test
+    assert ac.to_text(999 * x1) == "999*x1"
+    with pytest.raises(ex.ResourceLimitError, match=r"\(4 digits > 3\)"):
+        ac.to_text(1000 * x1)
+
+
 def test_evaluate_exact():
     e = x1**2 + ac.rational(1, 2) * x2
     point = {ex.JetVar("x1"): Fraction(2), ex.JetVar("x2"): Fraction(3)}

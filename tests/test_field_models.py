@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorcalc as ac
+from anchorcalc import cli
 from anchorcalc import expr as ex
 from anchorcalc import field_models as fm
 from anchorcalc import forms as fo
@@ -477,6 +478,69 @@ def test_chiral_n1_abelian_matches_selfdual():
     _, residuals_c = model.spacetime_verify(xi)
     _, residuals_s = sd.verify(xi)
     assert residuals_c.get("H1", {}) == residuals_s
+
+
+_CHIRAL_VECTORS = [
+    ("t0", fo.translation(L2, 0)),
+    ("t1", fo.translation(L2, 1)),
+    ("dil", fo.dilation(L2)),
+    ("r01", fo.rotation(L2, 0, 1)),
+]
+_CHIRAL_CASES = [
+    (name, g) for name in ("su2", "abelian3", "abelian1") for g in (0, Fraction(3, 4), "g")
+]
+
+
+def _chiral(name, g):
+    return fm.ChiralModel(L2, fm.ALGEBRAS[name](), ac.param(g) if g == "g" else g)
+
+
+def _reference_spacetime_verify(model, xi):
+    """The per-component loop: each component's self-dual certificates,
+    verified on a model of its own."""
+    results = {
+        f"H{a + 1}": fm.SelfDualModel(L2, f"H{a + 1}").verify(xi)[1] for a in range(model.N)
+    }
+    failed = {field: r for field, r in results.items() if r}
+    return not failed, failed
+
+
+@pytest.mark.parametrize("name, g", _CHIRAL_CASES)
+def test_chiral_spacetime_verify_matches_the_component_loop(name, g):
+    model = _chiral(name, g)
+    for _, xi in _CHIRAL_VECTORS:
+        assert model.spacetime_verify(xi) == _reference_spacetime_verify(model, xi) == (True, {})
+
+
+@pytest.mark.parametrize("name, g", _CHIRAL_CASES)
+def test_chiral_spacetime_fail_lists_every_component(monkeypatch, name, g):
+    original = fm.SelfDualModel.characteristic
+    monkeypatch.setattr(
+        fm.SelfDualModel, "characteristic", lambda self, xi: original(self, xi).scale(2)
+    )
+    model = _chiral(name, g)
+    for vector, xi in _CHIRAL_VECTORS:
+        ok, failed = model.spacetime_verify(xi)
+        reference = _reference_spacetime_verify(model, xi)
+        assert not ok and list(failed) == [f"H{a + 1}" for a in range(model.N)], vector
+        assert (ok, failed) == reference
+        assert cli._verdict(ok, failed) == cli._verdict(*reference)
+
+
+def test_chiral_spacetime_pass_verifies_one_component(monkeypatch):
+    calls = collections.Counter()
+    original = fm.SelfDualModel.verify
+
+    def counted(self, xi):
+        calls[self.field_name] += 1
+        return original(self, xi)
+
+    monkeypatch.setattr(fm.SelfDualModel, "verify", counted)
+    model = fm.ChiralModel(L2, fm.su2(), ac.param("g"))
+    for vector, xi in _CHIRAL_VECTORS:
+        calls.clear()
+        assert model.spacetime_verify(xi) == (True, {})
+        assert calls == {"H1": 1}, vector
 
 
 def test_chiral_wrong_space():
