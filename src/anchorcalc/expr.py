@@ -42,11 +42,11 @@ NODE_LIMIT is the node-limit row of BUDGETS, the one table of resource
 budgets, and each size test reads it when it runs.
 
 Everything here is a pure function over immutable values and is safe for
-concurrent use; the cached hash and the memoised gradient of an expression
-are slots filled lazily with deterministic values, so a racing
-recomputation is harmless.  That gradient is the one partial derivative:
-diff, the Euler operator, the homotopy, linearization, shell elimination
-and the ODE checks all read it.
+concurrent use; the cached hash and the memoised gradient of an expression,
+its chain-rule partials included, are slots filled lazily with
+deterministic values, so a racing recomputation is harmless.  That
+gradient is the one partial derivative: diff, the Euler operator, the
+homotopy, linearization, shell elimination and the ODE checks all read it.
 """
 
 from __future__ import annotations
@@ -514,7 +514,8 @@ def _psum(p, q, k=1):
 def _paddmul_into(acc, p, q, k=1):
     """acc += k * p * q for an accumulator acc and an int k, without forming
     the product: each term product goes straight into the sum.  The product
-    is refused as in _pmul, and the accumulator's size is checked after."""
+    is refused before any term product when it would form more than
+    NODE_LIMIT of them, and the accumulator's size is checked after."""
     (pc, pd), (qc, qd) = p, q
     if len(pc) < len(qc):
         pc, pd, qc, qd = qc, qd, pc, pd
@@ -553,23 +554,15 @@ def _paddmul_into(acc, p, q, k=1):
 
 
 def _pmul(p, q):
-    """p * q.  Refused before any work when the term products would exceed
-    NODE_LIMIT, which also bounds the monomials of the result."""
+    """p * q by _paddmul_into, which refuses it before any term product."""
     if len(p[0]) < len(q[0]):
         p, q = q, p
-    (pc, pd), (qc, qd) = p, q
-    if len(pc) * len(qc) > NODE_LIMIT:
-        refuse("product", f"{len(pc)} x {len(qc)} term products", "node limit", NODE_LIMIT)
-    if len(qc) != 1:  # the general loop, or a zero factor
-        acc = _acc()
-        _paddmul_into(acc, p, q)
-        return _normal(*acc)
-    ((m2, c2),) = qc.items()
-    if not m2:
-        return _pscale(p, c2, qd)
-    # a monomial factor (one term by one term in most catalog products):
-    # Laurent monomials form a group, so the products stay distinct
-    return _normal({_mono_mul(m1, m2): c1 * c2 for m1, c1 in pc.items()}, pd * qd)
+    qc, qd = q
+    if len(qc) == 1 and () in qc:
+        return _pscale(p, qc[()], qd)
+    acc = _acc()
+    _paddmul_into(acc, p, q)
+    return _normal(*acc)
 
 
 def _pinv(p):
@@ -911,17 +904,20 @@ def _gradient(e: Expr, atom):
     hash, so every operation on the same value shares them; a shared
     partial is read only, and callers copy it before adding to it.  A
     function atom of e adds the chain rule through its argument, whose
-    gradient is memoised in turn."""
+    gradient is memoised in turn, and each partial so completed is
+    memoised too, one per atom.  A chain-rule partial that raises, such as
+    one through the log of a sum, stores nothing; only the atoms that
+    reach that argument raise."""
     try:
-        table, funs = e._grad
+        table, funs, chained = e._grad
     except AttributeError:  # the slot stays unset until the first lookup
-        table, funs = e._grad = _shift_gradient(e._poly)
-    p = table.get(atom, _ZERO_POLY)
-    if funs:
-        acc = _acc(p)
+        table, funs, chained = e._grad = _shift_gradient(e._poly)
+    p = chained.get(atom) if funs else table.get(atom, _ZERO_POLY)
+    if p is None:
+        acc = _acc(table.get(atom, _ZERO_POLY))
         for f in funs:
             _paddmul_into(acc, table[f], _chain(f, _gradient(f[3], atom)))
-        p = _normal(*acc)
+        p = chained[atom] = _normal(*acc)
     return p
 
 
@@ -929,19 +925,20 @@ def _support(e: Expr):
     """The atoms outside which every partial of e is zero: those of e and,
     by the chain rule, those of its function atoms' arguments."""
     try:
-        table, funs = e._grad
+        table, funs, _ = e._grad
     except AttributeError:
-        table, funs = e._grad = _shift_gradient(e._poly)
+        table, funs, _ = e._grad = _shift_gradient(e._poly)
     return set(table).union(*(_support(f[3]) for f in funs)) if funs else table
 
 
 def _shift_gradient(p):
-    """(table, funs) of the gradient of p with every atom opaque: table
-    maps each atom to its partial, and funs lists the function atoms, which
-    need the chain rule.  The partial of a monomial in one of its atoms is
-    its exponent shift, and distinct monomials shift to distinct monomials:
-    one pass fills the whole table, with no products and no sums, and an
-    atom outside it has partial zero."""
+    """(table, funs, chained) of the gradient of p with every atom opaque:
+    table maps each atom to its partial, funs lists the function atoms,
+    which need the chain rule, and chained starts empty, to memoise the
+    partials that go through it.  The partial of a monomial in one of its
+    atoms is its exponent shift, and distinct monomials shift to distinct
+    monomials: one pass fills the whole table, with no products and no
+    sums, and an atom outside it has partial zero."""
     c, d = p
     table = {}
     funs = []
@@ -956,7 +953,7 @@ def _shift_gradient(p):
                 out[mono[:k] + mono[k + 1 :]] = coeff
             else:
                 out[mono[:k] + ((a, e - 1),) + mono[k + 1 :]] = coeff * e
-    return {a: _normal(out, d) for a, out in table.items()}, funs
+    return {a: _normal(out, d) for a, out in table.items()}, funs, {}
 
 
 def _iterated_poly(p, index: MultiIndex):

@@ -34,29 +34,18 @@ class FieldModelError(ex.ExprError):
 
 
 def _memoised(method):
-    """Compute a model artifact once per instance."""
+    """Compute a model artifact once per instance, or, for a method of a
+    vector field xi, once per instance and xi, keyed by the canonical
+    components of xi."""
     slot = "_memo_" + method.__name__
 
     @functools.wraps(method)
-    def memoised(self):
-        if slot not in self.__dict__:
-            self.__dict__[slot] = method(self)
-        return self.__dict__[slot]
-
-    return memoised
-
-
-def _memoised_per_vector(method):
-    """Compute an artifact once per instance and vector field xi, keyed by
-    the canonical components of xi."""
-    slot = "_memo_" + method.__name__
-
-    @functools.wraps(method)
-    def memoised(self, xi: SpacetimeVector):
+    def memoised(self, *xi: SpacetimeVector):
         cache = self.__dict__.setdefault(slot, {})
-        if xi.components not in cache:
-            cache[xi.components] = method(self, xi)
-        return cache[xi.components]
+        key = xi[0].components if xi else None
+        if key not in cache:
+            cache[key] = method(self, *xi)
+        return cache[key]
 
     return memoised
 
@@ -219,7 +208,7 @@ class PFormModel:
         return ShellRules(self.residual_components(), self.space.coords)
 
     # characteristics and currents ----------------------------------------
-    @_memoised_per_vector
+    @_memoised
     def _check_vector(self, xi: SpacetimeVector) -> str:
         verdict = fo.conformal_killing_check(xi, self.space)
         if verdict == "killing":
@@ -231,17 +220,17 @@ class PFormModel:
             f"critical dimension n = 2p"
         )
 
-    @_memoised_per_vector
+    @_memoised
     def _interior_F(self, xi: SpacetimeVector) -> Form:
         """i_xi F, which the characteristic, the current and L_xi F share."""
         return fo.interior(xi, self.F)
 
-    @_memoised_per_vector
+    @_memoised
     def _interior_star_F(self, xi: SpacetimeVector) -> Form:
         """i_xi *F, which the characteristic and the current share."""
         return fo.interior(xi, self._star_F())
 
-    @_memoised_per_vector
+    @_memoised
     def killing_characteristic(self, xi: SpacetimeVector):
         self._check_vector(xi)
         n, p = self.space.n, self.p
@@ -251,7 +240,7 @@ class PFormModel:
         psi2 = fo.hodge(self._interior_F(xi)).scale(sign2)
         return psi1, psi2
 
-    @_memoised_per_vector
+    @_memoised
     def killing_current(self, xi: SpacetimeVector) -> Form:
         """The current j(xi); current_certificate certifies it."""
         self._check_vector(xi)
@@ -375,7 +364,7 @@ class SelfDualModel:
         adjoint = pairing_adjoint(d_mid, w_mid, w_out)
         return _selfdual_operator(space).compose(adjoint), d_mid
 
-    @_memoised_per_vector
+    @_memoised
     def _interior_H(self, xi: SpacetimeVector) -> Form:
         """i_xi H, which the characteristic, the current and L_xi H share."""
         return fo.interior(xi, self.H)
@@ -383,7 +372,7 @@ class SelfDualModel:
     def characteristic(self, xi: SpacetimeVector) -> Form:
         return fo.hodge(self._interior_H(xi)).scale(-1)
 
-    @_memoised_per_vector
+    @_memoised
     def current(self, xi: SpacetimeVector) -> Form:
         return fo.wedge(self._interior_H(xi), self.H).scale(ex.rational(1, 2))
 

@@ -6,12 +6,13 @@ anchor bivectors alpha^{ij}(t,x), the induced bracket, integrability,
 proper-symmetry conditions and Hamiltonian-type proper deformations.
 
 Characteristics, symmetries and anchors are restricted to functions of
-(t, x) only; higher jets are rejected (reduce them on shell first with
-linop.ShellRules).
+(t, x1..xn) only; higher jets (reduce them on shell first with
+linop.ShellRules) and other fields are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -34,29 +35,41 @@ def field_name(i: int) -> str:
     return f"x{i + 1}"
 
 
-def _has_derivative_jet(p) -> bool:
-    """Whether a jet of order > 0 occurs in the polynomial p, also inside a
-    function atom's argument; stops at the first one."""
+@functools.lru_cache(maxsize=8)
+def _fields(n: int) -> frozenset:
+    return frozenset(map(field_name, range(n)))
+
+
+def _has_foreign_jet(p, fields) -> bool:
+    """Whether the polynomial p holds a jet other than the fields x1..xn, a
+    derivative or another field, also inside a function atom's argument;
+    stops at the first one."""
     for mono in p[0]:
         for a, _ in mono:
             t = type(a)
             if t is ex.JetVar:
-                if a[2][0]:
+                if a[2][0] or a[1] not in fields:
                     return True
-            elif t is ex.FunAtom and _has_derivative_jet(a[3]._poly):
+            elif t is ex.FunAtom and _has_foreign_jet(a[3]._poly, fields):
                 return True
     return False
 
 
-def _check_zeroth_order(e: Expr, what: str) -> Expr:
+def _check_zeroth_order(e: Expr, what: str, n: int) -> Expr:
+    """e, once it is known to depend on t and the fields x1..xn alone: a
+    jet of another field would be read as a constant, and its PASS would
+    be unsound."""
     e = ex._coerce(e)
-    if _has_derivative_jet(e._poly):
-        bad = [a for a in ex.jet_atoms(e) if a.index.order() > 0]
-        names = ", ".join(sorted(a.display() for a in bad))
-        raise UnsupportedInputError(
-            f"{what} must depend on (t, x) only, found {names}; "
-            "use linop.ShellRules to reduce derivatives on shell first"
-        )
+    fields = _fields(n)
+    if _has_foreign_jet(e._poly, fields):
+        jets = ex.jet_atoms(e)
+        if bad := sorted(a.display() for a in jets if a.index.order() > 0):
+            raise UnsupportedInputError(
+                f"{what} must depend on (t, x) only, found {', '.join(bad)}; "
+                "use linop.ShellRules to reduce derivatives on shell first"
+            )
+        names = ", ".join(sorted(a.display() for a in jets if a[1] not in fields))
+        raise UnsupportedInputError(f"{what} must depend on x1..x{n} only, n = {n}, found {names}")
     return e
 
 
@@ -64,8 +77,9 @@ class OdeSystem:
     """Normal-form system xdot^i + v^i(t, x) = 0."""
 
     def __init__(self, v):
-        self.v = tuple(_check_zeroth_order(c, "v") for c in v)
-        self.n = len(self.v)
+        v = tuple(v)
+        self.n = len(v)
+        self.v = tuple(_check_zeroth_order(c, "v", self.n) for c in v)
 
     def __eq__(self, other):
         if not isinstance(other, OdeSystem):
@@ -80,36 +94,51 @@ def free_system(n: int) -> OdeSystem:
     return OdeSystem([ex.ZERO] * n)
 
 
-class Bivector:
-    """Antisymmetric alpha^{ij}(t, x); only i < j entries are stored."""
+class _Antisymmetric:
+    """A totally antisymmetric array of `rank` indices in 0..n-1; only the
+    nonzero entries with ascending indices are stored, each admitted by
+    the subclass's rule `_value`."""
 
     def __init__(self, n: int, upper=None):
-        self.n = n
-        table = {}
-        for (i, j), value in (upper or {}).items():
-            if not (0 <= i < j < n):
-                raise ValueError("bivector entries must have 0 <= i < j < n")
-            value = _check_zeroth_order(value, "an anchor bivector")
+        self.n, self.upper, name = n, {}, type(self).__name__.lower()
+        for index, value in (upper or {}).items():
+            bounded = (-1, *index, n)  # ascending exactly when index ascends in 0..n-1
+            if len(index) != self.rank or any(i >= j for i, j in zip(bounded, bounded[1:])):
+                raise ValueError(f"{name} entries need {self.rank} ascending indices in 0..n-1")
+            value = self._value(value)
             if not is_identically_zero(value):
-                table[(i, j)] = value
-        self.upper = table
+                self.upper[index] = value
 
-    def entry(self, i: int, j: int) -> Expr:
-        if i == j:
+    def entry(self, *index) -> Expr:
+        if len(index) != self.rank:
+            raise TypeError(f"entry takes {self.rank} indices, got {len(index)}")
+        sign, order = fo._merge_sign(index, ())
+        if sign is None:
             return ex.ZERO
-        if i < j:
-            return self.upper.get((i, j), ex.ZERO)
-        return -self.upper.get((j, i), ex.ZERO)
+        base = self.upper.get(order, ex.ZERO)
+        return base if sign > 0 else -base
+
+    def is_zero(self) -> bool:
+        return not self.upper
+
+
+class Bivector(_Antisymmetric):
+    """Antisymmetric alpha^{ij}(t, x); only i < j entries are stored."""
+
+    rank = 2
+
+    def _value(self, value):
+        return _check_zeroth_order(value, "an anchor bivector", self.n)
 
     def matrix(self):
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
+        rows = [[ex.ZERO] * self.n for _ in range(self.n)]
+        for (i, j), value in self.upper.items():
+            rows[i][j], rows[j][i] = value, -value
+        return rows
 
     def column(self, l: int):
         """The vertical vector field alpha^{. l} (image of dx^l)."""
         return [self.entry(i, l) for i in range(self.n)]
-
-    def is_zero(self) -> bool:
-        return not self.upper
 
     def __repr__(self):
         inside = ", ".join(
@@ -131,29 +160,11 @@ def so3_bivector() -> Bivector:
     return Bivector(3, {(0, 1): x[2], (0, 2): -x[1], (1, 2): x[0]})
 
 
-class Trivector:
+class Trivector(_Antisymmetric):
     """Totally antisymmetric rank-3 array; i < j < k entries stored."""
 
-    def __init__(self, n: int, upper=None):
-        self.n = n
-        table = {}
-        for (i, j, k), value in (upper or {}).items():
-            if not (0 <= i < j < k < n):
-                raise ValueError("trivector entries must have i < j < k")
-            value = ex._coerce(value)
-            if not is_identically_zero(value):
-                table[(i, j, k)] = value
-        self.upper = table
-
-    def entry(self, i, j, k) -> Expr:
-        sign, order = fo._merge_sign((i, j, k), ())
-        if sign is None:
-            return ex.ZERO
-        base = self.upper.get(order, ex.ZERO)
-        return base if sign > 0 else -base
-
-    def is_zero(self) -> bool:
-        return not self.upper
+    rank = 3
+    _value = staticmethod(ex._coerce)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +264,13 @@ def _matrix(sys: OdeSystem, alpha: Bivector):
 
 def check_characteristic(sys: OdeSystem, f):
     """d_t f = v . grad f; returns (flag, residual)."""
-    return _characteristic(_Partials(sys.n), sys, _check_zeroth_order(f, "a characteristic"))
+    f = _check_zeroth_order(f, "a characteristic", sys.n)
+    return _characteristic(_Partials(sys.n), sys, f)
 
 
 def check_symmetry(sys: OdeSystem, w):
     """d_t w = [v, w]; returns (flag, residual vector)."""
-    w = tuple(_check_zeroth_order(c, "a vertical vector") for c in w)
+    w = tuple(_check_zeroth_order(c, "a vertical vector", sys.n) for c in w)
     if len(w) != sys.n:
         raise ValueError("dimension mismatch")
     tab = _Partials(sys.n)
@@ -285,7 +297,7 @@ def check_anchor(sys: OdeSystem, alpha: Bivector):
 
 def anchor_apply(alpha: Bivector, f) -> tuple:
     """w^i = alpha^{ij} d_j f: the proper symmetry generated by f."""
-    f = _check_zeroth_order(f, "a characteristic")
+    f = _check_zeroth_order(f, "a characteristic", alpha.n)
     return tuple(_anchor_apply(_Partials(alpha.n), alpha.matrix(), f))
 
 
@@ -305,7 +317,7 @@ def schouten_square(alpha: Bivector) -> Trivector:
 
 def poisson_bracket(alpha: Bivector, f, g) -> Expr:
     """{f, g} = alpha^{ij} d_i f d_j g."""
-    f, g = (_check_zeroth_order(e, "a characteristic") for e in (f, g))
+    f, g = (_check_zeroth_order(e, "a characteristic", alpha.n) for e in (f, g))
     tab = _Partials(alpha.n)
     return _pairing(tab, f, _anchor_apply(tab, alpha.matrix(), g))
 
@@ -314,8 +326,9 @@ def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     """Proper deformation by the twist of H: v'^i = v^i - alpha^{ij} d_j H
     (sign frozen by calibration; the free system deforms to
     xdot^i = {x^i, H})."""
-    h = _check_zeroth_order(hamiltonian, "a characteristic")
-    return _deform(sys, _anchor_apply(_Partials(sys.n), _matrix(sys, alpha), h))
+    a = _matrix(sys, alpha)  # a mismatch first, as the other checks report it
+    h = _check_zeroth_order(hamiltonian, "a characteristic", sys.n)
+    return _deform(sys, _anchor_apply(_Partials(sys.n), a, h))
 
 
 def twist_invariance_check(
@@ -325,7 +338,7 @@ def twist_invariance_check(
     f - g must be conserved by the deformed system.  The first step is the
     flag of check_characteristic(sys, f), computed here unless the caller
     passes it as is_characteristic.  Returns (flag, detail)."""
-    f, h = (_check_zeroth_order(e, "a characteristic") for e in (f, hamiltonian))
+    f, h = (_check_zeroth_order(e, "a characteristic", sys.n) for e in (f, hamiltonian))
     tab, a = _Partials(sys.n), _matrix(sys, alpha)
     if is_characteristic is None:
         is_characteristic = _characteristic(tab, sys, f)[0]
@@ -358,7 +371,7 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     the transport covector when f is a characteristic, so those conditions
     take no product at all.
     """
-    psi = tuple(_check_zeroth_order(c, "a vertical form") for c in psi)
+    psi = tuple(_check_zeroth_order(c, "a vertical form", sys.n) for c in psi)
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
     tab, a = _Partials(sys.n), _matrix(sys, alpha)
@@ -393,14 +406,14 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
 def differential(f, n: int) -> tuple:
     """The vertical differential d~f as a covector of x-partials."""
     out = [ex.ZERO] * n
-    for k, p in _Partials(n).grad(_check_zeroth_order(f, "a characteristic")):
+    for k, p in _Partials(n).grad(_check_zeroth_order(f, "a characteristic", n)):
         out[k] = ex._expr(p)
     return tuple(out)
 
 
 def commutator_matches_bracket(alpha: Bivector, f, g):
     """Residual of [V(f), V(g)] - sigma V({f, g}) with the frozen sign."""
-    f, g = (_check_zeroth_order(e, "a characteristic") for e in (f, g))
+    f, g = (_check_zeroth_order(e, "a characteristic", alpha.n) for e in (f, g))
     tab, a = _Partials(alpha.n), alpha.matrix()
     a_dg = _anchor_apply(tab, a, g)
     rhs = _anchor_apply(tab, a, _pairing(tab, f, a_dg))

@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -349,6 +350,20 @@ def test_cli_convention_sheet():
     rows = [f"      {name}: {limit} {unit}\n" for name, (limit, unit) in ac.expr.BUDGETS.items()]
     head = "  * Budgets, all constants; a run that would pass one exits 2:\n"
     assert head + "".join(rows) + "\nODE bivector calculus" in out
+
+
+def test_conventions_md_describes_every_budget_row():
+    # CONVENTIONS.md gives each row of expr.BUDGETS a bullet of its own,
+    # which names the row in its head, "Step budget:", or in parentheses,
+    # "Search budget (the column budget):"; no bullet names another row
+    text = (Path(__file__).parents[1] / "CONVENTIONS.md").read_text()
+    block = text.split("\n* Budgets:", 1)[1].split("\n## ", 1)[0]
+    named = []
+    for bullet in block.split("\n* ")[1:]:
+        head = bullet.split(":", 1)[0]
+        inner = re.fullmatch(r"[^(]*\(the ([^)]+)\)", head)
+        named.append(inner.group(1) if inner else head.lower())
+    assert sorted(named) == sorted(ac.expr.BUDGETS)
 
 
 @pytest.mark.parametrize(

@@ -1008,6 +1008,39 @@ def test_nested_function_atoms_differentiate_by_the_chain_rule():
     assert ex.diff(e, x1) == s + x1 * ac.cos(x1) + ac.cos(x1) * (ac.exp(s) + ac.log(x1 * t)) + s / x1
 
 
+def _counting_chain(monkeypatch):
+    calls = []
+    chain = ex._chain
+    monkeypatch.setattr(ex, "_chain", lambda *a: calls.append(a) or chain(*a))
+    return calls
+
+
+def test_chain_rule_partials_are_memoised_on_the_value(monkeypatch):
+    calls = _counting_chain(monkeypatch)
+    e = x2**2 / 2 - ac.cos(x1) + x1 * x2
+    atom = _atom_of(x1)
+    first = ex._gradient(e, atom)
+    assert calls and ex._expr(first) == x2 + ac.sin(x1)
+    calls.clear()
+    assert ex._gradient(e, atom) is first
+    assert calls == []
+
+
+def test_raising_chain_rule_partial_stores_nothing(monkeypatch):
+    # d log(x1 + x2) / d x1 needs 1 / (x1 + x2), which the kernel refuses;
+    # the atoms that do not reach the argument still get their partials
+    e = x2 * ac.log(x1 + x2) + t**2
+    for _ in range(2):
+        with pytest.raises(ex.UnsupportedInputError, match="division"):
+            ex._gradient(e, _atom_of(x1))
+    calls = _counting_chain(monkeypatch)
+    assert ex._gradient(e, _atom_of(t)) == ex._gradient(e, _atom_of(t)) == (2 * t)._poly
+    assert len(calls) == 1  # the chain rule through log, with a zero inner partial
+    with pytest.raises(ex.UnsupportedInputError, match="division"):
+        ex._gradient(e, _atom_of(x1))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "sym", [x1 + x2, 2 * x1, "x1", ac.ONE, ac.sin(x1) + 1],
     ids=["sum", "multiple", "name", "constant", "function plus one"],

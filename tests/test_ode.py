@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import anchorcalc as ac
 from anchorcalc import expr as ex
+from anchorcalc import forms as fo
 from anchorcalc import ode
 from anchorcalc.expr import canonicalize, is_identically_zero
 from test_expr import reference_diff  # the product-rule partial derivative
@@ -584,6 +585,78 @@ def test_trivector_antisymmetry():
     tv = ode.Trivector(3, {(0, 1, 2): x1})
     assert ac.is_identically_zero(tv.entry(1, 0, 2) + tv.entry(0, 1, 2))
     assert ac.is_identically_zero(tv.entry(0, 0, 2))
+
+
+_TABLES = pytest.mark.parametrize("cls, rank", [(ode.Bivector, 2), (ode.Trivector, 3)])
+
+
+@_TABLES
+def test_antisymmetric_table_refuses_bad_indices(cls, rank):
+    n = 4
+    first = tuple(range(rank))  # (0, 1) or (0, 1, 2)
+    table = cls(n, {first: x1, first[:-1] + (n - 1,): ac.ZERO})
+    assert table.upper == {first: x1} and not table.is_zero()
+    bad = [
+        first[::-1],  # out of order
+        (1, 0) + first[2:],
+        (0,) * rank,  # repeated
+        first[:-1] + (first[-2],),
+        (-1,) + first[1:],  # negative
+        first[:-1] + (n,),  # too large
+        first[:-1],  # too few
+        first + (n - 1,),  # too many
+    ]
+    for index in bad:
+        with pytest.raises(ValueError, match="entries need"):
+            cls(n, {index: x1})
+
+
+@_TABLES
+def test_antisymmetric_entry_carries_the_permutation_sign(cls, rank):
+    n = rank + 2
+    upper = {
+        index: (k + 1) * x1 + k for k, index in enumerate(itertools.combinations(range(n), rank))
+    }
+    table = cls(n, upper)
+    for index, value in upper.items():
+        for perm in itertools.permutations(index):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            assert fo._merge_sign(perm, ()) == ((-1) ** inversions, index)
+            assert table.entry(*perm) == (-1) ** inversions * value
+    for index in itertools.product(range(n), repeat=rank):
+        if len(set(index)) < rank:
+            assert table.entry(*index) == ac.ZERO
+    for count in (rank - 1, rank + 1):
+        with pytest.raises(TypeError, match=f"entry takes {rank} indices"):
+            table.entry(*range(count))
+
+
+# x3 is no field of a system of n = 2: read as a constant, it would let a
+# check pass unsoundly, so every public operand refuses it, inside a
+# function atom's argument too
+_FOREIGN = {
+    "OdeSystem": lambda: ode.OdeSystem([x3, x1]),
+    "OdeSystem n = 1": lambda: ode.OdeSystem([x2]),
+    "Bivector": lambda: ode.Bivector(2, {(0, 1): x3}),
+    "check_characteristic": lambda: ode.check_characteristic(ode.OdeSystem([x1]), x2),
+    "check_symmetry": lambda: ode.check_symmetry(OSC, [x3, x1]),
+    "anchor_apply": lambda: ode.anchor_apply(CANON, x3),
+    "poisson_bracket f": lambda: ode.poisson_bracket(CANON, x3, x1),
+    "poisson_bracket g": lambda: ode.poisson_bracket(CANON, x1, ac.sin(x3)),
+    "deform": lambda: ode.deform(OSC, CANON, x1 * x3),
+    "twist_invariance_check f": lambda: ode.twist_invariance_check(OSC, CANON, x3, ENERGY),
+    "twist_invariance_check H": lambda: ode.twist_invariance_check(OSC, CANON, ENERGY, x3),
+    "proper_symmetry_conditions": lambda: ode.proper_symmetry_conditions(OSC, CANON, [x1, x3]),
+    "differential": lambda: ode.differential(ac.exp(x3), 2),
+    "commutator_matches_bracket f": lambda: ode.commutator_matches_bracket(CANON, x3, x1),
+    "commutator_matches_bracket g": lambda: ode.commutator_matches_bracket(CANON, x1, x3),
+}
+
+
+@pytest.mark.parametrize("call", list(_FOREIGN.values()), ids=list(_FOREIGN))
+def test_field_outside_x1_to_xn_is_refused(call):
+    with pytest.raises(ex.UnsupportedInputError, match=r"x1\.\.x\d only, n = \d, found x\d$"):
+        call()
 
 
 def test_vertical_types_reject_jets():
