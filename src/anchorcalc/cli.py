@@ -190,9 +190,15 @@ def _check_catalog_work(n: int, grade: int):
         ex.refuse(f"a {grade}-form field on n = {n}", f"{work} units of work", "catalog budget")
 
 
+def _space(args, n: int):
+    """The flat space of a catalog run on R^n, of the signature --euclidean
+    asks for; a model refuses a signature it does not live on."""
+    return fo.euclidean(n) if args.euclidean else fo.lorentzian(n)
+
+
 def _pform_checks(args):
     _check_catalog_work(args.n, args.p)
-    space = fo.euclidean(args.n) if args.euclidean else fo.lorentzian(args.n)
+    space = _space(args, args.n)
     a, b = _fraction(args.a, "--a"), _fraction(args.b, "--b")
     model = fm.PFormModel(space, args.p, a, b)
     sig = "euclidean" if args.euclidean else "lorentzian"
@@ -218,7 +224,7 @@ def _pform_checks(args):
 
 def _selfdual_checks(args):
     _check_catalog_work(args.n, args.n // 2)
-    space = fo.lorentzian(args.n)
+    space = _space(args, args.n)
     model = fm.SelfDualModel(space)
     checks = [("noether_identity", lambda: _verdict(*model.noether_identity_check()))]
     checks += [
@@ -230,7 +236,7 @@ def _selfdual_checks(args):
 
 
 def _chiral_checks(args):
-    space = fo.lorentzian(2)
+    space = _space(args, 2)
     if args.algebra not in fm.ALGEBRAS:
         raise ValueError(f"unknown algebra {args.algebra!r} (have {sorted(fm.ALGEBRAS)})")
     algebra = fm.ALGEBRAS[args.algebra]()
@@ -391,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--algebra", default="su2")
     p_cat.add_argument("--epsilon", default="1,1,1", help="constant algebra element")
     p_cat.add_argument("--xi", help="vector selector: t<mu>, r<mu><nu> or dil")
-    p_cat.add_argument("--euclidean", action="store_true")
+    p_cat.add_argument(
+        "--euclidean", action="store_true", help="Euclidean signature (p-form family only)"
+    )
     p_cat.add_argument("--json", action="store_true")
     p_cat.add_argument("--timings", action="store_true")
 

@@ -100,14 +100,20 @@ def _int_pow(base: int, e: int) -> int:
     """base ** e for e >= 0, refused before it is computed when it would
     have more decimal digits than the digit budget: a literal power such as
     3^2000000 would otherwise take seconds and then fail to print."""
+    _check_digits("integer power", base, e)
+    return base**e
+
+
+def _check_digits(what: str, base: int, e: int) -> None:
+    """Refuse `what`, which holds the integer base ** e, e >= 0, when that
+    integer would have more decimal digits than the digit budget."""
     if e > 1 and abs(base) > 1:
         limit = BUDGETS["digit budget"][0]
         # an exponent past a float's range is past the budget too
         digits = e * math.log10(abs(base)) if e < 1e300 else math.inf
         if digits >= limit:
             count = f"{int(digits) + 1} digits" if digits < math.inf else "over 10^299 digits"
-            refuse("integer power", count, "digit budget", limit)
-    return base**e
+            refuse(what, count, "digit budget", limit)
 
 
 def _int_text(n: int) -> str:
@@ -581,9 +587,19 @@ def _ppow(p, n: int):
     if n == 0:
         return {(): 1}, 1
     c, d = p
+    if n == 1 or not c:
+        return p
     if len(c) == 1:
         ((mono, coeff),) = c.items()
         return {tuple((a, e * n) for a, e in mono): _int_pow(coeff, n)}, _int_pow(d, n)
+    # (c / d)^n = c^n / d^n in normal form, and c^n holds coeff(m)^n at m^n
+    # for each vertex m of the Newton polytope of c, such as the
+    # lexicographically greatest and least exponent vectors: refuse before
+    # the first squaring when one of these integers passes the digit budget
+    atoms = sorted({a for mono in c for a, _ in mono})
+    exponents = {mono: [dict(mono).get(a, 0) for a in atoms] for mono in c}
+    vertices = (max(c, key=exponents.get), min(c, key=exponents.get))
+    _check_digits("power of a sum", max(d, *(abs(c[m]) for m in vertices)), n)
     result = ({(): 1}, 1)
     base = p
     while n:
@@ -819,8 +835,21 @@ def jet_atoms(e: Expr, field=None):
 
 
 def max_jet_order(e: Expr, field=None) -> int:
-    orders = [a.index.order() for a in jet_atoms(e, field)]
-    return max(orders, default=0)
+    return _max_jet_order(_coerce(e)._poly, field)
+
+
+def _max_jet_order(p, field=None) -> int:
+    """The highest jet order in p, function-atom arguments included: one
+    scan of the monomials, with no atom set."""
+    top = 0
+    for mono in p[0]:
+        for a, _ in mono:
+            if type(a) is JetVar:
+                if a[2][0] > top and (field is None or a[1] == field):
+                    top = a[2][0]
+            elif type(a) is FunAtom:
+                top = max(top, _max_jet_order(a[3]._poly, field))
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1038,8 @@ def substitute(e: Expr, mapping) -> Expr:
 def _subst_poly(p, table):
     """p with the atoms of the table replaced by their polynomials.  The
     monomials that hold no replaced atom are added to the sum at once, and
-    p itself is returned when no monomial holds one."""
+    p itself is returned when no monomial holds one.  Each atom is looked
+    up once per monomial that holds it."""
     c, d = p
     acc = _acc()
     unchanged = {}
@@ -1020,20 +1050,21 @@ def _subst_poly(p, table):
         factors = []
         for pair in mono:
             a, e = pair
-            if a not in replaced:
-                if isinstance(a, FunAtom):
+            rep = replaced.get(a, replaced)  # the dict itself: not seen yet
+            if rep is replaced:
+                if type(a) is FunAtom:
                     arg = _subst_poly(a[3]._poly, table)
                     rep = None if arg == a[3]._poly else _fun_poly(a[1], _expr(arg))
                 else:
                     rep = table.get(a)
                 replaced[a] = rep
-            rep = replaced[a]
             if rep is None:
                 kept.append(pair)
                 continue
-            if pair not in powers:
-                powers[pair] = _ppow(rep, e)
-            factors.append(powers[pair])
+            power = powers.get(pair)
+            if power is None:
+                power = powers[pair] = _ppow(rep, e)
+            factors.append(power)
         if not factors:
             unchanged[mono] = coeff
             continue

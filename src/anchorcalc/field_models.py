@@ -21,7 +21,7 @@ from . import expr as ex
 from . import forms as fo
 from .expr import is_identically_zero
 from .forms import FlatSpace, Form, SpacetimeVector
-from .linop import LinDiffOp, ShellRules, linearize
+from .linop import LinDiffOp, ShellRules, linearize, sum_of_products
 
 
 class FieldModelError(ex.ExprError):
@@ -292,20 +292,23 @@ class PFormModel:
 
     def anchor_verify(self):
         """Definition check J o V = V* o J*; exact (field-independent
-        operators), returned as (ok, the nonzero residual operator)."""
+        operators), returned as (ok, the nonzero residual operator), which
+        is built in one table."""
         v, vstar = self.anchor_ops()
         j_op = self.linearization()
         j_star = pairing_adjoint(j_op, *self._weights())
-        return _certificate({"anchor_residual": j_op.compose(v) - vstar.compose(j_star)})
+        residual = sum_of_products([(1, j_op, v), (-1, vstar, j_star)])
+        return _certificate({"anchor_residual": residual})
 
     def triviality_witness(self):
-        """G with V* = J o G when a = b (the trivial anchor); None otherwise."""
+        """G with V* = J o G when a = b (the trivial anchor); None otherwise.
+        V* - J o G is built in one table, V* as V* o Id."""
         if not is_identically_zero(self.a - self.b):
             return None
         g = LinDiffOp.identity(len(self.fields)).scale(self.a)
-        certificate = self.linearization().compose(g)
         _, vstar = self.anchor_ops()
-        if not (vstar - certificate).is_zero():
+        identity = LinDiffOp.identity(vstar.cols)
+        if not sum_of_products([(1, vstar, identity), (-1, self.linearization(), g)]).is_zero():
             raise FieldModelError("trivial-anchor certificate failed")
         return g
 

@@ -14,12 +14,17 @@ and the index sum alpha + beta is memoised.  The formal adjoint of a
 constant entry a D^alpha is likewise the one entry (-1)^|alpha| a D^alpha.
 Each sum is normalised once per entry, as every accumulated sum is, so
 the result is exact and in the same canonical form as the Leibniz loop
-that every product with a polynomial coefficient still takes.
+that every product with a polynomial coefficient still takes.  A sum of
+products such as J o V - V* o J* (sum_of_products) accumulates every
+product into one table and normalises it once; compose is its one-term
+case.
 
 On-shell reduction (ShellRules) keeps one rule table per jet order, lead
-jet -> right-hand side polynomial, built on the kernel's polynomial layer.
-No right-hand side holds a lead, so one simultaneous substitution of the
-table reduces an expression completely.
+jet -> right-hand side polynomial, built on the kernel's polynomial layer
+by Gauss-Jordan elimination (_eliminate): one substitution per equation,
+and one per right-hand side that holds a new lead.  No right-hand side
+holds a lead, so one simultaneous substitution of the table reduces an
+expression completely.
 """
 
 from __future__ import annotations
@@ -181,25 +186,27 @@ class LinDiffOp:
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Leibniz-expanded composition: (self.compose(other)).apply(v) ==
-        self.apply(other.apply(v)).  A product of two constants adds its
+        self.apply(other.apply(v)); sum_of_products of the one term."""
+        return sum_of_products([(1, self, other)])
+
+    def _compose_into(self, entries, other: "LinDiffOp", k: int):
+        """entries += k * (self o other) for k = +-1 and a defaultdict of
+        accumulators keyed by (row, col, alpha), once sum_of_products has
+        checked the dimensions.  A product of two constants adds its
         integer numerator to the entry's accumulator (module docstring)."""
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
         by_row = {}
-        for (k, c, beta), b in other.entries.items():
-            by_row.setdefault(k, []).append((c, beta, b, _constant(b)))
-        entries = defaultdict(ex._acc)
-        for (r, k, alpha), a in self.entries.items():
+        for (j, c, beta), b in other.entries.items():
+            by_row.setdefault(j, []).append((c, beta, b, _constant(b)))
+        for (r, j, alpha), a in self.entries.items():
             ca = _constant(a)
-            for c, beta, b, cb in by_row.get(k, ()):
+            for c, beta, b, cb in by_row.get(j, ()):
                 if ca and cb:
                     key = (r, c, _index_sum(alpha, beta))
-                    _add_constant(entries, key, ca[0] * cb[0], ca[1] * cb[1])
+                    _add_constant(entries, key, k * ca[0] * cb[0], ca[1] * cb[1])
                     continue
                 for remaining, binom, db in _leibniz(alpha, b):
                     key = (r, c, _index_sum(remaining, beta))
-                    ex._paddmul_into(entries[key], a._poly, db, binom)
-        return LinDiffOp._of(self.rows, other.cols, ex._table_sums(entries))
+                    ex._paddmul_into(entries[key], a._poly, db, k * binom)
 
     def formal_adjoint(self) -> "LinDiffOp":
         """Formal transpose: (coeff * D^a)^T = (-1)^|a| D^a o coeff, with the
@@ -245,6 +252,25 @@ class LinDiffOp:
         return "; ".join(lines)
 
 
+def sum_of_products(terms) -> LinDiffOp:
+    """The sum of k * (A o B) over the (k, A, B) terms, k = +-1, built in
+    one table of accumulators and normalised once: A o B - C o D through
+    compose and subtraction would build and normalise three tables.  It
+    raises the ValueErrors of compose and of the sum before any product."""
+    shapes = set()
+    for _, a, b in terms:
+        if a.cols != b.rows:
+            raise ValueError("inner dimensions do not match")
+        shapes.add((a.rows, b.cols))
+    if len(shapes) != 1:
+        raise ValueError("shape mismatch")
+    entries = defaultdict(ex._acc)
+    for k, a, b in terms:
+        a._compose_into(entries, b, k)
+    ((rows, cols),) = shapes
+    return LinDiffOp._of(rows, cols, ex._table_sums(entries))
+
+
 def linearize(components, fields) -> LinDiffOp:
     """Universal linearization of a (possibly nonlinear) operator given by
     component expressions: J[a, i] = sum_alpha dT_a/du_{i,alpha} D^alpha."""
@@ -271,11 +297,8 @@ class ShellRules:
     (the order-k prolongation).  Each relation must be solvable for its
     greatest jet atom (highest order, then field, then index) with a
     constant coefficient.  The rules of each order are one table, lead ->
-    right-hand side polynomial, built on first use and cached; a racing
-    first build recomputes the same table.  _eliminate solves each equation
-    for its lead after reducing it by the rules so far, so a right-hand
-    side holds only leads of later rules, and one pass in reverse order
-    leaves every right-hand side free of leads.
+    right-hand side polynomial, built by _eliminate on first use and
+    cached; a racing first build recomputes the same table.
     """
 
     def __init__(self, equations, directions):
@@ -301,45 +324,76 @@ class ShellRules:
         return rules
 
     def reduce(self, e: Expr) -> Expr:
-        """Substitute every leading jet of e in one simultaneous pass;
-        idempotent, as no right-hand side holds a lead."""
-        e = ex._coerce(e)
-        return ex._expr(ex._subst_poly(e._poly, self.rules_up_to(ex.max_jet_order(e))))
+        """Substitute every leading jet of e in one simultaneous pass, with
+        the table of its jet order; idempotent, as no right-hand side holds
+        a lead."""
+        p = ex._coerce(e)._poly
+        return ex._expr(ex._subst_poly(p, self.rules_up_to(ex._max_jet_order(p))))
 
 
 def _eliminate(equations):
-    """Triangularize linear-in-their-lead equations into one table, lead ->
-    right-hand side polynomial, in which no right-hand side holds a lead.
+    """Gauss-Jordan elimination of linear-in-their-lead equations into one
+    table, lead -> right-hand side polynomial, in which no right-hand side
+    holds a lead.
 
-    Each equation is reduced by the rules so far until no lead is left,
-    then solved for its own lead.  So rule k holds no earlier lead and not
-    its own, only leads of later rules; in one pass in reverse order those
-    are final when rule k is reached, and one substitution leaves it free
-    of leads.  The fully reduced image of a lead is unique, as each rule
-    maps its lead to smaller jets and substitution is a ring homomorphism.
+    The table stays reduced after every equation.  An equation takes one
+    substitution of the table, which leaves it free of leads, and is solved
+    for its own lead (_solve).  The new rule is then substituted into just
+    the right-hand sides that hold its lead: a holder index maps each atom,
+    those of function-atom arguments included, to the leads whose
+    right-hand sides hold it, as ode._eliminate indexes its columns (Davis,
+    Direct Methods for Sparse Linear Systems, 2006).  The fully reduced
+    image of a lead is unique, as each rule maps its lead to smaller jets
+    and substitution is a ring homomorphism, so the table is the one that
+    substituting to a fixed point would give.
     """
     rules = {}
+    held = {}  # lead -> the atoms of its right-hand side
+    holders = {}  # atom -> the leads whose right-hand sides hold it
     for eq in equations:
-        p = eq._poly
-        while (q := ex._subst_poly(p, rules)) is not p:  # until no lead is left
-            p = q
+        p = ex._subst_poly(eq._poly, rules)
         if not p[0]:
             continue
-        eq = ex._expr(p)
-        jets = ex.jet_atoms(eq)
-        if not jets:
-            raise ShellError(f"inconsistent shell relation: {to_text(eq)} = 0")
-        lead = max(jets, key=_lead_key)
-        coeff = ex.diff(eq, lead)
-        if not isinstance(coeff, ex.Rat):
+        lead, rhs, atoms = _solve(p)
+        for other in holders.pop(lead, ()):
+            rules[other] = new = ex._subst_poly(rules[other], {lead: rhs})
+            old, held[other] = held[other], _atoms(new)
+            for a in old - held[other] - {lead}:
+                holders[a].discard(other)
+            for a in held[other] - old:
+                holders.setdefault(a, set()).add(other)
+        for a in atoms:
+            holders.setdefault(a, set()).add(lead)
+        rules[lead], held[lead] = rhs, atoms
+    return rules
+
+
+def _atoms(p):
+    """The atoms of p, those of function-atom arguments included."""
+    out = set()
+    ex._collect_atoms(p, out)
+    return out
+
+
+def _solve(p):
+    """(lead, right-hand side, its atoms) of the nonzero relation p = 0,
+    read on the polynomial layer.  The lead is the greatest jet atom, and
+    p must hold it once, as a term of its own with a constant coefficient;
+    otherwise the partial in the lead tells a coefficient that is not
+    constant from a relation that is nonlinear in its lead."""
+    jets = [a for a in _atoms(p) if type(a) is JetVar]
+    if not jets:
+        raise ShellError(f"inconsistent shell relation: {to_text(ex._expr(p))} = 0")
+    lead = max(jets, key=_lead_key)
+    rest = dict(p[0])
+    k = rest.pop(((lead, 1),), None)
+    atoms = _atoms((rest, 1))
+    if k is None or lead in atoms:
+        if not isinstance(ex.diff(ex._expr(p), lead), ex.Rat):
             raise ShellError(
                 f"cannot solve relation for {lead.display()}: "
                 "leading coefficient is not constant"
             )
-        rest = eq - coeff * ex.Sym(lead)
-        if lead in ex.jet_atoms(rest):
-            raise ShellError(f"relation is nonlinear in {lead.display()}")
-        rules[lead] = (rest * ex.rational(-1) / coeff)._poly
-    for lead in reversed(rules):
-        rules[lead] = ex._subst_poly(rules[lead], rules)
-    return rules
+        raise ShellError(f"relation is nonlinear in {lead.display()}")
+    # p = (k lead + rest) / d, so lead = -rest / k
+    return lead, ex._pscale((rest, 1), -1 if k > 0 else 1, abs(k)), atoms

@@ -136,10 +136,11 @@ def test_check_refuses_an_integer_past_the_digit_budget(tmp_path, capsys, f, dig
 def test_check_reports_a_residual_past_the_digit_budget_as_error(tmp_path):
     # the literals stay under the budget, but the characteristic residual
     # -x1*df/dx1 holds 2*10^8000: printing it once raised Python's
-    # ValueError out of the run, and the whole report was lost
+    # ValueError out of the run, and the whole report was lost; f is a
+    # product, as the power (10^4000*x1 + 1)^2 is refused while it is read
     model = tmp_path / "large_coefficient.ini"
     model.write_text(
-        "[ode]\nn = 1\nv = [x1]\n\n[characteristic]\nf = (10^4000*x1 + 1)^2\n\n"
+        "[ode]\nn = 1\nv = [x1]\n\n[characteristic]\nf = (10^4000*x1 + 1)*(10^4000*x1 + 1)\n\n"
         "[symmetry]\nw = [x1]\n"
     )
     code, out = run_cli("check", str(model), "--json")
@@ -477,6 +478,22 @@ def test_catalog_fail_lists_each_nonzero_residual(monkeypatch, argv, model, meth
             assert ") dx" in record["residual"], record
         else:
             assert record["status"] == clean[name], name
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("selfdual", "--n", "2"), "self-dual fields need Lorentzian R^{4k+2}"),
+        (("selfdual", "--n", "6"), "self-dual fields need Lorentzian R^{4k+2}"),
+        (("chiral",), "the chiral model lives on Lorentzian R^2"),
+        (("chiral", "--algebra", "abelian1", "--epsilon", "1"), "the chiral model lives on Lorentzian R^2"),
+    ],
+)
+def test_cli_catalog_euclidean_is_refused_by_lorentzian_families(argv, message, capsys):
+    # --euclidean was once ignored here, and the Lorentzian model PASSed
+    code, out = run_cli("catalog", *argv, "--euclidean", "--json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -148,7 +148,7 @@ def _catalog_argv(draw):
         option = draw(st.sampled_from(sorted(options)))
         chosen[option] = draw(st.sampled_from(options[option][1]))
     argv = ["catalog", model, *(f"{o}={v}" for o, v in chosen.items())]
-    if model == "pform" and draw(st.booleans()):
+    if draw(st.booleans()):  # every family reads it; selfdual and chiral refuse it
         argv.append("--euclidean")
     return argv + ["--json"]
 

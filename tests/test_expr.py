@@ -386,6 +386,38 @@ def test_integer_power_refused_past_the_digit_budget():
     assert (ac.rational(1, 3) * x1) ** -9012 == 3**9012 * x1**-9012
 
 
+@pytest.mark.parametrize(
+    "base, e, digits",
+    [
+        # the lexicographically greatest exponent vector, x1, once ran 5.6 s
+        (lambda: 1000000 * x1 + 1, 999, 5995),
+        (lambda: x1 + 1000000, 999, 5995),  # the least, the constant term
+        (lambda: x1 + x2 / 1000000, 999, 5995),  # the denominator
+        (lambda: x1**-1 - 1000000 * x2 + t, 999, 5995),  # a Laurent vertex
+        (lambda: 10**2150 * x1 + x2, 2, 4301),  # the boundary: 4300 digits
+    ],
+    ids=["greatest", "least", "denominator", "laurent", "boundary"],
+)
+def test_power_of_a_sum_refused_before_any_term_product(monkeypatch, base, e, digits):
+    base = base()
+    calls = []
+    mono_mul = ex._mono_mul
+    monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    with pytest.raises(ex.ResourceLimitError) as refused:
+        base**e
+    assert calls == []
+    assert str(refused.value) == f"power of a sum exceeds the digit budget ({digits} digits > 4300)"
+
+
+def test_power_of_a_sum_under_the_digit_budget_runs():
+    # 10^4298 has 4299 digits; an inner coefficient may grow past the vertex
+    # ones, such as the binomials of (x1 + 1)^k, and the exact test misses it
+    square = (10**2149 * x1 + x2) ** 2
+    assert square == 10**4298 * x1**2 + 2 * 10**2149 * x1 * x2 + x2**2
+    assert (x1 + 1) ** 20 == sum((math.comb(20, k) * x1**k for k in range(21)), ac.ZERO)
+    assert (x1 + 1) ** 1 == x1 + 1 and ac.ZERO**5 == ac.ZERO
+
+
 def test_to_text_refuses_an_integer_past_the_digit_budget(monkeypatch):
     below = 10**4300 - 1  # 4300 digits
     assert ac.to_text(below * x1 - ac.rational(1, below)) == f"{below}*x1 - 1/{below}"

@@ -232,6 +232,48 @@ def test_corrupted_anchor_fails():
     assert not residual.is_zero()
 
 
+@pytest.mark.parametrize("euclidean", [False, True])
+@pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4) for p in range(1, n)])
+def test_fused_anchor_residual_prints_as_the_unfused_one(monkeypatch, capsys, n, p, euclidean):
+    # V scaled by 2 breaks J o V = V* o J*; the residual, built in one table,
+    # must print as compose and subtraction print it
+    anchor_ops = fm.PFormModel.anchor_ops
+    monkeypatch.setattr(
+        fm.PFormModel, "anchor_ops", lambda self: (anchor_ops(self)[0].scale(2), anchor_ops(self)[1])
+    )
+    space = fo.euclidean(n) if euclidean else fo.lorentzian(n)
+    m = fm.PFormModel(space, p, Fraction(3, 2), -2)
+    v, vstar = m.anchor_ops()
+    j_op = m.linearization()
+    j_star = fm.pairing_adjoint(j_op, *m._weights())
+    unfused = j_op.compose(v) - vstar.compose(j_star)
+    assert not unfused.is_zero()
+    argv = ["catalog", "pform", "--n", str(n), "--p", str(p), "--a", "3/2", "--b", "-2"]
+    argv += ["--xi", "t0", "--json"] + (["--euclidean"] if euclidean else [])
+    cli.main(argv)
+    records = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert records["anchor_identity"]["status"] == "FAIL"
+    assert records["anchor_identity"]["residual"] == "anchor_residual: " + unfused.describe()
+
+
+def test_fused_residuals_call_no_compose_and_no_table_sum(monkeypatch):
+    m = fm.PFormModel(L4, 2, Fraction(3), Fraction(3))
+    m.anchor_ops(), m.linearization()  # memoised; anchor_ops composes d and *
+    calls = []
+    for owner, name in ((LinDiffOp, "compose"), (ex, "_table_plus")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn: calls.append(fn) or fn(*a))
+    verdict, g = m.anchor_verify(), m.triviality_witness()
+    # V* scaled by 2 is no longer J o (3 Id)
+    v, vstar = m.anchor_ops()
+    monkeypatch.setattr(fm.PFormModel, "anchor_ops", lambda self: (v, vstar.scale(2)))
+    with pytest.raises(fm.FieldModelError, match="trivial-anchor certificate failed"):
+        m.triviality_witness()
+    assert calls == []
+    monkeypatch.undo()  # operator equality subtracts through _table_plus
+    assert verdict == (True, {}) and g == LinDiffOp.identity(6).scale(3)
+
+
 def test_triviality_witness_values():
     m = fm.PFormModel(L4, 2, Fraction(3), Fraction(3))
     g = m.triviality_witness()

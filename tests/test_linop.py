@@ -111,6 +111,26 @@ def test_compose_dimension_mismatch():
         )
 
 
+def test_sum_of_products_refuses_mismatched_operators_before_any_product(monkeypatch):
+    a, b = lo.LinDiffOp.identity(2), lo.LinDiffOp.identity(3)
+    calls = []
+    monkeypatch.setattr(lo.LinDiffOp, "_compose_into", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="inner dimensions do not match"):
+        lo.sum_of_products([(1, a, a), (-1, a, b)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        lo.sum_of_products([(1, a, a), (-1, b, b)])
+    assert calls == []
+
+
+def test_sum_of_products_matches_compose_and_subtraction():
+    rng = random.Random(5)
+    for _ in range(10):
+        A, B, C, D = (rand_op(rng, order=1) for _ in range(4))
+        fused = lo.sum_of_products([(1, A, B), (-1, C, D)])
+        assert fused.entries == (A.compose(B) - C.compose(D)).entries
+        assert lo.sum_of_products([(1, A, B), (-1, A, B)]).is_zero()
+
+
 # --- formal adjoint ---------------------------------------------------------
 
 
@@ -352,11 +372,13 @@ def _rules_or_message(build):
 
 @st.composite
 def _shells(draw):
-    """A shell of either generator and up to two more relations of order 0
-    with constant coefficients.  Two such relations can chain three rules,
-    each right-hand side holding the lead of a later one, and one can make
-    the shell inconsistent; a prolongation can leave a lead with a
-    coefficient in t."""
+    """A shell of either generator, some of its equations with a product of
+    two lower jets and the sine of a lower jet added, and up to two more
+    relations of order 0 with constant coefficients.  Two such relations
+    can chain three rules, each right-hand side holding the lead of a later
+    one, inside a sine argument too, and one can make the shell
+    inconsistent; a prolongation can leave a lead with a coefficient in
+    t."""
     equations, directions = draw(
         st.one_of(
             _shells_and_probes().map(lambda case: case[:2]),
@@ -364,6 +386,16 @@ def _shells(draw):
         )
     )
     fields = sorted({a.field for e in equations for a in ex.jet_atoms(e)})
+    equations = list(equations)
+    for i in draw(st.lists(st.integers(0, len(equations) - 1), max_size=2, unique=True)):
+        q = ex.max_jet_order(equations[i])  # the lead's order; the rest is lower
+
+        def lower():
+            field = draw(st.sampled_from(fields))
+            return _jet_of_order(draw, field, directions, draw(st.integers(0, q - 1)))
+
+        product, sine = lower() * lower(), ac.sin(lower())
+        equations[i] += draw(_fractions) * product + draw(_fractions) * sine
     for _ in range(draw(st.integers(0, 2))):
         # the greater field first, so a nonzero first coefficient is the lead's
         xj, xi = map(ac.jet, sorted(draw(st.sampled_from(fields)) for _ in range(2)))
@@ -393,6 +425,30 @@ def test_rule_table_matches_the_reference_elimination(shell_case):
         if isinstance(table, dict):
             for rhs in table.values():
                 assert ex.jet_atoms(ex._expr(rhs)).isdisjoint(table)
+
+
+def test_shell_build_substitutes_once_per_equation_and_once_per_holder(monkeypatch):
+    # the chain of three rules above: its order-1 prolongation adds x3_t - x2_t
+    # and x2_t - x1_t, so five equations; x3, then x2, then x2_t becomes a
+    # lead held by 1, 2 and 1 earlier right-hand sides
+    calls = []
+    subst = ex._subst_poly
+
+    def counting(p, table):
+        out = subst(p, table)
+        calls.append((table, out is not p))
+        return out
+
+    monkeypatch.setattr(ex, "_subst_poly", counting)
+    rules = lo.ShellRules([x1t - ac.jet("x3"), ac.jet("x3") - x2, x2 - x1], ["t"]).rules_up_to(1)
+    per_equation = [changed for table, changed in calls if table is rules]
+    per_holder = [(table, changed) for table, changed in calls if table is not rules]
+    assert len(per_equation) == 5
+    assert len(per_holder) == 4
+    # each holder update substitutes one rule into a right-hand side that holds its lead
+    assert all(len(table) == 1 and changed for table, changed in per_holder)
+    leads = [x1t, ac.jet("x3"), x2, ac.jet("x3", {"t": 1}), x2t]
+    assert {lead: ex._expr(rhs) for lead, rhs in rules.items()} == {ex._atom(e): x1 for e in leads}
 
 
 def test_op_equal_mod_shell_exact_and_weak():
