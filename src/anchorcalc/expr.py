@@ -67,6 +67,7 @@ BUDGETS = {
     "step budget": (10**7, "RK4 steps in a drift-oracle run"),
     "catalog budget": (50_000, "units of work, C(n, p) * n^2, in a catalog run"),
     "digit budget": (4300, "decimal digits of an integer in a model value or a printed residual"),
+    "check budget": (100_000, "term products of one ODE check, counted before any is formed"),
 }
 NODE_LIMIT = BUDGETS["node limit"][0]
 

@@ -236,27 +236,25 @@ class PFormModel:
         n, p = self.space.n, self.p
         sign1 = self.sigma * (-1) ** ((n - p) * (p - 1))
         sign2 = self.sigma * (-1) ** (p - 1)
-        psi1 = fo.hodge(self._interior_star_F(xi)).scale(sign1)
-        psi2 = fo.hodge(self._interior_F(xi)).scale(sign2)
-        return psi1, psi2
+        return fo.hodge(self._interior_star_F(xi), sign1), fo.hodge(self._interior_F(xi), sign2)
 
     @_memoised
     def killing_current(self, xi: SpacetimeVector) -> Form:
-        """The current j(xi); current_certificate certifies it."""
+        """The current j(xi) = (i_xi F ^ *F + (-1)^(p-1) F ^ i_xi *F) / 2, built
+        in one table; current_certificate certifies it."""
         self._check_vector(xi)
-        p = self.p
-        return (
-            fo.wedge(self._interior_F(xi), self._star_F())
-            + fo.wedge(self.F, self._interior_star_F(xi)).scale((-1) ** (p - 1))
-        ).scale(ex.rational(1, 2))
+        j = fo._Sum(self.space, self.space.n - 1).add_wedge(self._interior_F(xi), self._star_F())
+        return j.add_wedge(self.F, self._interior_star_F(xi), (-1) ** (self.p - 1)).form(2)
 
     def current_certificate(self, xi: SpacetimeVector):
         """The exact certificate (Psi1, T1) + (Psi2, T2) - dj = 0 of the
-        current j(xi); returns (ok, the nonzero residual)."""
-        psi1, psi2 = self.killing_characteristic(xi)
-        t1, t2 = self.residuals()
-        density = fo.pairing_density(psi1, t1) + fo.pairing_density(psi2, t2)
-        return _certificate({"current_residual": density - fo.exterior_d(self.killing_current(xi))})
+        current j(xi), built in one table; returns (ok, the nonzero
+        residual)."""
+        residual = fo._Sum(self.space, self.space.n)
+        for psi, t in zip(self.killing_characteristic(xi), self.residuals()):
+            residual.add_wedge(psi, fo.hodge(t))  # the pairing density (psi, t)
+        residual.add_d(self.killing_current(xi), -1)
+        return _certificate({"current_residual": residual.form()})
 
     def energy_momentum(self):
         """T_{mu nu} read from *j for the n translations, whose currents
@@ -314,15 +312,17 @@ class PFormModel:
 
     def proper_symmetry(self, xi: SpacetimeVector):
         """delta F = V(Psi) reduces on shell to (a - b) L_xi F; returns
-        (ok, the nonzero residual)."""
+        (ok, the nonzero residual).  delta F - (a - b) L_xi F is built in one
+        table before its shell reduction."""
         psi1, psi2 = self.killing_characteristic(xi)
         v, _ = self.anchor_ops()
         delta = v.apply(form_to_vector(psi1) + form_to_vector(psi2))
-        delta_form = vector_to_form(self.space, self.p, delta)
-        lie_F = fo.lie_derivative(xi, self.F, da=self.residuals()[0], ia=self._interior_F(xi))
-        expected = lie_F.scale(self.a - self.b)
+        residual = fo._Sum(self.space, self.p).add(vector_to_form(self.space, self.p, delta))
+        residual.add_lie(
+            xi, self.F, self.b - self.a, da=self.residuals()[0], ia=self._interior_F(xi)
+        )
         return _certificate(
-            {"transform_residual": (delta_form - expected).map_coefficients(self.shell().reduce)}
+            {"transform_residual": residual.form().map_coefficients(self.shell().reduce)}
         )
 
 
@@ -373,11 +373,12 @@ class SelfDualModel:
         return fo.interior(xi, self.H)
 
     def characteristic(self, xi: SpacetimeVector) -> Form:
-        return fo.hodge(self._interior_H(xi)).scale(-1)
+        return fo.hodge(self._interior_H(xi), -1)
 
     @_memoised
     def current(self, xi: SpacetimeVector) -> Form:
-        return fo.wedge(self._interior_H(xi), self.H).scale(ex.rational(1, 2))
+        """The current j(xi) = i_xi H ^ H / 2, built in one table."""
+        return fo._Sum(self.space, self.space.n - 1).add_wedge(self._interior_H(xi), self.H).form(2)
 
     def _check_vector(self, xi: SpacetimeVector):
         verdict = fo.conformal_killing_check(xi, self.space)
@@ -387,18 +388,21 @@ class SelfDualModel:
 
     def verify(self, xi: SpacetimeVector):
         """The isotropy identity and both certificates; returns (ok, the
-        nonzero residual forms keyed by name)."""
+        nonzero residual forms keyed by name).  Each residual is built in
+        one table."""
         self._check_vector(xi)
-        psi = self.characteristic(xi)
+        space, psi = self.space, self.characteristic(xi)
         lie_H = fo.lie_derivative(xi, self.H, da=self.residual(), ia=self._interior_H(xi))
         v, _ = self.anchor_ops()
-        delta = vector_to_form(self.space, self.mid, v.apply(form_to_vector(psi)))
+        delta = vector_to_form(space, self.mid, v.apply(form_to_vector(psi)))
+        # the pairing density (psi, T) - dj
+        current = fo._Sum(space, space.n).add_wedge(psi, fo.hodge(self.residual()))
+        transform = fo._Sum(space, self.mid).add(delta).add(lie_H, -1).form()
         return _certificate(
             {
                 "isotropy_identity": fo.wedge(self.H, lie_H),
-                "current_residual": fo.pairing_density(psi, self.residual())
-                - fo.exterior_d(self.current(xi)),
-                "transform_residual": (delta - lie_H).map_coefficients(self.shell().reduce),
+                "current_residual": current.add_d(self.current(xi), -1).form(),
+                "transform_residual": transform.map_coefficients(self.shell().reduce),
             }
         )
 
@@ -525,11 +529,13 @@ class ChiralModel:
         return ShellRules(eqs, self.space.coords)
 
     def bracket_form(self, a_forms, b_forms):
-        """[A, B]_c = f^{ab}_c A_a ^ B_b for algebra-valued forms."""
-        out = [fo.zero_form(self.space, a_forms[0].grade + b_forms[0].grade)] * self.N
+        """[A, B]_c = f^{ab}_c A_a ^ B_b for algebra-valued forms, each
+        component built in one table."""
+        grade = a_forms[0].grade + b_forms[0].grade
+        out = [fo._Sum(self.space, grade) for _ in range(self.N)]
         for (a, b, c), coeff in self.algebra.f.items():
-            out[c] = out[c] + fo.wedge(a_forms[a], b_forms[b]).scale(coeff)
-        return out
+            out[c].add_wedge(a_forms[a], b_forms[b], coeff)
+        return [s.form() for s in out]
 
     @_memoised
     def anchor_ops(self):
@@ -559,9 +565,7 @@ class ChiralModel:
             for atom in ex.atoms(c):
                 if not isinstance(atom, ex.Param):
                     raise FieldModelError("epsilon must be constant (rigid parameter)")
-        return [
-            fo.hodge(fo.scalar(self.space, c)).scale(-1) for c in eps
-        ], eps
+        return [fo.hodge(fo.scalar(self.space, c), -1) for c in eps], eps
 
     def verify(self, epsilon):
         """The internal certificates; returns (ok, the nonzero residual
@@ -572,14 +576,16 @@ class ChiralModel:
         psi, eps = self.internal_characteristic(epsilon)
         residuals = self.residuals()
 
-        # d(eps^a H_a) = eps^a T_a exactly
-        j = fo.zero_form(self.space, 1)
-        expected = fo.zero_form(self.space, 2)
-        for a in range(self.N):
-            weight = self.algebra.kappa[a] * eps[a]
-            j = j + self.H[a].scale(weight)
-            expected = expected + residuals[a].scale(weight)
-        out = {"current_residual": fo.exterior_d(j) - expected}
+        # d(eps^a H_a) = eps^a T_a exactly, j and the residual each built
+        # in one table
+        weights = [k * e for k, e in zip(self.algebra.kappa, eps)]
+        j = fo._Sum(self.space, 1)
+        for h, w in zip(self.H, weights):
+            j.add(h, w)
+        current = fo._Sum(self.space, 2).add_d(j.form())
+        for t, w in zip(residuals, weights):
+            current.add(t, -w)
+        out = {"current_residual": current.form()}
 
         # V(Psi) = -g [eps, H] exactly, and the transformation is a
         # symmetry: d(delta H_a) = 0 on shell
@@ -591,9 +597,8 @@ class ChiralModel:
             delta = vector_to_form(
                 self.space, 1, delta_vec[a * self.mid_dim : (a + 1) * self.mid_dim]
             )
-            out[f"transform_residual[{a + 1}]"] = (
-                delta + target[a].scale(self.g)
-            ).map_coefficients(reduce)
+            transform = fo._Sum(self.space, 1).add(delta).add(target[a], self.g)
+            out[f"transform_residual[{a + 1}]"] = transform.form().map_coefficients(reduce)
             out[f"symmetry_residual[{a + 1}]"] = fo.exterior_d(delta).map_coefficients(reduce)
         return _certificate(out)
 

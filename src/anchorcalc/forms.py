@@ -6,10 +6,18 @@ The metric is constant diagonal, the orientation fixed by
 epsilon_{0,...,n-1} = +1, coordinates are named x0..x{n-1}.
 
 Form(...), and so every builder below it, validates each index and
-coefficient it is given.  The operations (sum, difference, scaling,
-coefficient map, wedge, d, hodge, interior) key their results by valid
-indices only and build them on expr's table helpers through the trusted
-Form._of, without validating them again.
+coefficient it is given.  The operations key their results by valid
+indices only and build them through the trusted Form._of, without
+validating them again.
+
+Every result that is a sum is built in one table: a _Sum adds k a ^ b,
+k da, k i_xi a, k L_xi a and k a, for k an int, a rational or an
+expression, into one expr accumulator per index, and normalises each
+once, dividing by an integer such as the 2 of a current's 1/2 at the end.
+Wedge, d, interior, L_xi, the sum, difference and scaling of forms and
+the self-dual projection are its short cases; the field models build
+their currents and certificate residuals as longer ones.  hodge takes a
+sign, so that sign * *a is one map of the coefficients too.
 """
 
 from __future__ import annotations
@@ -139,12 +147,10 @@ class Form:
     def _plus(self, other: "Form", k: int) -> "Form":
         """self + k * other for k = +-1."""
         self._compatible(other)
-        table = ex._table_plus(self.components, other.components, k)
-        return Form._of(self.space, self.grade, table)
+        return _Sum(self.space, self.grade).add(self).add(other, k).form()
 
     def scale(self, factor) -> "Form":
-        table = ex._table_scale(self.components, ex._coerce(factor)._poly)
-        return Form._of(self.space, self.grade, table)
+        return _Sum(self.space, self.grade).add(self, factor).form()
 
     def map_coefficients(self, fn) -> "Form":
         return Form._of(self.space, self.grade, ex._table_map(self.components, fn))
@@ -230,7 +236,120 @@ def dilation(space: FlatSpace) -> SpacetimeVector:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations, on one accumulation path (module docstring)
+
+
+def _weight(k):
+    """(m, den, p) with k = m * p / den for ints m and den > 0, and p a
+    polynomial, or None for 1; k is an int, a Fraction or an expression."""
+    if type(k) is int:
+        return k, 1, None
+    c, d = ex._coerce(k)._poly
+    if not c:
+        return 0, 1, None
+    if len(c) == 1 and () in c:
+        return c[()], d, None
+    return 1, 1, (c, d)
+
+
+def _weighted(q, den, p):
+    """q * p / den for a weight (m, den, p) of _weight: the value that m
+    times is k * q.  The pair need not be in normal form, as it only ever
+    goes into an accumulator."""
+    if p is not None:
+        return ex._pmul(p, q)
+    return q if den == 1 else (q[0], q[1] * den)
+
+
+class _Sum:
+    """A form of one grade on one space under construction: a table of
+    expr._acc accumulators keyed by valid indices.  Each add method adds k
+    times its term, k an int, a Fraction or an expression, and form()
+    divides every sum by one integer and normalises it, once."""
+
+    __slots__ = ("space", "grade", "table")
+
+    def __init__(self, space: FlatSpace, grade: int):
+        self.space, self.grade = space, grade
+        self.table = defaultdict(ex._acc)
+
+    def _term(self, grade: int, *forms: Form):
+        if grade != self.grade or any(f.space.signature != self.space.signature for f in forms):
+            raise FormError(
+                f"a grade-{grade} term does not fit a {self.grade}-form on {self.space}"
+            )
+
+    def add(self, a: Form, k=1) -> "_Sum":
+        """self += k a."""
+        self._term(a.grade, a)
+        m, den, p = _weight(k)
+        if m:
+            table = self.table
+            for idx, coeff in a.components.items():
+                ex._padd_into(table[idx], _weighted(coeff._poly, den, p), m)
+        return self
+
+    def add_wedge(self, a: Form, b: Form, k=1) -> "_Sum":
+        """self += k a ^ b."""
+        self._term(a.grade + b.grade, a, b)
+        m, den, p = _weight(k)
+        if m:
+            table, n, b_comps = self.table, self.space.n, b.components
+            for i_idx, i_coeff in a.components.items():
+                q = _weighted(i_coeff._poly, den, p)
+                for sign, idx, j_idx in _complements(n, i_idx, b.grade):
+                    j_coeff = b_comps.get(j_idx)
+                    if j_coeff is not None:
+                        ex._paddmul_into(table[idx], q, j_coeff._poly, sign * m)
+        return self
+
+    def add_d(self, a: Form, k=1) -> "_Sum":
+        """self += k da."""
+        self._term(a.grade + 1, a)
+        m, den, p = _weight(k)
+        if m:
+            table, coords = self.table, self.space.coords
+            for idx, coeff in a.components.items():
+                for mu in range(self.space.n):
+                    if mu not in idx:
+                        d_coeff = ex._total_derivative_poly(coeff._poly, coords[mu])
+                        sign, new_idx = _merge_sign((mu,), idx)
+                        ex._padd_into(table[new_idx], _weighted(d_coeff, den, p), sign * m)
+        return self
+
+    def add_interior(self, xi: SpacetimeVector, a: Form, k=1) -> "_Sum":
+        """self += k i_xi a."""
+        self._term(a.grade - 1, a)
+        m, den, p = _weight(k)
+        if m:
+            table = self.table
+            xs = [_weighted(x._poly, den, p) if x._poly[0] else None for x in xi.components]
+            for idx, coeff in a.components.items():
+                for pos, mu in enumerate(idx):
+                    if xs[mu] is not None:
+                        ex._paddmul_into(
+                            table[idx[:pos] + idx[pos + 1 :]], xs[mu], coeff._poly, (-1) ** pos * m
+                        )
+        return self
+
+    def add_lie(self, xi: SpacetimeVector, a: Form, k=1, da=None, ia=None) -> "_Sum":
+        """self += k L_xi a by the Cartan formula i_xi da + d i_xi a, with the
+        grade-edge terms dropped where they do not exist (grade 0 has no
+        interior product, grade n no d).  A caller that already holds da or
+        i_xi a passes it, and it is not built again."""
+        if a.grade < self.space.n:
+            self.add_interior(xi, exterior_d(a) if da is None else da, k)
+        if a.grade > 0:
+            self.add_d(interior(xi, a) if ia is None else ia, k)
+        return self
+
+    def form(self, den: int = 1) -> Form:
+        """The form of the sums divided by den, each normalised once; zero
+        sums are dropped."""
+        table = {
+            idx: ex._expr(ex._normal(c, d * den)) for idx, (c, d) in self.table.items() if c
+        }
+        return Form._of(self.space, self.grade, table)
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -239,70 +358,39 @@ def wedge(a: Form, b: Form) -> Form:
     grade = a.grade + b.grade
     if grade > a.space.n:
         raise FormError(f"wedge grade {grade} exceeds dimension {a.space.n}")
-    table = defaultdict(ex._acc)
-    for i_idx, i_coeff in a.components.items():
-        for sign, idx, j_idx in _complements(a.space.n, i_idx, b.grade):
-            j_coeff = b.components.get(j_idx)
-            if j_coeff is not None:
-                ex._paddmul_into(table[idx], i_coeff._poly, j_coeff._poly, sign)
-    return Form._of(a.space, grade, ex._table_sums(table))
+    return _Sum(a.space, grade).add_wedge(a, b).form()
 
 
 def exterior_d(a: Form) -> Form:
     if a.grade >= a.space.n:
         raise FormError(f"d of a grade-{a.grade} form exceeds dimension {a.space.n}")
-    table = defaultdict(ex._acc)
-    for idx, coeff in a.components.items():
-        for mu in range(a.space.n):
-            if mu not in idx:
-                d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu])
-                sign, new_idx = _merge_sign((mu,), idx)
-                ex._padd_into(table[new_idx], d_coeff, sign)
-    return Form._of(a.space, a.grade + 1, ex._table_sums(table))
+    return _Sum(a.space, a.grade + 1).add_d(a).form()
 
 
-def hodge(a: Form) -> Form:
-    """(*a)_J = a^I epsilon_{I J} with indices raised by the diagonal metric
-    and epsilon_{0...n-1} = +1."""
+def hodge(a: Form, sign: int = 1) -> Form:
+    """sign * *a, where (*a)_J = a^I epsilon_{I J} with indices raised by the
+    diagonal metric and epsilon_{0...n-1} = +1; sign is +-1."""
     space = a.space
     table = {}
     for idx, coeff in a.components.items():
-        ((sign, _, complement),) = _complements(space.n, idx, space.n - a.grade)
-        sign *= math.prod(space.signature[m] for m in idx)
-        table[complement] = ex._expr(ex._pscale(coeff._poly, sign))
+        ((s, _, complement),) = _complements(space.n, idx, space.n - a.grade)
+        s *= sign * math.prod(space.signature[m] for m in idx)
+        table[complement] = ex._expr(ex._pscale(coeff._poly, s))
     return Form._of(space, space.n - a.grade, table)
 
 
 def interior(xi: SpacetimeVector, a: Form) -> Form:
     if a.grade == 0:
         raise FormError("interior product needs grade >= 1")
-    table = defaultdict(ex._acc)
-    for idx, coeff in a.components.items():
-        for pos, mu in enumerate(idx):
-            if xi.components[mu]._poly[0]:
-                ex._paddmul_into(
-                    table[idx[:pos] + idx[pos + 1 :]],
-                    xi.components[mu]._poly, coeff._poly, (-1) ** pos,
-                )
-    return Form._of(a.space, a.grade - 1, ex._table_sums(table))
+    return _Sum(a.space, a.grade - 1).add_interior(xi, a).form()
 
 
 def lie_derivative(
     xi: SpacetimeVector, a: Form, da: Form | None = None, ia: Form | None = None
 ) -> Form:
-    """Cartan formula i_xi d + d i_xi with the grade-edge terms dropped
-    where they do not exist (grade 0 has no interior product, grade n no d).
-    A caller that already holds d a or i_xi a passes it as da or ia, and
-    it is not built again."""
-    if a.grade < a.space.n and da is None:
-        da = exterior_d(a)
-    if a.grade > 0 and ia is None:
-        ia = interior(xi, a)
-    if a.grade == 0:
-        return interior(xi, da)
-    if a.grade == a.space.n:
-        return exterior_d(ia)
-    return interior(xi, da) + exterior_d(ia)
+    """L_xi a, built in one table by _Sum.add_lie, which takes da and ia as
+    given."""
+    return _Sum(a.space, a.grade).add_lie(xi, a, da=da, ia=ia).form()
 
 
 def pairing_density(a: Form, b: Form) -> Form:
@@ -322,9 +410,8 @@ def selfdual_project(a: Form):
     if a.grade != space.n // 2:
         raise FormError("self-duality is defined for middle-grade forms")
     star = hodge(a)
-    half = ex.rational(1, 2)
-    plus = (a + star).scale(half)
-    minus = (a - star).scale(half)
+    plus = _Sum(space, a.grade).add(a).add(star).form(2)
+    minus = _Sum(space, a.grade).add(a).add(star, -1).form(2)
     return plus, minus
 
 

@@ -217,6 +217,20 @@ class _Partials:
         return e if p is e._poly else ex._expr(p)
 
 
+def _check_budget(what: str, products: int) -> None:
+    """Refuse a check whose term products, counted from the supports that
+    tab.grad has read, pass the check budget, before any is formed."""
+    if products > ex.BUDGETS["check budget"][0]:
+        ex.refuse(what, f"{products} term products", "check budget")
+
+
+def _sizes(a):
+    """The monomial count |a^{ij}| of every entry of a = alpha.matrix(), and
+    the column sums sum_i |a^{ij}|, from which the check budget counts."""
+    size = [[len(e._poly[0]) for e in row] for row in a]
+    return size, [sum(col) for col in zip(*size)]
+
+
 def _characteristic(tab, sys, f):
     """(flag, residual d_t f - v . grad f)."""
     acc = tab.addmul(ex._acc(ex._gradient(f, _T)), sys.v, tab.grad(f), -1)
@@ -281,14 +295,25 @@ def check_symmetry(sys: OdeSystem, w):
 
 
 def check_anchor(sys: OdeSystem, alpha: Bivector):
-    """d_t alpha = L_v alpha componentwise on i < j; returns (flag, residuals)."""
-    tab, a, v = _Partials(sys.n), _matrix(sys, alpha), sys.v
+    """d_t alpha = L_v alpha componentwise on i < j; returns (flag, residuals).
+    Refused by the check budget before any product."""
+    tab, a, v, n = _Partials(sys.n), _matrix(sys, alpha), sys.v, sys.n
+    dv = [tab.grad(vi) for vi in v]
+    da = {(i, j): tab.grad(a[i][j]) for i, j in itertools.combinations(range(n), 2)}
+    # d_k v^i meets a^{jk} once for every j != i, in the pair that holds i
+    # and j, so its products sum over a column less the entry a^{ik}
+    size, column = _sizes(a)
+    _check_budget(
+        "the anchor check",
+        sum(len(v[k]._poly[0]) * len(p[0]) for pairs in da.values() for k, p in pairs)
+        + sum(len(p[0]) * (column[k] - size[i][k]) for i in range(n) for k, p in dv[i]),
+    )
     residual = {}
-    for i, j in itertools.combinations(range(sys.n), 2):
+    for (i, j), pairs in da.items():
         # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j, a^kj = -a^jk
-        acc = tab.addmul(ex._acc(ex._gradient(a[i][j], _T)), v, tab.grad(a[i][j]), -1)
-        tab.addmul(acc, a[j], tab.grad(v[i]), -1)
-        tab.addmul(acc, a[i], tab.grad(v[j]))
+        acc = tab.addmul(ex._acc(ex._gradient(a[i][j], _T)), v, pairs, -1)
+        tab.addmul(acc, a[j], dv[i], -1)
+        tab.addmul(acc, a[i], dv[j])
         r = tab.residual(ex._expr_sum(acc))
         if not is_identically_zero(r):
             residual[(i, j)] = r
@@ -303,14 +328,32 @@ def anchor_apply(alpha: Bivector, f) -> tuple:
 
 def schouten_square(alpha: Bivector) -> Trivector:
     """Jacobiator S^{ijk} = sum_cyc alpha^{im} d_m alpha^{jk}; zero exactly
-    when the bracket is integrable."""
+    when the bracket is integrable.  Refused by the check budget before any
+    product."""
     n = alpha.n
     tab, a = _Partials(n), alpha.matrix()
+    da = {(q, r): tab.grad(a[q][r]) for q, r in itertools.combinations(range(n), 2)}
+    # Each (p, {q, r}), p outside {q, r}, is one cyclic term below, which
+    # forms |alpha^{pm}| |d_m alpha^{qr}| term products for each m; so the
+    # count sums |d_m alpha^{qr}| times a column sum of |alpha^{pm}| in one
+    # pass over the pairs q < r, where the sum runs over 3 C(n, 3) terms;
+    # alpha^{rq} = -alpha^{qr} has the same supports.  A constant alpha
+    # takes no product.
+    if any(da.values()):
+        size, column = _sizes(a)
+        _check_budget(
+            "the Schouten square",
+            sum(
+                len(p[0]) * (column[m] - size[q][m] - size[r][m])
+                for (q, r), pairs in da.items()
+                for m, p in pairs
+            ),
+        )
     upper = {}
     for i, j, k in itertools.combinations(range(n), 3):
-        acc = ex._acc()
-        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            tab.addmul(acc, a[p], tab.grad(a[q][r]))
+        acc = tab.addmul(ex._acc(), a[i], da[j, k])
+        tab.addmul(acc, a[j], tab.grad(a[k][i]))
+        tab.addmul(acc, a[k], da[i, j])
         upper[(i, j, k)] = tab.residual(ex._expr_sum(acc))
     return Trivector(n, upper)
 

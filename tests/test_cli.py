@@ -603,6 +603,27 @@ def test_cli_nested_power_exits_2(tmp_path, capsys):
     assert "7315 x 715 term products" in err
 
 
+def test_check_over_the_check_budget_is_an_error_record(monkeypatch):
+    # the dense-anchor square at n = 12 forms 605 term products; under a
+    # budget of 604 its record is an ERROR that names the budget and the
+    # count, every other record is as before, and the run exits 2
+    dense = str(FIXTURES / "dense_anchor.ini")
+    code, out = run_cli("check", dense, "--json")
+    before = {c["name"]: c for c in json.loads(out)["checks"]}
+    monkeypatch.setitem(ac.expr.BUDGETS, "check budget", (604, "term products"))
+    code_refused, out = run_cli("check", dense, "--json")
+    after = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert (code, code_refused) == (1, 2)
+    assert after.pop("schouten_square") == {
+        "name": "schouten_square",
+        "status": "ERROR",
+        "residual": "the Schouten square exceeds the check budget (605 term products > 604)",
+        "ms": 0,
+    }
+    del before["schouten_square"]
+    assert after == before
+
+
 def _counting(counts, key, fn):
     def wrapper(*args, **kwargs):
         counts[key] += 1
@@ -630,18 +651,18 @@ def test_catalog_builds_model_artifacts_once(monkeypatch, argv, adjoints):
         "formal_adjoint",
         _counting(counts, "adjoint", linop.LinDiffOp.formal_adjoint),
     )
-    # Every current j(xi) is built with wedges and certified with pairing
-    # densities; energy-momentum only reads the translation currents, and
-    # builds those that the report has not built before it.
+    # Every current j(xi) is built from wedge terms of one table, and so is
+    # every certificate's pairing density; energy-momentum only reads the
+    # translation currents, and builds those that the report has not built
+    # before it.
     in_emt = []
-    for name in ("wedge", "pairing_density"):
 
-        def counted(a, b, fn=getattr(forms, name), key=f"{name} in energy_momentum"):
-            if in_emt:
-                counts[key] += 1
-            return fn(a, b)
+    def counted(self, *args, fn=forms._Sum.add_wedge):
+        if in_emt:
+            counts["wedge in energy_momentum"] += 1
+        return fn(self, *args)
 
-        monkeypatch.setattr(forms, name, counted)
+    monkeypatch.setattr(forms._Sum, "add_wedge", counted)
     for model in (field_models.PFormModel, field_models.SelfDualModel):
 
         def emt(self, original=model.energy_momentum):
@@ -656,7 +677,7 @@ def test_catalog_builds_model_artifacts_once(monkeypatch, argv, adjoints):
     assert code == 0
     expected = {"shell": 1, "adjoint": adjoints}
     if "--xi" in argv:
-        # the report builds no translation current: two wedges for each of the four
+        # the report builds no translation current: two wedge terms for each of the four
         expected["wedge in energy_momentum"] = 8
     assert counts == expected
 

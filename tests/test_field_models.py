@@ -274,6 +274,207 @@ def test_fused_residuals_call_no_compose_and_no_table_sum(monkeypatch):
     assert verdict == (True, {}) and g == LinDiffOp.identity(6).scale(3)
 
 
+# The unfused chains: every sum, scaling and wedge a separate form, as the
+# certificates were built before each became one table.  The characteristic
+# is scaled by 2, as the patches below scale it.
+_HALF = ex.rational(1, 2)
+
+
+def _unfused_pform(m, xi):
+    n, p, F = m.space.n, m.p, m.F
+    star_F = fo.hodge(F)
+    i_F, i_star_F = fo.interior(xi, F), fo.interior(xi, star_F)
+    psi1 = fo.hodge(i_star_F).scale(m.sigma * (-1) ** ((n - p) * (p - 1))).scale(2)
+    psi2 = fo.hodge(i_F).scale(m.sigma * (-1) ** (p - 1)).scale(2)
+    j = (fo.wedge(i_F, star_F) + fo.wedge(F, i_star_F).scale((-1) ** (p - 1))).scale(_HALF)
+    t1, t2 = fo.exterior_d(F), fo.exterior_d(star_F)
+    v, _ = m.anchor_ops()
+    delta = v.apply(fm.form_to_vector(psi1) + fm.form_to_vector(psi2))
+    lie = fo.interior(xi, t1) + fo.exterior_d(i_F)
+    transform = fm.vector_to_form(m.space, p, delta) - lie.scale(m.a - m.b)
+    current = fo.pairing_density(psi1, t1) + fo.pairing_density(psi2, t2) - fo.exterior_d(j)
+    return {
+        "current_certificate": {"current_residual": current},
+        "proper_symmetry": {"transform_residual": transform.map_coefficients(m.shell().reduce)},
+    }
+
+
+def _unfused_selfdual_field(m):
+    raw = fo.field_form(m.space, m.field_name, m.mid)
+    return (raw + fo.hodge(raw)).scale(_HALF)
+
+
+def _unfused_selfdual(m, xi):
+    H = _unfused_selfdual_field(m)
+    i_H, t = fo.interior(xi, H), fo.exterior_d(H)
+    psi = fo.hodge(i_H).scale(-1).scale(2)
+    lie = fo.interior(xi, t) + fo.exterior_d(i_H)
+    v, _ = m.anchor_ops()
+    delta = fm.vector_to_form(m.space, m.mid, v.apply(fm.form_to_vector(psi)))
+    return {
+        "isotropy_identity": fo.wedge(H, lie),
+        "current_residual": fo.pairing_density(psi, t)
+        - fo.exterior_d(fo.wedge(i_H, H).scale(_HALF)),
+        "transform_residual": (delta - lie).map_coefficients(m.shell().reduce),
+    }
+
+
+def _unfused_chiral(m, eps):
+    space, H = m.space, [_unfused_selfdual_field(c) for c in m.components]
+    psi = [fo.hodge(fo.scalar(space, c)).scale(-1).scale(2) for c in eps]
+    j, expected = fo.zero_form(space, 1), fo.zero_form(space, 2)
+    for a, k in enumerate(m.algebra.kappa):
+        j = j + H[a].scale(k * eps[a])
+        expected = expected + fo.exterior_d(H[a]).scale(k * eps[a])
+    target = [fo.zero_form(space, 1)] * m.N
+    for (a, b, c), coeff in m.algebra.f.items():
+        target[c] = target[c] + fo.wedge(fo.scalar(space, eps[a]), H[b]).scale(coeff)
+    v, _ = m.anchor_ops()
+    delta_vec = v.apply([c for form in psi for c in fm.form_to_vector(form)])
+    out = {"current_residual": fo.exterior_d(j) - expected}
+    for a in range(m.N):
+        delta = fm.vector_to_form(space, 1, delta_vec[2 * a : 2 * a + 2])
+        out[f"transform_residual[{a + 1}]"] = (delta + target[a].scale(m.g)).map_coefficients(
+            m.shell().reduce
+        )
+        out[f"symmetry_residual[{a + 1}]"] = fo.exterior_d(delta).map_coefficients(m.shell().reduce)
+    return out
+
+
+def _double_characteristics(monkeypatch):
+    """Scale every characteristic of the field models by 2."""
+    killing = fm.PFormModel.killing_characteristic
+    monkeypatch.setattr(
+        fm.PFormModel,
+        "killing_characteristic",
+        lambda self, xi: tuple(psi.scale(2) for psi in killing(self, xi)),
+    )
+    selfdual = fm.SelfDualModel.characteristic
+    monkeypatch.setattr(
+        fm.SelfDualModel, "characteristic", lambda self, xi: selfdual(self, xi).scale(2)
+    )
+    internal = fm.ChiralModel.internal_characteristic
+
+    def internal_doubled(self, epsilon):
+        psi, eps = internal(self, epsilon)
+        return [form.scale(2) for form in psi], eps
+
+    monkeypatch.setattr(fm.ChiralModel, "internal_characteristic", internal_doubled)
+
+
+def _fail_details(capsys, argv):
+    cli.main(argv + ["--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return {c["name"]: c["residual"] for c in checks if c["status"] == "FAIL"}
+
+
+def _nonzero(residuals):
+    return {name: r for name, r in residuals.items() if not r.is_zero()}
+
+
+@pytest.mark.parametrize("euclidean", [False, True])
+@pytest.mark.parametrize(
+    "n, p, xi",
+    [
+        (n, p, xi)
+        for n in (2, 3, 4)
+        for p in range(1, n)
+        for xi in ("t0", "r01") + (("dil",) if n == 2 * p else ())
+    ],
+)
+def test_fused_certificates_print_as_the_unfused_chains_pform(
+    monkeypatch, capsys, n, p, xi, euclidean
+):
+    _double_characteristics(monkeypatch)
+    space = fo.euclidean(n) if euclidean else fo.lorentzian(n)
+    m = fm.PFormModel(space, p, Fraction(3, 2), -2)
+    expected = {
+        f"{check}[{xi}]": cli._residual_text(_nonzero(residuals))
+        for check, residuals in _unfused_pform(m, cli._parse_xi(space, xi)).items()
+        if _nonzero(residuals)
+    }
+    assert f"current_certificate[{xi}]" in expected
+    argv = ["catalog", "pform", "--n", str(n), "--p", str(p), "--a", "3/2", "--b", "-2"]
+    argv += ["--xi", xi] + (["--euclidean"] if euclidean else [])
+    assert _fail_details(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_fused_certificates_print_as_the_unfused_chains_selfdual(monkeypatch, capsys, n):
+    _double_characteristics(monkeypatch)
+    space = fo.lorentzian(n)
+    m = fm.SelfDualModel(space)
+    vectors = [(f"t{mu}", fo.translation(space, mu)) for mu in range(n)]
+    expected = {
+        f"certificates[{name}]": cli._residual_text(_nonzero(_unfused_selfdual(m, xi)))
+        for name, xi in vectors + [("dil", fo.dilation(space))]
+    }
+    assert _fail_details(capsys, ["catalog", "selfdual", "--n", str(n)]) == expected
+
+
+@pytest.mark.parametrize(
+    "algebra, g, epsilon", [("su2", "-2", "-5,-3/4,7/3"), ("abelian3", "3/4", "1,2,-1/3")]
+)
+def test_fused_certificates_print_as_the_unfused_chains_chiral(
+    monkeypatch, capsys, algebra, g, epsilon
+):
+    _double_characteristics(monkeypatch)
+    m = fm.ChiralModel(L2, fm.ALGEBRAS[algebra](), Fraction(g))
+    eps = [Fraction(e) for e in epsilon.split(",")]
+    internal = _nonzero(_unfused_chiral(m, eps))
+    # V(2 Psi) = 2 V(Psi) = -2 g [eps, H], which is zero for an abelian algebra
+    assert bool(internal) == (algebra == "su2")
+    expected = {"internal_certificates": cli._residual_text(internal)} if internal else {}
+    for name, xi in _CHIRAL_VECTORS[:3]:  # the catalog's t0, t1 and dil
+        expected[f"spacetime_certificates[{name}]"] = cli._residual_text(
+            {c.field_name: _nonzero(_unfused_selfdual(c, xi)) for c in m.components}
+        )
+    argv = ["catalog", "chiral", "--algebra", algebra, f"--g={g}", f"--epsilon={epsilon}"]
+    assert _fail_details(capsys, argv) == expected
+
+
+def test_fused_certificates_call_no_form_sum_and_no_table_sum(monkeypatch):
+    # the characteristics, operators and shells are memoised or built
+    # before the counting starts: anchor_ops scales and adds operators
+    pform = fm.PFormModel(L4, 2, Fraction(3, 2), -2)
+    selfdual = fm.SelfDualModel(L2)
+    chiral = fm.ChiralModel(L2, fm.su2(), Fraction(-2))
+    for m in (pform, selfdual, chiral):
+        m.anchor_ops(), m.shell()
+    xis = [fo.translation(L4, 1), fo.rotation(L4, 0, 1)]
+    eps = [Fraction(-5), Fraction(-3, 4), Fraction(7, 3)]
+    doubled = {
+        "pform": {id(xi): tuple(psi.scale(2) for psi in pform.killing_characteristic(xi)) for xi in xis},
+        "selfdual": {id(xi): selfdual.characteristic(xi).scale(2) for _, xi in _CHIRAL_VECTORS},
+        "chiral": ([psi.scale(2) for psi in chiral.internal_characteristic(eps)[0]], eps),
+    }
+
+    def certify():
+        verdicts = [pform.current_certificate(xi)[0] for xi in xis]
+        verdicts += [pform.proper_symmetry(xi)[0] for xi in xis]
+        verdicts += [selfdual.verify(xi)[0] for _, xi in _CHIRAL_VECTORS]
+        verdicts += [chiral.spacetime_verify(xi)[0] for _, xi in _CHIRAL_VECTORS]
+        return verdicts + [chiral.verify(eps)[0]]
+
+    calls = []
+    counted = ((fo.Form, "_plus"), (fo.Form, "scale"), (ex, "_table_plus"), (ex, "_table_scale"))
+    for owner, name in counted:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn: calls.append(fn) or fn(*a))
+    passed = certify()
+    pform.energy_momentum(), selfdual.energy_momentum()
+    monkeypatch.setattr(
+        fm.PFormModel, "killing_characteristic", lambda self, xi: doubled["pform"][id(xi)]
+    )
+    monkeypatch.setattr(
+        fm.SelfDualModel, "characteristic", lambda self, xi: doubled["selfdual"][id(xi)]
+    )
+    monkeypatch.setattr(fm.ChiralModel, "internal_characteristic", lambda self, e: doubled["chiral"])
+    failed = certify()
+    assert calls == []
+    assert all(passed) and not any(failed)
+
+
 def test_triviality_witness_values():
     m = fm.PFormModel(L4, 2, Fraction(3), Fraction(3))
     g = m.triviality_witness()

@@ -279,6 +279,66 @@ def test_contractions_read_each_operand_at_most_n_times(monkeypatch):
         assert sum(lookups.values()) <= bound
 
 
+def _summed_products(monkeypatch):
+    """A list that holds the term products of every kernel product taken."""
+    formed, paddmul = [], ex._paddmul_into
+
+    def counted(acc, p, q, k=1):
+        formed.append(len(p[0]) * len(q[0]))
+        return paddmul(acc, p, q, k)
+
+    monkeypatch.setattr(ex, "_paddmul_into", counted)
+    return formed
+
+
+def _budget_models():
+    """The dense-anchor model at n = 12 and a model whose entries hold
+    several terms each, so that the counts weigh support sizes."""
+    xs = [ac.jet(ode.field_name(i)) for i in range(5)]
+    v = [xs[1] * xs[2] + 3 * xs[0], xs[2] ** 2 - t * xs[3], xs[4], xs[0] * xs[4] + 1, xs[1]]
+    upper = {
+        (i, j): xs[(i + j) % 5] * xs[j] + xs[i] ** 2 - 2 * t
+        for i, j in itertools.combinations(range(5), 2)
+        if (i + j) % 3
+    }
+    return [_dense_anchor(12), (ode.OdeSystem(v), ode.Bivector(5, upper))]
+
+
+@pytest.mark.parametrize("model", range(2))
+def test_check_budget_counts_the_term_products_exactly(monkeypatch, model):
+    # with the check budget at a check's own count, the check runs and
+    # forms exactly that many term products; one less refuses it
+    system, alpha = _budget_models()[model]
+    for check in (lambda: ode.schouten_square(alpha), lambda: ode.check_anchor(system, alpha)):
+        formed = _summed_products(monkeypatch)
+        monkeypatch.setitem(ex.BUDGETS, "check budget", (0, "term products"))
+        with pytest.raises(ex.ResourceLimitError, match="check budget") as refusal:
+            check()
+        count = int(str(refusal.value).split("(")[1].split(" ")[0])
+        assert count > 0 and formed == []
+        monkeypatch.setitem(ex.BUDGETS, "check budget", (count, "term products"))
+        check()
+        assert sum(formed) == count
+        monkeypatch.setitem(ex.BUDGETS, "check budget", (count - 1, "term products"))
+        with pytest.raises(ex.ResourceLimitError):
+            check()
+
+
+def test_refused_check_takes_no_product(monkeypatch):
+    # the dense-anchor square at n = 60 would form 100,949 term products
+    # over 34,220 triples; it is refused from the supports alone
+    system, alpha = _dense_anchor(60)
+    formed = _summed_products(monkeypatch)
+    message = r"the Schouten square exceeds the check budget \(100949 term products > 100000\)"
+    with pytest.raises(ex.ResourceLimitError, match=message):
+        ode.schouten_square(alpha)
+    monkeypatch.setitem(ex.BUDGETS, "check budget", (5249, "term products"))
+    message = r"the anchor check exceeds the check budget \(5250 term products > 5249\)"
+    with pytest.raises(ex.ResourceLimitError, match=message):
+        ode.check_anchor(system, alpha)
+    assert formed == []
+
+
 def brute_antisymmetrization(alpha, i, j, k):
     """Six-term signed sum over permutations of alpha^{am} d_m alpha^{bc},
     halved (the tensor is already antisymmetric in its last two slots)."""
