@@ -79,36 +79,41 @@ def _field_names(space: FlatSpace, name: str, k: int):
 _PROBE = "_u"
 
 
+# The operations that operators are read off, keyed by a name: each looks
+# its forms function up when an operator is built, so a wrapper rebound over
+# fo.exterior_d or fo.hodge, as a profiler installs, keeps the cache key.
+_OPERATIONS = {
+    "d": lambda u: fo.exterior_d(u),
+    "hodge": lambda u: fo.hodge(u),
+    "selfdual": lambda u: fo.selfdual_project(u)[0],
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _linear_operator(signature, k: int, op) -> LinDiffOp:
-    """Component matrix of a linear form operation on k-forms: the universal
-    linearization of op applied to a symbolic k-form, so the signs are the
-    ones forms applies.  Keyed by the signature tuple, as FlatSpace hashes
-    by identity; the entries are rational constants and no caller mutates
-    an operator."""
+def _linear_operator(signature, k: int, name: str) -> LinDiffOp:
+    """Component matrix of the linear form operation _OPERATIONS[name] on
+    k-forms: the universal linearization of it applied to a symbolic
+    k-form, so the signs are the ones forms applies.  Keyed by the
+    signature tuple, as FlatSpace hashes by identity; the entries are
+    rational constants and no caller mutates an operator."""
     space = FlatSpace(signature)
     u = fo.field_form(space, _PROBE, k)
-    return linearize(form_to_vector(op(u)), _field_names(space, _PROBE, k))
+    return linearize(form_to_vector(_OPERATIONS[name](u)), _field_names(space, _PROBE, k))
 
 
 def d_operator(space: FlatSpace, k: int) -> LinDiffOp:
     """Exterior derivative as a matrix operator on k-form components (k < n)."""
-    return _linear_operator(space.signature, k, fo.exterior_d)
+    return _linear_operator(space.signature, k, "d")
 
 
 def hodge_operator(space: FlatSpace, k: int) -> LinDiffOp:
     """Hodge star as a matrix operator on k-form components."""
-    return _linear_operator(space.signature, k, fo.hodge)
-
-
-def _selfdual_part(form: Form) -> Form:
-    # a module-level function, so it is a stable _linear_operator cache key
-    return fo.selfdual_project(form)[0]
+    return _linear_operator(space.signature, k, "hodge")
 
 
 def _selfdual_operator(space: FlatSpace) -> LinDiffOp:
     """The projector (Id + *)/2 on middle-form components."""
-    return _linear_operator(space.signature, space.n // 2, _selfdual_part)
+    return _linear_operator(space.signature, space.n // 2, "selfdual")
 
 
 def metric_weights(space: FlatSpace, k: int):

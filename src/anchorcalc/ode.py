@@ -515,6 +515,10 @@ def _eliminate(rows):
     smallest column.  Every step is integer-preserving (Bareiss 1968) and
     divides out the content, and only the unit pivots divide.
 
+    The forced-zero columns are peeled first (_peel): a row with one entry
+    forces its column to zero, so e_c is the reduced row of pivot c, and c
+    leaves every other row before any of them is combined with another.
+
     A column index maps each non-pivot column to the pivot rows that hold
     it, so a new pivot back-substitutes into exactly those rows without a
     scan of the others (Davis, Direct Methods for Sparse Linear Systems,
@@ -522,7 +526,7 @@ def _eliminate(rows):
     echelon form of a matrix is unique, so the rows returned, and every
     kernel and report read off them, are those that a scan of every
     reduced row for the lead would give."""
-    reduced = {}  # pivot column -> primitive integer row
+    reduced, rows = _peel(rows)  # pivot column -> primitive integer row
     holders = {}  # non-pivot column -> pivot columns of the rows holding it
     for r in sorted(rows, key=len):  # sparsest first: it keeps the fill-in small
         for c in [c for c in r if c in reduced]:
@@ -549,13 +553,57 @@ def _eliminate(rows):
     return dict(sorted(normal.items()))
 
 
+def _peel(rows):
+    """(forced, rest): the columns that single-entry rows force to zero,
+    each as its reduced row {c: 1}, and the other rows with those columns
+    dropped, each divided by its content if it lost one.  A row that drops
+    to one entry forces its column in turn, through a column -> rows index.
+
+    This is exact: the rows e_c of the forced columns c together with the
+    rest span the row space, as each dropped entry is a multiple of an e_c.
+    No row of the rest holds a forced column, so the reduced row echelon
+    form of the matrix is the e_c next to that of the rest; the input rows
+    are not changed."""
+    rows = list(rows)
+    index = {}  # column -> positions of the rows that held it
+    for i, r in enumerate(rows):
+        for c in r:
+            index.setdefault(c, []).append(i)
+    forced, changed = {}, set()
+    single = [i for i, r in enumerate(rows) if len(r) == 1]
+    while single:
+        r = rows[single.pop()]
+        if r:  # else its column was forced after it was queued
+            (c,) = r
+            forced[c] = {c: 1}
+            for i in index[c]:
+                if i not in changed:
+                    changed.add(i)
+                    rows[i] = dict(rows[i])
+                row = rows[i]
+                del row[c]
+                if len(row) == 1:
+                    single.append(i)
+    for i in changed:
+        if (row := rows[i]) and (content := math.gcd(*row.values())) != 1:
+            rows[i] = {c: v // content for c, v in row.items()}
+    return forced, [r for r in rows if r]
+
+
 def _cancel(row, col, pivot_row):
-    """The primitive integer combination of row and pivot_row that is zero at col."""
+    """The primitive integer combination of row and pivot_row that is zero
+    at col, in one pass over pivot_row."""
     g = math.gcd(row[col], pivot_row[col])
     a, b = row[col] // g, pivot_row[col] // g
-    out = {c: b * row.get(c, 0) - a * pivot_row.get(c, 0) for c in row.keys() | pivot_row.keys()}
-    content = math.gcd(*out.values()) or 1
-    return {c: v // content for c, v in out.items() if v}
+    out = {c: b * v for c, v in row.items()} if b != 1 else dict(row)
+    for c, v in pivot_row.items():
+        value = out.get(c, 0) - a * v
+        if value:
+            out[c] = value
+        else:
+            del out[c]
+    content = math.gcd(*out.values())
+    return out if content < 2 else {c: v // content for c, v in out.items()}
 
 
 def _kernel(reduced, cols):
@@ -600,18 +648,34 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     den = math.lcm(*(vi._poly[1] for vi in sys.v))
     w = {_T: {(): -den}}
     w.update(zip(_x_atoms(sys.n), (ex._pscale(vi._poly, den)[0] for vi in sys.v)))
-    limit, mono_mul = ex.NODE_LIMIT, ex._mono_mul
-    rows = {}  # residual monomial -> {basis column: integer coefficient}
+    # Each monomial is coded as one int, the sum of e_a * 2^(width * k_a)
+    # over its atoms a, k_a the place of a in `unit`.  An exponent of a row's
+    # monomial u * s is at most max_degree in size in s, plus the largest
+    # exponent size in u, as v may hold negative powers (x2/x1); `width` has
+    # two bits more than that sum, so each signed exponent keeps a field of
+    # its own and the code is injective.  The code of u * s is then the int
+    # sum code(m) - unit[a] + code(u), and no monomial tuple is built
+    exponents = [abs(e) for terms in w.values() for u in terms for _, e in u]
+    width = (max_degree + max(exponents, default=0)).bit_length() + 2
+    unit = {}  # t, x1..xn, then any other atom of v, in order of appearance
+    for a in itertools.chain(w, (a for terms in w.values() for u in terms for a, _ in u)):
+        unit.setdefault(a, 1 << (width * len(unit)))
+    coded = {
+        a: [(sum(e * unit[b] for b, e in u), c) for u, c in terms.items()]
+        for a, terms in w.items()
+    }
+    limit = ex.NODE_LIMIT
+    rows = {}  # code of the residual monomial -> {basis column: integer coefficient}
     for col, mono in enumerate(basis):
         residual = {}
-        for k, (atom, e) in enumerate(mono):
-            terms = w[atom]
+        code = sum(e * unit[a] for a, e in mono)
+        for atom, e in mono:
+            terms = coded[atom]
             if len(terms) > limit:
                 ex.refuse("product", f"{len(terms)} x 1 term products", "node limit", limit)
-            head, tail = mono[:k], mono[k + 1 :]
-            shift = head + tail if e == 1 else head + ((atom, e - 1),) + tail
-            for u, c in terms.items():
-                m = mono_mul(u, shift)
+            shift = code - unit[atom]
+            for u, c in terms:
+                m = shift + u
                 value = residual.get(m, 0) - e * c
                 if value:
                     residual[m] = value

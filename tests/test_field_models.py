@@ -1,4 +1,7 @@
 import collections
+import contextlib
+import functools
+import io
 import itertools
 import json
 import random
@@ -885,6 +888,28 @@ def test_component_operators_match_reference(n):
         )
         v, _ = fm.SelfDualModel(space).anchor_ops()
         _assert_same_operator(v, _reference_selfdual_projector(space).compose(adjoint))
+
+
+def test_rebound_form_operations_keep_the_operator_cache(monkeypatch):
+    # a profiler wraps fo.exterior_d and fo.hodge anew on every install, as
+    # three installs do here: the operators stay keyed by name, so a warm
+    # run linearizes only the model's own equations, once, as an unwrapped
+    # warm run does, and the cache does not grow
+    argv = ["catalog", "pform", "--n", "4", "--p", "2"]
+    fields, linearize = [], fm.linearize
+    monkeypatch.setattr(fm, "linearize", lambda *a: fields.append(a[1]) or linearize(*a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    size = fm._linear_operator.cache_info().currsize
+    for _ in range(3):
+        for name in ("exterior_d", "hodge"):
+            fn = getattr(fo, name)
+            monkeypatch.setattr(fo, name, functools.wraps(fn)(lambda *a, fn=fn, **k: fn(*a, **k)))
+        fields.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert fm._linear_operator.cache_info().currsize == size
+        assert fields == [["F01", "F02", "F03", "F12", "F13", "F23"]]
 
 
 @settings(max_examples=30, deadline=None)

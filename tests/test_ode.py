@@ -1093,6 +1093,53 @@ def test_row_reduce_and_nullspace_match_reference_on_large_sparse_systems(case):
     assert _nullspace(rows, cols) == _reference_nullspace(rows, cols)
 
 
+def _peel_matrix(seed):
+    """A seeded rational matrix, as dense Fraction rows, that the peel
+    reduces much of, and the columns that its chains force.  It holds
+    single-entry rows, some on one column twice, zero rows, chains
+    {c0}, {c0, c1}, ..., {c(k-1), ck} in which each row drops to one entry
+    only after the peel of the row before, a row with a content left once
+    its forced column is dropped, and short and dense rows."""
+    rng = random.Random(seed)
+    cols = rng.randint(6, 30)
+
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+    rows, chained = [], set()
+    for _ in range(rng.randint(1, 3)):
+        chain = rng.sample(range(cols), rng.randint(2, 6))
+        chained.update(chain)
+        rows.append({chain[0]: entry()})
+        rows += [{a: entry(), b: entry()} for a, b in zip(chain, chain[1:])]
+    singles = [{rng.randrange(cols): entry()} for _ in range(rng.randint(0, cols))]
+    rows += singles + [{c: entry()} for r in singles[:3] for c in r]  # the same columns again
+    rows += [{}] * rng.randint(1, 3)
+    c0, c1, c2 = rng.sample(range(cols), 3)
+    rows += [{c0: Fraction(1)}, {c0: Fraction(3), c1: Fraction(6), c2: Fraction(-9)}]
+    for size in [rng.randint(2, 4) for _ in range(cols // 2)] + [cols // 2] * 2:
+        rows.append({c: entry() for c in rng.sample(range(cols), size)})
+    rng.shuffle(rows)
+    return [[row.get(c, Fraction(0)) for c in range(cols)] for row in rows], cols, chained
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_row_reduce_and_nullspace_match_reference_on_peeled_systems(seed):
+    rows, cols, chained = _peel_matrix(seed)
+    assert _row_reduce(rows, cols) == _reference_row_reduce(rows, cols)
+    assert _nullspace(rows, cols) == _reference_nullspace(rows, cols)
+    # every chain is forced through its cascade, the rows left hold no
+    # forced column, each row that lost one is primitive, and the input
+    # rows are not changed
+    integer = _integer_rows(rows)
+    before = [dict(r) for r in integer]
+    forced, rest = ode._peel(integer)
+    assert integer == before
+    assert chained <= forced.keys() and all(forced[c] == {c: 1} for c in forced)
+    assert all(len(r) > 1 and not r.keys() & forced.keys() for r in rest)
+    assert all(r in integer or math.gcd(*r.values()) == 1 for r in rest)
+
+
 # rational coefficients with denominators > 1, so rows need integer scaling
 _coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 5))
 
@@ -1158,6 +1205,50 @@ def test_search_rows_match_the_generic_kernel_path(case):
     finally:
         ode._eliminate = real
     assert seen == [_kernel_rows(system, degree)]
+
+
+# v with a negative power, a power far past any other exponent, no
+# field at all, t alone, a Laurent polynomial, t times a rotation, and
+# powers of both signs in a field that is not the last one coded
+_CODE_WIDTH_SYSTEMS = {
+    "[x1^-3]": [x1**-3],
+    "[x1^1000000000000]": [x1**1000000000000],
+    "[0, 0]": [ac.ZERO, ac.ZERO],
+    "[t]": [t],
+    "[x2/x1, -x1]": [x2 / x1, -x1],
+    "[t*x2, -t*x1]": [t * x2, -t * x1],
+    "[x1^3 + x1^-3, x2]": [x1**3 + x1**-3, x2],
+}
+
+
+@pytest.mark.parametrize("degree", [3, 9])
+@pytest.mark.parametrize("name", sorted(_CODE_WIDTH_SYSTEMS))
+def test_search_codes_match_the_tuple_product_rows(monkeypatch, name, degree):
+    # the rows keyed by monomial codes are the rows of the generic kernel
+    # path, whose products merge monomial tuples in ex._mono_mul
+    system = ode.OdeSystem(_CODE_WIDTH_SYSTEMS[name])
+    seen, real = [], ode._eliminate
+
+    def eliminate(rows):
+        seen.append(sorted(sorted(r.items()) for r in rows))
+        return real(rows)
+
+    monkeypatch.setattr(ode, "_eliminate", eliminate)
+    ode.search_characteristics(system, degree)
+    assert seen == [_kernel_rows(system, degree)]
+
+
+def test_euler_top_search_builds_no_monomial_and_cancels_no_peeled_column(monkeypatch):
+    system = ode.OdeSystem([x2 * x3, -2 * x1 * x3, x1 * x2])
+    products, peeled, cancelled = [], set(), []
+    peel, cancel, mono_mul = ode._peel, ode._cancel, ex._mono_mul
+    monkeypatch.setattr(ex, "_mono_mul", lambda *a: products.append(a) or mono_mul(*a))
+    monkeypatch.setattr(ode, "_peel", lambda rows: peeled.update((out := peel(rows))[0]) or out)
+    monkeypatch.setattr(ode, "_cancel", lambda r, c, p: cancelled.append(c) or cancel(r, c, p))
+    sols = ode.search_characteristics(system, 5)
+    assert len(sols) == 5  # the products of degree <= 2 of two quadratic invariants
+    assert products == []
+    assert peeled and cancelled and not peeled & set(cancelled)
 
 
 @st.composite
