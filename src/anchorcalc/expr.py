@@ -27,8 +27,12 @@ exp(a) exp(b), stay undecided, and such an identity FAILs falsely; zero
 testing of elementary expressions is undecidable in general (Richardson
 1968).
 
-An atom is a tuple that is its own sort key, built from names and numbers
-only: hashing and ordering run in C, and the printed order, graded-
+An atom is interned: its constructor returns the one object of its value,
+so equal atoms are the same object, and an atom hashes by identity, which
+makes hashing a monomial one pointer hash per atom.  Such hashes differ
+from process to process, so no printed order may follow a hash order.
+Equality and order stay those of the atom's value, a tuple built from names and numbers that
+is its own sort key: ordering runs in C, and the printed order, graded-
 lexicographic with the largest monomial first, is the same in every
 process.  Every operation raises ResourceLimitError when an intermediate
 polynomial holds more than NODE_LIMIT monomials, or when a multiplication
@@ -42,11 +46,14 @@ NODE_LIMIT is the node-limit row of BUDGETS, the one table of resource
 budgets, and each size test reads it when it runs.
 
 Everything here is a pure function over immutable values and is safe for
-concurrent use; the cached hash and the memoised gradient of an expression,
-its chain-rule partials included, are slots filled lazily with
-deterministic values, so a racing recomputation is harmless.  That
-gradient is the one partial derivative: diff, the Euler operator, the
-homotopy, linearization, shell elimination and the ODE checks all read it.
+concurrent use.  The registry of atoms only grows, one entry per distinct
+atom, and a constructor adds to it with one dict.setdefault, so two
+threads that build the same atom at once still get one object.  The
+cached hash and the memoised gradient of an expression, its chain-rule
+partials included, are slots filled lazily with deterministic values, so
+a racing recomputation is harmless.  That gradient is the one partial
+derivative: diff, the Euler operator, the homotopy, linearization, shell
+elimination and the ODE checks all read it.
 """
 
 from __future__ import annotations
@@ -189,6 +196,9 @@ class MultiIndex(tuple):
     def __repr__(self):
         return f"MultiIndex({dict(self[1])!r})"
 
+    def __reduce__(self):
+        return MultiIndex, (self[1],)
+
     def sort_key(self):
         return self
 
@@ -202,16 +212,32 @@ EMPTY_INDEX = MultiIndex()
 
 
 # ---------------------------------------------------------------------------
-# atoms: tuples whose first entry ranks the kind (jet < indep < param < fun)
+# atoms: tuples whose first entry ranks the kind (jet < indep < param < fun),
+# interned in _ATOMS and hashed by identity.  Each reduces to its
+# constructor call, so a copy or an unpickled atom is the interned object:
+# an equal twin built around the constructor would miss every dict lookup.
+
+_ATOMS = {}  # value tuple -> the one atom of that value
+
+
+def _intern(cls, value):
+    atom = _ATOMS.get(value)
+    if atom is None:
+        atom = _ATOMS.setdefault(value, tuple.__new__(cls, value))
+    return atom
 
 
 class JetVar(tuple):
     """Jet coordinate of a field component; order 0 is the field itself."""
 
     __slots__ = ()
+    __hash__ = object.__hash__
 
     def __new__(cls, field: str, index=EMPTY_INDEX):
-        return tuple.__new__(cls, (0, field, MultiIndex(index)))
+        return _intern(cls, (0, field, MultiIndex(index)))
+
+    def __reduce__(self):
+        return JetVar, (self[1], self[2])
 
     field = property(itemgetter(1))
     index = property(itemgetter(2))
@@ -227,10 +253,14 @@ class JetVar(tuple):
 
 class _NamedAtom(tuple):
     __slots__ = ()
+    __hash__ = object.__hash__
     _RANK = None
 
     def __new__(cls, name: str):
-        return tuple.__new__(cls, (cls._RANK, name))
+        return _intern(cls, (cls._RANK, name))
+
+    def __reduce__(self):
+        return type(self), (self[1],)
 
     name = property(itemgetter(1))
 
@@ -260,9 +290,13 @@ class FunAtom(tuple):
     """
 
     __slots__ = ()
+    __hash__ = object.__hash__
 
     def __new__(cls, fn: str, arg: "Expr"):
-        return tuple.__new__(cls, (3, fn, _poly_key(arg.poly()), arg))
+        return _intern(cls, (3, fn, _poly_key(arg.poly()), arg))
+
+    def __reduce__(self):
+        return FunAtom, (self[1], self[3])
 
     fn = property(itemgetter(1))
     arg = property(itemgetter(3))
@@ -373,6 +407,10 @@ class Expr:
     def __repr__(self):
         return f"Expr[{to_text(self)}]"
 
+    def __reduce__(self):
+        # the hash reads atom addresses, so a copy starts with empty slots
+        return _expr, (self._poly,)
+
 
 class Rat(Expr):
     """A constant expression; build one with rational()."""
@@ -455,18 +493,34 @@ def _from_rationals(view):
 
 
 def _mono_mul(m1, m2):
-    """Product of two monomials: a merge of two atom-sorted tuples."""
+    """Product of two monomials: a merge of two atom-sorted tuples, whose
+    equal atoms are one object.  A one-atom factor is placed with one scan
+    of the other factor and one slice."""
     if not m2:
         return m1
     if not m1:
         return m2
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        ((b, eb),) = m2
+        i = 0  # a counter: enumerate costs more on these short tuples
+        for a, ea in m1:
+            if a is b:
+                if ea + eb:
+                    return m1[:i] + ((a, ea + eb),) + m1[i + 1 :]
+                return m1[:i] + m1[i + 1 :]
+            if b < a:
+                return m1[:i] + m2 + m1[i:]
+            i += 1
+        return m1 + m2
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
     while i < n1 and j < n2:
         a, ea = m1[i]
         b, eb = m2[j]
-        if a == b:
+        if a is b:
             if ea + eb:
                 out.append((a, ea + eb))
             i += 1

@@ -12,6 +12,7 @@ linop.ShellRules) and other fields are rejected.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -690,13 +691,29 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
 
 def _monomials(n: int, max_degree: int):
     """Monomials in (t, x1..xn) of total degree <= max_degree, as monomials
-    of the polynomial layer: constant first, then ascending graded-lex."""
+    of the polynomial layer: constant first, then ascending graded-lex.
+
+    Within a degree the columns follow the exponent vectors over (t, x1..xn)
+    in descending lexicographic order, while a monomial's pairs are in atom
+    order, where every x_i sorts before t and x10 before x2.  So the
+    monomials of degree s in gens[i:] are, for e from s down to 0, those of
+    degree s - e in gens[i + 1:] times gens[i]^e; gens[i] is new to each of
+    them, and its pair is placed by bisection."""
     gens = [_T] + _x_atoms(n)
-    return [
-        tuple(sorted((gens[g], combo.count(g)) for g in set(combo)))
-        for total in range(max_degree + 1)
-        for combo in itertools.combinations_with_replacement(range(len(gens)), total)
-    ]
+    tail = [[()]] + [[] for _ in range(max_degree)]  # by degree, in no generator
+    for a in reversed(gens):
+        key = (a,)  # sorts before (a, e) and after every pair of a smaller atom
+        level = []
+        for s in range(max_degree + 1):
+            out = []
+            for e in range(s, 0, -1):
+                pair = ((a, e),)
+                for m in tail[s - e]:
+                    k = bisect.bisect(m, key)
+                    out.append(m[:k] + pair + m[k:])
+            level.append(out + tail[s])
+        tail = level
+    return [m for level in tail for m in level]
 
 
 def _echelon_solutions(kernel, basis):

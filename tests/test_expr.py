@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -1123,3 +1127,151 @@ def test_linearize_fills_one_gradient_per_component(monkeypatch):
     second = lo.linearize(comps, ["x1", "x2"])
     assert len(fills) == len(comps)
     assert first == second
+
+
+# --- interned atoms ---------------------------------------------------------------
+
+_ARG_TWIN = ac.rational(1, 2) * (t + 2 * x1)  # equal to _ARG, built apart
+_ATOM_KINDS = [
+    ex.JetVar("x1"),
+    ex.JetVar("x1", {"t": 2, "s": 1}),
+    ex.IndepVar("t"),
+    ex.Param("a"),
+    ex.FunAtom("sin", _ARG),
+    ex.FunAtom("exp", ac.cos(x1) * t),
+]
+
+
+def _registered(atom):
+    return ex._ATOMS[tuple(atom)] is atom
+
+
+def test_equal_atoms_are_one_object():
+    jet = ex.JetVar("x1", {"t": 2})
+    assert ex.JetVar("x1", ex.MultiIndex({"t": 2})) is jet
+    assert ex.JetVar("x1", [("t", 1), ("t", 1)]) is jet
+    assert ex.IndepVar("t") is not ex.Param("t") and ex.IndepVar("t") != ex.Param("t")
+    assert _ARG_TWIN is not _ARG and _ARG_TWIN == _ARG
+    assert ex.FunAtom("sin", _ARG_TWIN) is ex.FunAtom("sin", _ARG)
+    assert all(_registered(a) for a in _ATOM_KINDS)
+
+
+def test_atoms_keep_their_value_order_and_hash_by_identity():
+    assert sorted(_ATOM_KINDS, reverse=True) == sorted(map(tuple, _ATOM_KINDS), reverse=True)
+    assert [hash(a) for a in _ATOM_KINDS] == [object.__hash__(a) for a in _ATOM_KINDS]
+
+
+def test_parsed_and_derived_atoms_are_registered():
+    from anchorcalc.parser import VarContext, parse_expr
+
+    ctx = VarContext(indep=("t",), fields=("x1",), params=("a",))
+    parsed = ex.atoms(parse_expr("a*x1_tt + sin(x1 + t/2)*t", ctx))
+    assert ex.JetVar("x1", {"t": 2}) in parsed and ex.FunAtom("sin", _ARG) in parsed
+    step = ex._jet_step(ex.JetVar("x1", {"t": 1}), "s")
+    iterated = ex._iterated_poly(x1._poly, ex.MultiIndex({"t": 2, "s": 1}))
+    derived = [a for p in (step, iterated) for mono in p[0] for a, _ in mono]
+    assert derived == [ex.JetVar("x1", {"t": 1, "s": 1}), ex.JetVar("x1", {"t": 2, "s": 1})]
+    assert all(_registered(a) for a in parsed | set(derived))
+
+
+@pytest.mark.parametrize("atom", _ATOM_KINDS, ids=repr)
+def test_copied_and_unpickled_atoms_are_the_interned_object(atom):
+    assert copy.copy(atom) is atom and copy.deepcopy(atom) is atom
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(atom, protocol)) is atom
+
+
+def test_expressions_and_indices_survive_copy_and_pickle():
+    index = ex.MultiIndex({"t": 2, "s": 1})
+    for e in (x1**2 * x1t / 3 - ac.sin(_ARG) * ac.param("a"), ac.rational(-7, 2), ac.ZERO):
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin._hash is None  # the hash reads atom addresses: none is carried over
+            assert type(twin) is type(e) and twin == e and hash(twin) == hash(e)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(index, protocol)) == index
+    assert copy.copy(index) == copy.deepcopy(index) == index
+
+
+def test_racing_constructors_build_one_atom():
+    names = [f"race{k}" for k in range(300)]
+    built = [[] for _ in range(8)]  # more threads than cores
+
+    def work(out):
+        for name in names:
+            out.append(ex.JetVar(name, {"t": 1}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in built]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for atoms in zip(*built, strict=True):
+        assert all(a is atoms[0] for a in atoms) and _registered(atoms[0])
+
+
+def _reference_mono_mul(m1, m2):
+    """The merge of two atom-sorted monomials that tests atoms with ==."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, ea = m1[i]
+        b, eb = m2[j]
+        if a == b:
+            if ea + eb:
+                out.append((a, ea + eb))
+            i += 1
+            j += 1
+        elif a < b:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
+
+
+_MERGE_ATOMS = _ATOM_KINDS + [
+    ex.JetVar("x10"),
+    ex.JetVar("x2"),
+    ex.JetVar("x1", {"t": 1}),
+    ex.IndepVar("s"),
+    ex.Param("t"),
+    ex.FunAtom("sin", _ARG + 1),
+    ex.FunAtom("cos", _ARG),
+]
+_EXPONENTS = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two atom-sorted monomials of 0-5 atoms; the second shares some atoms
+    of the first, some with the negated exponent, so that they cancel."""
+    atoms = draw(st.lists(st.sampled_from(_MERGE_ATOMS), unique=True, max_size=5))
+    m1 = {a: draw(_EXPONENTS) for a in atoms}
+    shared = draw(st.lists(st.sampled_from(atoms), unique=True) if atoms else st.just([]))
+    others = draw(st.lists(st.sampled_from(_MERGE_ATOMS), unique=True, max_size=5))
+    m2 = {a: draw(st.sampled_from([-m1[a], draw(_EXPONENTS)])) for a in shared}
+    for a in others[: 5 - len(m2)]:
+        m2.setdefault(a, draw(_EXPONENTS))
+    return tuple(sorted(m1.items())), tuple(sorted(m2.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_pairs())
+def test_monomial_product_matches_the_equality_merge(pair):
+    m1, m2 = pair
+    for a, b in ((m1, m2), (m2, m1)):
+        product = ex._mono_mul(a, b)
+        assert product == _reference_mono_mul(a, b)
+        assert list(product) == sorted(product) and all(e for _, e in product)

@@ -1251,6 +1251,24 @@ def test_euler_top_search_builds_no_monomial_and_cancels_no_peeled_column(monkey
     assert peeled and cancelled and not peeled & set(cancelled)
 
 
+def _sorted_pair_monomials(n: int, max_degree: int):
+    """The search basis built by sorting each monomial's (atom, count) pairs."""
+    gens = [ode._T] + ode._x_atoms(n)
+    return [
+        tuple(sorted((gens[g], combo.count(g)) for g in set(combo)))
+        for total in range(max_degree + 1)
+        for combo in itertools.combinations_with_replacement(range(len(gens)), total)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
+def test_search_basis_matches_the_sorted_pair_construction(n):
+    # at n >= 10 the atom order of the fields (x1, x10, x11, x2, ...) is not
+    # their generator order, and t sorts after every field
+    for max_degree in range(5):
+        assert ode._monomials(n, max_degree) == _sorted_pair_monomials(n, max_degree)
+
+
 @st.composite
 def _bivectors_and_points(draw):
     n = draw(st.integers(2, 4))
