@@ -74,8 +74,8 @@ def _run(report: ModelReport, checks) -> ModelReport:
 # ODE model-file checks
 
 
-def _schouten_square(model: ModelFile):
-    square = ode.schouten_square(model.alpha)
+def _schouten_square(model: ModelFile, codes):
+    square = ode.schouten_square(model.alpha, codes=codes)
     inside = "; ".join(
         f"S{i + 1}{j + 1}{k + 1}: {ex.to_text(v)}"
         for (i, j, k), v in sorted(square.upper.items())
@@ -83,41 +83,56 @@ def _schouten_square(model: ModelFile):
     return square.is_zero(), inside or None
 
 
-def _shared_results(system: ode.OdeSystem):
-    """The results that two checks of one run both use, each computed once
-    and keyed by its canonical value: the characteristic residual of f,
-    which `characteristic` and the first step of `twist_invariance` read,
-    and the symmetry residual of each distinct vector, a tuple, which
-    `noether_map` and `symmetry` share when alpha df equals w.  Each run
-    makes its own, so nothing is kept from one run to the next."""
+def _shared_results(model: ModelFile):
+    """What the checks of one run share: the run's monomial-code table,
+    on which every check encodes its operands once, and the results that
+    two checks both use, each computed once and keyed by its canonical
+    value: the characteristic residual of f, which `characteristic` and the
+    first step of `twist_invariance` read, and the symmetry residual of
+    each distinct vector, a tuple, which `noether_map` and `symmetry` share
+    when alpha df equals w.  Each run makes its own, so nothing is kept
+    from one run to the next."""
+    system = model.system
+    codes = ode.CodeTable.for_run(system, model.alpha, model.f, model.hamiltonian, model.w)
     return types.SimpleNamespace(
-        characteristic=functools.cache(lambda f: ode.check_characteristic(system, f)),
-        symmetry=functools.cache(lambda w: ode.check_symmetry(system, w)),
+        codes=codes,
+        characteristic=functools.cache(
+            lambda f: ode.check_characteristic(system, f, codes=codes)
+        ),
+        symmetry=functools.cache(lambda w: ode.check_symmetry(system, w, codes=codes)),
     )
 
 
 # name -> (model-file sections it needs, check of the model and the run's
 # shared results); a check with a section missing is skipped.
 ODE_CHECKS = {
-    "anchor": (("anchor",), lambda m, s: _verdict(*ode.check_anchor(m.system, m.alpha))),
+    "anchor": (
+        ("anchor",),
+        lambda m, s: _verdict(*ode.check_anchor(m.system, m.alpha, codes=s.codes)),
+    ),
     "characteristic": (("characteristic",), lambda m, s: _verdict(*s.characteristic(m.f))),
     "noether_map": (
         ("anchor", "characteristic"),
-        lambda m, s: _verdict(*s.symmetry(ode.anchor_apply(m.alpha, m.f))),
+        lambda m, s: _verdict(*s.symmetry(ode.anchor_apply(m.alpha, m.f, codes=s.codes))),
     ),
     "proper_symmetry": (
         ("anchor", "characteristic"),
         lambda m, s: _verdict(
-            *ode.proper_symmetry_conditions(m.system, m.alpha, ode.differential(m.f, m.system.n))
+            *ode.proper_symmetry_conditions(
+                m.system,
+                m.alpha,
+                ode.differential(m.f, m.system.n, codes=s.codes),
+                codes=s.codes,
+            )
         ),
     ),
-    "schouten_square": (("anchor",), lambda m, s: _schouten_square(m)),
+    "schouten_square": (("anchor",), lambda m, s: _schouten_square(m, s.codes)),
     "symmetry": (("symmetry",), lambda m, s: _verdict(*s.symmetry(tuple(m.w)))),
     "twist_invariance": (
         ("anchor", "characteristic", "hamiltonian"),
         lambda m, s: _verdict(
             *ode.twist_invariance_check(
-                m.system, m.alpha, m.f, m.hamiltonian, s.characteristic(m.f)[0]
+                m.system, m.alpha, m.f, m.hamiltonian, s.characteristic(m.f)[0], codes=s.codes
             )
         ),
     ),
@@ -145,7 +160,7 @@ def run_checks(model: ModelFile, selection=None) -> ModelReport:
     unknown = [name for name in selection if name not in ODE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    shared = _shared_results(model.system)
+    shared = _shared_results(model)
     checks = [(name, lambda name=name: _ode_check(model, shared, name)) for name in selection]
     return _run(ModelReport(model=model.name), checks)
 

@@ -8,6 +8,16 @@ proper-symmetry conditions and Hamiltonian-type proper deformations.
 Characteristics, symmetries and anchors are restricted to functions of
 (t, x1..xn) only; higher jets (reduce them on shell first with
 linop.ShellRules) and other fields are rejected.
+
+The checks multiply on integer monomial codes (CodeTable; Monagan and
+Pearce, CASC 2007): a monomial is one int with a bit field per atom, so a
+term product is one int addition.  Each operand is encoded once per table,
+keyed by its value, with its partials, and only nonzero residuals and the
+values that a check returns or passes on as expressions are decoded.  A
+check run (cli.run_checks) makes one table, CodeTable.for_run, and passes
+it to each check as `codes`; any other call makes its own, so no table
+outlives its run or call.  The characteristic search codes its rows in the
+same layout.
 """
 
 from __future__ import annotations
@@ -169,53 +179,259 @@ class Trivector(_Antisymmetric):
 
 
 # ---------------------------------------------------------------------------
-# helpers: each public operation below makes one _Partials and sums its
-# products on the polynomial layer, each sum a contraction over the nonzero
-# partials that tab.grad lists, one kernel product per pair in tab.addmul
+# helpers: each public operation below works on the monomial codes of one
+# CodeTable and sums its products on them, each sum a contraction over the
+# nonzero partials that tab.grad lists, one coded product per pair in
+# tab.addmul
 
 
 def _x_atoms(n: int):
     return [JetVar(field_name(i)) for i in range(n)]
 
 
-class _Partials:
-    """The partial derivatives of one call's operands in (t, x1..xn).
-    grad(e) lists the nonzero (k, d e / d x_k) in ascending k, read off the
-    gradient memoised on e in the x_k of expr._support(e) only, once per
-    operand object of the call: alpha^{rq} = -alpha^{qr} is an operand of
-    its own, never one of a pair.  Partials are shared: callers copy them."""
+def _exponent_size(values) -> int:
+    """The largest exponent size in the values, function arguments included."""
+    size = 0
+    for e in values:
+        for mono in e._poly[0]:
+            for a, k in mono:
+                size = max(size, abs(k))
+                if type(a) is ex.FunAtom:
+                    size = max(size, _exponent_size((a[3],)))
+    return size
 
-    def __init__(self, n: int):
-        self._index = {field_name(k): k for k in range(n)}
-        self._grads = {}
+
+class _Overflow(Exception):
+    """An exponent that a table's fields do not hold: the operation that
+    met it restarts on `wider`, a table whose fields hold it."""
+
+    def __init__(self, table, size: int):
+        super().__init__()
+        self.wider = CodeTable(table.n, bound=max(2 * table.bound, size))
+
+
+class CodeTable:
+    """Integer codes of monomials and the coded operands of one check run
+    or of one call.
+
+    A monomial is coded as one int, the sum of e_a * 2^(width * k_a) over
+    its atoms a, k_a the place of a: t, x1..xn, then any other atom in the
+    order it is met.  The product of two monomials is then the sum of
+    their codes.  Every exponent encoded, and the exponent of its partial,
+    is smaller in size than half the 2^(width - 1) values that a field
+    holds either side of zero, so the sum of two encoded exponents keeps a
+    field of its own: the code of a product of two encoded operands is
+    injective, and a coded sum of such products decodes exactly.  An
+    exponent past that raises _Overflow, and the public operation restarts
+    on a wider table (_on_table); no code ever wraps.
+
+    The bound of a table built from values is 3M + 3, M their largest
+    exponent size, function arguments included.  The checks encode the
+    inputs, their partials (M + 1: a partial raises the size of a negative
+    exponent by one) and these intermediates: alpha df and alpha dH, 2M + 1
+    with partials 2M + 2, as operands of noether_map's symmetry check and of
+    the deformed v; psi . v for psi = df, 2M + 1 with partials 2M + 2; the
+    twist's {f, H}, at most 3M + 2 with partials 3M + 3 when it holds x;
+    and its f - g, whose g reaches 3M + 1 in t.  So no check of a run
+    restarts unless a partial goes through the chain rule.  transitivity_rank
+    encodes the brackets of depth below its own: those of depth 1 are
+    2M + 1 with partials 2M + 2, while one of depth 2 can reach 4M + 3, so
+    it may restart from depth 3 on.
+
+    An operand is keyed by its value and encoded once, with its partials
+    in (t, x1..xn) read off the exponent shifts in the same pass; the
+    partials of one that holds a function atom are those of
+    expr._gradient, which adds the chain rule.  A table is made by the
+    caller of one run or by one call and dies with it; it is not for use
+    from two threads."""
+
+    def __init__(self, n: int, values=(), bound: int = 0):
+        self.n = n
+        self.bound = max(bound, 3 * _exponent_size(values) + 3 if values else 0)
+        self._width = width = (self.bound + 1).bit_length() + 2
+        self._half = 1 << (width - 2)
+        self._mask = (1 << width) - 1
+        self._bias = 0  # half of every field's values, so that each decodes alone
+        self.unit = {}  # atom -> 1 << (width * its place)
+        self._places = []  # (atom, shift) in atom order, the order of a monomial
+        self._monos = {}  # code -> monomial
+        self._operands = {}  # value -> (coded value, coded d_t, nonzero coded x-partials)
+        for a in (_T, *_x_atoms(n)):
+            self._place(a)
+        self._fields = {self.unit[a]: k for k, a in enumerate(_x_atoms(n))}
+
+    @classmethod
+    def for_run(cls, sys: OdeSystem, alpha, f, hamiltonian, w):
+        """The table that the checks of one run on a model share, its bound
+        derived as above from every value of the model that a check reads;
+        alpha, f, hamiltonian and w are None where the model has none."""
+        values = [*sys.v, *(w or ()), *(alpha.upper.values() if alpha else ())]
+        return cls(sys.n, values + [e for e in (f, hamiltonian) if e is not None])
+
+    def _place(self, atom) -> int:
+        shift = self._width * len(self.unit)
+        unit = self.unit[atom] = 1 << shift
+        self._bias += unit << (self._width - 1)
+        bisect.insort(self._places, (atom, shift))
+        return unit
+
+    def code(self, mono) -> int:
+        """The code of a monomial."""
+        unit, half, code = self.unit, self._half, 0
+        for a, k in mono:
+            if not 1 - half < k < half:
+                raise _Overflow(self, abs(k) + 1)
+            code += k * (unit.get(a) or self._place(a))
+        return code
+
+    def encode(self, p):
+        """The coded pair of a polynomial pair."""
+        return {self.code(m): v for m, v in p[0].items()}, p[1]
+
+    def decode(self, p) -> Expr:
+        """The value of a coded pair in normal form."""
+        monos, out = self._monos, {}
+        for code, v in p[0].items():
+            m = monos.get(code)
+            if m is None:
+                b, mask, half = code + self._bias, self._mask, 2 * self._half
+                m = monos[code] = tuple(
+                    (a, e) for a, shift in self._places if (e := (b >> shift & mask) - half)
+                )
+            out[m] = v
+        return ex._expr((out, p[1]))
+
+    def value(self, acc) -> Expr:
+        """The value of a coded sum accumulated by addmul."""
+        return self.decode(ex._normal(*acc))
+
+    def residual(self, acc) -> Expr:
+        """The value of a coded sum modulo sin(u)^2 + cos(u)^2 - 1 for every
+        argument u: the form in which a check tests a residual for zero and
+        prints it.  A zero sum is not decoded."""
+        return _reduced(self.value(acc)) if acc[0] else ex.ZERO
+
+    def _operand(self, e: Expr):
+        entry = self._operands.get(e)
+        if entry is None:
+            entry = self._operands[e] = self._fill(e)
+        return entry
+
+    def poly(self, e: Expr):
+        """The coded pair of e."""
+        return self._operand(e)[0]
+
+    def dt(self, e: Expr):
+        """d e / d t, coded."""
+        return self._partials(e)[1]
 
     def grad(self, e: Expr):
-        memo = self._grads.get(id(e))
-        if memo is None:
-            pairs, index = [], self._index
-            for a in ex._support(e):
-                if type(a) is JetVar and not a[2][0] and a[1] in index:  # a field x_k
-                    p = ex._gradient(e, a)
-                    if p[0]:
-                        pairs.append((index[a[1]], p))
-            pairs.sort()
-            memo = self._grads[id(e)] = e, pairs  # e stays alive, so its id stays its own
-        return memo[1]
+        """The nonzero (k, d e / d x_k) in ascending k, coded.  Partials are
+        shared: callers copy them."""
+        return self._partials(e)[2]
+
+    def _partials(self, e: Expr):
+        entry = self._operand(e)
+        return entry if entry[2] is not None else self._chain(e, entry[0])
+
+    def _fill(self, e: Expr):
+        """(coded e, coded d_t e, the nonzero coded x-partials of e), in
+        one pass over the terms of e: the partial of a monomial of code c
+        in its atom a of exponent k is k times the monomial of code
+        c - unit[a], and distinct monomials shift to distinct monomials.
+        The partials of a value that holds a function atom are left for
+        _chain (None)."""
+        c, d = e._poly
+        unit, fields, code_of, t = self.unit, self._fields, self.code, self.unit[_T]
+        coded, shifts, chain = {}, {}, False
+        for mono, coeff in c.items():
+            code = code_of(mono)
+            coded[code] = coeff
+            for a, k in mono:
+                u = unit[a]
+                if u in fields or u == t:
+                    shifts.setdefault(u, {})[code - u] = coeff * k
+                elif type(a) is ex.FunAtom:
+                    chain = True
+        if chain:
+            return (coded, d), None, None
+        dt = ex._normal(shifts[t], d) if t in shifts else ex._ZERO_POLY
+        pairs = [(k, ex._normal(shifts[u], d)) for u, k in fields.items() if u in shifts]
+        return (coded, d), dt, pairs
+
+    def _chain(self, e: Expr, coded):
+        """The entry of a value that holds a function atom, with the
+        partials of expr._gradient, which adds the chain rule.  They are
+        read on first use only, as a partial through the log of a sum
+        raises."""
+        support = ex._support(e)
+        dt = self.encode(ex._gradient(e, _T)) if _T in support else ex._ZERO_POLY
+        pairs = [
+            (k, p)
+            for k, x in enumerate(_x_atoms(self.n))
+            if x in support and (p := self.encode(ex._gradient(e, x)))[0]
+        ]
+        entry = self._operands[e] = coded, dt, pairs
+        return entry
 
     def addmul(self, acc, coeffs, pairs, sign=1):
-        """acc += sign * sum of coeffs[k] * p over the pairs (k, p), for
-        expressions coeffs, one kernel product per nonzero coeffs[k]; returns acc."""
+        """acc += sign * sum of coeffs[k] * p over the coded pairs (k, p),
+        for expressions coeffs, one coded product per nonzero coeffs[k];
+        returns acc."""
+        operands = self._operands
         for k, p in pairs:
-            c = coeffs[k]._poly
-            if c[0]:
-                ex._paddmul_into(acc, c, p, sign)
+            c = coeffs[k]
+            if c._poly[0]:
+                _mul_into(acc, (operands.get(c) or self._operand(c))[0], p, sign)
         return acc
 
-    def residual(self, e: Expr) -> Expr:
-        """e modulo sin(u)^2 + cos(u)^2 - 1 for every argument u: the form
-        in which a check tests a residual for zero and prints it."""
-        p = ex._pythagorean_normal(e._poly)
-        return e if p is e._poly else ex._expr(p)
+
+def _mul_into(acc, p, q, k=1):
+    """acc += k * p * q for coded pairs p and q and a coded accumulator acc:
+    each term product is one int addition of two codes and goes straight
+    into the sum.  Refused, as expr._paddmul_into is, before any term
+    product when it would form more than the node limit of them, and the
+    accumulator's size is checked after."""
+    (pc, pd), (qc, qd) = p, q
+    if len(pc) < len(qc):
+        pc, pd, qc, qd = qc, qd, pc, pd
+    n1, n2 = len(pc), len(qc)
+    if not n2:  # a zero factor
+        return
+    if n1 * n2 > ex.NODE_LIMIT:
+        ex.refuse("product", f"{n1} x {n2} term products", "node limit", ex.NODE_LIMIT)
+    out = acc[0]
+    d = pd * qd
+    if d != acc[1]:
+        k *= ex._align(acc, d)
+    get = out.get
+    for m2, c2 in qc.items():
+        kc = k * c2
+        for m1, c1 in pc.items():
+            m = m1 + m2
+            nv = get(m, 0) + kc * c1
+            if nv:
+                out[m] = nv
+            else:
+                del out[m]
+    ex._check_size(len(out))
+
+
+def _reduced(e: Expr) -> Expr:
+    """e modulo sin(u)^2 + cos(u)^2 - 1 for every argument u."""
+    p = ex._pythagorean_normal(e._poly)
+    return e if p is e._poly else ex._expr(p)
+
+
+def _on_table(run, tab):
+    """run(tab), for the body of a public operation whose arguments are
+    checked; an exponent that the table's fields do not hold restarts it on
+    a wider table of its own, so no code ever wraps."""
+    while True:
+        try:
+            return run(tab)
+        except _Overflow as overflow:
+            tab = overflow.wider
 
 
 def _check_budget(what: str, products: int) -> None:
@@ -234,29 +450,28 @@ def _sizes(a):
 
 def _characteristic(tab, sys, f):
     """(flag, residual d_t f - v . grad f)."""
-    acc = tab.addmul(ex._acc(ex._gradient(f, _T)), sys.v, tab.grad(f), -1)
-    residual = tab.residual(ex._expr_sum(acc))
+    residual = tab.residual(tab.addmul(ex._acc(tab.dt(f)), sys.v, tab.grad(f), -1))
     return is_identically_zero(residual), residual
 
 
 def _lie_bracket(tab, a, b, out=None):
-    """[a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical fields, added to
-    the accumulators `out` (zero by default)."""
+    """The coded sums [a, b]^i = a^k d_k b^i - b^k d_k a^i for vertical
+    fields, added to the accumulators `out` (zero by default)."""
     out = out or [ex._acc() for _ in a]
     for ai, bi, acc in zip(a, b, out):
         tab.addmul(acc, a, tab.grad(bi))
         tab.addmul(acc, b, tab.grad(ai), -1)
-    return [ex._expr_sum(acc) for acc in out]
+    return out
 
 
 def _anchor_apply(tab, a, f):
     """w^i = alpha^{ij} d_j f for a = alpha.matrix()."""
-    return [_pairing(tab, f, row) for row in a]
+    return [tab.value(_pairing(tab, f, row)) for row in a]
 
 
 def _pairing(tab, f, w):
-    """d_i f w^i; with w = alpha dg it is the bracket {f, g}."""
-    return ex._expr_sum(tab.addmul(ex._acc(), w, tab.grad(f)))
+    """The coded sum d_i f w^i; with w = alpha dg it is the bracket {f, g}."""
+    return tab.addmul(ex._acc(), w, tab.grad(f))
 
 
 def _deform(sys, alpha_dh):
@@ -274,96 +489,117 @@ def _matrix(sys: OdeSystem, alpha: Bivector):
 
 
 # ---------------------------------------------------------------------------
-# checks
+# checks.  Each checks its arguments, then runs on the table of its run,
+# given as `codes`, or on one that it builds from its inputs; the positional
+# parameters are those the tracer reads.
 
 
-def check_characteristic(sys: OdeSystem, f):
+def check_characteristic(sys: OdeSystem, f, *, codes=None):
     """d_t f = v . grad f; returns (flag, residual)."""
     f = _check_zeroth_order(f, "a characteristic", sys.n)
-    return _characteristic(_Partials(sys.n), sys, f)
+    return _on_table(
+        lambda tab: _characteristic(tab, sys, f), codes or CodeTable(sys.n, (*sys.v, f))
+    )
 
 
-def check_symmetry(sys: OdeSystem, w):
+def check_symmetry(sys: OdeSystem, w, *, codes=None):
     """d_t w = [v, w]; returns (flag, residual vector)."""
     w = tuple(_check_zeroth_order(c, "a vertical vector", sys.n) for c in w)
     if len(w) != sys.n:
         raise ValueError("dimension mismatch")
-    tab = _Partials(sys.n)
-    # d_t w - [v, w] = d_t w + [w, v]
-    bracket = _lie_bracket(tab, w, sys.v, [ex._acc(ex._gradient(wi, _T)) for wi in w])
-    residual = [tab.residual(r) for r in bracket]
-    return all(is_identically_zero(r) for r in residual), residual
+
+    def run(tab):
+        # d_t w - [v, w] = d_t w + [w, v]
+        bracket = _lie_bracket(tab, w, sys.v, [ex._acc(tab.dt(wi)) for wi in w])
+        residual = [tab.residual(acc) for acc in bracket]
+        return all(is_identically_zero(r) for r in residual), residual
+
+    return _on_table(run, codes or CodeTable(sys.n, (*sys.v, *w)))
 
 
-def check_anchor(sys: OdeSystem, alpha: Bivector):
+def check_anchor(sys: OdeSystem, alpha: Bivector, *, codes=None):
     """d_t alpha = L_v alpha componentwise on i < j; returns (flag, residuals).
     Refused by the check budget before any product."""
-    tab, a, v, n = _Partials(sys.n), _matrix(sys, alpha), sys.v, sys.n
-    dv = [tab.grad(vi) for vi in v]
-    da = {(i, j): tab.grad(a[i][j]) for i, j in itertools.combinations(range(n), 2)}
-    # d_k v^i meets a^{jk} once for every j != i, in the pair that holds i
-    # and j, so its products sum over a column less the entry a^{ik}
-    size, column = _sizes(a)
-    _check_budget(
-        "the anchor check",
-        sum(len(v[k]._poly[0]) * len(p[0]) for pairs in da.values() for k, p in pairs)
-        + sum(len(p[0]) * (column[k] - size[i][k]) for i in range(n) for k, p in dv[i]),
-    )
-    residual = {}
-    for (i, j), pairs in da.items():
-        # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j, a^kj = -a^jk
-        acc = tab.addmul(ex._acc(ex._gradient(a[i][j], _T)), v, pairs, -1)
-        tab.addmul(acc, a[j], dv[i], -1)
-        tab.addmul(acc, a[i], dv[j])
-        r = tab.residual(ex._expr_sum(acc))
-        if not is_identically_zero(r):
-            residual[(i, j)] = r
-    return not residual, residual
+    a, v, n = _matrix(sys, alpha), sys.v, sys.n
+
+    def run(tab):
+        dv = [tab.grad(vi) for vi in v]
+        da = {(i, j): tab.grad(a[i][j]) for i, j in itertools.combinations(range(n), 2)}
+        # d_k v^i meets a^{jk} once for every j != i, in the pair that holds i
+        # and j, so its products sum over a column less the entry a^{ik}
+        size, column = _sizes(a)
+        _check_budget(
+            "the anchor check",
+            sum(len(v[k]._poly[0]) * len(p[0]) for pairs in da.values() for k, p in pairs)
+            + sum(len(p[0]) * (column[k] - size[i][k]) for i in range(n) for k, p in dv[i]),
+        )
+        residual = {}
+        for (i, j), pairs in da.items():
+            # d_t a^ij - v^k d_k a^ij + a^kj d_k v^i + a^ik d_k v^j, a^kj = -a^jk
+            acc = tab.addmul(ex._acc(tab.dt(a[i][j])), v, pairs, -1)
+            tab.addmul(acc, a[j], dv[i], -1)
+            tab.addmul(acc, a[i], dv[j])
+            r = tab.residual(acc)
+            if not is_identically_zero(r):
+                residual[(i, j)] = r
+        return not residual, residual
+
+    return _on_table(run, codes or CodeTable(n, (*v, *alpha.upper.values())))
 
 
-def anchor_apply(alpha: Bivector, f) -> tuple:
+def anchor_apply(alpha: Bivector, f, *, codes=None) -> tuple:
     """w^i = alpha^{ij} d_j f: the proper symmetry generated by f."""
     f = _check_zeroth_order(f, "a characteristic", alpha.n)
-    return tuple(_anchor_apply(_Partials(alpha.n), alpha.matrix(), f))
+    a = alpha.matrix()
+    return _on_table(
+        lambda tab: tuple(_anchor_apply(tab, a, f)),
+        codes or CodeTable(alpha.n, (*alpha.upper.values(), f)),
+    )
 
 
-def schouten_square(alpha: Bivector) -> Trivector:
+def schouten_square(alpha: Bivector, *, codes=None) -> Trivector:
     """Jacobiator S^{ijk} = sum_cyc alpha^{im} d_m alpha^{jk}; zero exactly
     when the bracket is integrable.  Refused by the check budget before any
     product."""
-    n = alpha.n
-    tab, a = _Partials(n), alpha.matrix()
-    da = {(q, r): tab.grad(a[q][r]) for q, r in itertools.combinations(range(n), 2)}
-    # Each (p, {q, r}), p outside {q, r}, is one cyclic term below, which
-    # forms |alpha^{pm}| |d_m alpha^{qr}| term products for each m; so the
-    # count sums |d_m alpha^{qr}| times a column sum of |alpha^{pm}| in one
-    # pass over the pairs q < r, where the sum runs over 3 C(n, 3) terms;
-    # alpha^{rq} = -alpha^{qr} has the same supports.  A constant alpha
-    # takes no product.
-    if any(da.values()):
-        size, column = _sizes(a)
-        _check_budget(
-            "the Schouten square",
-            sum(
-                len(p[0]) * (column[m] - size[q][m] - size[r][m])
-                for (q, r), pairs in da.items()
-                for m, p in pairs
-            ),
-        )
-    upper = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        acc = tab.addmul(ex._acc(), a[i], da[j, k])
-        tab.addmul(acc, a[j], tab.grad(a[k][i]))
-        tab.addmul(acc, a[k], da[i, j])
-        upper[(i, j, k)] = tab.residual(ex._expr_sum(acc))
-    return Trivector(n, upper)
+    n, a = alpha.n, alpha.matrix()
+
+    def run(tab):
+        da = {(q, r): tab.grad(a[q][r]) for q, r in itertools.combinations(range(n), 2)}
+        # Each (p, {q, r}), p outside {q, r}, is one cyclic term below, which
+        # forms |alpha^{pm}| |d_m alpha^{qr}| term products for each m; so the
+        # count sums |d_m alpha^{qr}| times a column sum of |alpha^{pm}| in one
+        # pass over the pairs q < r, where the sum runs over 3 C(n, 3) terms;
+        # alpha^{rq} = -alpha^{qr} has the same supports.  A constant alpha
+        # takes no product.
+        if any(da.values()):
+            size, column = _sizes(a)
+            _check_budget(
+                "the Schouten square",
+                sum(
+                    len(p[0]) * (column[m] - size[q][m] - size[r][m])
+                    for (q, r), pairs in da.items()
+                    for m, p in pairs
+                ),
+            )
+        upper = {}
+        for i, j, k in itertools.combinations(range(n), 3):
+            acc = tab.addmul(ex._acc(), a[i], da[j, k])
+            tab.addmul(acc, a[j], tab.grad(a[k][i]))
+            tab.addmul(acc, a[k], da[i, j])
+            upper[(i, j, k)] = tab.residual(acc)
+        return Trivector(n, upper)
+
+    return _on_table(run, codes or CodeTable(n, alpha.upper.values()))
 
 
 def poisson_bracket(alpha: Bivector, f, g) -> Expr:
     """{f, g} = alpha^{ij} d_i f d_j g."""
     f, g = (_check_zeroth_order(e, "a characteristic", alpha.n) for e in (f, g))
-    tab = _Partials(alpha.n)
-    return _pairing(tab, f, _anchor_apply(tab, alpha.matrix(), g))
+    a = alpha.matrix()
+    return _on_table(
+        lambda tab: tab.value(_pairing(tab, f, _anchor_apply(tab, a, g))),
+        CodeTable(alpha.n, (*alpha.upper.values(), f, g)),
+    )
 
 
 def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
@@ -372,35 +608,41 @@ def deform(sys: OdeSystem, alpha: Bivector, hamiltonian) -> OdeSystem:
     xdot^i = {x^i, H})."""
     a = _matrix(sys, alpha)  # a mismatch first, as the other checks report it
     h = _check_zeroth_order(hamiltonian, "a characteristic", sys.n)
-    return _deform(sys, _anchor_apply(_Partials(sys.n), a, h))
+    return _on_table(
+        lambda tab: _deform(sys, _anchor_apply(tab, a, h)),
+        CodeTable(sys.n, (*alpha.upper.values(), h)),
+    )
 
 
 def twist_invariance_check(
-    sys: OdeSystem, alpha: Bivector, f, hamiltonian, is_characteristic=None
+    sys: OdeSystem, alpha: Bivector, f, hamiltonian, is_characteristic=None, *, codes=None
 ):
     """When {f, H} is a function of t alone with polynomial antiderivative g,
     f - g must be conserved by the deformed system.  The first step is the
     flag of check_characteristic(sys, f), computed here unless the caller
     passes it as is_characteristic.  Returns (flag, detail)."""
     f, h = (_check_zeroth_order(e, "a characteristic", sys.n) for e in (f, hamiltonian))
-    tab, a = _Partials(sys.n), _matrix(sys, alpha)
-    if is_characteristic is None:
-        is_characteristic = _characteristic(tab, sys, f)[0]
-    if not is_characteristic:
-        return False, "f is not a characteristic of the original system"
-    alpha_dh = _anchor_apply(tab, a, h)  # both {f, H} and the deformed field read it
-    bracket = tab.residual(_pairing(tab, f, alpha_dh))
-    if tab.grad(bracket):
-        return False, "{f, H} depends on x; the twist is not invariant under f"
-    g = ex._poly_antiderivative(bracket._poly, TIME)
-    conserved = ex._expr(ex._psum(f._poly, g, -1))
-    ok, residual = _characteristic(tab, _deform(sys, alpha_dh), conserved)
-    if not ok:
-        return False, f"conservation failed with residual {ex.to_text(residual)}"
-    return True, ex.to_text(ex._expr(g))
+    a = _matrix(sys, alpha)
+
+    def run(tab):
+        flag = _characteristic(tab, sys, f)[0] if is_characteristic is None else is_characteristic
+        if not flag:
+            return False, "f is not a characteristic of the original system"
+        alpha_dh = _anchor_apply(tab, a, h)  # both {f, H} and the deformed field read it
+        bracket = tab.residual(_pairing(tab, f, alpha_dh))
+        if tab.grad(bracket):
+            return False, "{f, H} depends on x; the twist is not invariant under f"
+        g = ex._poly_antiderivative(bracket._poly, TIME)
+        conserved = ex._expr(ex._psum(f._poly, g, -1))
+        ok, residual = _characteristic(tab, _deform(sys, alpha_dh), conserved)
+        if not ok:
+            return False, f"conservation failed with residual {ex.to_text(residual)}"
+        return True, ex.to_text(ex._expr(g))
+
+    return _on_table(run, codes or CodeTable(sys.n, (*sys.v, *alpha.upper.values(), f, h)))
 
 
-def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
+def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi, *, codes=None):
     """Exact invariance of the functional psi_i T^i under the anchor image.
 
     Conditions, for every free index l (one per generator alpha(dx^l)):
@@ -418,53 +660,68 @@ def proper_symmetry_conditions(sys: OdeSystem, alpha: Bivector, psi):
     psi = tuple(_check_zeroth_order(c, "a vertical form", sys.n) for c in psi)
     if len(psi) != sys.n:
         raise ValueError("dimension mismatch")
-    tab, a = _Partials(sys.n), _matrix(sys, alpha)
-    acc = tab.addmul(ex._acc(), psi, [(k, vk._poly) for k, vk in enumerate(sys.v) if vk._poly[0]])
-    d_psi_v = dict(tab.grad(ex._expr_sum(acc)))  # the partials of psi . v
-    # the covectors as lists of nonzero (i, entry) pairs, each sign folded
-    # into its entry: curl[k] holds d_i psi_k - d_k psi_i at i, one
-    # difference per pair i < k at which either partial is nonzero
-    grads = [dict(tab.grad(pk)) for pk in psi]
-    curl = [[] for _ in psi]
-    for i, k in sorted({(min(i, k), max(i, k)) for k, g in enumerate(grads) for i in g if i != k}):
-        c = ex._psum(grads[k].get(i, ex._ZERO_POLY), grads[i].get(k, ex._ZERO_POLY), -1)
-        if c[0]:
-            curl[k].append((i, c))
-            curl[i].append((k, ex._pscale(c, -1)))
-    transport = [
-        (i, g)
-        for i, pi in enumerate(psi)
-        if (g := ex._psum(d_psi_v.get(i, ex._ZERO_POLY), ex._gradient(pi, _T), -1))[0]
-    ]
-    residuals = {}
-    for l, row in enumerate(a):
-        for k, covector in enumerate(curl + [transport]):
-            acc = tab.addmul(ex._acc(), row, covector, -1)  # alpha^{il} = -alpha^{li}
-            r = tab.residual(ex._expr_sum(acc)) if acc[0] else ex.ZERO
-            if not is_identically_zero(r):
-                name = f"closure[l={l + 1},k={k + 1}]" if k < sys.n else f"transport[l={l + 1}]"
-                residuals[name] = r
-    return not residuals, residuals
+    a = _matrix(sys, alpha)
+
+    def run(tab):
+        v = [(k, tab.poly(vk)) for k, vk in enumerate(sys.v) if vk._poly[0]]
+        acc = tab.addmul(ex._acc(), psi, v)
+        d_psi_v = dict(tab.grad(tab.value(acc)))  # the partials of psi . v
+        # the covectors as lists of nonzero (i, entry) pairs, each sign folded
+        # into its entry: curl[k] holds d_i psi_k - d_k psi_i at i, one
+        # difference per pair i < k at which either partial is nonzero
+        grads = [dict(tab.grad(pk)) for pk in psi]
+        curl = [[] for _ in psi]
+        pairs = {(min(i, k), max(i, k)) for k, g in enumerate(grads) for i in g if i != k}
+        for i, k in sorted(pairs):
+            c = ex._psum(grads[k].get(i, ex._ZERO_POLY), grads[i].get(k, ex._ZERO_POLY), -1)
+            if c[0]:
+                curl[k].append((i, c))
+                curl[i].append((k, ex._pscale(c, -1)))
+        transport = [
+            (i, g)
+            for i, pi in enumerate(psi)
+            if (g := ex._psum(d_psi_v.get(i, ex._ZERO_POLY), tab.dt(pi), -1))[0]
+        ]
+        residuals = {}
+        for l, row in enumerate(a):
+            for k, covector in enumerate(curl + [transport]):
+                # alpha^{il} = -alpha^{li}
+                r = tab.residual(tab.addmul(ex._acc(), row, covector, -1))
+                if not is_identically_zero(r):
+                    name = f"closure[l={l + 1},k={k + 1}]" if k < sys.n else f"transport[l={l + 1}]"
+                    residuals[name] = r
+        return not residuals, residuals
+
+    return _on_table(run, codes or CodeTable(sys.n, (*sys.v, *alpha.upper.values(), *psi)))
 
 
-def differential(f, n: int) -> tuple:
+def differential(f, n: int, *, codes=None) -> tuple:
     """The vertical differential d~f as a covector of x-partials."""
-    out = [ex.ZERO] * n
-    for k, p in _Partials(n).grad(_check_zeroth_order(f, "a characteristic", n)):
-        out[k] = ex._expr(p)
-    return tuple(out)
+    f = _check_zeroth_order(f, "a characteristic", n)
+
+    def run(tab):
+        out = [ex.ZERO] * n
+        for k, p in tab.grad(f):
+            out[k] = tab.decode(p)
+        return tuple(out)
+
+    return _on_table(run, codes or CodeTable(n, (f,)))
 
 
 def commutator_matches_bracket(alpha: Bivector, f, g):
     """Residual of [V(f), V(g)] - sigma V({f, g}) with the frozen sign."""
     f, g = (_check_zeroth_order(e, "a characteristic", alpha.n) for e in (f, g))
-    tab, a = _Partials(alpha.n), alpha.matrix()
-    a_dg = _anchor_apply(tab, a, g)
-    rhs = _anchor_apply(tab, a, _pairing(tab, f, a_dg))
-    out = [ex._acc(ex._pscale(r._poly, -HOMOMORPHISM_SIGN)) for r in rhs]
-    bracket = _lie_bracket(tab, _anchor_apply(tab, a, f), a_dg, out)
-    residual = [tab.residual(r) for r in bracket]
-    return all(is_identically_zero(r) for r in residual), residual
+    a = alpha.matrix()
+
+    def run(tab):
+        a_dg = _anchor_apply(tab, a, g)
+        rhs = _anchor_apply(tab, a, tab.value(_pairing(tab, f, a_dg)))
+        out = [ex._acc(ex._pscale(tab.poly(r), -HOMOMORPHISM_SIGN)) for r in rhs]
+        bracket = _lie_bracket(tab, _anchor_apply(tab, a, f), a_dg, out)
+        residual = [tab.residual(acc) for acc in bracket]
+        return all(is_identically_zero(r) for r in residual), residual
+
+    return _on_table(run, CodeTable(alpha.n, (*alpha.upper.values(), f, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,28 +731,37 @@ def commutator_matches_bracket(alpha: Bivector, f, g):
 def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
     """Rank at a rational point (t, x1..xn), a list of n + 1 rationals, of
     the anchor image together with iterated Lie brackets up to the given
-    depth, in exact arithmetic.  Each entry is substituted at the point and
-    reduced modulo sin(u)^2 + cos(u)^2 - 1, as a check residual is.  Raises
-    UnsupportedInputError when an entry is undefined at the point, such as
-    x1^-1 at x1 = 0, or is not rational there, such as sin(1/3)."""
+    depth, a non-negative int, in exact arithmetic.  Each entry is
+    substituted at the point and reduced modulo sin(u)^2 + cos(u)^2 - 1, as
+    a check residual is.  Raises UnsupportedInputError when an entry is
+    undefined at the point, such as x1^-1 at x1 = 0, or is not rational
+    there, such as sin(1/3)."""
     n = alpha.n
+    if depth < 0:
+        raise ValueError(f"the bracket depth must be >= 0, got {depth}")
     coords = [Fraction(v) for v in point]
     if len(coords) != n + 1:
         raise ValueError(f"expected {n + 1} rational values (t, x1..x{n})")
     at_point = dict(zip([_T] + _x_atoms(n), coords))
     fields = [alpha.column(l) for l in range(n)]
-    accumulated = list(fields)
-    frontier = list(fields)
-    tab = _Partials(n)
-    for _ in range(depth):
-        frontier = [_lie_bracket(tab, a, b) for a in accumulated for b in frontier]
-        accumulated.extend(frontier)
+
+    def brackets(tab):
+        accumulated, frontier = list(fields), list(fields)
+        for _ in range(depth):
+            frontier = [
+                [tab.value(acc) for acc in _lie_bracket(tab, a, b)]
+                for a in accumulated
+                for b in frontier
+            ]
+            accumulated.extend(frontier)
+        return accumulated
+
     rows = []
-    for vec in accumulated:
+    for vec in _on_table(brackets, CodeTable(n, alpha.upper.values())):
         values = []
         for c in vec:
             try:
-                r = tab.residual(ex.substitute(c, at_point))
+                r = _reduced(ex.substitute(c, at_point))
             except UnsupportedInputError as exc:
                 raise UnsupportedInputError(
                     f"singular point, pick another one: {ex.to_text(c)} is undefined there"
@@ -649,27 +915,20 @@ def search_characteristics(sys: OdeSystem, max_degree: int):
     den = math.lcm(*(vi._poly[1] for vi in sys.v))
     w = {_T: {(): -den}}
     w.update(zip(_x_atoms(sys.n), (ex._pscale(vi._poly, den)[0] for vi in sys.v)))
-    # Each monomial is coded as one int, the sum of e_a * 2^(width * k_a)
-    # over its atoms a, k_a the place of a in `unit`.  An exponent of a row's
+    # The monomials are coded by a CodeTable.  An exponent of a row's
     # monomial u * s is at most max_degree in size in s, plus the largest
-    # exponent size in u, as v may hold negative powers (x2/x1); `width` has
-    # two bits more than that sum, so each signed exponent keeps a field of
-    # its own and the code is injective.  The code of u * s is then the int
+    # exponent size in u, as v may hold negative powers (x2/x1), so a table
+    # whose bound is the larger of the two holds the code of u * s, the int
     # sum code(m) - unit[a] + code(u), and no monomial tuple is built
     exponents = [abs(e) for terms in w.values() for u in terms for _, e in u]
-    width = (max_degree + max(exponents, default=0)).bit_length() + 2
-    unit = {}  # t, x1..xn, then any other atom of v, in order of appearance
-    for a in itertools.chain(w, (a for terms in w.values() for u in terms for a, _ in u)):
-        unit.setdefault(a, 1 << (width * len(unit)))
-    coded = {
-        a: [(sum(e * unit[b] for b, e in u), c) for u, c in terms.items()]
-        for a, terms in w.items()
-    }
+    codes = CodeTable(sys.n, bound=max([max_degree, *exponents]))
+    unit = codes.unit
+    coded = {a: [(codes.code(u), c) for u, c in terms.items()] for a, terms in w.items()}
     limit = ex.NODE_LIMIT
     rows = {}  # code of the residual monomial -> {basis column: integer coefficient}
     for col, mono in enumerate(basis):
         residual = {}
-        code = sum(e * unit[a] for a, e in mono)
+        code = codes.code(mono)
         for atom, e in mono:
             terms = coded[atom]
             if len(terms) > limit:

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import weakref
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -1154,3 +1155,23 @@ def test_run_checks_resource_cap_gives_error_record(monkeypatch):
     assert report.checks[0].status == "ERROR"
     assert "node limit" in report.checks[0].residual
     assert report.exit_code() == 2
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+def test_a_runs_code_table_dies_with_the_run(monkeypatch, limit):
+    # the checks of a run share one monomial-code table, and nothing keeps
+    # it once run_checks returns, also when a check ends in an ERROR record
+    tables, shared_results = [], cli._shared_results
+
+    def shared(model):
+        shared = shared_results(model)
+        tables.append(weakref.ref(shared.codes))
+        return shared
+
+    monkeypatch.setattr(cli, "_shared_results", shared)
+    model = parse_model(FIXTURES / "euler_top.ini")
+    if limit is not None:
+        monkeypatch.setattr(ac.expr, "NODE_LIMIT", limit)
+    report = cli.run_checks(model)
+    assert (report.exit_code() == 2) == (limit is not None)
+    assert len(tables) == 1 and tables[0]() is None

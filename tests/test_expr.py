@@ -548,10 +548,22 @@ def test_product_refused_before_any_term_product(monkeypatch):
 
 def test_accumulated_product_refused_before_any_term_product(monkeypatch):
     # the same cap where a product goes straight into a sum: v * d f/d x1 in
-    # the characteristic residual, and the coefficient product of a wedge
-    calls = []
-    mono_mul = ex._mono_mul
+    # the characteristic residual, on monomial codes, and the coefficient
+    # product of a wedge, on monomial tuples
+    calls, coded = [], []
+    mono_mul, mul_into = ex._mono_mul, ode._mul_into
+
+    def counted(acc, p, q, k=1):
+        before = dict(acc[0])
+        try:
+            mul_into(acc, p, q, k)
+        except ex.ResourceLimitError:
+            assert acc[0] == before  # refused before any term product
+            raise
+        coded.append(len(p[0]) * len(q[0]))
+
     monkeypatch.setattr(ex, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    monkeypatch.setattr(ode, "_mul_into", counted)
     five = sum((x1**k for k in range(1, 6)), ac.ZERO)
     f = sum((x1**k for k in range(2, 7)), ac.ZERO)  # d f/d x1 has five terms too
     system = ode.OdeSystem([five])
@@ -563,11 +575,11 @@ def test_accumulated_product_refused_before_any_term_product(monkeypatch):
     for attempt in (lambda: ode.check_characteristic(system, f), lambda: fo.wedge(dx0, dx1)):
         with pytest.raises(ex.ResourceLimitError, match="5 x 5 term products"):
             attempt()
-    assert calls == []
+    assert calls == [] and coded == []
     monkeypatch.setattr(ex, "NODE_LIMIT", 25)
     assert ode.check_characteristic(system, f) == (False, residual)
     assert fo.wedge(dx0, dx1).component((0, 1)) == square
-    assert len(calls) == 2 * 25
+    assert len(calls) == 25 and coded == [25]
 
 
 # --- fraction-free kernel against a Fraction reference ----------------------------

@@ -1,11 +1,12 @@
 import collections
+import contextlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anchorcalc as ac
@@ -174,18 +175,19 @@ def test_proper_symmetry_failure():
 
 
 def _count_kernel_products(monkeypatch, call):
-    """call() with ex._paddmul_into counted; returns (result, products)."""
-    products, real = [0], ex._paddmul_into
+    """call() with the coded product ode._mul_into counted; returns
+    (result, products)."""
+    products, real = [0], ode._mul_into
 
     def counted(*args, **kwargs):
         products[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ex, "_paddmul_into", counted)
+    monkeypatch.setattr(ode, "_mul_into", counted)
     try:
         return call(), products[0]
     finally:
-        monkeypatch.setattr(ex, "_paddmul_into", real)
+        monkeypatch.setattr(ode, "_mul_into", real)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -252,42 +254,47 @@ def _dense_anchor(n):
 
 def test_contractions_read_each_operand_at_most_n_times(monkeypatch):
     # the checks contract over nonzero partials only: each distinct operand
-    # value gets at most n gradient lookups and no product has a zero
-    # factor, where a loop over every index looked up 3n C(n, 3) = 7,920
+    # value is filled once, with at most n partials, and no product has a
+    # zero factor, where a loop over every index looked up 3n C(n, 3) = 7,920
     # partials in the square at n = 12
     n = 12
     system, alpha = _dense_anchor(n)
-    lookups, gradient, paddmul = collections.Counter(), ex._gradient, ex._paddmul_into
+    fills, partials = collections.Counter(), collections.Counter()
+    fill, mul_into = ode.CodeTable._fill, ode._mul_into
 
-    def counted(e, atom):
-        lookups[e] += 1
-        return gradient(e, atom)
+    def counted(table, e):
+        entry = fill(table, e)
+        fills[e] += 1
+        partials[e] += len(entry[2]) + bool(entry[1][0])
+        return entry
 
     def nonzero(acc, p, q, k=1):
         assert p[0] and q[0], "a kernel product with a zero factor"
-        return paddmul(acc, p, q, k)
+        return mul_into(acc, p, q, k)
 
-    monkeypatch.setattr(ex, "_gradient", counted)
-    monkeypatch.setattr(ex, "_paddmul_into", nonzero)
+    monkeypatch.setattr(ode.CodeTable, "_fill", counted)
+    monkeypatch.setattr(ode, "_mul_into", nonzero)
     for passes, bound in (
         (lambda: ode.schouten_square(alpha).is_zero(), n * n * (n - 1)),  # n per alpha^{qr}
         (lambda: ode.check_anchor(system, alpha)[0], n * (n * (n - 1) + n)),  # and per v^i
     ):
-        lookups.clear()
+        fills.clear()
+        partials.clear()
         assert not passes()  # both FAIL on this model
-        assert max(lookups.values()) <= n
-        assert sum(lookups.values()) <= bound
+        assert max(fills.values()) == 1
+        assert max(partials.values()) <= n
+        assert sum(partials.values()) <= bound
 
 
 def _summed_products(monkeypatch):
-    """A list that holds the term products of every kernel product taken."""
-    formed, paddmul = [], ex._paddmul_into
+    """A list that holds the term products of every coded product taken."""
+    formed, mul_into = [], ode._mul_into
 
     def counted(acc, p, q, k=1):
         formed.append(len(p[0]) * len(q[0]))
-        return paddmul(acc, p, q, k)
+        return mul_into(acc, p, q, k)
 
-    monkeypatch.setattr(ex, "_paddmul_into", counted)
+    monkeypatch.setattr(ode, "_mul_into", counted)
     return formed
 
 
@@ -1422,3 +1429,456 @@ def test_search_refuses_a_term_product_over_the_node_limit(monkeypatch):
     monkeypatch.setattr(ex, "NODE_LIMIT", 5)
     with pytest.raises(ex.ResourceLimitError, match=r"6 x 1 term products"):
         ode.search_characteristics(system, 1)
+
+
+# --- reference: the tuple path that the monomial-code tables replaced ----------
+#
+# The earlier implementation, kept unchanged apart from names and docstrings:
+# every partial is expr._gradient, memoised per operand object of one call,
+# and every product an expr._paddmul_into merge of monomial tuples.  The
+# check budget, which refuses before any product, is left out.
+
+
+class _ReferencePartials:
+    def __init__(self, n):
+        self._index = {ode.field_name(k): k for k in range(n)}
+        self._grads = {}
+
+    def grad(self, e):
+        memo = self._grads.get(id(e))
+        if memo is None:
+            pairs, index = [], self._index
+            for a in ex._support(e):
+                if type(a) is ex.JetVar and not a[2][0] and a[1] in index:  # a field x_k
+                    p = ex._gradient(e, a)
+                    if p[0]:
+                        pairs.append((index[a[1]], p))
+            pairs.sort()
+            memo = self._grads[id(e)] = e, pairs  # e stays alive, so its id stays its own
+        return memo[1]
+
+    def addmul(self, acc, coeffs, pairs, sign=1):
+        for k, p in pairs:
+            c = coeffs[k]._poly
+            if c[0]:
+                ex._paddmul_into(acc, c, p, sign)
+        return acc
+
+    def residual(self, e):
+        p = ex._pythagorean_normal(e._poly)
+        return e if p is e._poly else ex._expr(p)
+
+
+def _reference_tuple_characteristic_of(tab, sys, f):
+    acc = tab.addmul(ex._acc(ex._gradient(f, ode._T)), sys.v, tab.grad(f), -1)
+    residual = tab.residual(ex._expr_sum(acc))
+    return is_identically_zero(residual), residual
+
+
+def _reference_tuple_bracket(tab, a, b, out=None):
+    out = out or [ex._acc() for _ in a]
+    for ai, bi, acc in zip(a, b, out):
+        tab.addmul(acc, a, tab.grad(bi))
+        tab.addmul(acc, b, tab.grad(ai), -1)
+    return [ex._expr_sum(acc) for acc in out]
+
+
+def _reference_tuple_image(tab, a, f):
+    return [_reference_tuple_pairing(tab, f, row) for row in a]
+
+
+def _reference_tuple_pairing(tab, f, w):
+    return ex._expr_sum(tab.addmul(ex._acc(), w, tab.grad(f)))
+
+
+def _reference_tuple_deformed(sys, alpha_dh):
+    return ode.OdeSystem(
+        ex._expr(ex._psum(vi._poly, wi._poly, ode.TWIST_SIGN)) for vi, wi in zip(sys.v, alpha_dh)
+    )
+
+
+def _reference_tuple_check_characteristic(sys, f):
+    f = ode._check_zeroth_order(f, "a characteristic", sys.n)
+    return _reference_tuple_characteristic_of(_ReferencePartials(sys.n), sys, f)
+
+
+def _reference_tuple_check_symmetry(sys, w):
+    w = tuple(ode._check_zeroth_order(c, "a vertical vector", sys.n) for c in w)
+    tab = _ReferencePartials(sys.n)
+    start = [ex._acc(ex._gradient(wi, ode._T)) for wi in w]
+    residual = [tab.residual(r) for r in _reference_tuple_bracket(tab, w, sys.v, start)]
+    return all(is_identically_zero(r) for r in residual), residual
+
+
+def _reference_tuple_check_anchor(sys, alpha):
+    tab, a, v, n = _ReferencePartials(sys.n), ode._matrix(sys, alpha), sys.v, sys.n
+    dv = [tab.grad(vi) for vi in v]
+    da = {(i, j): tab.grad(a[i][j]) for i, j in itertools.combinations(range(n), 2)}
+    residual = {}
+    for (i, j), pairs in da.items():
+        acc = tab.addmul(ex._acc(ex._gradient(a[i][j], ode._T)), v, pairs, -1)
+        tab.addmul(acc, a[j], dv[i], -1)
+        tab.addmul(acc, a[i], dv[j])
+        r = tab.residual(ex._expr_sum(acc))
+        if not is_identically_zero(r):
+            residual[(i, j)] = r
+    return not residual, residual
+
+
+def _reference_tuple_anchor_apply(alpha, f):
+    f = ode._check_zeroth_order(f, "a characteristic", alpha.n)
+    return tuple(_reference_tuple_image(_ReferencePartials(alpha.n), alpha.matrix(), f))
+
+
+def _reference_tuple_schouten_square(alpha):
+    n = alpha.n
+    tab, a = _ReferencePartials(n), alpha.matrix()
+    da = {(q, r): tab.grad(a[q][r]) for q, r in itertools.combinations(range(n), 2)}
+    upper = {}
+    for i, j, k in itertools.combinations(range(n), 3):
+        acc = tab.addmul(ex._acc(), a[i], da[j, k])
+        tab.addmul(acc, a[j], tab.grad(a[k][i]))
+        tab.addmul(acc, a[k], da[i, j])
+        upper[(i, j, k)] = tab.residual(ex._expr_sum(acc))
+    return ode.Trivector(n, upper)
+
+
+def _reference_tuple_poisson_bracket(alpha, f, g):
+    f, g = (ode._check_zeroth_order(e, "a characteristic", alpha.n) for e in (f, g))
+    tab = _ReferencePartials(alpha.n)
+    return _reference_tuple_pairing(tab, f, _reference_tuple_image(tab, alpha.matrix(), g))
+
+
+def _reference_tuple_twist_invariance_check(sys, alpha, f, hamiltonian, is_characteristic=None):
+    f, h = (ode._check_zeroth_order(e, "a characteristic", sys.n) for e in (f, hamiltonian))
+    tab, a = _ReferencePartials(sys.n), ode._matrix(sys, alpha)
+    if is_characteristic is None:
+        is_characteristic = _reference_tuple_characteristic_of(tab, sys, f)[0]
+    if not is_characteristic:
+        return False, "f is not a characteristic of the original system"
+    alpha_dh = _reference_tuple_image(tab, a, h)
+    bracket = tab.residual(_reference_tuple_pairing(tab, f, alpha_dh))
+    if tab.grad(bracket):
+        return False, "{f, H} depends on x; the twist is not invariant under f"
+    g = ex._poly_antiderivative(bracket._poly, ode.TIME)
+    conserved = ex._expr(ex._psum(f._poly, g, -1))
+    deformed = _reference_tuple_deformed(sys, alpha_dh)
+    ok, residual = _reference_tuple_characteristic_of(tab, deformed, conserved)
+    if not ok:
+        return False, f"conservation failed with residual {ex.to_text(residual)}"
+    return True, ex.to_text(ex._expr(g))
+
+
+def _reference_tuple_proper_symmetry_conditions(sys, alpha, psi):
+    psi = tuple(ode._check_zeroth_order(c, "a vertical form", sys.n) for c in psi)
+    tab, a = _ReferencePartials(sys.n), ode._matrix(sys, alpha)
+    acc = tab.addmul(ex._acc(), psi, [(k, vk._poly) for k, vk in enumerate(sys.v) if vk._poly[0]])
+    d_psi_v = dict(tab.grad(ex._expr_sum(acc)))
+    grads = [dict(tab.grad(pk)) for pk in psi]
+    curl = [[] for _ in psi]
+    for i, k in sorted({(min(i, k), max(i, k)) for k, g in enumerate(grads) for i in g if i != k}):
+        c = ex._psum(grads[k].get(i, ex._ZERO_POLY), grads[i].get(k, ex._ZERO_POLY), -1)
+        if c[0]:
+            curl[k].append((i, c))
+            curl[i].append((k, ex._pscale(c, -1)))
+    transport = [
+        (i, g)
+        for i, pi in enumerate(psi)
+        if (g := ex._psum(d_psi_v.get(i, ex._ZERO_POLY), ex._gradient(pi, ode._T), -1))[0]
+    ]
+    residuals = {}
+    for l, row in enumerate(a):
+        for k, covector in enumerate(curl + [transport]):
+            acc = tab.addmul(ex._acc(), row, covector, -1)
+            r = tab.residual(ex._expr_sum(acc)) if acc[0] else ex.ZERO
+            if not is_identically_zero(r):
+                name = f"closure[l={l + 1},k={k + 1}]" if k < sys.n else f"transport[l={l + 1}]"
+                residuals[name] = r
+    return not residuals, residuals
+
+
+def _reference_tuple_differential(f, n):
+    out = [ex.ZERO] * n
+    for k, p in _ReferencePartials(n).grad(ode._check_zeroth_order(f, "a characteristic", n)):
+        out[k] = ex._expr(p)
+    return tuple(out)
+
+
+def _reference_tuple_commutator_matches_bracket(alpha, f, g):
+    f, g = (ode._check_zeroth_order(e, "a characteristic", alpha.n) for e in (f, g))
+    tab, a = _ReferencePartials(alpha.n), alpha.matrix()
+    a_dg = _reference_tuple_image(tab, a, g)
+    rhs = _reference_tuple_image(tab, a, _reference_tuple_pairing(tab, f, a_dg))
+    out = [ex._acc(ex._pscale(r._poly, -ode.HOMOMORPHISM_SIGN)) for r in rhs]
+    bracket = _reference_tuple_bracket(tab, _reference_tuple_image(tab, a, f), a_dg, out)
+    residual = [tab.residual(r) for r in bracket]
+    return all(is_identically_zero(r) for r in residual), residual
+
+
+def _reference_tuple_transitivity_rank(alpha, point, depth=0):
+    n = alpha.n
+    coords = [Fraction(v) for v in point]
+    at_point = dict(zip([ode._T] + ode._x_atoms(n), coords))
+    accumulated = [alpha.column(l) for l in range(n)]
+    frontier = list(accumulated)
+    tab = _ReferencePartials(n)
+    for _ in range(depth):
+        frontier = [_reference_tuple_bracket(tab, a, b) for a in accumulated for b in frontier]
+        accumulated.extend(frontier)
+    rows = []
+    for vec in accumulated:
+        values = []
+        for c in vec:
+            try:
+                r = tab.residual(ex.substitute(c, at_point))
+            except ex.UnsupportedInputError as exc:
+                raise ex.UnsupportedInputError(
+                    f"singular point, pick another one: {ex.to_text(c)} is undefined there"
+                ) from exc
+            if not isinstance(r, ex.Rat):
+                raise ex.UnsupportedInputError(f"{ex.to_text(r)} is not rational at the point")
+            values.append(r.value)
+        den = math.lcm(*(v.denominator for v in values))
+        rows.append({c: v.numerator * (den // v.denominator) for c, v in enumerate(values) if v})
+    return len(ode._eliminate(rows))
+
+
+# --- the monomial-code tables against the tuple path ---------------------------
+
+
+@st.composite
+def _laurent_components(draw, n, size):
+    """Zero one time in five, else a sum of up to three terms, each a
+    rational times up to two factors: a power of x_k or t with an exponent
+    of either sign up to `size`, or of sin/cos/exp/log of x_k, of 1/x_k, of
+    t*x_k or of x_k + t, whose partials go through the chain rule (those
+    through the log of a sum raise, in both paths alike)."""
+    if draw(st.integers(0, 4)) == 0:
+        return ac.ZERO
+    gens = [ac.jet(ode.field_name(i)) for i in range(n)] + [t]
+    exponent = st.integers(-size, size).filter(bool)
+    e = ac.ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        term = ac.rational(draw(_coefficients))
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.integers(0, 3)):
+                term = term * gens[draw(st.integers(0, n))] ** draw(exponent)
+            else:
+                x = gens[draw(st.integers(0, n - 1))]
+                arg = draw(st.sampled_from([x, 1 / x, t * x, x + t]))
+                fn = draw(st.sampled_from([ac.sin, ac.cos, ac.exp, ac.log]))
+                term = term * fn(arg) ** draw(st.integers(-2, 2))
+        e = e + term
+    return e
+
+
+@st.composite
+def _code_models(draw):
+    """A model as a model file holds it, with exponents up to `size` in
+    size, and the bound of the table its checks share: the bound that the
+    table of a run derives from the model, or one drawn below it, so that
+    operands pass it and the checks restart on wider tables."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([1, 2, 3, 7, 8, 15, 16, 100]))
+    comp = _laurent_components(n, size)
+    v = [draw(comp) for _ in range(n)]
+    alpha = ode.Bivector(n, {(i, j): draw(comp) for i in range(n) for j in range(i + 1, n)})
+    f, g, h = draw(comp), draw(comp), draw(comp)
+    w = [draw(comp) for _ in range(n)]
+    system = ode.OdeSystem(v)
+    values = [*v, *alpha.upper.values(), f, g, h, *w]
+    derived = ode.CodeTable(n, values).bound
+    bound = draw(st.sampled_from([derived, draw(st.integers(0, derived))]))
+    return system, alpha, f, g, h, w, bound
+
+
+@contextlib.contextmanager
+def _narrow_tables(bound):
+    """Every table built from values gets `bound` in place of the bound that
+    it derives from them, so that operands pass it and an operation
+    restarts; yields the list of the bounds of the tables built without
+    values, the wider tables of the restarts among them."""
+    init, wider = ode.CodeTable.__init__, []
+
+    def narrow(table, n, values=(), **kwargs):
+        if values:
+            init(table, n, bound=bound)
+        else:
+            init(table, n, **kwargs)
+            wider.append(table.bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ode.CodeTable, "__init__", narrow)
+        yield wider
+
+
+def _outcome(call):
+    """(True, the result of call()), or (False, the type and text of the
+    ExprError it raised)."""
+    try:
+        return True, call()
+    except ex.ExprError as exc:
+        return False, (type(exc), str(exc))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_code_models())
+# a coefficient whose partials raise, as they go through the log of a sum:
+# the checks that read no partial of it must not raise
+@example((ode.OdeSystem([ac.log(x1 + t)]), ode.Bivector(1), x1, t, x1, [x1], 3))
+def test_code_tables_match_the_tuple_path(case):
+    # every check of a run on one shared table, as cli.run_checks runs them,
+    # and the library calls that take no table on tables of their own with
+    # the same bound, each with the parent's tuple path as reference
+    system, alpha, f, g, h, w, bound = case
+    codes = ode.CodeTable(system.n, bound=bound)
+    image = _outcome(lambda: ode.anchor_apply(alpha, f, codes=codes))
+    assert image == _outcome(lambda: _reference_tuple_anchor_apply(alpha, f))
+    psi = _outcome(lambda: ode.differential(f, system.n, codes=codes))
+    assert psi == _outcome(lambda: _reference_tuple_differential(f, system.n))
+    characteristic = _outcome(lambda: ode.check_characteristic(system, f, codes=codes))
+    assert characteristic == _outcome(lambda: _reference_tuple_check_characteristic(system, f))
+    pairs = [
+        (
+            lambda: ode.check_anchor(system, alpha, codes=codes),
+            lambda: _reference_tuple_check_anchor(system, alpha),
+        ),
+        (
+            lambda: ode.schouten_square(alpha, codes=codes).upper,
+            lambda: _reference_tuple_schouten_square(alpha).upper,
+        ),
+        (
+            lambda: ode.poisson_bracket(alpha, f, g),
+            lambda: _reference_tuple_poisson_bracket(alpha, f, g),
+        ),
+        (
+            lambda: ode.commutator_matches_bracket(alpha, f, g),
+            lambda: _reference_tuple_commutator_matches_bracket(alpha, f, g),
+        ),
+    ]
+    for ok, vec in ((True, w), image):
+        if ok:
+            pairs.append(
+                (
+                    lambda vec=vec: ode.check_symmetry(system, vec, codes=codes),
+                    lambda vec=vec: _reference_tuple_check_symmetry(system, vec),
+                )
+            )
+    if psi[0]:
+        pairs.append(
+            (
+                lambda: ode.proper_symmetry_conditions(system, alpha, psi[1], codes=codes),
+                lambda: _reference_tuple_proper_symmetry_conditions(system, alpha, psi[1]),
+            )
+        )
+    for flag in (None, True):
+        for ham in (h, g):
+            pairs.append(
+                (
+                    lambda flag=flag, ham=ham: ode.twist_invariance_check(
+                        system, alpha, f, ham, flag, codes=codes
+                    ),
+                    lambda flag=flag, ham=ham: _reference_tuple_twist_invariance_check(
+                        system, alpha, f, ham, flag
+                    ),
+                )
+            )
+    for call, reference in pairs:
+        with _narrow_tables(bound):
+            outcome = _outcome(call)
+        assert outcome == _outcome(reference)
+
+
+@st.composite
+def _rank_cases(draw):
+    n = draw(st.integers(2, 3))
+    size = draw(st.sampled_from([1, 2, 3, 8]))
+    comp = _laurent_components(n, size)
+    alpha = ode.Bivector(n, {(i, j): draw(comp) for i in range(n) for j in range(i + 1, n)})
+    point = draw(st.lists(st.just(Fraction(0)) | _coefficients, min_size=n + 1, max_size=n + 1))
+    bound = draw(st.integers(0, ode.CodeTable(n, alpha.upper.values()).bound))
+    return alpha, point, draw(st.integers(0, 2 if n == 2 else 1)), bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_cases())
+def test_transitivity_rank_on_code_tables_matches_the_tuple_path(case):
+    alpha, point, depth, bound = case
+    reference = _outcome(lambda: _reference_tuple_transitivity_rank(alpha, point, depth))
+    assert _outcome(lambda: ode.transitivity_rank(alpha, point, depth)) == reference
+    with _narrow_tables(bound):
+        assert _outcome(lambda: ode.transitivity_rank(alpha, point, depth)) == reference
+
+
+def test_an_exponent_past_the_bound_restarts_on_a_wider_table(monkeypatch):
+    # a table codes every exponent k whose partial exponent k - 1 fits too,
+    # and refuses the rest with a wider table; the product of two codes then
+    # decodes to the product of the monomials, for the exponents at both
+    # ends of the range the table codes, so no sum of two fields wraps into
+    # its neighbour
+    a, b = ex.JetVar("x1"), ex.JetVar("x2")
+    for bound in (0, 1, 3, 4, 7, 8, 100):
+        table = ode.CodeTable(2, bound=bound)
+        coded = []
+        for k in range(-300, 301):
+            mono = ((a, k),) if k else ()
+            try:
+                coded.append((k, table.code(mono)))
+            except ode._Overflow as overflow:
+                assert abs(k) > bound
+                assert overflow.wider.bound > bound
+                overflow.wider.code(mono)  # the wider table holds it
+        ks = [k for k, _ in coded]
+        assert ks == list(range(ks[0], ks[-1] + 1)) and ks[0] <= -bound and bound <= ks[-1]
+        middle = len(coded) // 2
+        ends = coded[:3] + coded[middle - 1 : middle + 2] + coded[-3:]
+        for k1, c1 in ends:
+            for k2, c2 in ends:
+                for k3, c3 in ends:
+                    # x2's field is the neighbour of x1's
+                    p = table.decode(({c1 + c2 + c3 * table.unit[b] // table.unit[a]: 1}, 1))
+                    mono = tuple((x, k) for x, k in ((a, k1 + k2), (b, k3)) if k)
+                    assert p == ex._expr(({mono: 1}, 1))
+    # a check on a table whose bound the operands pass restarts on a wider
+    # table of its own and gives the result of the tuple path
+    built, init = [], ode.CodeTable.__init__
+
+    def record(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        built.append(table.bound)
+
+    monkeypatch.setattr(ode.CodeTable, "__init__", record)
+    system = ode.OdeSystem([x2 / x1, -x1])
+    w = [x2 / x1**3, x1**40 + x2**-40 * t]
+    codes = ode.CodeTable(2, bound=2)
+    assert ode.check_symmetry(system, w, codes=codes) == _reference_tuple_check_symmetry(system, w)
+    assert built[0] == 2 and max(built) >= 41
+
+
+def test_a_restarted_operation_reads_an_iterable_argument_once():
+    # w, psi and the point may be generators: each is read once, before the
+    # first table, so the restart on a wider table sees the same values
+    system = ode.OdeSystem([x2 / x1, -x1])
+    alpha = ode.Bivector(2, {(0, 1): x1**3})
+    w, psi, point = [x2 / x1**3, x1**5], [x2**4, x1 / t], [1, 2, 3]
+    results = [
+        _reference_tuple_check_symmetry(system, w),
+        _reference_tuple_proper_symmetry_conditions(system, alpha, psi),
+        _reference_tuple_transitivity_rank(alpha, point, 2),
+    ]
+    with _narrow_tables(0) as wider:
+        calls = [
+            lambda: ode.check_symmetry(system, iter(w)),
+            lambda: ode.proper_symmetry_conditions(system, alpha, iter(psi)),
+            lambda: ode.transitivity_rank(alpha, iter(point), 2),
+        ]
+        for call, result in zip(calls, results):
+            restarts = len(wider)
+            assert call() == result
+            assert len(wider) > restarts
+
+
+def test_transitivity_rank_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="depth"):
+        ode.transitivity_rank(ode.so3_bivector(), [0, 1, 2, 3], -3)
+    assert ode.transitivity_rank(ode.so3_bivector(), [0, 1, 2, 3], 0) == 2
