@@ -51,14 +51,16 @@ atom, and a constructor adds to it with one dict.setdefault, so two
 threads that build the same atom at once still get one object.  The
 cached hash and the memoised gradient of an expression, its chain-rule
 partials included, are slots filled lazily with deterministic values, so
-a racing recomputation is harmless.  That gradient is the one partial
+a racing recomputation is harmless.  The jet steps of total derivatives
+sit in one plain table per direction, bounded by a constant and cleared
+when full (_STEPS); a step is a pure value, so a racing insert or clear
+only recomputes it.  That gradient is the one partial
 derivative: diff, the Euler operator, the homotopy, linearization, shell
 elimination and the ODE checks all read it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -75,6 +77,7 @@ BUDGETS = {
     "catalog budget": (50_000, "units of work, C(n, p) * n^2, in a catalog run"),
     "digit budget": (4300, "decimal digits of an integer in a model value or a printed residual"),
     "check budget": (100_000, "term products of one ODE check, counted before any is formed"),
+    "bracket budget": (100_000, "Lie brackets, or their term products, in one level of a transitivity rank"),
 }
 NODE_LIMIT = BUDGETS["node limit"][0]
 
@@ -535,8 +538,8 @@ def _mono_mul(m1, m2):
 
 
 def _align(acc, d: int) -> int:
-    """Move the accumulator acc to the lcm of its denominator and d, which
-    differ, and return the factor lcm // d of a numerator over d."""
+    """Move the accumulator acc to the lcm of its denominator and d, and
+    return the factor lcm // d of a numerator over d."""
     den = acc[1]
     lcm = math.lcm(den, d)
     if lcm != den:
@@ -912,48 +915,68 @@ def _max_jet_order(p, field=None) -> int:
 
 
 def _total_derivative_poly(p, d: str):
-    """D_d p by the product rule over monomials.  The derivative of each
-    atom is worked out once per call; an atom seldom repeats inside one
-    call, so the jet step is memoised across calls as well, in _jet_step."""
+    """D_d p, by _total_derivative_into."""
+    acc = _acc()
+    _total_derivative_into(acc, p, d)
+    return _normal(*acc)
+
+
+def _total_derivative_into(acc, p, d: str, k=1):
+    """acc += k * D_d p for an accumulator acc and an int k, by the product
+    rule over monomials, each term going straight into the sum.  D_d of a
+    jet, or of d itself, is its step from the table of d (_steps): one
+    monomial with coefficient 1, so its term needs no denominator of its
+    own.  Only a function atom takes the chain rule, once per atom and
+    call, and its derivative may carry a denominator, to which the
+    accumulator then moves.  The sum's size is checked after each monomial
+    of p."""
     c, pd = p
-    acc = {}
-    den = 1  # lcm of the denominators of the atom derivatives met so far
-    rules = {}
+    if not c:
+        return
+    out = acc[0]
+    kd = k * _align(acc, pd) if pd != acc[1] else k  # k over acc's denominator
+    get = out.get
+    mono_mul = _mono_mul
+    steps = _steps(d)
+    step_of = steps.get
+    chained = {}
     for mono, coeff in c.items():
-        for k, (a, e) in enumerate(mono):
-            da = rules.get(a)
-            if da is None:
-                if isinstance(a, JetVar):
-                    da = _jet_step(a, d)
-                elif isinstance(a, FunAtom):
-                    da = _chain(a, _total_derivative_poly(a[3]._poly, d))
-                elif isinstance(a, IndepVar) and a[1] == d:
-                    da = {(): 1}, 1
+        kc = kd * coeff
+        for i, (a, e) in enumerate(mono):
+            s = step_of(a)
+            if s is None and type(a) is not FunAtom:
+                s = _new_step(steps, a, d)
+            if s is False:
+                continue
+            if e == 1:
+                rest = mono[:i] + mono[i + 1 :]
+            else:
+                rest = mono[:i] + ((a, e - 1),) + mono[i + 1 :]
+            if s is not None:  # a step, the empty monomial for d itself
+                m = mono_mul(rest, s) if s else rest
+                nv = get(m, 0) + kc * e
+                if nv:
+                    out[m] = nv
                 else:
-                    da = _ZERO_POLY
-                rules[a] = da
+                    del out[m]
+                continue
+            da = chained.get(a)
+            if da is None:
+                da = chained[a] = _chain(a, _total_derivative_poly(a[3]._poly, d))
             dc, dd = da
             if not dc:
                 continue
-            if den % dd:
-                f = dd // math.gcd(den, dd)
-                for m in acc:
-                    acc[m] *= f
-                den *= f
-            if e == 1:
-                rest = mono[:k] + mono[k + 1 :]
-            else:
-                rest = mono[:k] + ((a, e - 1),) + mono[k + 1 :]
-            scale = coeff * e * (den // dd)
+            kf = k * coeff * e * _align(acc, pd * dd)
             for m2, c2 in dc.items():
-                m = _mono_mul(rest, m2)
-                nc = acc.get(m, 0) + scale * c2
-                if nc:
-                    acc[m] = nc
+                m = mono_mul(rest, m2)
+                nv = get(m, 0) + kf * c2
+                if nv:
+                    out[m] = nv
                 else:
-                    del acc[m]
-        _check_size(len(acc))
-    return _normal(acc, pd * den)
+                    del out[m]
+            kd = k * (acc[1] // pd)
+            kc = kd * coeff
+        _check_size(len(out))
 
 
 def _chain(atom: FunAtom, inner):
@@ -972,11 +995,39 @@ def _chain(atom: FunAtom, inner):
     return _pmul(outer, inner)
 
 
-@functools.lru_cache(maxsize=4096)
-def _jet_step(atom: JetVar, d: str):
-    """D_d of a jet variable: the polynomial of the jet one order higher in
-    direction d.  Bounded and shared by every call; no caller mutates it."""
-    return {((JetVar(atom[1], atom[2].step(d)), 1),): 1}, 1
+# The steps met so far, one plain table per direction d: an atom -> the
+# monomial of D_d atom for a jet (the jet one order higher in d) or for d
+# itself (the empty monomial), or False for an atom whose D_d is zero;
+# a function atom is never stored.  A table is cleared when it is full,
+# and so is the whole when it holds _STEP_DIRECTIONS directions, so both
+# stay bounded; a step is a pure function of its atom and direction, so a
+# racing insert or clear only recomputes one.
+_STEPS = {}
+_STEP_CAP = 4096
+_STEP_DIRECTIONS = 64
+
+
+def _steps(d: str):
+    """The step table of direction d."""
+    steps = _STEPS.get(d)
+    if steps is None:
+        if len(_STEPS) >= _STEP_DIRECTIONS:
+            _STEPS.clear()
+        steps = _STEPS.setdefault(d, {})
+    return steps
+
+
+def _new_step(steps, atom, d: str):
+    """The step in direction d of an atom that is not a function atom,
+    stored in its table."""
+    if type(atom) is JetVar:
+        step = ((JetVar(atom[1], atom[2].step(d)), 1),)
+    else:
+        step = () if type(atom) is IndepVar and atom[1] == d else False
+    if len(steps) >= _STEP_CAP:
+        steps.clear()
+    steps[atom] = step
+    return step
 
 
 _ZERO_POLY = {}, 1

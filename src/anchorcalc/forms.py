@@ -14,6 +14,10 @@ Every result that is a sum is built in one table: a _Sum adds k a ^ b,
 k da, k i_xi a, k L_xi a and k a, for k an int, a rational or an
 expression, into one expr accumulator per index, and normalises each
 once, dividing by an integer such as the 2 of a current's 1/2 at the end.
+For an int or rational k, the total derivatives of da and the constant
+components of xi go into the accumulators with no intermediate
+polynomial.  A term whose forms or vector live on another space raises
+FormError.
 Wedge, d, interior, L_xi, the sum, difference and scaling of forms and
 the self-dual projection are its short cases; the field models build
 their currents and certificate residuals as longer ones.  hodge takes a
@@ -239,6 +243,13 @@ def dilation(space: FlatSpace) -> SpacetimeVector:
 # operations, on one accumulation path (module docstring)
 
 
+def _same_space(x, space: FlatSpace) -> None:
+    """Refuse a form or vector x that lives on another space."""
+    if x.space.signature != space.signature:
+        kind = "vector" if isinstance(x, SpacetimeVector) else f"{x.grade}-form"
+        raise FormError(f"a {kind} on {x.space} does not fit {space}")
+
+
 def _weight(k):
     """(m, den, p) with k = m * p / den for ints m and den > 0, and p a
     polynomial, or None for 1; k is an int, a Fraction or an expression."""
@@ -273,11 +284,15 @@ class _Sum:
         self.space, self.grade = space, grade
         self.table = defaultdict(ex._acc)
 
-    def _term(self, grade: int, *forms: Form):
-        if grade != self.grade or any(f.space.signature != self.space.signature for f in forms):
+    def _term(self, grade: int, *operands):
+        """Refuse a term of another grade, or one whose forms or vector
+        live on another space."""
+        if grade != self.grade:
             raise FormError(
                 f"a grade-{grade} term does not fit a {self.grade}-form on {self.space}"
             )
+        for x in operands:
+            _same_space(x, self.space)
 
     def add(self, a: Form, k=1) -> "_Sum":
         """self += k a."""
@@ -310,26 +325,44 @@ class _Sum:
         if m:
             table, coords = self.table, self.space.coords
             for idx, coeff in a.components.items():
+                q = _weighted(coeff._poly, den, None)
                 for mu in range(self.space.n):
                     if mu not in idx:
-                        d_coeff = ex._total_derivative_poly(coeff._poly, coords[mu])
                         sign, new_idx = _merge_sign((mu,), idx)
-                        ex._padd_into(table[new_idx], _weighted(d_coeff, den, p), sign * m)
+                        if p is None:  # D_mu goes straight into the sum
+                            ex._total_derivative_into(table[new_idx], q, coords[mu], sign * m)
+                        else:
+                            d_coeff = ex._total_derivative_poly(q, coords[mu])
+                            ex._padd_into(table[new_idx], _weighted(d_coeff, 1, p), sign * m)
         return self
 
     def add_interior(self, xi: SpacetimeVector, a: Form, k=1) -> "_Sum":
         """self += k i_xi a."""
-        self._term(a.grade - 1, a)
+        self._term(a.grade - 1, a, xi)
         m, den, p = _weight(k)
         if m:
             table = self.table
-            xs = [_weighted(x._poly, den, p) if x._poly[0] else None for x in xi.components]
+            # (scale, denominator, polynomial) of k xi^mu: a constant takes
+            # one scaled add, any other component a product; zero none
+            xs = []
+            for x in xi.components:
+                xm, xden, xp = _weight(x)
+                if not xm:
+                    xs.append(None)
+                elif xp is None and p is None:
+                    xs.append((m * xm, den * xden, None))
+                else:
+                    xs.append((m, 1, _weighted(x._poly, den, p)))
             for idx, coeff in a.components.items():
+                c, d = coeff._poly
                 for pos, mu in enumerate(idx):
                     if xs[mu] is not None:
-                        ex._paddmul_into(
-                            table[idx[:pos] + idx[pos + 1 :]], xs[mu], coeff._poly, (-1) ** pos * m
-                        )
+                        xm, xden, q = xs[mu]
+                        acc, sign = table[idx[:pos] + idx[pos + 1 :]], -xm if pos % 2 else xm
+                        if q is None:
+                            ex._padd_into(acc, (c, d * xden), sign)
+                        else:
+                            ex._paddmul_into(acc, q, (c, d), sign)
         return self
 
     def add_lie(self, xi: SpacetimeVector, a: Form, k=1, da=None, ia=None) -> "_Sum":
@@ -337,6 +370,7 @@ class _Sum:
         grade-edge terms dropped where they do not exist (grade 0 has no
         interior product, grade n no d).  A caller that already holds da or
         i_xi a passes it, and it is not built again."""
+        self._term(a.grade, a, xi)
         if a.grade < self.space.n:
             self.add_interior(xi, exterior_d(a) if da is None else da, k)
         if a.grade > 0:
@@ -417,7 +451,11 @@ def selfdual_project(a: Form):
 
 def conformal_killing_check(xi: SpacetimeVector, space: FlatSpace) -> str:
     """Classify a vector field: 'killing', 'conformal' or 'neither' from the
-    flat-metric deformation d_mu xi_nu + d_nu xi_mu."""
+    flat-metric deformation d_mu xi_nu + d_nu xi_mu.  A vector with
+    constant components is Killing, with no partials taken."""
+    _same_space(xi, space)
+    if all(_weight(x)[2] is None for x in xi.components):
+        return "killing"
     n = space.n
     sig = space.signature
     partials = {  # d_mu xi^nu

@@ -464,6 +464,25 @@ def _lie_bracket(tab, a, b, out=None):
     return out
 
 
+def _bracket_products(tab, a, b):
+    """The term products that _lie_bracket forms over every pair of fields
+    in a x b: sum_k (sum_a |a^k|)(sum_b sum_i |d_k b^i|) + (sum_b |b^k|)
+    (sum_a sum_i |d_k a^i|), |p| the monomial count of p, in one pass over
+    each list."""
+
+    def sizes(fields):
+        entries, partials = [0] * tab.n, [0] * tab.n
+        for field in fields:
+            for k, c in enumerate(field):
+                entries[k] += len(c._poly[0])
+                for j, p in tab.grad(c):
+                    partials[j] += len(p[0])
+        return entries, partials
+
+    (ea, pa), (eb, pb) = sizes(a), sizes(b)
+    return sum(ea[k] * pb[k] + eb[k] * pa[k] for k in range(tab.n))
+
+
 def _anchor_apply(tab, a, f):
     """w^i = alpha^{ij} d_j f for a = alpha.matrix()."""
     return [tab.value(_pairing(tab, f, row)) for row in a]
@@ -735,19 +754,34 @@ def transitivity_rank(alpha: Bivector, point, depth: int = 0) -> int:
     substituted at the point and reduced modulo sin(u)^2 + cos(u)^2 - 1, as
     a check residual is.  Raises UnsupportedInputError when an entry is
     undefined at the point, such as x1^-1 at x1 = 0, or is not rational
-    there, such as sin(1/3)."""
+    there, such as sin(1/3).  A level of brackets that would form more Lie
+    brackets, or more term products, than the bracket budget is refused
+    before it is formed, the bracket counts of every level before any."""
     n = alpha.n
     if depth < 0:
         raise ValueError(f"the bracket depth must be >= 0, got {depth}")
     coords = [Fraction(v) for v in point]
     if len(coords) != n + 1:
         raise ValueError(f"expected {n + 1} rational values (t, x1..x{n})")
+    if not n:
+        return 0
     at_point = dict(zip([_T] + _x_atoms(n), coords))
     fields = [alpha.column(l) for l in range(n)]
+    # level l brackets every accumulated field with every one of the
+    # frontier: refused before level 1 when a level has too many brackets
+    accumulated = frontier = n
+    for level in range(1, depth + 1):
+        frontier *= accumulated
+        if frontier > ex.BUDGETS["bracket budget"][0]:
+            ex.refuse(f"bracket level {level}", f"{frontier} Lie brackets", "bracket budget")
+        accumulated += frontier
 
     def brackets(tab):
         accumulated, frontier = list(fields), list(fields)
-        for _ in range(depth):
+        for level in range(1, depth + 1):
+            products = _bracket_products(tab, accumulated, frontier)
+            if products > ex.BUDGETS["bracket budget"][0]:
+                ex.refuse(f"bracket level {level}", f"{products} term products", "bracket budget")
             frontier = [
                 [tab.value(acc) for acc in _lie_bracket(tab, a, b)]
                 for a in accumulated

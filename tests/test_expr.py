@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anchorcalc as ac
@@ -886,11 +886,20 @@ def test_fused_multiply_accumulate_matches_product_then_add(start, p, q, k, mode
 def test_total_derivatives_do_not_depend_on_the_jet_step_cache(pair):
     e, ref = pair
     warm = [ac.total_derivative(e, d) for d in ("t", "s")]
-    ex._jet_step.cache_clear()
+    ex._STEPS.clear()
     cold = [ac.total_derivative(e, d) for d in ("t", "s")]
     assert [w._poly for w in warm] == [c._poly for c in cold]
     assert warm[0].poly() == _rtotal(ref, "t")
-    assert ex._jet_step.cache_info().maxsize is not None  # bounded
+
+
+def test_the_jet_step_table_stays_bounded():
+    # distinct jets past the cap of a direction, and directions past theirs
+    for k in range(ex._STEP_CAP + 3):
+        ex._total_derivative_poly(ac.jet(f"u{k}")._poly, "t")
+        assert len(ex._steps("t")) <= ex._STEP_CAP
+    for k in range(ex._STEP_DIRECTIONS + 3):
+        ex._total_derivative_poly(x1._poly, f"y{k}")
+        assert len(ex._STEPS) <= ex._STEP_DIRECTIONS
 
 
 def test_multiindex_sum_with_empty_side_is_the_other_operand():
@@ -959,9 +968,7 @@ def _partial_or_error(function):
 
 def _derive_poly(p, atom_rule):
     """Product rule over monomials; atom_rule(atom) is the derivative of
-    one atom as a polynomial, looked up once per atom and call.  An atom
-    seldom repeats inside one call, so the jet step of a total derivative
-    is memoised across calls as well, in _jet_step."""
+    one atom as a polynomial, looked up once per atom and call."""
     c, d = p
     acc = {}
     den = 1  # lcm of the denominators of the atom derivatives met so far
@@ -1046,6 +1053,73 @@ def test_gradient_matches_diff_on_polynomials(e):
 @given(_grad_exprs(functions=True))
 def test_gradient_matches_diff_with_function_atoms(e):
     _gradient_matches_reference(e)
+
+
+def _reference_total(p, d):
+    """D_d p by the reference product rule, with the jet step as the rule
+    of a jet."""
+
+    def rule(a):
+        if isinstance(a, ex.JetVar):
+            return {((ex.JetVar(a.field, a.index.step(d)), 1),): 1}, 1
+        if isinstance(a, ex.FunAtom):
+            return _chain(a, _reference_total(a[3]._poly, d))
+        return ({(): 1}, 1) if a == ex.IndepVar(d) else ({}, 1)
+
+    return _derive_poly(p, rule)
+
+
+# function atoms whose derivatives carry denominators: 1/6, 1/2 and 1/15
+# (through a nested atom); log takes a monomial argument
+_D_FUNS = [
+    ac.sin(x1 / 3 + t / 2),
+    ac.cos(x1t / 2),
+    ac.exp(t / 5 + x2),
+    ac.log(x1 * t / 2),
+    ac.sin(ac.exp(t / 3) / 5),
+]
+_D_LEAVES = st.one_of(
+    _RATIONALS.map(ac.rational),
+    st.sampled_from([t, x1, x2, x1t, a_par, t**-1, x1**-2, *_D_FUNS]),
+)
+_D_EXPRS = st.recursive(
+    _D_LEAVES,
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda p: p[0] + p[1]),
+        st.tuples(children, children).map(lambda p: p[0] * p[1]),
+        st.tuples(children, _RATIONALS.filter(bool)).map(lambda p: p[0] / ac.rational(p[1])),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _D_EXPRS,
+    _D_EXPRS,
+    st.sampled_from([-3, -1, 1, 2]),
+    st.sampled_from(["t", "s"]),
+    st.sampled_from(["other", "cancel some", "cancel all"]),
+)
+# p over 35 and an accumulator over 11; the sine's derivative, over 6,
+# moves the accumulator again in the middle of the loop
+@example(ac.sin(x1 / 3 + t / 2) * x2 / 5 + x1t / 7, x2 / 11, 2, "t", "other")
+def test_total_derivative_into_matches_the_reference(p, start, k, d, mode):
+    dp = _reference_total(p._poly, d)
+    if mode != "other":  # a start that holds -k D_d p
+        acc = ex._acc(start._poly if mode == "cancel some" else ({}, 1))
+        ex._padd_into(acc, dp, -k)
+        start = ex._expr_sum(acc)
+    acc = ex._acc(start._poly)
+    ex._total_derivative_into(acc, p._poly, d, k)
+    expected = ex._acc(start._poly)
+    ex._padd_into(expected, dp, k)
+    assert ex._normal(*acc) == ex._normal(*expected)
+    if mode == "cancel all":
+        assert ex._normal(*acc) == ({}, 1)
+    assert ex._total_derivative_poly(p._poly, d) == dp
+    # no function atom is taken for a step
+    assert not any(type(a) is ex.FunAtom for a in ex._steps(d))
 
 
 def test_nested_function_atoms_differentiate_by_the_chain_rule():
@@ -1179,7 +1253,7 @@ def test_parsed_and_derived_atoms_are_registered():
     ctx = VarContext(indep=("t",), fields=("x1",), params=("a",))
     parsed = ex.atoms(parse_expr("a*x1_tt + sin(x1 + t/2)*t", ctx))
     assert ex.JetVar("x1", {"t": 2}) in parsed and ex.FunAtom("sin", _ARG) in parsed
-    step = ex._jet_step(ex.JetVar("x1", {"t": 1}), "s")
+    step = ex._total_derivative_poly(x1t._poly, "s")
     iterated = ex._iterated_poly(x1._poly, ex.MultiIndex({"t": 2, "s": 1}))
     derived = [a for p in (step, iterated) for mono in p[0] for a, _ in mono]
     assert derived == [ex.JetVar("x1", {"t": 1, "s": 1}), ex.JetVar("x1", {"t": 2, "s": 1})]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,121 @@ def test_dilation_is_conformal():
 def test_neither_case():
     bad = fo.SpacetimeVector(L4, [L4.coord_expr(1) ** 2, ac.ZERO, ac.ZERO, ac.ZERO])
     assert fo.conformal_killing_check(bad, L4) == "neither"
+
+
+_OTHER_SPACE_CALLS = {
+    "interior": lambda xi, a: fo.interior(xi, a),
+    "lie_derivative": lambda xi, a: fo.lie_derivative(xi, a),
+    "lie_derivative, top grade": lambda xi, a: fo.lie_derivative(xi, _volume(a.space)),
+    "conformal_killing_check": lambda xi, a: fo.conformal_killing_check(xi, a.space),
+}
+
+
+@pytest.mark.parametrize("name", _OTHER_SPACE_CALLS)
+@pytest.mark.parametrize("xi", [fo.translation(fo.lorentzian(3), 1), fo.translation(L4, 1)], ids=["n3", "L4"])
+def test_a_vector_of_another_space_raises_form_error(name, xi):
+    a = fo.field_form(E4, "F", 2)
+    with pytest.raises(fo.FormError, match=r"a vector on FlatSpace\(signature=\(-1, "):
+        _OTHER_SPACE_CALLS[name](xi, a)
+
+
+# The general paths, kept here as the reference: one product per nonzero
+# component of the vector, where a constant one now takes a scaled add
+# (add_interior); the n^2 partials of the deformation, which a constant
+# vector now skips (conformal_killing_check); and D_mu of a component
+# formed before it is added, which now goes straight into the sum (add_d).
+
+
+def _reference_add_interior(s, xi, a, k=1):
+    m, den, p = fo._weight(k)
+    if m:
+        xs = [fo._weighted(x._poly, den, p) if x._poly[0] else None for x in xi.components]
+        for idx, coeff in a.components.items():
+            for pos, mu in enumerate(idx):
+                if xs[mu] is not None:
+                    ex._paddmul_into(
+                        s.table[idx[:pos] + idx[pos + 1 :]], xs[mu], coeff._poly, (-1) ** pos * m
+                    )
+    return s
+
+
+def _reference_add_d(s, a, k=1):
+    m, den, p = fo._weight(k)
+    if m:
+        for idx, coeff in a.components.items():
+            for mu in range(a.space.n):
+                if mu not in idx:
+                    d_coeff = ex._total_derivative_poly(coeff._poly, a.space.coords[mu])
+                    sign, new_idx = fo._merge_sign((mu,), idx)
+                    ex._padd_into(s.table[new_idx], fo._weighted(d_coeff, den, p), sign * m)
+    return s
+
+
+def _reference_killing(xi, space):
+    n, sig = space.n, space.signature
+    partials = {
+        (mu, nu): ex._total_derivative_poly(xi.components[nu]._poly, space.coords[mu])
+        for mu in range(n)
+        for nu in range(n)
+    }
+    deformation = {
+        (mu, nu): ex._psum(ex._pscale(partials[mu, nu], sig[nu]), partials[nu, mu], sig[mu])
+        for mu, nu in itertools.combinations_with_replacement(range(n), 2)
+    }
+    if not any(k[0] for k in deformation.values()):
+        return "killing"
+    divergence = ex._acc()
+    for mu in range(n):
+        ex._padd_into(divergence, partials[(mu, mu)])
+    divergence = ex._normal(*divergence)
+    for (mu, nu), k in deformation.items():
+        if mu == nu:
+            k = ex._psum(k, ex._pscale(divergence, 2 * sig[mu], n), -1)
+        if k[0]:
+            return "neither"
+    return "conformal"
+
+
+_CONSTANTS = st.one_of(
+    st.just(0), st.integers(-3, 3), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(SPACES + (fo.lorentzian(3),)),
+    st.data(),
+    st.sampled_from([1, -2, Fraction(-3, 4), "expression"]),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_constant_vectors_and_d_into_the_sum_match_the_general_path(space, data, k, seed, mixed):
+    comps = data.draw(st.lists(_CONSTANTS, min_size=space.n, max_size=space.n))
+    if mixed:  # one component that is not constant takes the product path
+        comps[seed % space.n] = rand_vector(space, seed).components[0] + space.coord_expr(0)
+    xi = fo.SpacetimeVector(space, comps)
+    assert fo.conformal_killing_check(xi, space) == _reference_killing(xi, space)
+    if not mixed:
+        assert fo.conformal_killing_check(xi, space) == "killing"
+    if k == "expression":
+        k = space.coord_expr(0) / 2 + 1
+    grade = 1 + seed % space.n
+    a, b = rand_form(space, grade, seed), rand_form(space, grade - 1, seed + 1)
+    # a prefilled sum with a denominator of its own
+    fast = fo._Sum(space, grade - 1).add(b, Fraction(1, 7)).add_interior(xi, a, k)
+    slow = _reference_add_interior(fo._Sum(space, grade - 1).add(b, Fraction(1, 7)), xi, a, k)
+    assert {i: v._poly for i, v in fast.form().components.items()} == {
+        i: v._poly for i, v in slow.form().components.items()
+    }
+    general = _reference_add_interior(fo._Sum(space, grade - 1), xi, a).form()
+    assert fo.interior(xi, a).components == general.components
+    # d goes straight into the sum for int and Fraction weights
+    b = b.map_coefficients(lambda c: c * ac.jet("v", {"x0": 1}) / 3)
+    fast = fo._Sum(space, grade).add(a, Fraction(1, 7)).add_d(b, k)
+    slow = _reference_add_d(fo._Sum(space, grade).add(a, Fraction(1, 7)), b, k)
+    assert {i: v._poly for i, v in fast.form().components.items()} == {
+        i: v._poly for i, v in slow.form().components.items()
+    }
 
 
 def test_form_validation():

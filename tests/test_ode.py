@@ -1882,3 +1882,44 @@ def test_transitivity_rank_refuses_a_negative_depth():
     with pytest.raises(ValueError, match="depth"):
         ode.transitivity_rank(ode.so3_bivector(), [0, 1, 2, 3], -3)
     assert ode.transitivity_rank(ode.so3_bivector(), [0, 1, 2, 3], 0) == 2
+
+
+# A model whose entries hold several terms, so that the bracket count
+# weighs support sizes; polynomial, so every point is regular.
+_WIDE = ode.Bivector(3, {(0, 1): x1 * x2 + x3**2, (0, 2): x2 + 1, (1, 2): x1**2 * x3 - t * x2})
+
+
+def test_transitivity_rank_refuses_a_deep_level_before_any_bracket(monkeypatch):
+    # so3: 9, 108 and 12,960 brackets at levels 1-3, then 13,080 x 12,960
+    formed = _summed_products(monkeypatch)
+    with pytest.raises(ex.ResourceLimitError, match=r"bracket level 4 .*\(169516800 Lie brackets > 100000\)"):
+        ode.transitivity_rank(SO3, [0, 1, 2, 3], 4)
+    assert formed == []
+    with pytest.raises(ex.ResourceLimitError, match="bracket budget"):
+        ode.transitivity_rank(SO3, [0, 1, 2, 3], 10**12)
+    assert formed == []
+    assert ode.transitivity_rank(ode.Bivector(0), [0], 10**12) == 0
+
+
+@pytest.mark.parametrize("alpha", [SO3, _WIDE], ids=["so3", "wide"])
+def test_bracket_budget_counts_the_term_products_of_each_level(monkeypatch, alpha):
+    formed = _summed_products(monkeypatch)
+    counted, count = [], ode._bracket_products
+    monkeypatch.setattr(ode, "_bracket_products", lambda *a: counted.append(count(*a)) or counted[-1])
+    point = [Fraction(1, 2), 1, 2, 3]
+    ode.transitivity_rank(alpha, point, 1)
+    assert len(counted) == 1 and counted[0] == sum(formed) > 0
+    level_1 = counted[0]
+    formed.clear(), counted.clear()
+    rank = ode.transitivity_rank(alpha, point, 2)
+    assert len(counted) == 2 and counted[0] == level_1 and sum(counted) == sum(formed)
+    # the budget at the count of level 2 admits it, and one less refuses it
+    # before its first product
+    unit = ex.BUDGETS["bracket budget"][1]
+    monkeypatch.setitem(ex.BUDGETS, "bracket budget", (counted[1], unit))
+    assert ode.transitivity_rank(alpha, point, 2) == rank
+    monkeypatch.setitem(ex.BUDGETS, "bracket budget", (counted[1] - 1, unit))
+    formed.clear()
+    with pytest.raises(ex.ResourceLimitError, match=rf"bracket level 2 .*\({counted[1]} term products"):
+        ode.transitivity_rank(alpha, point, 2)
+    assert sum(formed) == level_1
